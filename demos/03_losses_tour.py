@@ -46,7 +46,7 @@ print(f"data term for the maximally ambiguous split: {ms_value:.6f}")
 
 means = class_means(image, half)
 zmap = variance_map(image, half, means, 0)
-print("variance map of class 0:\n", zmap.values)
+print("variance map of class 0:\n", zmap)
 
 # Total variation counts prediction jumps between neighboring pixels.
 checker = SoftPrediction(np.stack([

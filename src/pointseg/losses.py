@@ -63,21 +63,6 @@ class PointAnnotation:
 
 
 @dataclass(frozen=True)
-class ClassMeans:
-    """Soft intensity centroid of each class's predicted region."""
-
-    means: np.ndarray  # (K,)
-
-
-@dataclass(frozen=True)
-class VarianceMap:
-    """Per-pixel squared deviation from a class mean, weighted by the prediction."""
-
-    class_id: int
-    values: np.ndarray  # (H, W), nonnegative
-
-
-@dataclass(frozen=True)
 class PairingPlan:
     """Positive-partner assignment for contrastive anchors.
 
@@ -86,9 +71,6 @@ class PairingPlan:
     """
 
     partners: dict = field(default_factory=dict)
-
-    def partner(self, n: int, k: int):
-        return self.partners.get((n, k))
 
     def items(self):
         return sorted(self.partners.items())
@@ -143,23 +125,22 @@ def _mean_stats(image: Image, pred: SoftPrediction):
     return intensity_mass, mass, means
 
 
-def class_means(image: Image, pred: SoftPrediction) -> ClassMeans:
-    """Prediction-weighted mean intensity of each class region.
+def class_means(image: Image, pred: SoftPrediction) -> np.ndarray:
+    """Prediction-weighted mean intensity of each class region, shape (K,).
 
     A class with vanishing predicted mass gets mean 0 through the epsilon
     in the denominator.
     """
     _, _, means = _mean_stats(image, pred)
-    return ClassMeans(means)
+    return means
 
 
-def variance_map(image: Image, pred: SoftPrediction, means: ClassMeans, k: int) -> VarianceMap:
-    """Elementwise (I - c_k)^2 * P_k: the appearance representation contrasted across images."""
+def variance_map(image: Image, pred: SoftPrediction, means: np.ndarray, k: int) -> np.ndarray:
+    """Elementwise (I - c_k)^2 * P_k, shape (H, W): the appearance representation
+    contrasted across images."""
     if not 0 <= k < pred.num_classes:
         raise InvalidInputError(f"class {k} outside [0, {pred.num_classes})")
-    I = image.intensities
-    values = (I - means.means[k]) ** 2 * pred.probabilities[k]
-    return VarianceMap(k, values)
+    return (image.intensities - means[k]) ** 2 * pred.probabilities[k]
 
 
 def _variance_map_backward(image, probs_k, mass_k, mean_k, grad_wrt_map, freeze_means):
@@ -190,11 +171,10 @@ def ms_data_term(image: Image, pred: SoftPrediction, freeze_means: bool = False)
     K = P.shape[0]
     grad = np.empty_like(P)
     value = 0.0
-    ones = np.ones_like(I)
     for k in range(K):
         dev = I - means[k]
         value += float((dev**2 * P[k]).sum())
-        grad[k] = _variance_map_backward(image, P[k], mass[k], means[k], ones, freeze_means)
+        grad[k] = _variance_map_backward(image, P[k], mass[k], means[k], 1.0, freeze_means)
     return value, grad
 
 
@@ -227,47 +207,12 @@ def tv_term(pred: SoftPrediction, smooth_value: bool = False):
 
 def cosine_similarity(a, b) -> float:
     """Cosine similarity of two maps flattened to vectors, zero-vector safe."""
-    av = np.asarray(getattr(a, "values", a), dtype=np.float64).reshape(-1)
-    bv = np.asarray(getattr(b, "values", b), dtype=np.float64).reshape(-1)
+    av = np.asarray(a, dtype=np.float64).reshape(-1)
+    bv = np.asarray(b, dtype=np.float64).reshape(-1)
     if av.shape != bv.shape:
         raise InvalidInputError(f"cosine inputs disagree in size: {av.shape} vs {bv.shape}")
     denom = np.linalg.norm(av) * np.linalg.norm(bv) + COSINE_EPS
     return float(av @ bv / denom)
-
-
-def _cosine_with_backward(a: np.ndarray, b: np.ndarray):
-    """Cosine similarity of flat vectors plus its gradients w.r.t. both sides."""
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    dot = float(a @ b)
-    denom = na * nb + COSINE_EPS
-    sim = dot / denom
-    # d sim / da = b/denom - (dot * nb / na) * a / denom^2; the guard keeps the
-    # coefficient finite when a == 0 (dot is 0 there, so the term vanishes).
-    na_safe = na if na > 0.0 else 1.0
-    nb_safe = nb if nb > 0.0 else 1.0
-    da = b / denom - (dot * nb / na_safe) * a / denom**2
-    db = a / denom - (dot * na / nb_safe) * b / denom**2
-    return sim, da, db
-
-
-def contrastive_anchor_term(pos_sim: float, neg_sims, tau: float):
-    """One anchor's -log(pos / (pos + neg)) with pos/neg = exp(similarity / tau).
-
-    Returns (term, d_term/d_pos_sim, d_term/d_neg_sims). Exponentials are
-    computed relative to the max similarity, so small temperatures stay finite.
-    """
-    if tau <= 0:
-        raise InvalidConfigError(f"temperature must be positive, got {tau}")
-    neg_sims = np.asarray(neg_sims, dtype=np.float64)
-    m = max(pos_sim, neg_sims.max()) if neg_sims.size else pos_sim
-    e_pos = math.exp((pos_sim - m) / tau)
-    e_neg = np.exp((neg_sims - m) / tau)
-    total = e_pos + e_neg.sum()
-    term = m / tau + math.log(total) - pos_sim / tau
-    d_pos = (e_pos / total - 1.0) / tau
-    d_negs = e_neg / total / tau
-    return term, d_pos, d_negs
 
 
 @dataclass(frozen=True)
@@ -289,9 +234,11 @@ def cv_loss(images, preds, present, plan: PairingPlan, tau: float,
     For each anchor (image n, class k) that has a positive partner in `plan`,
     adds -log(pos / (pos + neg)), where pos compares the anchor's variance map
     with the partner's same-class map and neg compares it against every other
-    image's maps of other classes (restricted to classes present there). The
-    total adds mu times the TV of every image's prediction. Gradients flow
-    through the variance maps, the class means, and the predictions.
+    image's maps of other classes (restricted to classes present there). All
+    similarities come from one cosine matrix over the batch's variance maps,
+    as in supervised contrastive learning. The total adds mu times the TV of
+    every image's prediction. Gradients flow through the variance maps, the
+    class means, and the predictions.
     """
     if tau <= 0:
         raise InvalidConfigError(f"temperature must be positive, got {tau}")
@@ -306,66 +253,70 @@ def cv_loss(images, preds, present, plan: PairingPlan, tau: float,
         for k in present[n]:
             if not 0 <= k < preds[n].num_classes:
                 raise InvalidInputError(f"present class {k} outside range for image {n}")
-    for (n, k), m in plan.items():
+    anchors = plan.items()
+    for (n, k), m in anchors:
         if not (0 <= n < n_images and 0 <= m < n_images) or m == n:
             raise InvalidInputError(f"pairing ({n}, {k}) -> {m} is out of range or self-paired")
         if k not in present[n] or k not in present[m]:
             raise InvalidInputError(f"pairing ({n}, {k}) -> {m} names a class not present")
 
-    # Variance maps (flattened) for every (image, present class).
-    stats = [_mean_stats(images[n], preds[n]) for n in range(n_images)]
-    zmaps, norms = {}, {}
-    for n in range(n_images):
-        _, mass, means = stats[n]
-        I = images[n].intensities
-        for k in present[n]:
-            z = ((I - means[k]) ** 2 * preds[n].probabilities[k]).reshape(-1)
-            zmaps[(n, k)] = z
-            norms[(n, k)] = float(np.linalg.norm(z))
-
-    grad_z = {key: np.zeros_like(z) for key, z in zmaps.items()}
-    contrastive = 0.0
-    num_anchors = 0
-    for (n, k), m in plan.items():
-        neg_keys = [
-            (i, j)
-            for i in range(n_images)
-            if i != n
-            for j in present[i]
-            if j != k
-        ]
-        pairs = [((n, k), (m, k))] + [((n, k), key) for key in neg_keys]
-        sims, grads_a, grads_b = [], [], []
-        for a_key, b_key in pairs:
-            sim, da, db = _cosine_with_backward(zmaps[a_key], zmaps[b_key])
-            sims.append(sim)
-            grads_a.append(da)
-            grads_b.append(db)
-        term, d_pos, d_negs = contrastive_anchor_term(sims[0], sims[1:], tau)
-        contrastive += term
-        num_anchors += 1
-        coeffs = [lambda_cv * d_pos] + [lambda_cv * d for d in d_negs]
-        for (a_key, b_key), coeff, da, db in zip(pairs, coeffs, grads_a, grads_b):
-            grad_z[a_key] += coeff * da
-            grad_z[b_key] += coeff * db
-
     tv_sum = 0.0
     grads = []
-    for n in range(n_images):
-        tv_value, tv_grad = tv_term(preds[n], smooth_tv_value)
+    for pred in preds:
+        tv_value, tv_grad = tv_term(pred, smooth_tv_value)
         tv_sum += tv_value
-        grad = mu * tv_grad
-        _, mass, means = stats[n]
-        for k in present[n]:
-            gz = grad_z[(n, k)].reshape(shape)
-            if np.any(gz):
-                grad[k] += _variance_map_backward(
-                    images[n], preds[n].probabilities[k], mass[k], means[k], gz, freeze_means
-                )
-        grads.append(grad)
+        grads.append(mu * tv_grad)
+
+    contrastive = 0.0
+    if anchors:
+        # Z holds one flattened variance map per (image, present class) row;
+        # S is the cosine of every pair of rows.
+        stats = [_mean_stats(images[n], preds[n]) for n in range(n_images)]
+        keys = [(n, k) for n in range(n_images) for k in present[n]]
+        row = {key: a for a, key in enumerate(keys)}
+        img, cls = np.array(keys).T
+        Z = np.stack([
+            variance_map(images[n], preds[n], stats[n][2], k).reshape(-1) for n, k in keys
+        ])
+        norms = np.linalg.norm(Z, axis=1)
+        D = np.outer(norms, norms) + COSINE_EPS
+        S = (Z @ Z.T) / D
+
+        # One row per anchor over its candidates: the positive column plus
+        # every other image's other-class maps. -log(pos / (pos + neg)) is a
+        # log-sum-exp shifted by the row max, so small temperatures stay finite.
+        a_rows = np.array([row[nk] for nk, _ in anchors])
+        pos = np.array([row[(m, k)] for (_, k), m in anchors])
+        mask = (img != img[a_rows, None]) & (cls != cls[a_rows, None])
+        mask[np.arange(len(anchors)), pos] = True
+        sims = np.where(mask, S[a_rows], -np.inf)
+        shift = sims.max(axis=1)
+        e = np.exp((sims - shift[:, None]) / tau)
+        e_sum = e.sum(axis=1)
+        s_pos = S[a_rows, pos]
+        contrastive = float((shift / tau + np.log(e_sum) - s_pos / tau).sum())
+
+        # dS: softmax weight of each candidate, minus one at the positive.
+        dS = np.zeros_like(S)
+        dS[a_rows] = e / e_sum[:, None]
+        dS[a_rows, pos] -= 1.0
+        dS *= lambda_cv / tau
+        # S = G / D with G = Z Z^T and D = n n^T + eps; the guard keeps dn / n
+        # finite for a zero row, whose own contribution vanishes with it.
+        dG = dS / D
+        dD = -dS * S / D
+        dn = (dD + dD.T) @ norms
+        safe = np.where(norms > 0.0, norms, 1.0)
+        dZ = (dG + dG.T) @ Z + (dn / safe)[:, None] * Z
+        for (n, k), gz in zip(keys, dZ):
+            _, mass, means = stats[n]
+            grads[n][k] += _variance_map_backward(
+                images[n], preds[n].probabilities[k], mass[k], means[k],
+                gz.reshape(shape), freeze_means
+            )
 
     total = lambda_cv * contrastive + mu * tv_sum
-    return ContrastiveVarianceResult(contrastive, tv_sum, total, grads, num_anchors)
+    return ContrastiveVarianceResult(contrastive, tv_sum, total, grads, len(anchors))
 
 
 @dataclass(frozen=True)

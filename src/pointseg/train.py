@@ -212,39 +212,40 @@ def train_loop(samples, config: TrainConfig, checkpoint_dir=None) -> TrainState:
             batch = [augment_sample(s, config.seed, it) for s in batch]
         lr = poly_lr(config.lr0, it, config.total_iterations, config.power)
 
-        # Inputs were validated before the loop, so an invalid-input failure
-        # inside the iteration means activations overflowed to NaN/Inf.
+        # Inputs were validated before the loop, so an overflow, an invalid
+        # operation or an invalid-input failure inside the step means the
+        # activations or gradients left the finite range.
+        ids = ", ".join(s.id for s in batch)
         try:
-            fields, caches = [], []
-            for s in batch:
-                lf, cache = forward(params, spec, s.image, s.id)
-                fields.append(lf)
-                caches.append(cache)
-            breakdown = total_loss(
-                config.mode,
-                [s.image for s in batch],
-                fields,
-                [s.annotation for s in batch],
-                plan,
-                settings,
-            )
-        except InvalidInputError as exc:
-            ids = ", ".join(s.id for s in batch)
+            with np.errstate(over="raise", invalid="raise"):
+                fields, caches = [], []
+                for s in batch:
+                    lf, cache = forward(params, spec, s.image, s.id)
+                    fields.append(lf)
+                    caches.append(cache)
+                breakdown = total_loss(
+                    config.mode,
+                    [s.image for s in batch],
+                    fields,
+                    [s.annotation for s in batch],
+                    plan,
+                    settings,
+                )
+                if not math.isfinite(breakdown.total):
+                    raise TrainingDivergenceError(
+                        f"non-finite loss at iteration {it} on batch [{ids}]"
+                    )
+                grads = {}
+                for cache, g in zip(caches, breakdown.grad_wrt_logits):
+                    for name, arr in backward(params, spec, cache, g).items():
+                        if name in grads:
+                            grads[name] += arr
+                        else:
+                            grads[name] = arr.copy()
+        except (InvalidInputError, FloatingPointError) as exc:
             raise TrainingDivergenceError(
                 f"non-finite values at iteration {it} on batch [{ids}]: {exc}"
             ) from exc
-        if not math.isfinite(breakdown.total):
-            ids = ", ".join(s.id for s in batch)
-            raise TrainingDivergenceError(
-                f"non-finite loss at iteration {it} on batch [{ids}]"
-            )
-        grads = {}
-        for cache, g in zip(caches, breakdown.grad_wrt_logits):
-            for name, arr in backward(params, spec, cache, g).items():
-                if name in grads:
-                    grads[name] += arr
-                else:
-                    grads[name] = arr.copy()
         sgd_step(params, grads, lr, config.momentum, config.weight_decay)
 
         state.iteration = it + 1

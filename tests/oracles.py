@@ -70,3 +70,40 @@ def pce_oracle(probs: np.ndarray, points) -> float:
     for r, c, k in points:
         total -= math.log(max(float(probs[k, r, c]), 1e-12))
     return total
+
+
+def _cosine(a, b) -> float:
+    dot = sum(x * y for x, y in zip(a, b))
+    norm_a = math.sqrt(sum(x * x for x in a))
+    norm_b = math.sqrt(sum(y * y for y in b))
+    return dot / (norm_a * norm_b + 1e-12)
+
+
+def cv_oracle(intensities, probs, present, partners, tau: float):
+    """Contrastive sum and anchor count, evaluated one anchor at a time.
+
+    intensities holds one (H, W) array per image, probs one (K, H, W) array,
+    present one set of class ids, and partners maps (n, k) to the positive
+    image m. An anchor's map is (I - c_k)^2 P_k with the soft mean c_k; its
+    candidates are the positive (m, k) and every (i, j) with i != n, j != k
+    and j present in image i. The anchor scores the log-sum-exp of its
+    candidates' cosines over tau minus the positive's.
+    """
+    maps = {}
+    for n, (image, p) in enumerate(zip(intensities, probs)):
+        pixels = [float(v) for v in np.ravel(image)]
+        for k in present[n]:
+            weights = [float(v) for v in np.ravel(p[k])]
+            mean = sum(i * w for i, w in zip(pixels, weights)) / (sum(weights) + 1e-8)
+            maps[(n, k)] = [(i - mean) ** 2 * w for i, w in zip(pixels, weights)]
+    total = 0.0
+    for (n, k), m in sorted(partners.items()):
+        anchor = maps[(n, k)]
+        positive = _cosine(anchor, maps[(m, k)])
+        sims = [positive] + [
+            _cosine(anchor, maps[(i, j)]) for i, j in sorted(maps) if i != n and j != k
+        ]
+        top = max(sims)
+        log_sum = top / tau + math.log(sum(math.exp((s - top) / tau) for s in sims))
+        total += log_sum - positive / tau
+    return total, len(partners)

@@ -149,6 +149,7 @@ def test_train_rejects_unknown_config_keys(dataset, tmp_path, capsys):
     assert "warmup" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_train_divergence_exits_3(dataset, tmp_path, capsys):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({

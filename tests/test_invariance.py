@@ -126,7 +126,7 @@ def test_contrastive_invariant_to_per_image_intensity_shift(rng):
         for n, (im, pred) in enumerate(zip(ims, preds)):
             means = class_means(im, pred)
             for k in present[n]:
-                maps[(n, k)] = variance_map(im, pred, means, k).values.ravel()
+                maps[(n, k)] = variance_map(im, pred, means, k).ravel()
         keys = sorted(maps)
         return {
             (a, b): cosine_similarity(maps[a], maps[b])

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from pointseg import (
@@ -27,9 +27,8 @@ from pointseg import (
     variance_map,
 )
 from pointseg.gradcheck import fd_noise_floor
-from pointseg.losses import contrastive_anchor_term
 
-from oracles import pce_oracle
+from oracles import cv_oracle, pce_oracle
 
 
 def uniform_pred(K, H, W):
@@ -101,14 +100,14 @@ def test_class_means_hard_assignment():
     image = Image(np.array([[0.0, 1.0]]))
     pred = SoftPrediction(np.array([[[1.0, 0.0]], [[0.0, 1.0]]]))
     means = class_means(image, pred)
-    assert means.means[0] == pytest.approx(0.0, abs=1e-7)
-    assert means.means[1] == pytest.approx(1.0, abs=1e-7)
+    assert means[0] == pytest.approx(0.0, abs=1e-7)
+    assert means[1] == pytest.approx(1.0, abs=1e-7)
 
 
 def test_class_means_zero_mass_class():
     image = Image(np.array([[0.3, 0.7]]))
     pred = SoftPrediction(np.array([[[1.0, 1.0]], [[0.0, 0.0]]]))
-    assert class_means(image, pred).means[1] == 0.0
+    assert class_means(image, pred)[1] == 0.0
 
 
 def test_variance_map_values():
@@ -116,8 +115,8 @@ def test_variance_map_values():
     pred = SoftPrediction(np.array([[[1.0, 0.0]], [[0.0, 1.0]]]))
     means = class_means(image, pred)
     z = variance_map(image, pred, means, 0)
-    assert z.values[0, 0] == pytest.approx((1.0 - means.means[0]) ** 2, abs=1e-9)
-    assert z.values[0, 1] == 0.0
+    assert z[0, 0] == pytest.approx((1.0 - means[0]) ** 2, abs=1e-9)
+    assert z[0, 1] == 0.0
     with pytest.raises(InvalidInputError):
         variance_map(image, pred, means, 5)
 
@@ -205,24 +204,6 @@ def test_cosine_conventions():
         cosine_similarity(np.zeros(3), np.zeros(4))
 
 
-def test_anchor_term_no_negatives_is_zero():
-    term, d_pos, d_negs = contrastive_anchor_term(0.8, [], 0.07)
-    assert term == pytest.approx(0.0)
-    assert d_pos == pytest.approx(0.0)
-    assert d_negs.size == 0
-
-
-def test_anchor_term_requires_positive_temperature():
-    with pytest.raises(InvalidConfigError):
-        contrastive_anchor_term(0.5, [0.1], 0.0)
-
-
-def test_anchor_term_tiny_temperature_stays_finite():
-    term, d_pos, d_negs = contrastive_anchor_term(1.0, [0.999, 0.5], 1e-4)
-    assert math.isfinite(term) and math.isfinite(d_pos)
-    assert np.all(np.isfinite(d_negs))
-
-
 # contrastive variance loss
 
 
@@ -272,6 +253,45 @@ def test_cv_plan_validation():
         cv_loss(images, preds, [(0,), (0,)], PairingPlan({(0, 1): 1}), 1.0, 1.0, 0.0)
     with pytest.raises(InvalidConfigError):
         cv_loss(images, preds, present, PairingPlan({}), -1.0, 1.0, 0.0)
+    with pytest.raises(InvalidConfigError):
+        cv_loss(images, preds, present, PairingPlan({}), 0.0, 1.0, 0.0)
+
+
+def test_cv_tiny_temperature_stays_finite():
+    rng = np.random.default_rng(3)
+    images = [Image(rng.random((4, 4))) for _ in range(3)]
+    preds = [softmax(LogitField(rng.normal(size=(2, 4, 4)))) for _ in range(3)]
+    plan = PairingPlan({(0, 0): 1, (0, 1): 2, (1, 0): 2, (1, 1): 0, (2, 0): 0, (2, 1): 1})
+    with np.errstate(over="raise", invalid="raise"):
+        res = cv_loss(images, preds, [(0, 1)] * 3, plan, 1e-4, 1.0, 0.0)
+    assert math.isfinite(res.contrastive)
+    assert all(np.all(np.isfinite(g)) for g in res.grad_wrt_probs)
+
+
+@given(
+    seed=st.integers(0, 1 << 16),
+    present=st.lists(st.sets(st.integers(0, 2)), min_size=1, max_size=4),
+    tau=st.sampled_from([1e-4, 0.07, 1.0]),
+)
+@example(seed=0, present=[{0, 1}, set(), {1, 2}], tau=0.07)  # an image with no class
+@example(seed=1, present=[{1}, {1}], tau=1e-4)  # anchors without negatives
+@example(seed=2, present=[{0, 2}, {0, 1, 2}, {2}], tau=1.0)  # partial present sets
+def test_cv_matches_per_anchor_oracle(seed, present, tau):
+    rng = np.random.default_rng(seed)
+    K, H, W = 3, 3, 4
+    images = [Image(rng.random((H, W))) for _ in present]
+    preds = [softmax(LogitField(2.0 * rng.normal(size=(K, H, W)))) for _ in present]
+    partners = {}
+    for n, classes in enumerate(present):
+        for k in sorted(classes):
+            others = [m for m, other in enumerate(present) if m != n and k in other]
+            if others and rng.random() < 0.8:
+                partners[(n, k)] = others[int(rng.integers(len(others)))]
+    res = cv_loss(images, preds, present, PairingPlan(partners), tau, 0.3, 0.0)
+    value, anchors = cv_oracle([im.intensities for im in images],
+                               [p.probabilities for p in preds], present, partners, tau)
+    assert res.num_anchors == anchors
+    assert res.contrastive == pytest.approx(value, rel=1e-9, abs=1e-9)
 
 
 def test_cv_freeze_means_changes_gradient_substantially():

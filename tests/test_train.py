@@ -299,6 +299,7 @@ def test_train_deterministic_across_runs():
     assert a.history == b.history
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_train_divergence_reports_batch():
     # The convolutional stack compounds oversized steps into overflow.
     samples = tiny_dataset(2)
