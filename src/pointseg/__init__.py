@@ -2,16 +2,20 @@
 
 Set PSCV_THREADS to cap the BLAS/OpenMP thread pools; it must take effect
 before numpy is imported, which is why it is handled at the top of this file.
+A value that is not a positive integer leaves the pools alone; importing still
+succeeds, and the command line reports the value as a usage error.
 """
 
 import os
 
 _threads = os.environ.get("PSCV_THREADS")
+_bad_threads = None  # a rejected PSCV_THREADS value, reported by the CLI
 if _threads is not None:
-    if not _threads.isdigit() or int(_threads) < 1:
-        raise SystemExit(f"PSCV_THREADS must be a positive integer, got {_threads!r}")
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(_var, _threads)
+    if _threads.isdigit() and int(_threads) >= 1:
+        for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            os.environ.setdefault(_var, _threads)
+    else:
+        _bad_threads = _threads
 
 from .errors import (  # noqa: E402
     IngestError,
@@ -62,7 +66,6 @@ from .data import (  # noqa: E402
     load_manifest,
     load_split,
     read_pgm,
-    resize_sample,
     save_dataset,
     synth_generate,
     write_pgm,
@@ -128,7 +131,6 @@ __all__ = [
     "load_manifest",
     "load_split",
     "read_pgm",
-    "resize_sample",
     "save_dataset",
     "synth_generate",
     "write_pgm",

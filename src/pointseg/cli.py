@@ -23,7 +23,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _bad_threads
 from .data import (
     SynthSpec,
     load_manifest,
@@ -398,6 +398,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
+    if _bad_threads is not None:
+        print(f"error: PSCV_THREADS must be a positive integer, got {_bad_threads!r}",
+              file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except TrainingDivergenceError as exc:

@@ -362,63 +362,6 @@ def augment(sample: Sample, seed: int, iteration: int) -> Sample:
     )
 
 
-def _nearest_index(length_out: int, length_in: int) -> np.ndarray:
-    centers = (np.arange(length_out) + 0.5) * length_in / length_out - 0.5
-    return np.clip(np.round(centers).astype(int), 0, length_in - 1)
-
-
-def resize_sample(sample: Sample, height: int, width: int) -> Sample:
-    """Resize a sample: bilinear for the image, nearest-neighbor for the mask.
-
-    Annotated points map to the pixel covering their location; if rounding
-    lands a point on a different class, the nearest pixel of its class in
-    the resized mask is used instead.
-    """
-    if height < 1 or width < 1:
-        raise InvalidInputError(f"bad resize target {height}x{width}")
-    src = sample.image.intensities
-    H, W = src.shape
-    ys = np.clip((np.arange(height) + 0.5) * H / height - 0.5, 0, H - 1)
-    xs = np.clip((np.arange(width) + 0.5) * W / width - 0.5, 0, W - 1)
-    y0 = np.floor(ys).astype(int)
-    x0 = np.floor(xs).astype(int)
-    y1 = np.minimum(y0 + 1, H - 1)
-    x1 = np.minimum(x0 + 1, W - 1)
-    wy = (ys - y0)[:, None]
-    wx = (xs - x0)[None, :]
-    img = (
-        src[np.ix_(y0, x0)] * (1 - wy) * (1 - wx)
-        + src[np.ix_(y1, x0)] * wy * (1 - wx)
-        + src[np.ix_(y0, x1)] * (1 - wy) * wx
-        + src[np.ix_(y1, x1)] * wy * wx
-    )
-
-    mask = None
-    if sample.mask is not None:
-        rows = _nearest_index(height, H)
-        cols = _nearest_index(width, W)
-        mask = LabelMask(sample.mask.classes[np.ix_(rows, cols)], sample.mask.num_classes)
-
-    annotation = None
-    if sample.annotation is not None:
-        points = []
-        for r, c, k in sample.annotation.points:
-            rr = int(np.clip(round((r + 0.5) * height / H - 0.5), 0, height - 1))
-            cc = int(np.clip(round((c + 0.5) * width / W - 0.5), 0, width - 1))
-            if mask is not None and int(mask.classes[rr, cc]) != k:
-                region = np.argwhere(mask.classes == k)
-                if len(region) == 0:
-                    raise InvalidInputError(
-                        f"sample {sample.id}: class {k} vanished in resize"
-                    )
-                nearest = region[np.argmin(((region - (rr, cc)) ** 2).sum(axis=1))]
-                rr, cc = int(nearest[0]), int(nearest[1])
-            points.append((rr, cc, k))
-        annotation = PointAnnotation(tuple(points), sample.annotation.num_classes)
-
-    return Sample(sample.id, Image(img), mask, annotation)
-
-
 def synth_generate(spec: SynthSpec):
     """Build the synthetic dataset; returns (train samples, test samples, manifest).
 

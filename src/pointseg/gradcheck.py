@@ -159,7 +159,7 @@ def check_softmax(trials: int = 100, seed: int = 0) -> ComponentReport:
         H, W = (int(rng.integers(1, 9)) for _ in range(2))
         field = _random_logits(rng, K, H, W)
         probe = rng.normal(size=(K, H, W))
-        analytic = softmax_backward(field, probe)
+        analytic = softmax_backward(softmax(field), probe)
 
         def f(flat):
             return float((probe * softmax(LogitField(flat.reshape(K, H, W))).probabilities).sum())
@@ -195,8 +195,8 @@ def check_pce(trials: int = 50, seed: int = 0) -> ComponentReport:
         pixels = rng.choice(H * W, size=min(K, H * W), replace=False)
         points = tuple((int(p // W), int(p % W), k) for k, p in enumerate(pixels))
         ann = PointAnnotation(points, K)
-        value, grad = partial_cross_entropy(softmax(field), ann)
-        analytic = softmax_backward(field, grad)
+        pred = softmax(field)
+        analytic = softmax_backward(pred, partial_cross_entropy(pred, ann)[1])
 
         def f(flat):
             pred = softmax(LogitField(flat.reshape(K, H, W)))
@@ -213,8 +213,8 @@ def check_ms(trials: int = 50, seed: int = 0) -> ComponentReport:
         H, W = (int(rng.integers(2, 9)) for _ in range(2))
         field = _random_logits(rng, K, H, W)
         image = Image(rng.random((H, W)))
-        _, grad = ms_data_term(image, softmax(field))
-        analytic = softmax_backward(field, grad)
+        pred = softmax(field)
+        analytic = softmax_backward(pred, ms_data_term(image, pred)[1])
 
         def f(flat):
             pred = softmax(LogitField(flat.reshape(K, H, W)))
@@ -241,8 +241,8 @@ def check_tv(trials: int = 50, seed: int = 0) -> ComponentReport:
             diffs = np.concatenate([dh.reshape(-1), dv.reshape(-1)])
             if diffs.size == 0 or diffs.min() >= 1e-4:
                 break
-        _, grad = tv_term(softmax(field))
-        analytic = softmax_backward(field, grad)
+        pred = softmax(field)
+        analytic = softmax_backward(pred, tv_term(pred)[1])
 
         def f(flat):
             pred = softmax(LogitField(flat.reshape(K, H, W)))
@@ -279,7 +279,7 @@ def check_cv(trials: int = 50, seed: int = 0) -> ComponentReport:
         result = evaluate(fields)
         noise = fd_noise_floor(result.total)
         for n in range(batch):
-            analytic = softmax_backward(fields[n], result.grad_wrt_probs[n])
+            analytic = softmax_backward(softmax(fields[n]), result.grad_wrt_probs[n])
 
             def f(flat, n=n):
                 probe = list(fields)

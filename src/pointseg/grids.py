@@ -112,18 +112,17 @@ def softmax(field: LogitField) -> SoftPrediction:
     return SoftPrediction(probs)
 
 
-def softmax_backward(field: LogitField, grad_wrt_probs: np.ndarray) -> np.ndarray:
+def softmax_backward(pred: SoftPrediction, grad_wrt_probs: np.ndarray) -> np.ndarray:
     """Pull a gradient w.r.t. softmax probabilities back to the logits.
 
-    Applies the per-pixel softmax Jacobian: with p the probability column at a
-    pixel and g the incoming gradient, d/dlogits = p * (g - <g, p>).
+    `pred` is the :func:`softmax` output of the forward pass. Applies the
+    per-pixel softmax Jacobian: with p the probability column at a pixel and
+    g the incoming gradient, d/dlogits = p * (g - <g, p>).
     """
     g = as_grid(grad_wrt_probs)
-    if g.shape != field.logits.shape:
-        raise InvalidInputError(
-            f"gradient shape {g.shape} != logits shape {field.logits.shape}"
-        )
-    p = softmax(field).probabilities
+    p = pred.probabilities
+    if g.shape != p.shape:
+        raise InvalidInputError(f"gradient shape {g.shape} != probabilities shape {p.shape}")
     inner = (g * p).sum(axis=0, keepdims=True)
     return p * (g - inner)
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidConfigError, InvalidInputError
-from .grids import Image, LogitField, SoftPrediction, softmax, softmax_backward
+from .grids import Image, SoftPrediction, softmax, softmax_backward
 
 LOG_CLAMP = 1e-12    # floor inside log() of the cross-entropy
 MEAN_DENOM_EPS = 1e-8   # guards vanishing class mass in the soft means
@@ -384,7 +384,5 @@ def total_loss(mode: str, images, logit_fields, annotations, plan: PairingPlan,
     elif mode == "pce+cv":
         total = pce_sum + settings.lambda_cv * cv_sum + settings.mu * tv_sum
 
-    grad_logits = [
-        softmax_backward(lf, g) for lf, g in zip(logit_fields, grads_probs)
-    ]
+    grad_logits = [softmax_backward(pred, g) for pred, g in zip(preds, grads_probs)]
     return LossBreakdown(mode, pce_sum, ms_sum, cv_sum, tv_sum, total, grad_logits)

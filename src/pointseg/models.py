@@ -122,39 +122,72 @@ def init_params(spec: ModelSpec, seed: int) -> ModelParams:
 
 
 def _conv2d(x, w, b):
-    """Zero-padded 2-d convolution, x (Cin, H, W) -> (Cout, H, W)."""
-    _, _, kh, kw = w.shape
+    """Zero-padded 2-d convolution, x (Cin, H, W) -> (Cout, H, W).
+
+    The side with fewer channels is the one shifted per tap. With Cout < Cin,
+    one matmul maps the padded input to every tap's Cout-channel plane and
+    the shifted planes are added into the output; otherwise each tap's
+    Cin-channel input window goes through its own tensordot. Both give each
+    output element the same per-tap dot and add the taps onto the bias in
+    row-major order, so the two paths agree bit for bit.
+    """
+    cout, cin, kh, kw = w.shape
     H, W = x.shape[1:]
     ph, pw = kh // 2, kw // 2
     if ph or pw:
-        xp = np.zeros((x.shape[0], H + 2 * ph, W + 2 * pw))
+        xp = np.zeros((cin, H + 2 * ph, W + 2 * pw))
         xp[:, ph : ph + H, pw : pw + W] = x
     else:
         xp = x
-    out = np.broadcast_to(b[:, None, None], (w.shape[0], H, W)).copy()
-    for i in range(kh):
-        for j in range(kw):
-            out += np.tensordot(w[:, :, i, j], xp[:, i : i + H, j : j + W], axes=(1, 0))
+    out = np.broadcast_to(b[:, None, None], (cout, H, W)).copy()
+    if cout < cin:
+        Hp, Wp = xp.shape[1:]
+        taps = w.transpose(2, 3, 0, 1).reshape(kh * kw * cout, cin)
+        planes = (taps @ xp.reshape(cin, Hp * Wp)).reshape(kh, kw, cout, Hp, Wp)
+        for i in range(kh):
+            for j in range(kw):
+                out += planes[i, j, :, i : i + H, j : j + W]
+    else:
+        for i in range(kh):
+            for j in range(kw):
+                out += np.tensordot(w[:, :, i, j], xp[:, i : i + H, j : j + W], axes=(1, 0))
     return out
 
 
-def _conv2d_backward(x, w, grad_out):
-    """Gradients of a zero-padded convolution w.r.t. input, kernel and bias."""
-    _, _, kh, kw = w.shape
+def _conv2d_backward(x, w, grad_out, need_input=True):
+    """Gradients of a zero-padded convolution w.r.t. input, kernel and bias.
+
+    With need_input=False the input gradient is not computed and is None.
+    The input gradient shifts the narrower side, as in :func:`_conv2d`: with
+    Cout < Cin each tap reads a shifted window of the zero-padded grad_out
+    and adds into one contiguous Cin-channel buffer.
+    """
+    cout, cin, kh, kw = w.shape
     H, W = x.shape[1:]
     ph, pw = kh // 2, kw // 2
-    xp = np.zeros((x.shape[0], H + 2 * ph, W + 2 * pw))
+    xp = np.zeros((cin, H + 2 * ph, W + 2 * pw))
     xp[:, ph : ph + H, pw : pw + W] = x
-    grad_xp = np.zeros_like(xp)
     grad_w = np.zeros_like(w)
     for i in range(kh):
         for j in range(kw):
             patch = xp[:, i : i + H, j : j + W]
             grad_w[:, :, i, j] = np.tensordot(grad_out, patch, axes=((1, 2), (1, 2)))
-            grad_xp[:, i : i + H, j : j + W] += np.tensordot(
-                w[:, :, i, j], grad_out, axes=(0, 0)
-            )
     grad_b = grad_out.sum(axis=(1, 2))
+    if not need_input:
+        return None, grad_w, grad_b
+    if cout < cin:
+        gp = np.zeros((cout, H + 2 * ph, W + 2 * pw))
+        gp[:, ph : ph + H, pw : pw + W] = grad_out
+        grad_x = np.zeros((cin, H * W))
+        for i in range(kh):
+            for j in range(kw):
+                window = gp[:, 2 * ph - i : 2 * ph - i + H, 2 * pw - j : 2 * pw - j + W]
+                grad_x += w[:, :, i, j].T @ window.reshape(cout, H * W)
+        return grad_x.reshape(cin, H, W), grad_w, grad_b
+    grad_xp = np.zeros_like(xp)
+    for i in range(kh):
+        for j in range(kw):
+            grad_xp[:, i : i + H, j : j + W] += np.tensordot(w[:, :, i, j], grad_out, axes=(0, 0))
     return grad_xp[:, ph : ph + H, pw : pw + W], grad_w, grad_b
 
 
@@ -237,7 +270,9 @@ def backward(params: ModelParams, spec: ModelSpec, cache: dict, grad_wrt_logits:
     grad_z2 = grad_a2 * (cache["a2"] > 0)
     grad_a1, g_enc2_w, g_enc2_b = _conv2d_backward(cache["a1"], v["enc2.w"], grad_z2)
     grad_z1 = grad_a1 * (cache["a1"] > 0)
-    _, g_enc1_w, g_enc1_b = _conv2d_backward(cache["x0"], v["enc1.w"], grad_z1)
+    _, g_enc1_w, g_enc1_b = _conv2d_backward(
+        cache["x0"], v["enc1.w"], grad_z1, need_input=False
+    )
     return {
         "enc1.w": g_enc1_w, "enc1.b": g_enc1_b,
         "enc2.w": g_enc2_w, "enc2.b": g_enc2_b,

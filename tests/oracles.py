@@ -5,6 +5,12 @@ set arithmetic for overlap, an O(|boundary P| * |boundary G|) distance scan
 with an exact percentile, and direct per-anchor loss evaluation. Keeping
 these separate from the production code is the point; do not "simplify" them
 to call into pointseg.
+
+The per-tap convolution pair is the exception: it fixes the arithmetic, not
+just the definition. Each tap's kernel slice meets its shifted window in one
+tensordot and the taps add in row-major order from the bias (forward) or from
+zero (backward). Checkpoint bytes depend on that order, so the library's
+convolutions must equal it bit for bit at the default layer shapes.
 """
 
 import math
@@ -107,3 +113,37 @@ def cv_oracle(intensities, probs, present, partners, tau: float):
         log_sum = top / tau + math.log(sum(math.exp((s - top) / tau) for s in sims))
         total += log_sum - positive / tau
     return total, len(partners)
+
+
+def conv2d_per_tap(x, w, b):
+    """Zero-padded convolution (Cin, H, W) -> (Cout, H, W), one tensordot per tap."""
+    _, _, kh, kw = w.shape
+    H, W = x.shape[1:]
+    ph, pw = kh // 2, kw // 2
+    xp = np.zeros((x.shape[0], H + 2 * ph, W + 2 * pw))
+    xp[:, ph : ph + H, pw : pw + W] = x
+    out = np.broadcast_to(b[:, None, None], (w.shape[0], H, W)).copy()
+    for i in range(kh):
+        for j in range(kw):
+            out += np.tensordot(w[:, :, i, j], xp[:, i : i + H, j : j + W], axes=(1, 0))
+    return out
+
+
+def conv2d_backward_per_tap(x, w, grad_out):
+    """(input, kernel, bias) gradients of conv2d_per_tap, one tensordot per tap."""
+    _, _, kh, kw = w.shape
+    H, W = x.shape[1:]
+    ph, pw = kh // 2, kw // 2
+    xp = np.zeros((x.shape[0], H + 2 * ph, W + 2 * pw))
+    xp[:, ph : ph + H, pw : pw + W] = x
+    grad_xp = np.zeros_like(xp)
+    grad_w = np.zeros_like(w)
+    for i in range(kh):
+        for j in range(kw):
+            patch = xp[:, i : i + H, j : j + W]
+            grad_w[:, :, i, j] = np.tensordot(grad_out, patch, axes=((1, 2), (1, 2)))
+            grad_xp[:, i : i + H, j : j + W] += np.tensordot(
+                w[:, :, i, j], grad_out, axes=(0, 0)
+            )
+    grad_b = grad_out.sum(axis=(1, 2))
+    return grad_xp[:, ph : ph + H, pw : pw + W], grad_w, grad_b

@@ -1,9 +1,12 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import pointseg
 import pointseg.gradcheck
 from pointseg.cli import main
 
@@ -246,6 +249,27 @@ def test_usage_errors_exit_2(capsys):
     assert main([]) == 2
     assert main(["train", "--data"]) == 2
     assert main(["no-such-command"]) == 2
+
+
+def test_bad_thread_count_exits_2_and_import_succeeds(tmp_path):
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["PSCV_THREADS"] = "abc"
+    src = os.path.dirname(os.path.dirname(pointseg.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    cli = subprocess.run(
+        [sys.executable, "-m", "pointseg.cli", "annotate", "--data", str(tmp_path), "--seed", "0"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert cli.returncode == 2
+    assert "error: PSCV_THREADS must be a positive integer, got 'abc'" in cli.stderr
+    imported = subprocess.run(
+        [sys.executable, "-c",
+         "import os, pointseg; print(os.environ.get('OPENBLAS_NUM_THREADS'))"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert imported.returncode == 0, imported.stderr
+    assert imported.stdout.strip() == "None"
 
 
 def test_version_flag():

@@ -22,7 +22,6 @@ from pointseg import (
     load_manifest,
     load_split,
     read_pgm,
-    resize_sample,
     save_dataset,
     synth_generate,
     write_pgm,
@@ -250,27 +249,6 @@ def test_augment_nonsquare_only_half_turns():
     for it in range(100):
         out = augment(sample, seed=1, iteration=it)
         assert out.image.intensities.shape == (2, 4)  # shape never transposes
-
-
-# resizing
-
-
-def test_resize_preserves_annotation_classes():
-    train, _, _ = synth_generate(small_spec())
-    s = generate_annotations(train, seed=0)[0]
-    big = resize_sample(s, 32, 32)
-    assert big.image.intensities.shape == (32, 32)
-    assert big.mask.classes.shape == (32, 32)
-    for r, c, k in big.annotation.points:
-        assert big.mask.classes[r, c] == k
-
-
-def test_resize_identity():
-    train, _, _ = synth_generate(small_spec())
-    s = generate_annotations(train, seed=0)[0]
-    same = resize_sample(s, 16, 16)
-    assert np.allclose(same.image.intensities, s.image.intensities)
-    assert np.array_equal(same.mask.classes, s.mask.classes)
 
 
 # dataset round trips

@@ -59,7 +59,7 @@ def test_softmax_backward_matches_finite_differences(seed):
     logits = rng.normal(size=(2, 3, 3))
     probe = rng.normal(size=(2, 3, 3))
     field = LogitField(logits)
-    analytic = softmax_backward(field, probe)
+    analytic = softmax_backward(softmax(field), probe)
 
     def f(flat):
         return float((probe * softmax(LogitField(flat.reshape(2, 3, 3))).probabilities).sum())

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from oracles import conv2d_backward_per_tap, conv2d_per_tap
 
 from pointseg import (
     Image,
@@ -21,6 +22,7 @@ from pointseg import (
 from pointseg.models import (
     DEFAULT_CHANNELS,
     _conv2d,
+    _conv2d_backward,
     _maxpool2,
     _upsample2,
 )
@@ -96,24 +98,81 @@ def test_forward_shapes_and_determinism():
         assert g.shape == params.values[name].shape
 
 
-def test_conv2d_matches_naive_loops():
+# (cout, cin, kernel): both sides of the cout < cin branch, cout == cin,
+# a single input channel, a single output channel, and a 1x1 kernel.
+CONV_SHAPES = [(4, 3, 3), (2, 5, 3), (3, 3, 3), (4, 1, 3), (1, 3, 3), (2, 5, 1)]
+
+
+@pytest.mark.parametrize("cout,cin,k", CONV_SHAPES)
+def test_conv2d_matches_naive_loops(cout, cin, k):
     rng = np.random.default_rng(2)
-    x = rng.normal(size=(3, 5, 6))
-    w = rng.normal(size=(4, 3, 3, 3))
-    b = rng.normal(size=4)
+    x = rng.normal(size=(cin, 5, 6))
+    w = rng.normal(size=(cout, cin, k, k))
+    b = rng.normal(size=cout)
     out = _conv2d(x, w, b)
-    ref = np.zeros((4, 5, 6))
-    xp = np.pad(x, ((0, 0), (1, 1), (1, 1)))
-    for o in range(4):
+    p = k // 2
+    ref = np.zeros((cout, 5, 6))
+    xp = np.pad(x, ((0, 0), (p, p), (p, p)))
+    for o in range(cout):
         for i in range(5):
             for j in range(6):
                 acc = b[o]
-                for c in range(3):
-                    for di in range(3):
-                        for dj in range(3):
+                for c in range(cin):
+                    for di in range(k):
+                        for dj in range(k):
                             acc += w[o, c, di, dj] * xp[c, i + di, j + dj]
                 ref[o, i, j] = acc
     assert np.abs(out - ref).max() <= 1e-12
+
+
+@pytest.mark.parametrize("cout,cin,k", CONV_SHAPES)
+def test_conv2d_backward_matches_naive_loops(cout, cin, k):
+    rng = np.random.default_rng(3)
+    H, W = 5, 6
+    x = rng.normal(size=(cin, H, W))
+    w = rng.normal(size=(cout, cin, k, k))
+    g = rng.normal(size=(cout, H, W))
+    grad_x, grad_w, grad_b = _conv2d_backward(x, w, g)
+    p = k // 2
+    xp = np.pad(x, ((0, 0), (p, p), (p, p)))
+    ref_x = np.zeros((cin, H, W))
+    ref_w = np.zeros((cout, cin, k, k))
+    for o in range(cout):
+        for i in range(H):
+            for j in range(W):
+                for c in range(cin):
+                    for di in range(k):
+                        for dj in range(k):
+                            ref_w[o, c, di, dj] += g[o, i, j] * xp[c, i + di, j + dj]
+                            r, q = i + di - p, j + dj - p
+                            if 0 <= r < H and 0 <= q < W:
+                                ref_x[c, r, q] += w[o, c, di, dj] * g[o, i, j]
+    assert np.abs(grad_x - ref_x).max() <= 1e-12
+    assert np.abs(grad_w - ref_w).max() <= 1e-12
+    assert np.abs(grad_b - g.sum(axis=(1, 2))).max() <= 1e-12
+    skipped, grad_w2, grad_b2 = _conv2d_backward(x, w, g, need_input=False)
+    assert skipped is None
+    assert np.array_equal(grad_w2, grad_w) and np.array_equal(grad_b2, grad_b)
+
+
+@pytest.mark.parametrize("layer", ["enc1", "enc2", "enc3", "dec1", "head"])
+def test_conv2d_bit_identical_to_per_tap_at_default_shapes(layer):
+    # The tap order of the per-tap oracle fixes checkpoint bytes; the default
+    # model must reproduce it exactly, whichever side each layer shifts.
+    spec = ModelSpec("conv-ed", 3, 64, 64)
+    w = init_params(spec, seed=0).values[f"{layer}.w"]
+    rng = np.random.default_rng(4)
+    cout, cin = w.shape[:2]
+    size = 32 if layer == "enc3" else 64
+    x = np.maximum(rng.normal(size=(cin, size, size)), 0.0)
+    b = rng.normal(size=cout)
+    g = rng.normal(size=(cout, size, size))
+    assert np.array_equal(_conv2d(x, w, b), conv2d_per_tap(x, w, b))
+    want = conv2d_backward_per_tap(x, w, g)
+    for got, ref in zip(_conv2d_backward(x, w, g), want):
+        assert np.array_equal(got, ref)
+    for got, ref in zip(_conv2d_backward(x, w, g, need_input=False)[1:], want[1:]):
+        assert np.array_equal(got, ref)
 
 
 def test_maxpool_first_in_row_major_tie_break():
