@@ -121,52 +121,66 @@ def init_params(spec: ModelSpec, seed: int) -> ModelParams:
     return ModelParams(spec, values, momentum)
 
 
+def _pad_flat(x, ph, pw):
+    """x (C, H, W) zero-padded by (ph, pw) into a flat (C, Hp*Wp + 2*pw) buffer.
+
+    Tap (i, j)'s window is the H*Wp columns from i*Wp + j on, a strided matrix
+    BLAS reads with no copy; the 2*pw trailing zeros keep the last in bounds.
+    """
+    C, H, W = x.shape
+    if not (ph or pw):
+        return x.reshape(C, H * W)
+    Hp, Wp = H + 2 * ph, W + 2 * pw
+    xf = np.zeros((C, Hp * Wp + 2 * pw))
+    xf[:, : Hp * Wp].reshape(C, Hp, Wp)[:, ph : ph + H, pw : pw + W] = x
+    return xf
+
+
 def _conv2d(x, w, b):
     """Zero-padded 2-d convolution, x (Cin, H, W) -> (Cout, H, W).
 
-    The side with fewer channels is the one shifted per tap. With Cout < Cin,
-    one matmul maps the padded input to every tap's Cout-channel plane and
-    the shifted planes are added into the output; otherwise each tap's
-    Cin-channel input window goes through its own tensordot. Both give each
-    output element the same per-tap dot and add the taps onto the bias in
-    row-major order, so the two paths agree bit for bit.
+    Output rows are Wp wide until the pad columns are dropped. With Cout < Cin
+    one matmul maps the flat input to each tap's Cout-channel plane and the
+    shifted planes are added. Otherwise each tap's kernel slice multiplies its
+    flat window, through np.dot when Cin == 1 (matmul does that outer product
+    without BLAS). Each kept element gets the dots of one tensordot per tap on
+    a copied window, added onto the bias in row-major tap order: the same bits.
     """
     cout, cin, kh, kw = w.shape
     H, W = x.shape[1:]
     ph, pw = kh // 2, kw // 2
-    if ph or pw:
-        xp = np.zeros((cin, H + 2 * ph, W + 2 * pw))
-        xp[:, ph : ph + H, pw : pw + W] = x
-    else:
-        xp = x
-    out = np.broadcast_to(b[:, None, None], (cout, H, W)).copy()
+    Wp = W + 2 * pw
+    xf = _pad_flat(x, ph, pw)
+    out = np.broadcast_to(b[:, None], (cout, H * Wp)).copy()
     if cout < cin:
-        Hp, Wp = xp.shape[1:]
-        taps = w.transpose(2, 3, 0, 1).reshape(kh * kw * cout, cin)
-        planes = (taps @ xp.reshape(cin, Hp * Wp)).reshape(kh, kw, cout, Hp, Wp)
-        for i in range(kh):
-            for j in range(kw):
-                out += planes[i, j, :, i : i + H, j : j + W]
-    else:
-        for i in range(kh):
-            for j in range(kw):
-                out += np.tensordot(w[:, :, i, j], xp[:, i : i + H, j : j + W], axes=(1, 0))
-    return out
+        planes = (w.transpose(2, 3, 0, 1).reshape(-1, cin) @ xf).reshape(kh, kw, cout, -1)
+    mul = np.dot if cin == 1 else np.matmul
+    for i in range(kh):
+        for j in range(kw):
+            s = i * Wp + j
+            if cout < cin:
+                out += planes[i, j, :, s : s + H * Wp]
+            else:
+                out += mul(w[:, :, i, j], xf[:, s : s + H * Wp])
+    return out.reshape(cout, H, Wp)[:, :, :W]
 
 
 def _conv2d_backward(x, w, grad_out, need_input=True):
     """Gradients of a zero-padded convolution w.r.t. input, kernel and bias.
 
     With need_input=False the input gradient is not computed and is None.
-    The input gradient shifts the narrower side, as in :func:`_conv2d`: with
-    Cout < Cin each tap reads a shifted window of the zero-padded grad_out
-    and adds into one contiguous Cin-channel buffer.
+    The kernel gradient is one tensordot per tap. The input gradient shifts
+    the narrower side on flat buffers: with Cout < Cin each tap reads the flat
+    padded grad_out from (2*ph - i)*Wp + 2*pw - j on; otherwise each tap adds
+    its product with grad_out, zero-widened to Wp columns, into the flat
+    padded gradient from i*Wp + j on. Each kept element gets the per-tap dots
+    of one tensordot per tap, in the same order, plus only exact +0.0 terms.
     """
     cout, cin, kh, kw = w.shape
     H, W = x.shape[1:]
     ph, pw = kh // 2, kw // 2
-    xp = np.zeros((cin, H + 2 * ph, W + 2 * pw))
-    xp[:, ph : ph + H, pw : pw + W] = x
+    Hp, Wp = H + 2 * ph, W + 2 * pw
+    xp = _pad_flat(x, ph, pw)[:, : Hp * Wp].reshape(cin, Hp, Wp)
     grad_w = np.zeros_like(w)
     for i in range(kh):
         for j in range(kw):
@@ -176,19 +190,20 @@ def _conv2d_backward(x, w, grad_out, need_input=True):
     if not need_input:
         return None, grad_w, grad_b
     if cout < cin:
-        gp = np.zeros((cout, H + 2 * ph, W + 2 * pw))
-        gp[:, ph : ph + H, pw : pw + W] = grad_out
-        grad_x = np.zeros((cin, H * W))
+        gf = _pad_flat(grad_out, ph, pw)
+        grad_x = np.zeros((cin, H * Wp))
         for i in range(kh):
             for j in range(kw):
-                window = gp[:, 2 * ph - i : 2 * ph - i + H, 2 * pw - j : 2 * pw - j + W]
-                grad_x += w[:, :, i, j].T @ window.reshape(cout, H * W)
-        return grad_x.reshape(cin, H, W), grad_w, grad_b
-    grad_xp = np.zeros_like(xp)
+                s = (2 * ph - i) * Wp + 2 * pw - j
+                grad_x += w[:, :, i, j].T @ gf[:, s : s + H * Wp]
+        return grad_x.reshape(cin, H, Wp)[:, :, :W], grad_w, grad_b
+    g = _pad_flat(grad_out, 0, pw)[:, pw : pw + H * Wp]
+    grad_xf = np.zeros((cin, Hp * Wp + 2 * pw))
     for i in range(kh):
         for j in range(kw):
-            grad_xp[:, i : i + H, j : j + W] += np.tensordot(w[:, :, i, j], grad_out, axes=(0, 0))
-    return grad_xp[:, ph : ph + H, pw : pw + W], grad_w, grad_b
+            grad_xf[:, i * Wp + j : i * Wp + j + H * Wp] += w[:, :, i, j].T @ g
+    grad_x = grad_xf[:, : Hp * Wp].reshape(cin, Hp, Wp)[:, ph : ph + H, pw : pw + W]
+    return grad_x, grad_w, grad_b
 
 
 def _maxpool2(x):
@@ -261,18 +276,18 @@ def backward(params: ModelParams, spec: ModelSpec, cache: dict, grad_wrt_logits:
 
     v = params.values
     c2 = spec.channels[1]
+    # Masks apply in place (g * mask's -0.0 kept), except on enc2's strided crop.
     grad_a4, g_head_w, g_head_b = _conv2d_backward(cache["a4"], v["head.w"], g)
-    grad_z4 = grad_a4 * (cache["a4"] > 0)
-    grad_cat, g_dec1_w, g_dec1_b = _conv2d_backward(cache["cat"], v["dec1.w"], grad_z4)
-    grad_a3 = _upsample2_backward(grad_cat[c2:]) * (cache["a3"] > 0)
+    grad_a4 *= cache["a4"] > 0
+    grad_cat, g_dec1_w, g_dec1_b = _conv2d_backward(cache["cat"], v["dec1.w"], grad_a4)
+    grad_a3 = _upsample2_backward(grad_cat[c2:])
+    grad_a3 *= cache["a3"] > 0
     grad_pooled, g_enc3_w, g_enc3_b = _conv2d_backward(cache["pooled"], v["enc3.w"], grad_a3)
     grad_a2 = grad_cat[:c2] + _maxpool2_backward(cache["idx"], grad_pooled, cache["a2"].shape)
-    grad_z2 = grad_a2 * (cache["a2"] > 0)
-    grad_a1, g_enc2_w, g_enc2_b = _conv2d_backward(cache["a1"], v["enc2.w"], grad_z2)
+    grad_a2 *= cache["a2"] > 0
+    grad_a1, g_enc2_w, g_enc2_b = _conv2d_backward(cache["a1"], v["enc2.w"], grad_a2)
     grad_z1 = grad_a1 * (cache["a1"] > 0)
-    _, g_enc1_w, g_enc1_b = _conv2d_backward(
-        cache["x0"], v["enc1.w"], grad_z1, need_input=False
-    )
+    _, g_enc1_w, g_enc1_b = _conv2d_backward(cache["x0"], v["enc1.w"], grad_z1, need_input=False)
     return {
         "enc1.w": g_enc1_w, "enc1.b": g_enc1_b,
         "enc2.w": g_enc2_w, "enc2.b": g_enc2_b,

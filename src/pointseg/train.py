@@ -241,7 +241,7 @@ def train_loop(samples, config: TrainConfig, checkpoint_dir=None) -> TrainState:
                         if name in grads:
                             grads[name] += arr
                         else:
-                            grads[name] = arr.copy()
+                            grads[name] = arr  # backward returns fresh arrays
         except (InvalidInputError, FloatingPointError) as exc:
             raise TrainingDivergenceError(
                 f"non-finite values at iteration {it} on batch [{ids}]: {exc}"

@@ -10,7 +10,10 @@ CONVERGED budget; everything else is self-contained.
 
 import json
 import math
+import multiprocessing
+import os
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -155,34 +158,52 @@ def default_dataset(tmp_path_factory):
     return root
 
 
+def _train_and_score(root, mode, lam, profile, seed):
+    """Test DSC of one trained ablation run; runs in a pool worker."""
+    kw = dict(profile)
+    if lam is not None:
+        kw["lambda_cv"] = lam
+    params = train_loop(load_split(root, "train"), TrainConfig(mode=mode, seed=seed, **kw)).params
+    test_s = load_split(root, "test")
+    preds = [hard_mask(softmax(forward(params, params.spec, s.image, s.id)[0])) for s in test_s]
+    return evaluate(preds, [s.mask for s in test_s]).dsc_average
+
+
 @pytest.fixture(scope="session")
 def ablation_scores(default_dataset):
-    """Per-seed test DSC, in ABLATION_SEEDS order, per (mode, lambda_cv, iterations)."""
-    train_s = load_split(default_dataset, "train")
-    test_s = load_split(default_dataset, "test")
+    """Per-seed test DSC, in ABLATION_SEEDS order, per (mode, lambda_cv, iterations).
 
-    def test_dsc(params):
-        preds = []
-        for s in test_s:
-            logits, _ = forward(params, params.spec, s.image, s.id)
-            preds.append(hard_mask(softmax(logits)))
-        return evaluate(preds, [s.mask for s in test_s]).dsc_average
-
+    The runs are independent and keyed-deterministic, so they train in a
+    spawned process pool, one single-threaded worker per usable CPU, longest
+    first so that no worker is left with a long run at the end.
+    """
     t0 = time.perf_counter()
-    scores = {}
     jobs = [("pce", None, ABLATION), ("pce+ms", None, ABLATION)]
     jobs += [("pce+cv", lam, ABLATION) for lam in SWEEP_VALUES]
     jobs.append(("pce+cv", 0.3, CONVERGED))
-    for mode, lam, profile in jobs:
-        kw = dict(profile)
-        if lam is not None:
-            kw["lambda_cv"] = lam
-        scores[(mode, lam, profile["total_iterations"])] = [
-            test_dsc(
-                train_loop(train_s, TrainConfig(mode=mode, seed=s, **kw)).params
-            )
-            for s in ABLATION_SEEDS
+    runs = [(mode, lam, profile, s) for mode, lam, profile in jobs for s in ABLATION_SEEDS]
+    runs.sort(key=lambda run: -run[2]["total_iterations"])
+    workers = min(len(os.sched_getaffinity(0)), len(runs))
+    # Each worker reads these before it imports numpy: one BLAS thread apiece.
+    blas_env = dict.fromkeys(
+        ("PSCV_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"), "1"
+    )
+    with mock.patch.dict(os.environ, blas_env):
+        pool = multiprocessing.get_context("spawn").Pool(workers)
+    with pool:
+        dscs = pool.starmap_async(
+            _train_and_score, [(str(default_dataset), *run) for run in runs], chunksize=1
+        ).get(timeout=1800.0)  # a worker killed mid-run would leave the pool waiting
+    by_run = {
+        (mode, lam, profile["total_iterations"], s): dsc
+        for (mode, lam, profile, s), dsc in zip(runs, dscs)
+    }
+    scores = {
+        (mode, lam, profile["total_iterations"]): [
+            by_run[(mode, lam, profile["total_iterations"], s)] for s in ABLATION_SEEDS
         ]
+        for mode, lam, profile in jobs
+    }
     scores["seconds"] = time.perf_counter() - t0
     return scores
 

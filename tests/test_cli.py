@@ -251,12 +251,18 @@ def test_usage_errors_exit_2(capsys):
     assert main(["no-such-command"]) == 2
 
 
-def test_bad_thread_count_exits_2_and_import_succeeds(tmp_path):
+def _thread_env(threads):
+    """Subprocess environment in which PSCV_THREADS alone sets the BLAS threads."""
     env = {k: v for k, v in os.environ.items()
            if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
-    env["PSCV_THREADS"] = "abc"
+    env["PSCV_THREADS"] = threads
     src = os.path.dirname(os.path.dirname(pointseg.__file__))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_bad_thread_count_exits_2_and_import_succeeds(tmp_path):
+    env = _thread_env("abc")
     cli = subprocess.run(
         [sys.executable, "-m", "pointseg.cli", "annotate", "--data", str(tmp_path), "--seed", "0"],
         env=env, capture_output=True, text=True, timeout=120,
@@ -270,6 +276,26 @@ def test_bad_thread_count_exits_2_and_import_succeeds(tmp_path):
     )
     assert imported.returncode == 0, imported.stderr
     assert imported.stdout.strip() == "None"
+
+
+def test_checkpoint_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # The convs hand BLAS strided slices; however BLAS splits that work over
+    # threads, the checkpoint must not change. The default grid is large
+    # enough to be split, a tiny one may never be.
+    data = tmp_path / "data"
+    assert main(["synth", "--out", str(data)]) == 0
+    assert main(["annotate", "--data", str(data), "--seed", "0"]) == 0
+    checkpoints = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        run = subprocess.run(
+            [sys.executable, "-m", "pointseg.cli", "train", "--data", str(data),
+             "--out", str(out), "--model-kind", "conv-ed", "--total-iterations", "4"],
+            env=_thread_env(threads), capture_output=True, text=True, timeout=600,
+        )
+        assert run.returncode == 0, run.stderr
+        checkpoints.append((out / "checkpoint_final.bin").read_bytes())
+    assert checkpoints[0] == checkpoints[1]
 
 
 def test_version_flag():

@@ -99,8 +99,9 @@ def test_forward_shapes_and_determinism():
 
 
 # (cout, cin, kernel): both sides of the cout < cin branch, cout == cin,
-# a single input channel, a single output channel, and a 1x1 kernel.
-CONV_SHAPES = [(4, 3, 3), (2, 5, 3), (3, 3, 3), (4, 1, 3), (1, 3, 3), (2, 5, 1)]
+# a single input channel, a single output channel, and 1x1 kernels on both
+# sides (with cout >= cin, the flat path with no pad columns).
+CONV_SHAPES = [(4, 3, 3), (2, 5, 3), (3, 3, 3), (4, 1, 3), (1, 3, 3), (2, 5, 1), (3, 2, 1)]
 
 
 @pytest.mark.parametrize("cout,cin,k", CONV_SHAPES)
@@ -173,6 +174,28 @@ def test_conv2d_bit_identical_to_per_tap_at_default_shapes(layer):
         assert np.array_equal(got, ref)
     for got, ref in zip(_conv2d_backward(x, w, g, need_input=False)[1:], want[1:]):
         assert np.array_equal(got, ref)
+
+
+def _bit_equal(a, b):
+    """np.array_equal, and the same sign on every zero."""
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("layer", ["enc1", "enc2", "enc3", "dec1", "head"])
+def test_conv2d_bit_identical_to_per_tap_off_default_shapes(layer):
+    # A non-square grid and other widths: mixing up Hp and Wp, or the pad
+    # columns of a row with the next row's, cannot hide behind 64x64.
+    spec = ModelSpec("conv-ed", 3, 16, 24, channels=(8, 12, 20, 8))
+    w = init_params(spec, seed=1).values[f"{layer}.w"]
+    rng = np.random.default_rng(5)
+    cout, cin = w.shape[:2]
+    H, W = (8, 12) if layer == "enc3" else (16, 24)
+    x = np.maximum(rng.normal(size=(cin, H, W)), 0.0)
+    b = rng.normal(size=cout)
+    g = rng.normal(size=(cout, H, W))
+    assert _bit_equal(_conv2d(x, w, b), conv2d_per_tap(x, w, b))
+    for got, ref in zip(_conv2d_backward(x, w, g), conv2d_backward_per_tap(x, w, g)):
+        assert _bit_equal(got, ref)
 
 
 def test_maxpool_first_in_row_major_tie_break():
