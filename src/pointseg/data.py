@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import IngestError, InvalidConfigError, InvalidInputError
-from .grids import Image
+from .grids import Image, _trusted
 from .losses import PointAnnotation
 from .seeding import keyed_rng
 
@@ -354,11 +354,11 @@ def augment(sample: Sample, seed: int, iteration: int) -> Sample:
         mask = None if mask is None else np.rot90(mask)
         points = [(width_now - 1 - pc, pr, k) for pr, pc, k in points]
 
-    return Sample(
-        sample.id,
-        Image(np.ascontiguousarray(img)),
-        None if mask is None else LabelMask(np.ascontiguousarray(mask), sample.mask.num_classes),
-        PointAnnotation(tuple(points), sample.annotation.num_classes),
+    return _trusted(
+        Sample, sample.id,
+        _trusted(Image, np.ascontiguousarray(img)),
+        None if mask is None else _trusted(LabelMask, np.ascontiguousarray(mask), sample.mask.num_classes),
+        _trusted(PointAnnotation, tuple(points), sample.annotation.num_classes),
     )
 
 

@@ -6,12 +6,15 @@ The thin dataclasses below tag the three shapes that cross module boundaries:
 a single-channel image in [0,1], a [K,H,W] logit field, and the per-pixel
 probability simplex produced by :func:`softmax`.
 
-All operations are pure: inputs are never mutated.
+The constructors validate what enters from outside; values the package derives
+from validated ones (softmax output, augmented samples) skip the checks through
+:func:`_trusted`. Per training image only forward's LogitField is checked, as
+``pointseg eval`` runs forward outside ``np.errstate``. Inputs are never mutated.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -20,14 +23,20 @@ from .errors import InvalidInputError, OracleFailureError
 SIMPLEX_ATOL = 1e-9  # per-pixel probability sums must match 1 this closely
 
 
-def as_grid(values, shape=None) -> np.ndarray:
-    """Coerce `values` to a float64 array, checking finiteness and optional shape."""
+def as_grid(values) -> np.ndarray:
+    """Coerce `values` to a float64 array, checking finiteness."""
     arr = np.asarray(values, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
         raise InvalidInputError("grid contains NaN or Inf")
-    if shape is not None and tuple(arr.shape) != tuple(shape):
-        raise InvalidInputError(f"grid shape {arr.shape} != expected {tuple(shape)}")
     return arr
+
+
+def _trusted(cls, *values):
+    """Frozen dataclass `cls` built from validated field values without ``__post_init__``."""
+    obj = object.__new__(cls)
+    for f, value in zip(fields(cls), values, strict=True):
+        object.__setattr__(obj, f.name, value)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -44,14 +53,6 @@ class Image:
             raise InvalidInputError("image intensities must lie in [0, 1]")
         object.__setattr__(self, "intensities", arr)
 
-    @property
-    def height(self) -> int:
-        return self.intensities.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.intensities.shape[1]
-
 
 @dataclass(frozen=True)
 class LogitField:
@@ -66,10 +67,6 @@ class LogitField:
         if arr.shape[0] < 2:
             raise InvalidInputError("logit field needs at least 2 classes")
         object.__setattr__(self, "logits", arr)
-
-    @property
-    def num_classes(self) -> int:
-        return self.logits.shape[0]
 
 
 @dataclass(frozen=True)
@@ -103,13 +100,13 @@ def softmax(field: LogitField) -> SoftPrediction:
 
     The per-pixel maximum logit is subtracted before exponentiation, so the
     result is exact up to rounding for logit magnitudes far beyond float64's
-    naive exp range.
+    naive exp range. Finite logits give exps in [0, 1], one of them 1 per pixel.
     """
     logits = field.logits
     shifted = logits - logits.max(axis=0, keepdims=True)
     e = np.exp(shifted)
     probs = e / e.sum(axis=0, keepdims=True)
-    return SoftPrediction(probs)
+    return _trusted(SoftPrediction, probs)
 
 
 def softmax_backward(pred: SoftPrediction, grad_wrt_probs: np.ndarray) -> np.ndarray:
@@ -117,9 +114,9 @@ def softmax_backward(pred: SoftPrediction, grad_wrt_probs: np.ndarray) -> np.nda
 
     `pred` is the :func:`softmax` output of the forward pass. Applies the
     per-pixel softmax Jacobian: with p the probability column at a pixel and
-    g the incoming gradient, d/dlogits = p * (g - <g, p>).
+    g the incoming gradient, d/dlogits = p * (g - <g, p>). g is not NaN-scanned.
     """
-    g = as_grid(grad_wrt_probs)
+    g = np.asarray(grad_wrt_probs, dtype=np.float64)
     p = pred.probabilities
     if g.shape != p.shape:
         raise InvalidInputError(f"gradient shape {g.shape} != probabilities shape {p.shape}")

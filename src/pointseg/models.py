@@ -341,6 +341,8 @@ def _read_entries(path):
             count = int(np.prod(dims)) if rank else 1
             arr = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
             offset += 8 * count
+            if not np.all(np.isfinite(arr)):
+                raise IngestError(f"{path}: entry {name!r} holds NaN or Inf")
             entries[name] = arr.reshape(dims).astype(np.float64)
     except (struct.error, ValueError) as exc:
         raise IngestError(f"{path}: truncated or corrupt checkpoint ({exc})") from exc

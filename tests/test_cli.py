@@ -205,6 +205,16 @@ def test_eval_missing_checkpoint_exits_2(dataset, tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_eval_nan_checkpoint_exits_2_naming_the_entry(dataset, trained, tmp_path, capsys):
+    params = pointseg.load_checkpoint(trained / "checkpoint_final.bin", height=16, width=16)
+    params.values["dec1.w"][0, 0, 1, 1] = float("nan")
+    bad = tmp_path / "nan.bin"
+    pointseg.save_checkpoint(bad, params)
+    assert main(["eval", "--checkpoint", str(bad), "--data", str(dataset),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "entry 'dec1.w' holds NaN or Inf" in capsys.readouterr().err
+
+
 def test_gradcheck_passes(capsys):
     assert main(["gradcheck", "--trials", "2", "--end-to-end-trials", "1"]) == 0
     out = capsys.readouterr().out

@@ -192,6 +192,24 @@ def annotated_sample():
     return generate_annotations([sample], seed=1)[0]
 
 
+def assert_valid_as_built(out):
+    """augment skips validation: rebuilding its output through the public
+    constructors must pass and change no array, dtype or point."""
+    again = Sample(
+        out.id,
+        Image(out.image.intensities),
+        LabelMask(out.mask.classes, out.mask.num_classes),
+        PointAnnotation(out.annotation.points, out.annotation.num_classes),
+    )
+    for built, checked in ((out.image.intensities, again.image.intensities),
+                           (out.mask.classes, again.mask.classes)):
+        assert built.flags.c_contiguous
+        assert built.dtype == checked.dtype
+        assert np.array_equal(built, checked)
+    assert again.annotation.points == out.annotation.points
+    assert all(type(v) is int for point in out.annotation.points for v in point)
+
+
 def test_augment_requires_annotation():
     bare = Sample("b", Image(np.zeros((4, 4))))
     with pytest.raises(InvalidInputError):
@@ -237,6 +255,7 @@ def test_augment_quarter_turn_point_map():
 def test_augment_mask_agrees_at_transformed_points(it):
     s = annotated_sample()
     out = augment(s, seed=5, iteration=it)
+    assert_valid_as_built(out)
     for r, c, k in out.annotation.points:
         assert out.mask.classes[r, c] == k
 
@@ -249,6 +268,7 @@ def test_augment_nonsquare_only_half_turns():
     for it in range(100):
         out = augment(sample, seed=1, iteration=it)
         assert out.image.intensities.shape == (2, 4)  # shape never transposes
+        assert_valid_as_built(out)
 
 
 # dataset round trips

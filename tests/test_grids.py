@@ -7,6 +7,7 @@ from pointseg import (
     Image,
     InvalidInputError,
     LogitField,
+    SoftPrediction,
     finite_diff_grad,
     softmax,
     softmax_backward,
@@ -33,10 +34,13 @@ def test_logit_field_validation():
         LogitField(np.full((2, 3, 3), np.inf))
 
 
-@given(fields)
-def test_softmax_simplex(logits):
-    p = softmax(LogitField(logits)).probabilities
-    assert np.all(p > 0)
+@given(fields, st.sampled_from([1.0, 1e3, 1e150, 1e300]))
+def test_softmax_simplex(logits, scale):
+    # softmax skips the SoftPrediction checks, so its output must pass them,
+    # up to the logit magnitudes of test_softmax_extreme_logits_stay_finite.
+    p = softmax(LogitField(logits * scale)).probabilities
+    assert np.array_equal(SoftPrediction(p).probabilities, p)
+    assert np.all(p > 0) if scale == 1.0 else np.all(p >= 0)
     assert np.abs(p.sum(axis=0) - 1.0).max() <= 1e-9
 
 

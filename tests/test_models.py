@@ -284,6 +284,12 @@ def test_checkpoint_rejects_corruption(tmp_path):
     with pytest.raises(IngestError):
         load_checkpoint(bad)
 
+    params = init_params(spec, 0)
+    params.values["field.b"][1, 2, 3] = np.nan
+    save_checkpoint(bad, params)
+    with pytest.raises(IngestError, match=r"bad\.bin: entry 'field\.b' holds NaN"):
+        load_checkpoint(bad)
+
 
 def test_conv_checkpoint_needs_grid_size(tmp_path):
     spec = conv_spec()

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import pointseg.grids
 from pointseg import (
     Image,
     InvalidConfigError,
@@ -297,6 +298,27 @@ def test_train_deterministic_across_runs():
     for k in a.params.values:
         assert np.array_equal(a.params.values[k], b.params.values[k])
     assert a.history == b.history
+
+
+@pytest.mark.parametrize("kind", ["conv-ed", "logit-field"])
+def test_train_step_checks_each_image_once(kind, monkeypatch):
+    # Augmented samples, softmax outputs and loss gradients derive from
+    # validated values and skip the grid checks; only the LogitField that
+    # forward builds is checked, once per batch image.
+    samples = tiny_dataset(2)
+    calls = []
+    as_grid = pointseg.grids.as_grid
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return as_grid(*args, **kwargs)
+
+    monkeypatch.setattr(pointseg.grids, "as_grid", counting)
+    extra = {"channels": (2, 2, 3, 2)} if kind == "conv-ed" else {}
+    cfg = TrainConfig(mode="pce+cv", model_kind=kind, total_iterations=1,
+                      batch_size=2, augment=True, seed=0, **extra)
+    train_loop(samples, cfg)
+    assert len(calls) == 2
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
