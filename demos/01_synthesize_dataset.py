@@ -15,8 +15,6 @@ import numpy as np
 
 from pointseg import SynthSpec, load_split, read_pgm, synth_generate, save_dataset
 
-root = pathlib.Path(tempfile.mkdtemp(prefix="pointseg_demo_")) / "data"
-
 # A small two-blob recipe: class 0 is background, classes 1 and 2 are
 # ellipses anchored near opposite corners with a little center jitter.
 spec = SynthSpec(
@@ -32,20 +30,22 @@ spec = SynthSpec(
 )
 
 train, test, manifest = synth_generate(spec)
-save_dataset(root, train, test, spec.num_classes)
-print("wrote", root)
-print("manifest:", manifest)
+with tempfile.TemporaryDirectory(prefix="pointseg_demo_") as tmp:
+    root = pathlib.Path(tmp) / "data"
+    save_dataset(root, train, test, spec.num_classes)
+    print("wrote", root)
+    print("manifest:", manifest)
 
-# Every sample carries the image and the dense ground-truth mask.
-reloaded = load_split(root, "train")
-sample = reloaded[0]
-print("first sample:", sample.id, "image", sample.image.intensities.shape,
-      "mask classes", sorted(np.unique(sample.mask.classes)))
+    # Every sample carries the image and the dense ground-truth mask.
+    reloaded = load_split(root, "train")
+    sample = reloaded[0]
+    print("first sample:", sample.id, "image", sample.image.intensities.shape,
+          "mask classes", sorted(np.unique(sample.mask.classes)))
 
-# The PGM files are plain binary NetPBM, readable by anything.
-values, maxval = read_pgm(root / "images" / f"{sample.id}.pgm")
-print("pgm maxval:", maxval, "intensity range:",
-      values.min(), "to", values.max())
+    # The PGM files are plain binary NetPBM, readable by anything.
+    values, maxval = read_pgm(root / "images" / f"{sample.id}.pgm")
+    print("pgm maxval:", maxval, "intensity range:",
+          values.min(), "to", values.max())
 
 # Because the class means sit 6 sigma apart, thresholding at the midpoints
 # recovers almost the whole mask. This is the sanity oracle for the

@@ -28,7 +28,6 @@ spec = SynthSpec(num_classes=3, height=48, width=48, train_count=10,
 train, test, _ = synth_generate(spec)
 train = generate_annotations(train, seed=1)
 
-out = pathlib.Path(tempfile.mkdtemp(prefix="pointseg_demo_"))
 config = TrainConfig(
     mode="pce+cv",
     model_kind="conv-ed",
@@ -38,16 +37,19 @@ config = TrainConfig(
     lr0=0.001,
     seed=0,
 )
-state = train_loop(train, config, checkpoint_dir=out)
+
+# Checkpoints are flat binary files; reloading reproduces the parameters
+# for any image size because kernels do not encode the grid.
+with tempfile.TemporaryDirectory(prefix="pointseg_demo_") as tmp:
+    out = pathlib.Path(tmp)
+    state = train_loop(train, config, checkpoint_dir=out)
+    params = load_checkpoint(out / "checkpoint_final.bin", height=48, width=48)
 
 print("loss history, every 40 iterations:")
 for row in state.history[::40]:
     print(f"  it {row[0]:3d}  pce {row[2]:7.4f}  cv {row[4]:8.4f}  "
           f"tv {row[5]:9.1f}  total {row[6]:8.4f}")
 
-# Checkpoints are flat binary files; reloading reproduces the parameters
-# for any image size because kernels do not encode the grid.
-params = load_checkpoint(out / "checkpoint_final.bin", height=48, width=48)
 preds = []
 for sample in test:
     field, _ = forward(params, params.spec, sample.image, sample.id)

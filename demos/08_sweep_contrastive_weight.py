@@ -16,9 +16,6 @@ import subprocess
 import sys
 import tempfile
 
-work = pathlib.Path(tempfile.mkdtemp(prefix="pointseg_demo_"))
-data = work / "data"
-
 spec = {
     "num_classes": 2,
     "height": 24,
@@ -29,7 +26,6 @@ spec = {
     "test_count": 3,
     "seed": 2,
 }
-(work / "spec.json").write_text(json.dumps(spec))
 
 config = {
     "mode": "pce+cv",
@@ -40,7 +36,6 @@ config = {
     "lr0": 0.001,
     "seed": 0,
 }
-(work / "config.json").write_text(json.dumps(config))
 
 
 def run(*args):
@@ -49,12 +44,17 @@ def run(*args):
     subprocess.run(cmd, check=True)
 
 
-run("synth", "--spec", work / "spec.json", "--out", data)
-run("annotate", "--data", data, "--seed", "0")
-run("sweep", "--config", work / "config.json", "--data", data,
-    "--out", work / "sweep", "--parameter", "lambda_cv",
-    "--values", "0,0.3,3.0")
+with tempfile.TemporaryDirectory(prefix="pointseg_demo_") as tmp:
+    work = pathlib.Path(tmp)
+    data = work / "data"
+    (work / "spec.json").write_text(json.dumps(spec))
+    (work / "config.json").write_text(json.dumps(config))
+    run("synth", "--spec", work / "spec.json", "--out", data)
+    run("annotate", "--data", data, "--seed", "0")
+    run("sweep", "--config", work / "config.json", "--data", data,
+        "--out", work / "sweep", "--parameter", "lambda_cv",
+        "--values", "0,0.3,3.0")
 
-print()
-print("sweep.csv:")
-print((work / "sweep" / "sweep.csv").read_text())
+    print()
+    print("sweep.csv:")
+    print((work / "sweep" / "sweep.csv").read_text())

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Image, LogitField, finite_diff_grad, softmax, softmax_backward
+from .grids import Image, LogitField, _trusted, finite_diff_grad, softmax, softmax_backward
 from .losses import (
     LOG_CLAMP,
     MEAN_DENOM_EPS,
@@ -147,6 +147,8 @@ class _Worst:
 
 
 def _random_logits(rng, K, H, W):
+    # Finite-difference probes move one entry of this validated field by the
+    # step: still a finite float64 grid, so they are built with _trusted.
     return LogitField(rng.normal(size=(K, H, W)))
 
 
@@ -162,7 +164,8 @@ def check_softmax(trials: int = 100, seed: int = 0) -> ComponentReport:
         analytic = softmax_backward(softmax(field), probe)
 
         def f(flat):
-            return float((probe * softmax(LogitField(flat.reshape(K, H, W))).probabilities).sum())
+            pred = softmax(_trusted(LogitField, flat.reshape(K, H, W)))
+            return float((probe * pred.probabilities).sum())
 
         flat0 = field.logits.reshape(-1)
         fd = finite_diff_grad(f, flat0)
@@ -199,7 +202,7 @@ def check_pce(trials: int = 50, seed: int = 0) -> ComponentReport:
         analytic = softmax_backward(pred, partial_cross_entropy(pred, ann)[1])
 
         def f(flat):
-            pred = softmax(LogitField(flat.reshape(K, H, W)))
+            pred = softmax(_trusted(LogitField, flat.reshape(K, H, W)))
             return partial_cross_entropy(pred, ann)[0]
 
         return f, field, analytic
@@ -217,7 +220,7 @@ def check_ms(trials: int = 50, seed: int = 0) -> ComponentReport:
         analytic = softmax_backward(pred, ms_data_term(image, pred)[1])
 
         def f(flat):
-            pred = softmax(LogitField(flat.reshape(K, H, W)))
+            pred = softmax(_trusted(LogitField, flat.reshape(K, H, W)))
             return ms_data_term(image, pred)[0]
 
         return f, field, analytic
@@ -245,7 +248,7 @@ def check_tv(trials: int = 50, seed: int = 0) -> ComponentReport:
         analytic = softmax_backward(pred, tv_term(pred)[1])
 
         def f(flat):
-            pred = softmax(LogitField(flat.reshape(K, H, W)))
+            pred = softmax(_trusted(LogitField, flat.reshape(K, H, W)))
             return tv_term(pred, smooth_value=True)[0]
 
         return f, field, analytic
@@ -283,7 +286,7 @@ def check_cv(trials: int = 50, seed: int = 0) -> ComponentReport:
 
             def f(flat, n=n):
                 probe = list(fields)
-                probe[n] = LogitField(flat.reshape(K, H, W))
+                probe[n] = _trusted(LogitField, flat.reshape(K, H, W))
                 return evaluate(probe).total
 
             fd = finite_diff_grad(f, fields[n].logits.reshape(-1))

@@ -169,23 +169,30 @@ def _conv2d_backward(x, w, grad_out, need_input=True):
     """Gradients of a zero-padded convolution w.r.t. input, kernel and bias.
 
     With need_input=False the input gradient is not computed and is None.
-    The kernel gradient is one tensordot per tap. The input gradient shifts
-    the narrower side on flat buffers: with Cout < Cin each tap reads the flat
-    padded grad_out from (2*ph - i)*Wp + 2*pw - j on; otherwise each tap adds
-    its product with grad_out, zero-widened to Wp columns, into the flat
-    padded gradient from i*Wp + j on. Each kept element gets the per-tap dots
-    of one tensordot per tap, in the same order, plus only exact +0.0 terms.
+    The kernel gradient pads the input once, channels last, and makes
+    grad_out one contiguous (Cout, H*W) matrix. Each tap's window reshapes
+    into the (H*W, Cin) operand a per-tap tensordot builds (for an unpadded
+    input, the same transposed view), so each tap is that tensordot's matmul.
+    The input gradient shifts the narrower side on flat buffers: with
+    Cout < Cin each tap reads the flat padded grad_out from
+    (2*ph - i)*Wp + 2*pw - j on; otherwise each tap adds its product with
+    grad_out, zero-widened to Wp columns, into the flat padded gradient from
+    i*Wp + j on. Each kept element gets the per-tap dots of one tensordot per
+    tap, in the same order, plus only exact +0.0 terms.
     """
     cout, cin, kh, kw = w.shape
     H, W = x.shape[1:]
     ph, pw = kh // 2, kw // 2
     Hp, Wp = H + 2 * ph, W + 2 * pw
-    xp = _pad_flat(x, ph, pw)[:, : Hp * Wp].reshape(cin, Hp, Wp)
-    grad_w = np.zeros_like(w)
+    xl = x.transpose(1, 2, 0)
+    if ph or pw:
+        xl = np.zeros((Hp, Wp, cin))
+        xl[ph : ph + H, pw : pw + W] = x.transpose(1, 2, 0)
+    g2 = np.ascontiguousarray(grad_out).reshape(cout, H * W)
+    grad_w = np.empty_like(w)
     for i in range(kh):
         for j in range(kw):
-            patch = xp[:, i : i + H, j : j + W]
-            grad_w[:, :, i, j] = np.tensordot(grad_out, patch, axes=((1, 2), (1, 2)))
+            grad_w[:, :, i, j] = np.dot(g2, xl[i : i + H, j : j + W].reshape(H * W, cin))
     grad_b = grad_out.sum(axis=(1, 2))
     if not need_input:
         return None, grad_w, grad_b
@@ -206,22 +213,28 @@ def _conv2d_backward(x, w, grad_out, need_input=True):
     return grad_x, grad_w, grad_b
 
 
+def _taps2(x):
+    """The four strided (C, H/2, W/2) taps of 2x2 windows, in row-major window order."""
+    return x[:, 0::2, 0::2], x[:, 0::2, 1::2], x[:, 1::2, 0::2], x[:, 1::2, 1::2]
+
+
 def _maxpool2(x):
     """2x2 max pooling; ties go to the first position in row-major window order."""
-    C, H, W = x.shape
-    windows = (
-        x.reshape(C, H // 2, 2, W // 2, 2).transpose(0, 1, 3, 2, 4).reshape(C, H // 2, W // 2, 4)
-    )
-    idx = windows.argmax(axis=3)
-    out = np.take_along_axis(windows, idx[..., None], axis=3)[..., 0]
+    taps = _taps2(x)
+    out = taps[0]
+    idx = np.zeros(out.shape, dtype=np.intp)
+    for t in range(1, 4):
+        better = taps[t] > out
+        out = np.where(better, taps[t], out)
+        idx = np.where(better, t, idx)
     return out, idx
 
 
 def _maxpool2_backward(idx, grad_out, shape):
-    C, H, W = shape
-    grad_windows = np.zeros((C, H // 2, W // 2, 4))
-    np.put_along_axis(grad_windows, idx[..., None], grad_out[..., None], axis=3)
-    return grad_windows.reshape(C, H // 2, W // 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(C, H, W)
+    grad = np.empty(shape)
+    for t, tap in enumerate(_taps2(grad)):
+        tap[...] = np.where(idx == t, grad_out, 0.0)
+    return grad
 
 
 def _upsample2(x):
@@ -229,8 +242,18 @@ def _upsample2(x):
 
 
 def _upsample2_backward(grad_out):
-    C, H2, W2 = grad_out.shape
-    return grad_out.reshape(C, H2 // 2, 2, W2 // 2, 2).sum(axis=(2, 4))
+    # The taps add in the order a reshape-sum over the window axes uses: in
+    # turn when each row holds one window, else row pair plus row pair. Its
+    # zero start is the +0.0 added last: a zero sum is never -0.0.
+    g00, g01, g10, g11 = _taps2(grad_out)
+    out = g00 + g01
+    if grad_out.shape[2] == 2:
+        out += g10
+        out += g11
+    else:
+        out += g10 + g11
+    out += 0.0
+    return out
 
 
 def forward(params: ModelParams, spec: ModelSpec, image: Image, image_id=None):

@@ -150,17 +150,11 @@ def assemble_batch(samples, iteration: int, seed: int, batch_size: int):
     batch = [samples[int(i)] for i in chosen]
 
     pair_rng = keyed_rng(seed, "pair", iteration)
+    classes = [() if s.annotation is None else s.annotation.classes for s in batch]
     partners = {}
-    for local, sample in enumerate(batch):
-        if sample.annotation is None:
-            continue
-        for k in sample.annotation.classes:
-            candidates = [
-                m for m, other in enumerate(batch)
-                if m != local
-                and other.annotation is not None
-                and k in other.annotation.classes
-            ]
+    for local, own in enumerate(classes):
+        for k in own:
+            candidates = [m for m, other in enumerate(classes) if m != local and k in other]
             if candidates:
                 partners[(local, k)] = candidates[int(pair_rng.integers(len(candidates)))]
     return batch, PairingPlan(partners)

@@ -6,16 +6,22 @@ with an exact percentile, and direct per-anchor loss evaluation. Keeping
 these separate from the production code is the point; do not "simplify" them
 to call into pointseg.
 
-The per-tap convolution pair is the exception: it fixes the arithmetic, not
-just the definition. Each tap's kernel slice meets its shifted window in one
-tensordot and the taps add in row-major order from the bias (forward) or from
-zero (backward). Checkpoint bytes depend on that order, so the library's
-convolutions must equal it bit for bit at the default layer shapes.
+The per-tap convolution pair and the pooling and upsampling helpers below
+are the exception: they fix the arithmetic, not just the definition. Each
+tap's kernel slice meets its shifted window in one tensordot and the taps add
+in row-major order from the bias (forward) or from zero (backward); pooling
+takes an argmax over each window's four entries, and the upsampling gradient
+is one reshape-sum over the window axes. Checkpoint bytes depend on that
+order, so the library's layers, and the conv-ed model composed from them,
+must equal these bit for bit. The batch oracle is the other exception: its
+draws come from the library's keyed random streams, which define the plan.
 """
 
 import math
 
 import numpy as np
+
+from pointseg.seeding import keyed_rng
 
 
 def dsc_oracle(pred: np.ndarray, gt: np.ndarray, k: int) -> float:
@@ -147,3 +153,79 @@ def conv2d_backward_per_tap(x, w, grad_out):
             )
     grad_b = grad_out.sum(axis=(1, 2))
     return grad_xp[:, ph : ph + H, pw : pw + W], grad_w, grad_b
+
+
+def maxpool2_argmax(x):
+    """2x2 max pooling as an argmax over each window's four row-major entries."""
+    C, H, W = x.shape
+    windows = (
+        x.reshape(C, H // 2, 2, W // 2, 2).transpose(0, 1, 3, 2, 4).reshape(C, H // 2, W // 2, 4)
+    )
+    idx = windows.argmax(axis=3)
+    out = np.take_along_axis(windows, idx[..., None], axis=3)[..., 0]
+    return out, idx
+
+
+def maxpool2_backward_scatter(idx, grad_out, shape):
+    """Gradient of maxpool2_argmax: grad_out scattered to each window's argmax."""
+    C, H, W = shape
+    grad_windows = np.zeros((C, H // 2, W // 2, 4))
+    np.put_along_axis(grad_windows, idx[..., None], grad_out[..., None], axis=3)
+    return grad_windows.reshape(C, H // 2, W // 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(C, H, W)
+
+
+def upsample2_backward_reshape_sum(grad_out):
+    """Gradient of nearest-neighbor x2 upsampling: each 2x2 block summed."""
+    C, H2, W2 = grad_out.shape
+    return grad_out.reshape(C, H2 // 2, 2, W2 // 2, 2).sum(axis=(2, 4))
+
+
+def conv_ed_per_tap(values, intensities, grad_logits):
+    """conv-ed logits and parameter gradients for one image from the layer oracles."""
+    def conv_relu(x, name):
+        return np.maximum(conv2d_per_tap(x, values[f"{name}.w"], values[f"{name}.b"]), 0.0)
+
+    x0 = intensities[None, :, :]
+    a1 = conv_relu(x0, "enc1")
+    a2 = conv_relu(a1, "enc2")
+    pooled, idx = maxpool2_argmax(a2)
+    a3 = conv_relu(pooled, "enc3")
+    cat = np.concatenate([a2, a3.repeat(2, axis=1).repeat(2, axis=2)], axis=0)
+    a4 = conv_relu(cat, "dec1")
+    logits = conv2d_per_tap(a4, values["head.w"], values["head.b"])
+
+    grads = {}
+
+    def back(x, name, g):
+        grad_x, grads[f"{name}.w"], grads[f"{name}.b"] = conv2d_backward_per_tap(
+            x, values[f"{name}.w"], g)
+        return grad_x
+
+    c2 = a2.shape[0]
+    grad_cat = back(cat, "dec1", back(a4, "head", grad_logits) * (a4 > 0))
+    grad_pooled = back(pooled, "enc3", upsample2_backward_reshape_sum(grad_cat[c2:]) * (a3 > 0))
+    grad_a2 = (grad_cat[:c2] + maxpool2_backward_scatter(idx, grad_pooled, a2.shape)) * (a2 > 0)
+    back(x0, "enc1", back(a1, "enc2", grad_a2) * (a1 > 0))
+    return logits, grads
+
+
+def assemble_batch_oracle(samples, iteration, seed, batch_size):
+    """Batch ids and pairing dict, each candidate's classes read from its annotation."""
+    per_epoch = math.ceil(len(samples) / batch_size)
+    epoch, slot = divmod(iteration, per_epoch)
+    perm = keyed_rng(seed, "perm", epoch).permutation(len(samples))
+    batch = [samples[int(i)] for i in perm[slot * batch_size : (slot + 1) * batch_size]]
+    pair_rng = keyed_rng(seed, "pair", iteration)
+    partners = {}
+    for n, sample in enumerate(batch):
+        if sample.annotation is None:
+            continue
+        for k in sorted(r[2] for r in sample.annotation.points):
+            candidates = []
+            for m, other in enumerate(batch):
+                if m != n and other.annotation is not None:
+                    if any(r[2] == k for r in other.annotation.points):
+                        candidates.append(m)
+            if candidates:
+                partners[(n, k)] = candidates[int(pair_rng.integers(len(candidates)))]
+    return [s.id for s in batch], partners

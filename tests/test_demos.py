@@ -23,3 +23,4 @@ def test_demo_runs(demo, tmp_path):
     run = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                          capture_output=True, text=True, timeout=600)
     assert run.returncode == 0, run.stderr[-2000:]
+    assert not list(tmp_path.glob("pointseg_demo_*")), "demo left its temp directory behind"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import pointseg.gradcheck as gc
+import pointseg.grids
 
 
 def test_component_suites_pass_at_reduced_trials():
@@ -33,6 +34,31 @@ def test_run_all_aggregates_and_times():
     table = report.format_table()
     assert "overall: PASS" in table
     assert "partial_cross_entropy" in table
+
+
+def test_run_all_checks_no_probe(monkeypatch):
+    # A finite-difference probe is a validated logit field moved by one step,
+    # so it skips the grid checks: only the drawn instances are checked.
+    calls = {"drawn": 0, "probe": 0}
+    probing = []
+    as_grid, finite_diff_grad = pointseg.grids.as_grid, gc.finite_diff_grad
+
+    def counting(*args, **kwargs):
+        calls["probe" if probing else "drawn"] += 1
+        return as_grid(*args, **kwargs)
+
+    def differencing(*args, **kwargs):
+        probing.append(1)
+        try:
+            return finite_diff_grad(*args, **kwargs)
+        finally:
+            probing.pop()
+
+    monkeypatch.setattr(pointseg.grids, "as_grid", counting)
+    monkeypatch.setattr(gc, "finite_diff_grad", differencing)
+    assert gc.run_all(seed=1, trials=3, end_to_end_trials=1).passed
+    assert calls["drawn"] > 0
+    assert calls["probe"] == 0
 
 
 def test_detects_a_corrupted_gradient(monkeypatch):

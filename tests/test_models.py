@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from oracles import conv2d_backward_per_tap, conv2d_per_tap
+from oracles import (
+    conv2d_backward_per_tap,
+    conv2d_per_tap,
+    conv_ed_per_tap,
+    maxpool2_argmax,
+    maxpool2_backward_scatter,
+    upsample2_backward_reshape_sum,
+)
 
 from pointseg import (
     Image,
@@ -24,7 +31,9 @@ from pointseg.models import (
     _conv2d,
     _conv2d_backward,
     _maxpool2,
+    _maxpool2_backward,
     _upsample2,
+    _upsample2_backward,
 )
 
 
@@ -156,10 +165,24 @@ def test_conv2d_backward_matches_naive_loops(cout, cin, k):
     assert np.array_equal(grad_w2, grad_w) and np.array_equal(grad_b2, grad_b)
 
 
+def _bit_equal(a, b):
+    """np.array_equal, and the same sign on every zero."""
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def _crop(a, extra=2):
+    """`a` as a row-strided crop of a wider C-ordered buffer, the layout of
+    the input gradients the flat-buffer convolutions return."""
+    wide = np.zeros(a.shape[:-1] + (a.shape[-1] + extra,))
+    wide[..., : a.shape[-1]] = a
+    return wide[..., : a.shape[-1]]
+
+
 @pytest.mark.parametrize("layer", ["enc1", "enc2", "enc3", "dec1", "head"])
 def test_conv2d_bit_identical_to_per_tap_at_default_shapes(layer):
     # The tap order of the per-tap oracle fixes checkpoint bytes; the default
-    # model must reproduce it exactly, whichever side each layer shifts.
+    # model must reproduce it exactly, whichever side each layer shifts, for a
+    # contiguous grad_out and for a strided crop of one.
     spec = ModelSpec("conv-ed", 3, 64, 64)
     w = init_params(spec, seed=0).values[f"{layer}.w"]
     rng = np.random.default_rng(4)
@@ -169,16 +192,12 @@ def test_conv2d_bit_identical_to_per_tap_at_default_shapes(layer):
     b = rng.normal(size=cout)
     g = rng.normal(size=(cout, size, size))
     assert np.array_equal(_conv2d(x, w, b), conv2d_per_tap(x, w, b))
-    want = conv2d_backward_per_tap(x, w, g)
-    for got, ref in zip(_conv2d_backward(x, w, g), want):
-        assert np.array_equal(got, ref)
-    for got, ref in zip(_conv2d_backward(x, w, g, need_input=False)[1:], want[1:]):
-        assert np.array_equal(got, ref)
-
-
-def _bit_equal(a, b):
-    """np.array_equal, and the same sign on every zero."""
-    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+    for grad_out in (g, _crop(g)):
+        want = conv2d_backward_per_tap(x, w, grad_out)
+        for got, ref in zip(_conv2d_backward(x, w, grad_out), want):
+            assert _bit_equal(got, ref)
+        for got, ref in zip(_conv2d_backward(x, w, grad_out, need_input=False)[1:], want[1:]):
+            assert _bit_equal(got, ref)
 
 
 @pytest.mark.parametrize("layer", ["enc1", "enc2", "enc3", "dec1", "head"])
@@ -194,8 +213,10 @@ def test_conv2d_bit_identical_to_per_tap_off_default_shapes(layer):
     b = rng.normal(size=cout)
     g = rng.normal(size=(cout, H, W))
     assert _bit_equal(_conv2d(x, w, b), conv2d_per_tap(x, w, b))
-    for got, ref in zip(_conv2d_backward(x, w, g), conv2d_backward_per_tap(x, w, g)):
-        assert _bit_equal(got, ref)
+    for grad_out in (g, _crop(g, extra=3)):
+        want = conv2d_backward_per_tap(x, w, grad_out)
+        for got, ref in zip(_conv2d_backward(x, w, grad_out), want):
+            assert _bit_equal(got, ref)
 
 
 def test_maxpool_first_in_row_major_tie_break():
@@ -221,6 +242,65 @@ def test_maxpool_matches_bruteforce(seed):
                 first = window.index(best)  # first in row-major order
                 assert pooled[c, i, j] == best
                 assert idx[c, i, j] == first
+
+
+# (C, H, W) of pooled activations: enc2's output at the default and the
+# off-default spec, gradcheck-sized grids, and single-window rows and columns.
+POOL_SHAPES = [(16, 64, 64), (12, 16, 24), (3, 8, 8), (2, 4, 6), (5, 16, 10), (1, 2, 2),
+               (3, 6, 2), (2, 2, 8)]
+
+
+def _pool_input(kind, shape, rng):
+    if kind == "normal":
+        return rng.normal(size=shape)
+    if kind == "ties":
+        return rng.integers(0, 3, size=shape).astype(np.float64)
+    return rng.choice([0.0, -0.0, 1.0, -1.0], size=shape)  # signed zeros
+
+
+@pytest.mark.parametrize("kind", ["normal", "ties", "zeros"])
+@pytest.mark.parametrize("shape", POOL_SHAPES, ids=lambda s: "x".join(map(str, s)))
+def test_pooling_helpers_bit_identical_to_oracles(shape, kind):
+    # Pooling and upsampling sit between conv layers, so their bits reach the
+    # checkpoint. Inputs come contiguous and as the strided crops backward
+    # passes; ties must go to the first tap and zeros keep their sign.
+    rng = np.random.default_rng(6)
+    C, H, W = shape
+    x = _pool_input(kind, shape, rng)
+    g_pooled = _pool_input(kind, (C, H // 2, W // 2), rng)
+    g_up = _pool_input(kind, shape, rng)
+    for x_in, g_in, up_in in ((x, g_pooled, g_up), (_crop(x), _crop(g_pooled), _crop(g_up))):
+        pooled, idx = _maxpool2(x_in)
+        want_pooled, want_idx = maxpool2_argmax(x_in)
+        assert _bit_equal(pooled, want_pooled)
+        assert np.array_equal(idx, want_idx)
+        assert _bit_equal(_maxpool2_backward(idx, g_in, shape),
+                          maxpool2_backward_scatter(want_idx, g_in, shape))
+        assert _bit_equal(_upsample2_backward(up_in), upsample2_backward_reshape_sum(up_in))
+
+
+@pytest.mark.parametrize("spec", [
+    ModelSpec("conv-ed", 3, 64, 64),
+    ModelSpec("conv-ed", 3, 16, 24, channels=(8, 12, 20, 8)),
+    ModelSpec("conv-ed", 2, 4, 2, channels=(2, 3, 4, 8)),  # wide dec1; one-pixel pooled rows
+], ids=["default", "off-default", "wide-dec1"])
+def test_conv_ed_bit_identical_to_layer_oracles(spec):
+    # The whole model, not only each layer: forward and backward composed
+    # from the oracles give the same logits and gradients, bit for bit.
+    params = init_params(spec, seed=2)
+    rng = np.random.default_rng(7)
+    for name in params.values:
+        if name.endswith(".b"):
+            params.values[name] = rng.normal(scale=0.1, size=params.values[name].shape)
+    image = Image(rng.random((spec.height, spec.width)))
+    g = rng.normal(size=(spec.num_classes, spec.height, spec.width))
+    field, cache = forward(params, spec, image)
+    grads = backward(params, spec, cache, g)
+    want_logits, want_grads = conv_ed_per_tap(params.values, image.intensities, g)
+    assert _bit_equal(field.logits, want_logits)
+    assert sorted(grads) == sorted(want_grads)
+    for name, grad in grads.items():
+        assert _bit_equal(grad, want_grads[name]), name
 
 
 def test_upsample_repeats_blocks():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import assemble_batch_oracle
 
 import pointseg.grids
 from pointseg import (
@@ -194,6 +195,28 @@ def test_assemble_batch_absent_when_no_candidate():
     assert plan.partners[(local["a"], 0)] == local["b"]
     assert plan.partners[(local["b"], 0)] == local["a"]
     assert (local["a"], 1) not in plan.partners
+
+
+@pytest.mark.parametrize("batch_size", [2, 5, 16])
+def test_assemble_batch_matches_oracle(batch_size):
+    # Same batches and the same partner draws as reading each candidate's
+    # classes from its annotation, with some samples missing a class and
+    # some unannotated.
+    rng = np.random.default_rng(8)
+    samples = []
+    for i in range(19):
+        K = 4
+        classes = [k for k in range(K) if rng.random() < 0.6]
+        cells = rng.choice(36, size=len(classes), replace=False)
+        ann = PointAnnotation(tuple((int(c) // 6, int(c) % 6, k) for c, k in zip(cells, classes)), K)
+        samples.append(Sample(f"s{i:02d}", Image(rng.random((6, 6))),
+                              annotation=None if i % 7 == 3 else ann))
+    for seed in (0, 1, 9):
+        for it in range(12):
+            batch, plan = assemble_batch(samples, it, seed=seed, batch_size=batch_size)
+            ids, partners = assemble_batch_oracle(samples, it, seed, batch_size)
+            assert [s.id for s in batch] == ids
+            assert plan.partners == partners
 
 
 def test_assemble_batch_empty_dataset_rejected():
