@@ -63,7 +63,7 @@ logits = [LogitField(rng.normal(size=(2, 6, 6))) for _ in range(2)]
 preds = [softmax(lf) for lf in logits]
 plan = PairingPlan({(0, 0): 1, (0, 1): 1, (1, 0): 0, (1, 1): 0})
 result = cv_loss(images, preds, [(0, 1), (0, 1)], plan, tau=0.07,
-                 lambda_cv=1.0, mu=0.0)
+                 lambda_cv=1.0)
 print(f"contrastive sum over {result.num_anchors} anchors: {result.contrastive:.4f}")
 
 # total_loss wires the pieces together per mode and differentiates the

@@ -29,6 +29,7 @@ from .data import (
     load_manifest,
     load_dataset,
     load_split,
+    read_json_object,
     save_dataset,
     synth_generate,
     generate_annotations,
@@ -36,7 +37,6 @@ from .data import (
     write_pgm,
 )
 from .errors import (
-    IngestError,
     InvalidConfigError,
     InvalidInputError,
     PointsegError,
@@ -44,8 +44,9 @@ from .errors import (
 )
 from .gradcheck import run_all
 from .grids import softmax
+from .losses import MODES
 from .metrics import evaluate, hard_mask
-from .models import forward, load_checkpoint
+from .models import KINDS, forward, load_checkpoint
 from .train import TrainConfig, history_to_csv, train_loop
 
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(TrainConfig)}
@@ -74,16 +75,6 @@ class RunManifest:
         return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True) + "\n"
 
 
-def _load_json(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise IngestError(f"{path}: cannot read ({exc})") from exc
-    except json.JSONDecodeError as exc:
-        raise IngestError(f"{path}: invalid JSON ({exc})") from exc
-
-
 def _parse_channels(text: str) -> tuple:
     try:
         return tuple(int(part) for part in text.split(","))
@@ -98,32 +89,36 @@ def _parse_values(text: str) -> tuple:
         raise argparse.ArgumentTypeError(f"values must be comma-separated numbers: {text!r}") from exc
 
 
-def _resolve_train_config(args) -> TrainConfig:
-    data = {}
-    if getattr(args, "config", None):
-        raw = _load_json(args.config)
-        if not isinstance(raw, dict):
-            raise InvalidConfigError(f"{args.config}: config must be a JSON object")
-        if isinstance(raw.get("config"), dict):  # a run manifest reruns its config
-            raw = raw["config"]
-        unknown = sorted(set(raw) - _CONFIG_FIELDS)
-        if unknown:
-            raise InvalidConfigError(f"unknown config keys: {', '.join(unknown)}")
-        data = dict(raw)
-    for name in _CONFIG_FIELDS:
-        value = getattr(args, name, None)
-        if value is not None:
-            data[name] = value
-    if "channels" in data:
-        data["channels"] = tuple(data["channels"])
+def _tuples(value):
+    return tuple(_tuples(v) for v in value) if isinstance(value, list) else value
+
+
+def _from_json(cls, raw: dict, overrides: dict, what: str):
+    """`cls` from a JSON object's fields, command-line overrides on top.
+
+    JSON arrays become the tuples the frozen dataclasses hold. Unknown keys
+    and values the constructor cannot take are config errors.
+    """
+    unknown = sorted(set(raw) - {f.name for f in dataclasses.fields(cls)})
+    if unknown:
+        raise InvalidConfigError(f"unknown {what} keys: {', '.join(unknown)}")
     try:
-        return TrainConfig(**data)
-    except TypeError as exc:
-        raise InvalidConfigError(f"bad config value: {exc}") from exc
+        return cls(**{key: _tuples(value) for key, value in {**raw, **overrides}.items()})
+    except (TypeError, ValueError) as exc:
+        raise InvalidConfigError(f"bad {what} value: {exc}") from exc
+
+
+def _resolve_train_config(args) -> TrainConfig:
+    raw = read_json_object(args.config) if getattr(args, "config", None) else {}
+    if isinstance(raw.get("config"), dict):  # a run manifest reruns its config
+        raw = raw["config"]
+    overrides = {name: getattr(args, name) for name in _CONFIG_FIELDS
+                 if getattr(args, name, None) is not None}
+    return _from_json(TrainConfig, raw, overrides, "config")
 
 
 def _add_config_flags(sub):
-    sub.add_argument("--mode", choices=("pce", "pce+ms", "pce+cv"))
+    sub.add_argument("--mode", choices=MODES)
     sub.add_argument("--lambda-cv", type=float, dest="lambda_cv")
     sub.add_argument("--lambda-ms", type=float, dest="lambda_ms")
     sub.add_argument("--mu", type=float)
@@ -135,7 +130,7 @@ def _add_config_flags(sub):
     sub.add_argument("--batch-size", type=int, dest="batch_size")
     sub.add_argument("--total-iterations", type=int, dest="total_iterations")
     sub.add_argument("--seed", type=int)
-    sub.add_argument("--model-kind", choices=("logit-field", "conv-ed"), dest="model_kind")
+    sub.add_argument("--model-kind", choices=KINDS, dest="model_kind")
     sub.add_argument("--channels", type=_parse_channels)
     sub.add_argument("--central-bias-width", type=int, dest="central_bias_width")
     sub.add_argument("--freeze-means", action=argparse.BooleanOptionalAction,
@@ -218,28 +213,9 @@ def _write_predictions(out_dir, samples, preds, composite: bool) -> None:
 
 
 def cmd_synth(args) -> int:
-    data = {}
-    if args.spec:
-        raw = _load_json(args.spec)
-        if not isinstance(raw, dict):
-            raise InvalidConfigError(f"{args.spec}: spec must be a JSON object")
-        known = {f.name for f in dataclasses.fields(SynthSpec)}
-        unknown = sorted(set(raw) - known)
-        if unknown:
-            raise InvalidConfigError(f"unknown spec keys: {', '.join(unknown)}")
-        data = dict(raw)
-    for key in ("anchors",):
-        if key in data:
-            data[key] = tuple(tuple(pair) for pair in data[key])
-    for key in ("radius_range", "intensity_means"):
-        if key in data:
-            data[key] = tuple(data[key])
-    if args.seed is not None:
-        data["seed"] = args.seed
-    try:
-        spec = SynthSpec(**data)
-    except TypeError as exc:
-        raise InvalidConfigError(f"bad spec value: {exc}") from exc
+    raw = read_json_object(args.spec) if args.spec else {}
+    overrides = {} if args.seed is None else {"seed": args.seed}
+    spec = _from_json(SynthSpec, raw, overrides, "spec")
     train, test, _ = synth_generate(spec)
     save_dataset(args.out, train, test, spec.num_classes)
     print(f"wrote {len(train)} train + {len(test)} test images "

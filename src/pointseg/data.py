@@ -227,18 +227,36 @@ def save_dataset(root, train, test, num_classes: int) -> None:
         fh.write("\n")
 
 
-def load_manifest(root) -> dict:
-    path = os.path.join(root, "manifest.json")
+def read_json_object(path) -> dict:
+    """Parse a JSON file that must hold one object; IngestError names the file otherwise."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
+            value = json.load(fh)
     except OSError as exc:
         raise IngestError(f"{path}: cannot read ({exc})") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON or bad UTF-8
         raise IngestError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(value, dict):
+        raise IngestError(f"{path}: expected a JSON object, found {type(value).__name__}")
+    return value
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def load_manifest(root) -> dict:
+    path = os.path.join(root, "manifest.json")
+    manifest = read_json_object(path)
     for key in ("K", "H", "W", "train", "test"):
         if key not in manifest:
             raise IngestError(f"{path}: manifest missing key {key!r}")
+    for key in ("K", "H", "W"):
+        if not _is_int(manifest[key]) or manifest[key] < 1:
+            raise IngestError(f"{path}: {key} must be a positive integer, got {manifest[key]!r}")
+    for key in ("train", "test"):
+        if not isinstance(manifest[key], list) or not all(isinstance(i, str) for i in manifest[key]):
+            raise IngestError(f"{path}: {key} must be a list of sample ids")
     return manifest
 
 
@@ -260,27 +278,30 @@ def _load_sample(root, sample_id, manifest, annotations):
             raise IngestError(f"{mask_path}: mask id {int(mask_values.max())} >= K={K}")
         mask = LabelMask(mask_values, K)
 
-    annotation = None
-    if sample_id in annotations:
-        points = tuple(
-            (int(p["row"]), int(p["col"]), int(p["class"])) for p in annotations[sample_id]
-        )
-        annotation = PointAnnotation(points, K)
     try:
+        annotation = None
+        if sample_id in annotations:
+            annotation = PointAnnotation(annotations[sample_id], K)
         return Sample(sample_id, image, mask, annotation)
     except InvalidInputError as exc:
         raise IngestError(f"{root}: sample {sample_id!r} inconsistent ({exc})") from exc
 
 
 def _load_annotations(root) -> dict:
+    """Sample id -> (row, col, class) tuples; empty when there is no annotations.json."""
     path = os.path.join(root, "annotations.json")
     if not os.path.exists(path):
         return {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise IngestError(f"{path}: cannot parse ({exc})") from exc
+    annotations = {}
+    for sample_id, points in read_json_object(path).items():
+        if not isinstance(points, list):
+            raise IngestError(f"{path}: sample {sample_id!r}: points must be a list")
+        for p in points:
+            if not (isinstance(p, dict) and all(_is_int(p.get(k)) for k in ("row", "col", "class"))):
+                raise IngestError(f"{path}: sample {sample_id!r}: point {p!r} needs "
+                                  f"integer \"row\", \"col\" and \"class\"")
+        annotations[sample_id] = tuple((p["row"], p["col"], p["class"]) for p in points)
+    return annotations
 
 
 def load_split(root, split: str) -> list:

@@ -3,9 +3,13 @@
 Two layers of checking:
 
 * Component suites compare each loss term and each network layer against
-  central finite differences in float64. Loss terms are isolated by
-  differentiating them with respect to logits through the softmax chain
-  (itself checked on its own), so perturbed inputs never leave the simplex.
+  central finite differences in float64, all through one harness: each
+  trial draws its inputs, a scalar objective and the analytic gradients.
+  Loss terms are isolated by differentiating them with respect to logits
+  through the softmax chain (itself checked on its own), so perturbed
+  inputs never leave the simplex; layers are weighted by a random probe of
+  their output. The contrastive suite checks cv_loss together with smoothed
+  TV, the regularizer training adds beside it.
 * End-to-end suites differentiate whole model+loss compositions with a
   complex-step oracle: an imaginary perturbation of one parameter propagates
   through an independent complex re-implementation of the forward pass, and
@@ -146,86 +150,104 @@ class _Worst:
                                self.coordinate, tolerance)
 
 
-def _random_logits(rng, K, H, W):
-    # Finite-difference probes move one entry of this validated field by the
-    # step: still a finite float64 grid, so they are built with _trusted.
-    return LogitField(rng.normal(size=(K, H, W)))
+def _check(name, trials, seed, draw, floor=GRAD_FLOOR, key=None) -> ComponentReport:
+    """Check one suite against central finite differences, trial by trial.
+
+    `draw(rng, probe)` builds trial t's instance from keyed_rng(seed,
+    "gradcheck", key, t), the key defaulting to the suite's name. It returns
+    (inputs, objective, analytic): a list of float64 arrays, the scalar
+    function of such a list, and its gradient with respect to each input.
+    `probe(shape)` draws a layer's output weights from the trial's second
+    stream, keyed "probe" last.
+    """
+    key = key or name
+    worst = _Worst()
+    for t in range(trials):
+        def probe(shape):
+            return keyed_rng(seed, "gradcheck", key, t, "probe").normal(size=shape)
+
+        inputs, objective, analytic = draw(keyed_rng(seed, "gradcheck", key, t), probe)
+        noise = fd_noise_floor(objective(inputs))
+        for i, (x, grad) in enumerate(zip(inputs, analytic)):
+            def f(moved, i=i):
+                probed = list(inputs)
+                probed[i] = moved
+                return objective(probed)
+
+            worst.update(grad, finite_diff_grad(f, x), t, floor=floor, noise=noise)
+    return worst.report(name, trials)
+
+
+def _through_softmax(draw_term):
+    """Adapt a probability-space term to `_check`, differentiated in logits.
+
+    `draw_term(rng)` returns (logit arrays, term), where term(predictions)
+    gives (value, gradient w.r.t. each prediction's probabilities).
+    Differentiating against logits keeps finite-difference probes on the
+    simplex. A probe moves one entry of a finite grid by the step, so it is
+    wrapped with _trusted.
+    """
+    def predict(logits):
+        return [softmax(_trusted(LogitField, x)) for x in logits]
+
+    def draw(rng, probe):
+        logits, term = draw_term(rng)
+        preds = predict(logits)
+        analytic = [softmax_backward(p, g) for p, g in zip(preds, term(preds)[1])]
+        return logits, lambda xs: term(predict(xs))[0], analytic
+
+    return draw
+
+
+def _probed(layer, g):
+    """The layer checks' objective: sum(g * layer(*inputs))."""
+    return lambda inputs: float((g * layer(*inputs)).sum())
 
 
 def check_softmax(trials: int = 100, seed: int = 0) -> ComponentReport:
     """softmax_backward against finite differences of a fixed linear probe."""
-    worst = _Worst()
-    for t in range(trials):
-        rng = keyed_rng(seed, "gradcheck", "softmax", t)
+    def draw(rng):
         K = int(rng.integers(2, 5))
         H, W = (int(rng.integers(1, 9)) for _ in range(2))
-        field = _random_logits(rng, K, H, W)
-        probe = rng.normal(size=(K, H, W))
-        analytic = softmax_backward(softmax(field), probe)
+        logits = rng.normal(size=(K, H, W))
+        g = rng.normal(size=(K, H, W))
+        return [logits], lambda preds: (float((g * preds[0].probabilities).sum()), [g])
 
-        def f(flat):
-            pred = softmax(_trusted(LogitField, flat.reshape(K, H, W)))
-            return float((probe * pred.probabilities).sum())
-
-        flat0 = field.logits.reshape(-1)
-        fd = finite_diff_grad(f, flat0)
-        worst.update(analytic, fd, t, floor=SOFTMAX_FLOOR, noise=fd_noise_floor(f(flat0)))
-    return worst.report("softmax_backward", trials)
-
-
-def _check_term_through_softmax(name, trials, seed, build):
-    """Check a loss term's probability gradient chained through softmax.
-
-    `build(rng)` returns (value_fn(logits flat) -> float, field, analytic
-    gradient w.r.t. the logits). Differentiating against logits keeps finite
-    difference probes on valid inputs.
-    """
-    worst = _Worst()
-    for t in range(trials):
-        rng = keyed_rng(seed, "gradcheck", name, t)
-        f, field, analytic = build(rng)
-        flat0 = field.logits.reshape(-1)
-        fd = finite_diff_grad(f, flat0)
-        worst.update(analytic, fd, t, noise=fd_noise_floor(f(flat0)))
-    return worst.report(name, trials)
+    return _check("softmax_backward", trials, seed, _through_softmax(draw),
+                  floor=SOFTMAX_FLOOR, key="softmax")
 
 
 def check_pce(trials: int = 50, seed: int = 0) -> ComponentReport:
-    def build(rng):
+    def draw(rng):
         K = int(rng.integers(2, 4))
         H, W = (int(rng.integers(2, 9)) for _ in range(2))
-        field = _random_logits(rng, K, H, W)
+        logits = rng.normal(size=(K, H, W))
         pixels = rng.choice(H * W, size=min(K, H * W), replace=False)
-        points = tuple((int(p // W), int(p % W), k) for k, p in enumerate(pixels))
-        ann = PointAnnotation(points, K)
-        pred = softmax(field)
-        analytic = softmax_backward(pred, partial_cross_entropy(pred, ann)[1])
+        ann = PointAnnotation(tuple((int(p // W), int(p % W), k) for k, p in enumerate(pixels)), K)
 
-        def f(flat):
-            pred = softmax(_trusted(LogitField, flat.reshape(K, H, W)))
-            return partial_cross_entropy(pred, ann)[0]
+        def term(preds):
+            value, grad = partial_cross_entropy(preds[0], ann)
+            return value, [grad]
 
-        return f, field, analytic
+        return [logits], term
 
-    return _check_term_through_softmax("partial_cross_entropy", trials, seed, build)
+    return _check("partial_cross_entropy", trials, seed, _through_softmax(draw))
 
 
 def check_ms(trials: int = 50, seed: int = 0) -> ComponentReport:
-    def build(rng):
+    def draw(rng):
         K = int(rng.integers(2, 4))
         H, W = (int(rng.integers(2, 9)) for _ in range(2))
-        field = _random_logits(rng, K, H, W)
+        logits = rng.normal(size=(K, H, W))
         image = Image(rng.random((H, W)))
-        pred = softmax(field)
-        analytic = softmax_backward(pred, ms_data_term(image, pred)[1])
 
-        def f(flat):
-            pred = softmax(_trusted(LogitField, flat.reshape(K, H, W)))
-            return ms_data_term(image, pred)[0]
+        def term(preds):
+            value, grad = ms_data_term(image, preds[0])
+            return value, [grad]
 
-        return f, field, analytic
+        return [logits], term
 
-    return _check_term_through_softmax("ms_data_term", trials, seed, build)
+    return _check("ms_data_term", trials, seed, _through_softmax(draw))
 
 
 def check_tv(trials: int = 50, seed: int = 0) -> ComponentReport:
@@ -233,126 +255,85 @@ def check_tv(trials: int = 50, seed: int = 0) -> ComponentReport:
     # surrogate's third derivative grows like 1/d^4 near the smoothing scale,
     # where central differences cannot resolve it. The end-to-end complex-step
     # suite covers that regime without differencing error.
-    def build(rng):
+    def draw(rng):
         K = int(rng.integers(2, 4))
         H, W = (int(rng.integers(2, 7)) for _ in range(2))
         while True:
-            field = _random_logits(rng, K, H, W)
-            P = softmax(field).probabilities
+            logits = rng.normal(size=(K, H, W))
+            P = softmax(_trusted(LogitField, logits)).probabilities
             dh = np.abs(P[:, :, 1:] - P[:, :, :-1])
             dv = np.abs(P[:, 1:, :] - P[:, :-1, :])
             diffs = np.concatenate([dh.reshape(-1), dv.reshape(-1)])
             if diffs.size == 0 or diffs.min() >= 1e-4:
                 break
-        pred = softmax(field)
-        analytic = softmax_backward(pred, tv_term(pred)[1])
 
-        def f(flat):
-            pred = softmax(_trusted(LogitField, flat.reshape(K, H, W)))
-            return tv_term(pred, smooth_value=True)[0]
+        def term(preds):
+            value, grad = tv_term(preds[0], smooth_value=True)
+            return value, [grad]
 
-        return f, field, analytic
+        return [logits], term
 
-    return _check_term_through_softmax("tv_term", trials, seed, build)
+    return _check("tv_term", trials, seed, _through_softmax(draw))
 
 
 def check_cv(trials: int = 50, seed: int = 0) -> ComponentReport:
-    """Full contrastive-variance chain (means, variance maps, cosines, anchors)."""
-    worst = _Worst()
-    for t in range(trials):
-        rng = keyed_rng(seed, "gradcheck", "cv_loss", t)
+    """Full contrastive-variance chain (means, variance maps, cosines, anchors),
+    checked as 0.3 * cv_loss + 1e-2 * smoothed TV over the batch."""
+    def draw(rng):
         K = int(rng.integers(2, 4))
         H, W = (int(rng.integers(2, 7)) for _ in range(2))
         batch = int(rng.integers(2, 4))
         images = [Image(rng.random((H, W))) for _ in range(batch)]
-        fields = [_random_logits(rng, K, H, W) for _ in range(batch)]
+        logits = [rng.normal(size=(K, H, W)) for _ in range(batch)]
         present = [tuple(range(K))] * batch
-        partners = {}
-        for n in range(batch):
-            for k in range(K):
-                others = [i for i in range(batch) if i != n]
-                partners[(n, k)] = int(rng.choice(others))
-        plan = PairingPlan(partners)
+        plan = PairingPlan({
+            (n, k): int(rng.choice([i for i in range(batch) if i != n]))
+            for n in range(batch) for k in range(K)
+        })
 
-        def evaluate(fields_list):
-            preds = [softmax(lf) for lf in fields_list]
-            return cv_loss(images, preds, present, plan, tau=0.07,
-                           lambda_cv=0.3, mu=1e-2, smooth_tv_value=True)
+        def term(preds):
+            cv = cv_loss(images, preds, present, plan, tau=0.07, lambda_cv=0.3)
+            tv_sum, grads = 0.0, []
+            for pred, cv_grad in zip(preds, cv.grad_wrt_probs):
+                tv_value, tv_grad = tv_term(pred, smooth_value=True)
+                tv_sum += tv_value
+                grads.append(1e-2 * tv_grad + cv_grad)
+            return 0.3 * cv.contrastive + 1e-2 * tv_sum, grads
 
-        result = evaluate(fields)
-        noise = fd_noise_floor(result.total)
-        for n in range(batch):
-            analytic = softmax_backward(softmax(fields[n]), result.grad_wrt_probs[n])
+        return logits, term
 
-            def f(flat, n=n):
-                probe = list(fields)
-                probe[n] = _trusted(LogitField, flat.reshape(K, H, W))
-                return evaluate(probe).total
-
-            fd = finite_diff_grad(f, fields[n].logits.reshape(-1))
-            worst.update(analytic, fd, t, noise=noise)
-    return worst.report("cv_loss", trials)
-
-
-def _check_layer(name, trials, seed, build):
-    """Generic layer JVP check: value probe sum(g * layer(inputs))."""
-    worst = _Worst()
-    for t in range(trials):
-        rng = keyed_rng(seed, "gradcheck", name, t)
-        inputs, apply_fn, grads_fn = build(rng)
-        out = apply_fn(*inputs)
-        probe = keyed_rng(seed, "gradcheck", name, t, "probe").normal(size=out.shape)
-        analytic = grads_fn(probe, *inputs)
-        noise = fd_noise_floor(float((probe * out).sum()))
-        for idx, x in enumerate(inputs):
-            def f(flat, idx=idx):
-                probed = [v.copy() for v in inputs]
-                probed[idx] = flat.reshape(inputs[idx].shape)
-                return float((probe * apply_fn(*probed)).sum())
-
-            fd = finite_diff_grad(f, x.reshape(-1))
-            worst.update(analytic[idx], fd, t, noise=noise)
-    return worst.report(name, trials)
+    return _check("cv_loss", trials, seed, _through_softmax(draw))
 
 
 def check_conv(kernel: int, trials: int = 50, seed: int = 0) -> ComponentReport:
-    def build(rng):
+    def draw(rng, probe):
         cin, cout = int(rng.integers(1, 4)), int(rng.integers(1, 4))
         H, W = (int(rng.integers(2, 9)) for _ in range(2))
         x = rng.normal(size=(cin, H, W))
         w = rng.normal(size=(cout, cin, kernel, kernel))
         b = rng.normal(size=(cout,))
+        g = probe((cout, H, W))
+        return [x, w, b], _probed(_conv2d, g), _conv2d_backward(x, w, g)
 
-        def grads(g, x, w, b):
-            return _conv2d_backward(x, w, g)
-
-        return (x, w, b), _conv2d, grads
-
-    return _check_layer(f"conv{kernel}x{kernel}", trials, seed, build)
+    return _check(f"conv{kernel}x{kernel}", trials, seed, draw)
 
 
 def check_relu(trials: int = 50, seed: int = 0) -> ComponentReport:
     # Magnitudes are kept off the kink (|x| >= 0.2): the subgradient choice
     # at exactly 0 is a convention no finite difference can confirm.
-    def build(rng):
+    def draw(rng, probe):
         C, H, W = int(rng.integers(1, 4)), int(rng.integers(2, 9)), int(rng.integers(2, 9))
         x = rng.uniform(0.2, 1.5, size=(C, H, W)) * rng.choice([-1.0, 1.0], size=(C, H, W))
+        g = probe(x.shape)
+        return [x], _probed(lambda x: np.maximum(x, 0.0), g), [g * (x > 0)]
 
-        def apply_fn(x):
-            return np.maximum(x, 0.0)
-
-        def grads(g, x):
-            return (g * (x > 0),)
-
-        return (x,), apply_fn, grads
-
-    return _check_layer("relu", trials, seed, build)
+    return _check("relu", trials, seed, draw)
 
 
 def check_maxpool(trials: int = 50, seed: int = 0) -> ComponentReport:
     # Windows are regenerated until the top two entries are separated, so the
     # probe step cannot flip the argmax mid-difference.
-    def build(rng):
+    def draw(rng, probe):
         C = int(rng.integers(1, 4))
         H, W = 2 * int(rng.integers(1, 5)), 2 * int(rng.integers(1, 5))
         while True:
@@ -361,30 +342,21 @@ def check_maxpool(trials: int = 50, seed: int = 0) -> ComponentReport:
             top = np.sort(windows, axis=2)
             if float((top[:, :, 3] - top[:, :, 2]).min()) > 1e-3:
                 break
+        pooled, idx = _maxpool2(x)
+        g = probe(pooled.shape)
+        return [x], _probed(lambda x: _maxpool2(x)[0], g), [_maxpool2_backward(idx, g, x.shape)]
 
-        def apply_fn(x):
-            return _maxpool2(x)[0]
-
-        def grads(g, x):
-            _, idx = _maxpool2(x)
-            return (_maxpool2_backward(idx, g, x.shape),)
-
-        return (x,), apply_fn, grads
-
-    return _check_layer("maxpool2x2", trials, seed, build)
+    return _check("maxpool2x2", trials, seed, draw)
 
 
 def check_upsample(trials: int = 50, seed: int = 0) -> ComponentReport:
-    def build(rng):
+    def draw(rng, probe):
         C, H, W = int(rng.integers(1, 4)), int(rng.integers(1, 5)), int(rng.integers(1, 5))
         x = rng.normal(size=(C, H, W))
+        g = probe((C, 2 * H, 2 * W))
+        return [x], _probed(_upsample2, g), [_upsample2_backward(g)]
 
-        def grads(g, x):
-            return (_upsample2_backward(g),)
-
-        return (x,), _upsample2, grads
-
-    return _check_layer("upsample2x2", trials, seed, build)
+    return _check("upsample2x2", trials, seed, draw)
 
 
 # Complex re-implementation of the forward passes for the end-to-end oracle.
@@ -511,8 +483,7 @@ def check_end_to_end(kind: str, mode: str, trials: int = 4, seed: int = 0) -> Co
             anns.append(PointAnnotation(
                 tuple((int(p // W), int(p % W), k) for k, p in enumerate(pixels)), K))
         plan = PairingPlan({(n, k): (n + 1) % batch for n in range(batch) for k in range(K)})
-        settings = LossSettings(lambda_cv=0.3, lambda_ms=0.3, mu=1e-2, tau=0.07,
-                                smooth_tv_value=True)
+        settings = LossSettings(lambda_cv=0.3, lambda_ms=0.3, mu=1e-2, tau=0.07)
 
         fields, caches = [], []
         for image, image_id in zip(images, ids):

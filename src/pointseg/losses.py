@@ -12,6 +12,10 @@ back through :func:`pointseg.grids.softmax_backward` into logits. The terms:
   from different images together and pushing different-class maps apart,
   with temperature-scaled cosine similarities.
 
+:func:`total_loss` composes them per training mode: partial cross-entropy,
+plus either the data term or the contrastive term, plus TV as a regularizer
+in both of those modes.
+
 Integrals over the pixel domain are discretized as plain sums, unnormalized
 by pixel count, so loss weights are calibrated to a fixed resolution.
 """
@@ -217,18 +221,15 @@ def cosine_similarity(a, b) -> float:
 
 @dataclass(frozen=True)
 class ContrastiveVarianceResult:
-    """Value and gradients of the contrastive-variance objective over a batch."""
+    """Value and gradients of the contrastive-variance term over a batch."""
 
     contrastive: float   # sum of anchor terms, unweighted
-    tv: float            # sum of per-image TV values, unweighted
-    total: float         # lambda_cv * contrastive + mu * tv
-    grad_wrt_probs: list  # one (K, H, W) array per image, gradient of `total`
+    grad_wrt_probs: list  # one (K, H, W) array per image, gradient of lambda_cv * contrastive
     num_anchors: int
 
 
 def cv_loss(images, preds, present, plan: PairingPlan, tau: float,
-            lambda_cv: float, mu: float, freeze_means: bool = False,
-            smooth_tv_value: bool = False) -> ContrastiveVarianceResult:
+            lambda_cv: float, *, freeze_means: bool = False) -> ContrastiveVarianceResult:
     """Contrastive variance loss over a batch, with full gradients.
 
     For each anchor (image n, class k) that has a positive partner in `plan`,
@@ -236,9 +237,9 @@ def cv_loss(images, preds, present, plan: PairingPlan, tau: float,
     with the partner's same-class map and neg compares it against every other
     image's maps of other classes (restricted to classes present there). All
     similarities come from one cosine matrix over the batch's variance maps,
-    as in supervised contrastive learning. The total adds mu times the TV of
-    every image's prediction. Gradients flow through the variance maps, the
-    class means, and the predictions.
+    as in supervised contrastive learning. Gradients flow through the variance
+    maps, the class means, and the predictions; classes not in `present` get
+    zero gradient. TV is not part of this term: total_loss adds it.
     """
     if tau <= 0:
         raise InvalidConfigError(f"temperature must be positive, got {tau}")
@@ -260,13 +261,7 @@ def cv_loss(images, preds, present, plan: PairingPlan, tau: float,
         if k not in present[n] or k not in present[m]:
             raise InvalidInputError(f"pairing ({n}, {k}) -> {m} names a class not present")
 
-    tv_sum = 0.0
-    grads = []
-    for pred in preds:
-        tv_value, tv_grad = tv_term(pred, smooth_tv_value)
-        tv_sum += tv_value
-        grads.append(mu * tv_grad)
-
+    grads = [np.zeros_like(pred.probabilities) for pred in preds]
     contrastive = 0.0
     if anchors:
         # Z holds one flattened variance map per (image, present class) row;
@@ -315,8 +310,7 @@ def cv_loss(images, preds, present, plan: PairingPlan, tau: float,
                 gz.reshape(shape), freeze_means
             )
 
-    total = lambda_cv * contrastive + mu * tv_sum
-    return ContrastiveVarianceResult(contrastive, tv_sum, total, grads, len(anchors))
+    return ContrastiveVarianceResult(contrastive, grads, len(anchors))
 
 
 @dataclass(frozen=True)
@@ -340,9 +334,9 @@ def total_loss(mode: str, images, logit_fields, annotations, plan: PairingPlan,
     """Mode-selected training objective over a batch, differentiated to logits.
 
     Modes: "pce" is the supervised term alone; "pce+ms" adds the weighted
-    piecewise-constant data term and TV; "pce+cv" adds the weighted
-    contrastive-variance term and TV. Components a mode does not use are
-    reported as 0.
+    piecewise-constant data term and "pce+cv" the weighted contrastive-variance
+    term, each with mu times the TV of every prediction. This is the one place
+    TV joins the objective. Components a mode does not use are reported as 0.
     """
     if mode not in MODES:
         raise InvalidConfigError(f"unknown loss mode {mode!r}; expected one of {MODES}")
@@ -358,31 +352,29 @@ def total_loss(mode: str, images, logit_fields, annotations, plan: PairingPlan,
         pce_sum += value
         grads_probs.append(grad)
 
-    ms_sum = 0.0
-    cv_sum = 0.0
-    tv_sum = 0.0
-    if mode == "pce+ms":
-        for n in range(n_images):
-            ms_value, ms_grad = ms_data_term(images[n], preds[n], settings.freeze_means)
-            tv_value, tv_grad = tv_term(preds[n], settings.smooth_tv_value)
-            ms_sum += ms_value
-            tv_sum += tv_value
-            grads_probs[n] += settings.lambda_ms * ms_grad + settings.mu * tv_grad
-    elif mode == "pce+cv":
-        present = [ann.classes for ann in annotations]
-        cv = cv_loss(images, preds, present, plan, settings.tau,
-                     settings.lambda_cv, settings.mu, settings.freeze_means,
-                     settings.smooth_tv_value)
-        cv_sum = cv.contrastive
-        tv_sum = cv.tv
-        for n in range(n_images):
-            grads_probs[n] += cv.grad_wrt_probs[n]
-
+    ms_sum = cv_sum = tv_sum = 0.0
     total = pce_sum
-    if mode == "pce+ms":
-        total = pce_sum + settings.lambda_ms * ms_sum + settings.mu * tv_sum
-    elif mode == "pce+cv":
-        total = pce_sum + settings.lambda_cv * cv_sum + settings.mu * tv_sum
+    if mode != "pce":
+        if mode == "pce+ms":
+            term_grads = []
+            for image, pred in zip(images, preds):
+                ms_value, ms_grad = ms_data_term(image, pred, settings.freeze_means)
+                ms_sum += ms_value
+                term_grads.append(settings.lambda_ms * ms_grad)
+            term = settings.lambda_ms * ms_sum
+        else:
+            cv = cv_loss(images, preds, [ann.classes for ann in annotations], plan,
+                         settings.tau, settings.lambda_cv, freeze_means=settings.freeze_means)
+            cv_sum = cv.contrastive
+            term_grads = cv.grad_wrt_probs
+            term = settings.lambda_cv * cv_sum
+        # TV regularizes both modes. Its gradient meets the term's before the
+        # pce gradient: checkpoint bytes depend on that order.
+        for pred, grad, term_grad in zip(preds, grads_probs, term_grads):
+            tv_value, tv_grad = tv_term(pred, settings.smooth_tv_value)
+            tv_sum += tv_value
+            grad += settings.mu * tv_grad + term_grad
+        total = pce_sum + term + settings.mu * tv_sum
 
     grad_logits = [softmax_backward(pred, g) for pred, g in zip(preds, grads_probs)]
     return LossBreakdown(mode, pce_sum, ms_sum, cv_sum, tv_sum, total, grad_logits)

@@ -13,7 +13,9 @@ in row-major order from the bias (forward) or from zero (backward); pooling
 takes an argmax over each window's four entries, and the upsampling gradient
 is one reshape-sum over the window axes. Checkpoint bytes depend on that
 order, so the library's layers, and the conv-ed model composed from them,
-must equal these bit for bit. The batch oracle is the other exception: its
+must equal these bit for bit. The loss composition is the same kind of
+exception: it sums the library's own term gradients, in the order the
+objective's gradient must keep. The batch oracle is the other exception: its
 draws come from the library's keyed random streams, which define the plan.
 """
 
@@ -21,7 +23,14 @@ import math
 
 import numpy as np
 
+from pointseg.grids import softmax_backward
+from pointseg.losses import cv_loss, ms_data_term, partial_cross_entropy, tv_term
 from pointseg.seeding import keyed_rng
+
+
+def bit_equal(a, b):
+    """np.array_equal, and the same sign on every zero."""
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
 
 
 def dsc_oracle(pred: np.ndarray, gt: np.ndarray, k: int) -> float:
@@ -207,6 +216,31 @@ def conv_ed_per_tap(values, intensities, grad_logits):
     grad_a2 = (grad_cat[:c2] + maxpool2_backward_scatter(idx, grad_pooled, a2.shape)) * (a2 > 0)
     back(x0, "enc1", back(a1, "enc2", grad_a2) * (a1 > 0))
     return logits, grads
+
+
+def total_loss_grads_oracle(mode, images, preds, annotations, plan, settings):
+    """Per-image logit gradients of the mode's objective, summed term by term.
+
+    Each image's probability gradient is pce + (mu * tv + term): the pce+ms
+    term is lambda_ms times the data-term gradient, and for pce+cv each
+    present class's contrastive gradient is added onto mu * tv on its own.
+    """
+    if mode == "pce+cv":
+        cv = cv_loss(images, preds, [a.classes for a in annotations], plan,
+                     settings.tau, settings.lambda_cv, freeze_means=settings.freeze_means)
+    grads = []
+    for n, (image, pred, ann) in enumerate(zip(images, preds, annotations)):
+        grad = partial_cross_entropy(pred, ann)[1]
+        if mode != "pce":
+            reg = settings.mu * tv_term(pred)[1]
+            if mode == "pce+ms":
+                reg = settings.lambda_ms * ms_data_term(image, pred, settings.freeze_means)[1] + reg
+            else:
+                for k in ann.classes:
+                    reg[k] += cv.grad_wrt_probs[n][k]
+            grad = grad + reg
+        grads.append(softmax_backward(pred, grad))
+    return grads
 
 
 def assemble_batch_oracle(samples, iteration, seed, batch_size):

