@@ -93,17 +93,29 @@ def _tuples(value):
     return tuple(_tuples(v) for v in value) if isinstance(value, list) else value
 
 
+# The JSON values each declared field type takes; a bool is not a number.
+_JSON_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str, "tuple": (list, tuple)}
+
+
 def _from_json(cls, raw: dict, overrides: dict, what: str):
     """`cls` from a JSON object's fields, command-line overrides on top.
 
-    JSON arrays become the tuples the frozen dataclasses hold. Unknown keys
-    and values the constructor cannot take are config errors.
+    Each value must have its field's declared type, or be null where the
+    default is None. JSON arrays become the tuples the frozen dataclasses
+    hold. Unknown keys and values the constructor cannot take are config errors.
     """
-    unknown = sorted(set(raw) - {f.name for f in dataclasses.fields(cls)})
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = sorted(set(raw) - set(fields))
     if unknown:
         raise InvalidConfigError(f"unknown {what} keys: {', '.join(unknown)}")
+    values = {**raw, **overrides}
+    for key, value in values.items():
+        f = fields[key]
+        typed = isinstance(value, _JSON_TYPES[f.type]) and isinstance(value, bool) == (f.type == "bool")
+        if not (typed or value is None and f.default is None):
+            raise InvalidConfigError(f"bad {what} value: {key} must be {f.type}, got {value!r}")
     try:
-        return cls(**{key: _tuples(value) for key, value in {**raw, **overrides}.items()})
+        return cls(**{key: _tuples(value) for key, value in values.items()})
     except (TypeError, ValueError) as exc:
         raise InvalidConfigError(f"bad {what} value: {exc}") from exc
 
@@ -167,19 +179,11 @@ def _train_once(samples, config: TrainConfig, out_dir, dataset_root):
     return state
 
 
-def _predict_masks(params, samples):
-    masks = []
-    for s in samples:
-        field, _ = forward(params, params.spec, s.image, s.id)
-        masks.append(hard_mask(softmax(field)))
-    return masks
-
-
 def _evaluate_params(params, samples, central_bias_width: int):
     for s in samples:
         if s.mask is None:
             raise InvalidInputError(f"sample {s.id}: evaluation needs a ground-truth mask")
-    preds = _predict_masks(params, samples)
+    preds = [hard_mask(softmax(forward(params, params.spec, s.image, s.id)[0])) for s in samples]
     report = evaluate(preds, [s.mask for s in samples], central_bias_width)
     return preds, report
 

@@ -20,6 +20,7 @@ jitter and zero noise every image of a split is identical.
 from __future__ import annotations
 
 import json
+import numbers
 import os
 from dataclasses import dataclass, replace
 
@@ -100,6 +101,10 @@ class SynthSpec:
             raise InvalidConfigError(f"grid {self.height}x{self.width} too small")
         if len(self.anchors) != K - 1:
             raise InvalidConfigError(f"need {K - 1} anchors for {K} classes, got {len(self.anchors)}")
+        for anchor in self.anchors:
+            pair = isinstance(anchor, (tuple, list)) and len(anchor) == 2
+            if not (pair and all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in anchor)):
+                raise InvalidConfigError(f"anchor {anchor!r} must be a (row, col) pair of numbers")
         if len(self.intensity_means) != K:
             raise InvalidConfigError(f"need {K} intensity means, got {len(self.intensity_means)}")
         means = self.intensity_means
@@ -188,14 +193,10 @@ def read_pgm(path):
     return values, maxval
 
 
-def _annotation_points_json(ann: PointAnnotation):
-    return [{"row": r, "col": c, "class": k} for r, c, k in ann.points]
-
-
 def write_annotations(root, samples) -> None:
     """Write annotations.json covering every annotated sample."""
     annotations = {
-        s.id: _annotation_points_json(s.annotation)
+        s.id: [{"row": r, "col": c, "class": k} for r, c, k in s.annotation.points]
         for s in samples if s.annotation is not None
     }
     with open(os.path.join(root, "annotations.json"), "w", encoding="utf-8") as fh:
@@ -323,7 +324,8 @@ def load_dataset(root) -> list:
         if os.path.isdir(os.path.join(root, "images")):
             raise IngestError(f"{os.path.join(root, 'manifest.json')}: missing manifest")
         return []
-    return load_split(root, "train") + load_split(root, "test")
+    manifest, annotations = load_manifest(root), _load_annotations(root)
+    return [_load_sample(root, sid, manifest, annotations) for sid in manifest["train"] + manifest["test"]]
 
 
 def generate_annotations(samples, seed: int) -> list:

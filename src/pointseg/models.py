@@ -137,14 +137,16 @@ def _pad_flat(x, ph, pw):
 
 
 def _conv2d(x, w, b):
-    """Zero-padded 2-d convolution, x (Cin, H, W) -> (Cout, H, W).
+    """Zero-padded 2-d convolution, x (Cin, H, W) -> (Cout, H, W); every input
+    gradient is one too (see _conv2d_backward), so the narrower side is chosen here.
 
-    Output rows are Wp wide until the pad columns are dropped. With Cout < Cin
-    one matmul maps the flat input to each tap's Cout-channel plane and the
-    shifted planes are added. Otherwise each tap's kernel slice multiplies its
-    flat window, through np.dot when Cin == 1 (matmul does that outer product
-    without BLAS). Each kept element gets the dots of one tensordot per tap on
-    a copied window, added onto the bias in row-major tap order: the same bits.
+    Output rows are Wp wide until the pad columns are dropped. With
+    1 < Cout < Cin one matmul maps the flat input to each tap's Cout-channel
+    plane and the shifted planes are added. Otherwise each tap's kernel slice
+    multiplies its flat window, through np.dot when Cin == 1 (matmul does that
+    outer product without BLAS). Each kept element gets the dots of one
+    tensordot per tap on a copied window, added onto the bias in row-major tap
+    order: the same bits (a single output row, stacked, would go to gemv).
     """
     cout, cin, kh, kw = w.shape
     H, W = x.shape[1:]
@@ -152,13 +154,14 @@ def _conv2d(x, w, b):
     Wp = W + 2 * pw
     xf = _pad_flat(x, ph, pw)
     out = np.broadcast_to(b[:, None], (cout, H * Wp)).copy()
-    if cout < cin:
+    stacked = 1 < cout < cin
+    if stacked:
         planes = (w.transpose(2, 3, 0, 1).reshape(-1, cin) @ xf).reshape(kh, kw, cout, -1)
     mul = np.dot if cin == 1 else np.matmul
     for i in range(kh):
         for j in range(kw):
             s = i * Wp + j
-            if cout < cin:
+            if stacked:
                 out += planes[i, j, :, s : s + H * Wp]
             else:
                 out += mul(w[:, :, i, j], xf[:, s : s + H * Wp])
@@ -168,25 +171,20 @@ def _conv2d(x, w, b):
 def _conv2d_backward(x, w, grad_out, need_input=True):
     """Gradients of a zero-padded convolution w.r.t. input, kernel and bias.
 
-    With need_input=False the input gradient is not computed and is None.
-    The kernel gradient pads the input once, channels last, and makes
-    grad_out one contiguous (Cout, H*W) matrix. Each tap's window reshapes
-    into the (H*W, Cin) operand a per-tap tensordot builds (for an unpadded
-    input, the same transposed view), so each tap is that tensordot's matmul.
-    The input gradient shifts the narrower side on flat buffers: with
-    Cout < Cin each tap reads the flat padded grad_out from
-    (2*ph - i)*Wp + 2*pw - j on; otherwise each tap adds its product with
-    grad_out, zero-widened to Wp columns, into the flat padded gradient from
-    i*Wp + j on. Each kept element gets the per-tap dots of one tensordot per
-    tap, in the same order, plus only exact +0.0 terms.
+    With need_input=False the input gradient is None. The kernel gradient
+    pads the input once, channels last; each tap's window reshapes into the
+    (H*W, Cin) operand a per-tap tensordot builds (for an unpadded input, the
+    same transposed view), so each tap is that tensordot's matmul. The input
+    gradient is _conv2d of grad_out turned 180 degrees with the transposed
+    kernel, turned back: turning the data, not the kernel, keeps the
+    row-major tap order and so the bits. A 1x1 kernel needs no turn.
     """
     cout, cin, kh, kw = w.shape
     H, W = x.shape[1:]
     ph, pw = kh // 2, kw // 2
-    Hp, Wp = H + 2 * ph, W + 2 * pw
     xl = x.transpose(1, 2, 0)
     if ph or pw:
-        xl = np.zeros((Hp, Wp, cin))
+        xl = np.zeros((H + 2 * ph, W + 2 * pw, cin))
         xl[ph : ph + H, pw : pw + W] = x.transpose(1, 2, 0)
     g2 = np.ascontiguousarray(grad_out).reshape(cout, H * W)
     grad_w = np.empty_like(w)
@@ -196,21 +194,9 @@ def _conv2d_backward(x, w, grad_out, need_input=True):
     grad_b = grad_out.sum(axis=(1, 2))
     if not need_input:
         return None, grad_w, grad_b
-    if cout < cin:
-        gf = _pad_flat(grad_out, ph, pw)
-        grad_x = np.zeros((cin, H * Wp))
-        for i in range(kh):
-            for j in range(kw):
-                s = (2 * ph - i) * Wp + 2 * pw - j
-                grad_x += w[:, :, i, j].T @ gf[:, s : s + H * Wp]
-        return grad_x.reshape(cin, H, Wp)[:, :, :W], grad_w, grad_b
-    g = _pad_flat(grad_out, 0, pw)[:, pw : pw + H * Wp]
-    grad_xf = np.zeros((cin, Hp * Wp + 2 * pw))
-    for i in range(kh):
-        for j in range(kw):
-            grad_xf[:, i * Wp + j : i * Wp + j + H * Wp] += w[:, :, i, j].T @ g
-    grad_x = grad_xf[:, : Hp * Wp].reshape(cin, Hp, Wp)[:, ph : ph + H, pw : pw + W]
-    return grad_x, grad_w, grad_b
+    t = -1 if kh * kw > 1 else 1  # the 180-degree turn; a 1x1 kernel skips it
+    grad_x = _conv2d(grad_out[:, ::t, ::t], w.transpose(1, 0, 2, 3), np.zeros(cin))
+    return grad_x[:, ::t, ::t], grad_w, grad_b
 
 
 def _taps2(x):

@@ -9,7 +9,8 @@ import pytest
 
 import pointseg
 import pointseg.gradcheck
-from pointseg.cli import main
+from pointseg import TrainConfig
+from pointseg.cli import _from_json, main
 
 
 TINY_SPEC = {
@@ -99,6 +100,13 @@ def test_synth_rejects_unknown_spec_keys(tmp_path, capsys):
     assert "blobs" in capsys.readouterr().err
 
 
+def test_synth_malformed_anchor_exits_2(tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"num_classes": 2, "anchors": [1], "intensity_means": [0.2, 0.8]}))
+    assert main(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "x")]) == 2
+    assert "error: anchor 1 must be a (row, col) pair" in capsys.readouterr().err
+
+
 def test_annotate_is_deterministic(tmp_path):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(TINY_SPEC))
@@ -151,6 +159,43 @@ def test_train_rejects_unknown_config_keys(dataset, tmp_path, capsys):
     assert main(["train", "--config", str(cfg), "--data", str(dataset),
                  "--out", str(tmp_path / "out")]) == 2
     assert "warmup" in capsys.readouterr().err
+
+
+WRONG_TYPES = [
+    ("synth", {"train_count": 2.5}, "train_count"),
+    ("synth", {"height": 16.5, "width": 16}, "height"),
+    ("synth", {"anchors": 0.5}, "anchors"),
+    ("train", {"batch_size": 2.5}, "batch_size"),
+    ("train", {"mu": "x"}, "mu"),
+    ("train", {"lambda_cv": None}, "lambda_cv"),
+    ("train", {"seed": 1.5}, "seed"),
+    ("train", {"seed": True}, "seed"),
+    ("train", {"tau": False}, "tau"),
+    ("train", {"augment": "no"}, "augment"),
+    ("train", {"mode": 1}, "mode"),
+]
+
+
+@pytest.mark.parametrize("command, values, key", WRONG_TYPES,
+                         ids=[f"{c}-{k}={v[k]!r}" for c, v, k in WRONG_TYPES])
+def test_config_value_of_wrong_type_exits_2(dataset, tmp_path, capsys, command, values, key):
+    # Each value is checked against its field's declared type before the
+    # dataclass sees it; the rest of the file is a valid tiny run or spec.
+    path = tmp_path / "in.json"
+    if command == "synth":
+        path.write_text(json.dumps({**TINY_SPEC, **values}))
+        argv, what = ["synth", "--spec", str(path), "--out", str(tmp_path / "x")], "spec"
+    else:
+        path.write_text(json.dumps({**TINY_TRAIN, **values}))
+        argv = ["train", "--config", str(path), "--data", str(dataset), "--out", str(tmp_path / "x")]
+        what = "config"
+    assert main(argv) == 2
+    assert f"error: bad {what} value: {key} must be " in capsys.readouterr().err
+
+
+def test_config_takes_null_only_where_default_is_none_and_ints_as_floats():
+    config = _from_json(TrainConfig, {"lr0": None, "mu": 0, "channels": [2, 2, 3, 2]}, {}, "config")
+    assert (config.lr0, config.mu, config.channels) == (0.001, 0, (2, 2, 3, 2))
 
 
 def test_train_divergence_exits_3(dataset, tmp_path, capsys):

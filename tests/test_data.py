@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pointseg.data
 from pointseg import (
     Image,
     IngestError,
@@ -26,6 +27,7 @@ from pointseg import (
     synth_generate,
     write_pgm,
 )
+from pointseg.data import read_json_object
 
 
 def small_spec(**kw):
@@ -136,6 +138,13 @@ def test_synth_threshold_oracle_recovers_masks():
 def test_synth_rejects_colliding_means():
     with pytest.raises(InvalidConfigError):
         small_spec(intensity_means=(0.2, 0.24, 0.8), noise_sigma=0.05)
+
+
+@pytest.mark.parametrize("anchor", [1, (0.5,), (0.5, 0.5, 0.5), ("a", 0.5), (0.5, None), (True, 0.5)],
+                         ids=repr)
+def test_synth_rejects_malformed_anchor(anchor):
+    with pytest.raises(InvalidConfigError, match="must be a \\(row, col\\) pair"):
+        small_spec(num_classes=2, anchors=(anchor,), intensity_means=(0.2, 0.8))
 
 
 # annotations
@@ -299,6 +308,25 @@ def test_dataset_roundtrip_bit_identity(tmp_path):
 
 def test_load_dataset_empty_dir(tmp_path):
     assert load_dataset(tmp_path / "nothing") == []
+
+
+def test_load_dataset_reads_each_json_file_once(tmp_path, monkeypatch):
+    root, _ = _saved_annotated(tmp_path)
+    want = load_split(root, "train") + load_split(root, "test")
+    calls = []
+
+    def counting(path):
+        calls.append(os.path.basename(path))
+        return read_json_object(path)
+
+    monkeypatch.setattr(pointseg.data, "read_json_object", counting)
+    got = load_dataset(root)
+    assert sorted(calls) == ["annotations.json", "manifest.json"]
+    assert [s.id for s in got] == [s.id for s in want]
+    for a, b in zip(got, want):
+        assert np.array_equal(a.image.intensities, b.image.intensities)
+        assert np.array_equal(a.mask.classes, b.mask.classes)
+        assert a.annotation == b.annotation
 
 
 def test_load_dataset_images_without_manifest(tmp_path):

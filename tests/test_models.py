@@ -279,7 +279,8 @@ def test_pooling_helpers_bit_identical_to_oracles(shape, kind):
     ModelSpec("conv-ed", 3, 64, 64),
     ModelSpec("conv-ed", 3, 16, 24, channels=(8, 12, 20, 8)),
     ModelSpec("conv-ed", 2, 4, 2, channels=(2, 3, 4, 8)),  # wide dec1; one-pixel pooled rows
-], ids=["default", "off-default", "wide-dec1"])
+    ModelSpec("conv-ed", 3, 16, 24, channels=(8, 12, 20, 1)),  # one-channel dec1 output
+], ids=["default", "off-default", "wide-dec1", "narrow-dec1"])
 def test_conv_ed_bit_identical_to_layer_oracles(spec):
     # The whole model, not only each layer: forward and backward composed
     # from the oracles give the same logits and gradients, bit for bit.
