@@ -89,64 +89,3 @@ from .train import (  # noqa: E402
 from .seeding import keyed_rng, seed_words  # noqa: E402
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "IngestError",
-    "InvalidConfigError",
-    "InvalidInputError",
-    "OracleFailureError",
-    "PointsegError",
-    "TrainingDivergenceError",
-    "Image",
-    "LogitField",
-    "SoftPrediction",
-    "finite_diff_grad",
-    "softmax",
-    "softmax_backward",
-    "LossBreakdown",
-    "LossSettings",
-    "PairingPlan",
-    "PointAnnotation",
-    "class_means",
-    "cosine_similarity",
-    "cv_loss",
-    "ms_data_term",
-    "partial_cross_entropy",
-    "total_loss",
-    "tv_term",
-    "variance_map",
-    "ModelParams",
-    "ModelSpec",
-    "backward",
-    "forward",
-    "init_params",
-    "load_checkpoint",
-    "save_checkpoint",
-    "LabelMask",
-    "Sample",
-    "SynthSpec",
-    "augment",
-    "generate_annotations",
-    "load_dataset",
-    "load_manifest",
-    "load_split",
-    "read_pgm",
-    "save_dataset",
-    "synth_generate",
-    "write_pgm",
-    "EvalReport",
-    "central_bias_filter",
-    "dsc",
-    "evaluate",
-    "hard_mask",
-    "hd95",
-    "TrainConfig",
-    "TrainState",
-    "assemble_batch",
-    "poly_lr",
-    "sgd_step",
-    "train_loop",
-    "keyed_rng",
-    "seed_words",
-    "__version__",
-]

@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__, _bad_threads
 from .data import (
     SynthSpec,
-    load_manifest,
+    _load_splits,
     load_dataset,
     load_split,
     read_json_object,
@@ -251,8 +251,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    manifest = load_manifest(args.data)
-    samples = load_split(args.data, args.split)
+    manifest, samples = _load_splits(args.data, args.split)
     params = load_checkpoint(args.checkpoint, height=manifest["H"], width=manifest["W"])
     spec = params.spec
     if spec.num_classes != manifest["K"]:
@@ -287,8 +286,7 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_sweep(args) -> int:
     base = _resolve_train_config(args)
-    train_samples = load_split(args.data, "train")
-    eval_samples = load_split(args.data, "test")
+    _, train_samples, eval_samples = _load_splits(args.data, "train", "test")
     os.makedirs(args.out, exist_ok=True)
     rows = []
     for i, value in enumerate(args.values):

@@ -305,13 +305,25 @@ def _load_annotations(root) -> dict:
     return annotations
 
 
+def _load_splits(root, *splits):
+    """The manifest, then each named split's samples in manifest order.
+
+    manifest.json and annotations.json are each read once, however many
+    splits are asked for.
+    """
+    manifest = load_manifest(root)
+    for split in splits:
+        if split not in ("train", "test"):
+            raise InvalidInputError(f"unknown split {split!r}")
+    annotations = _load_annotations(root)
+    loaded = [[_load_sample(root, sid, manifest, annotations) for sid in manifest[split]]
+              for split in splits]
+    return (manifest, *loaded)
+
+
 def load_split(root, split: str) -> list:
     """Load one manifest split ("train" or "test") in manifest order."""
-    manifest = load_manifest(root)
-    if split not in ("train", "test"):
-        raise InvalidInputError(f"unknown split {split!r}")
-    annotations = _load_annotations(root)
-    return [_load_sample(root, sid, manifest, annotations) for sid in manifest[split]]
+    return _load_splits(root, split)[1]
 
 
 def load_dataset(root) -> list:
@@ -324,8 +336,8 @@ def load_dataset(root) -> list:
         if os.path.isdir(os.path.join(root, "images")):
             raise IngestError(f"{os.path.join(root, 'manifest.json')}: missing manifest")
         return []
-    manifest, annotations = load_manifest(root), _load_annotations(root)
-    return [_load_sample(root, sid, manifest, annotations) for sid in manifest["train"] + manifest["test"]]
+    _, train, test = _load_splits(root, "train", "test")
+    return train + test
 
 
 def generate_annotations(samples, seed: int) -> list:

@@ -9,7 +9,9 @@ Two layers of checking:
   through the softmax chain (itself checked on its own), so perturbed
   inputs never leave the simplex; layers are weighted by a random probe of
   their output. The contrastive suite checks cv_loss together with smoothed
-  TV, the regularizer training adds beside it.
+  TV, the regularizer training adds beside it. A probe re-softmaxes only the
+  input it moves and evaluates the terms' private value steps, the forward
+  halves each full term is built on, so the gradient is built once a trial.
 * End-to-end suites differentiate whole model+loss compositions with a
   complex-step oracle: an imaginary perturbation of one parameter propagates
   through an independent complex re-implementation of the forward pass, and
@@ -18,6 +20,9 @@ Two layers of checking:
   composition's gradient entries span many orders of magnitude. Branch
   choices (ReLU, pooling argmax, log clamp) follow the real parts, so the
   oracle differentiates exactly the branch the production code takes.
+  A step at a parameter of layer L leaves every activation before L real and
+  unchanged, so conv-ed's unperturbed activations are computed once a trial
+  and each step recomputes only L and the layers after it.
 
 End-to-end objectives evaluate TV through its smoothed surrogate; the
 production gradient is the exact derivative of that surrogate, while the
@@ -40,6 +45,9 @@ from .losses import (
     LossSettings,
     PairingPlan,
     PointAnnotation,
+    _cv_value,
+    _ms_value,
+    _tv_value,
     cv_loss,
     ms_data_term,
     partial_cross_entropy,
@@ -181,20 +189,24 @@ def _check(name, trials, seed, draw, floor=GRAD_FLOOR, key=None) -> ComponentRep
 def _through_softmax(draw_term):
     """Adapt a probability-space term to `_check`, differentiated in logits.
 
-    `draw_term(rng)` returns (logit arrays, term), where term(predictions)
-    gives (value, gradient w.r.t. each prediction's probabilities).
-    Differentiating against logits keeps finite-difference probes on the
-    simplex. A probe moves one entry of a finite grid by the step, so it is
-    wrapped with _trusted.
+    `draw_term(rng)` returns (logit arrays, value, grads): value(predictions)
+    is the term's scalar and grads(predictions) its gradient w.r.t. each
+    prediction's probabilities. The finite differences evaluate value alone,
+    and an objective input that is still the drawn array (the probe moves one
+    input at a time) reuses the drawn prediction. Differentiating against
+    logits keeps finite-difference probes on the simplex. A probe moves one
+    entry of a finite grid by the step, so it is wrapped with _trusted.
     """
-    def predict(logits):
-        return [softmax(_trusted(LogitField, x)) for x in logits]
-
     def draw(rng, probe):
-        logits, term = draw_term(rng)
-        preds = predict(logits)
-        analytic = [softmax_backward(p, g) for p, g in zip(preds, term(preds)[1])]
-        return logits, lambda xs: term(predict(xs))[0], analytic
+        logits, value, grads = draw_term(rng)
+        preds = [softmax(_trusted(LogitField, x)) for x in logits]
+        analytic = [softmax_backward(p, g) for p, g in zip(preds, grads(preds))]
+
+        def objective(xs):
+            return value([p if x is drawn else softmax(_trusted(LogitField, x))
+                          for x, drawn, p in zip(xs, logits, preds)])
+
+        return logits, objective, analytic
 
     return draw
 
@@ -211,7 +223,7 @@ def check_softmax(trials: int = 100, seed: int = 0) -> ComponentReport:
         H, W = (int(rng.integers(1, 9)) for _ in range(2))
         logits = rng.normal(size=(K, H, W))
         g = rng.normal(size=(K, H, W))
-        return [logits], lambda preds: (float((g * preds[0].probabilities).sum()), [g])
+        return [logits], lambda preds: float((g * preds[0].probabilities).sum()), lambda preds: [g]
 
     return _check("softmax_backward", trials, seed, _through_softmax(draw),
                   floor=SOFTMAX_FLOOR, key="softmax")
@@ -224,12 +236,8 @@ def check_pce(trials: int = 50, seed: int = 0) -> ComponentReport:
         logits = rng.normal(size=(K, H, W))
         pixels = rng.choice(H * W, size=min(K, H * W), replace=False)
         ann = PointAnnotation(tuple((int(p // W), int(p % W), k) for k, p in enumerate(pixels)), K)
-
-        def term(preds):
-            value, grad = partial_cross_entropy(preds[0], ann)
-            return value, [grad]
-
-        return [logits], term
+        return ([logits], lambda preds: partial_cross_entropy(preds[0], ann)[0],
+                lambda preds: [partial_cross_entropy(preds[0], ann)[1]])
 
     return _check("partial_cross_entropy", trials, seed, _through_softmax(draw))
 
@@ -240,12 +248,8 @@ def check_ms(trials: int = 50, seed: int = 0) -> ComponentReport:
         H, W = (int(rng.integers(2, 9)) for _ in range(2))
         logits = rng.normal(size=(K, H, W))
         image = Image(rng.random((H, W)))
-
-        def term(preds):
-            value, grad = ms_data_term(image, preds[0])
-            return value, [grad]
-
-        return [logits], term
+        return ([logits], lambda preds: _ms_value(image, preds[0])[0],
+                lambda preds: [ms_data_term(image, preds[0])[1]])
 
     return _check("ms_data_term", trials, seed, _through_softmax(draw))
 
@@ -266,12 +270,8 @@ def check_tv(trials: int = 50, seed: int = 0) -> ComponentReport:
             diffs = np.concatenate([dh.reshape(-1), dv.reshape(-1)])
             if diffs.size == 0 or diffs.min() >= 1e-4:
                 break
-
-        def term(preds):
-            value, grad = tv_term(preds[0], smooth_value=True)
-            return value, [grad]
-
-        return [logits], term
+        return ([logits], lambda preds: _tv_value(preds[0], smooth_value=True)[0],
+                lambda preds: [tv_term(preds[0], smooth_value=True)[1]])
 
     return _check("tv_term", trials, seed, _through_softmax(draw))
 
@@ -291,16 +291,16 @@ def check_cv(trials: int = 50, seed: int = 0) -> ComponentReport:
             for n in range(batch) for k in range(K)
         })
 
-        def term(preds):
-            cv = cv_loss(images, preds, present, plan, tau=0.07, lambda_cv=0.3)
-            tv_sum, grads = 0.0, []
-            for pred, cv_grad in zip(preds, cv.grad_wrt_probs):
-                tv_value, tv_grad = tv_term(pred, smooth_value=True)
-                tv_sum += tv_value
-                grads.append(1e-2 * tv_grad + cv_grad)
-            return 0.3 * cv.contrastive + 1e-2 * tv_sum, grads
+        def value(preds):
+            tv_sum = sum(_tv_value(pred, smooth_value=True)[0] for pred in preds)
+            return 0.3 * _cv_value(images, preds, present, plan, tau=0.07)[0] + 1e-2 * tv_sum
 
-        return logits, term
+        def grads(preds):
+            cv = cv_loss(images, preds, present, plan, tau=0.07, lambda_cv=0.3)
+            return [1e-2 * tv_term(pred, smooth_value=True)[1] + cv_grad
+                    for pred, cv_grad in zip(preds, cv.grad_wrt_probs)]
+
+        return logits, value, grads
 
     return _check("cv_loss", trials, seed, _through_softmax(draw))
 
@@ -391,15 +391,34 @@ def _cx_maxpool(x):
     return np.take_along_axis(windows, idx[..., None], axis=3)[..., 0]
 
 
-def _cx_forward(values, image):
-    x = image.intensities[None].astype(complex)
-    a1 = _cx_relu(_cx_conv(x, values["enc1.w"], values["enc1.b"]))
-    a2 = _cx_relu(_cx_conv(a1, values["enc2.w"], values["enc2.b"]))
-    a3 = _cx_relu(_cx_conv(_cx_maxpool(a2), values["enc3.w"], values["enc3.b"]))
-    up = np.kron(a3, np.ones((1, 2, 2)))
-    cat = np.concatenate([a2, up], axis=0)
-    a4 = _cx_relu(_cx_conv(cat, values["dec1.w"], values["dec1.b"]))
-    return _cx_conv(a4, values["head.w"], values["head.b"])
+# conv-ed's layers in order, each with its input built from the activations
+# before it: enc2's output a2 feeds enc3 through the pool and dec1 through
+# the concat.
+_CX_INPUTS = {
+    "enc1": lambda acts: acts["x"],
+    "enc2": lambda acts: acts["enc1"],
+    "enc3": lambda acts: _cx_maxpool(acts["enc2"]),
+    "dec1": lambda acts: np.concatenate(
+        [acts["enc2"], np.kron(acts["enc3"], np.ones((1, 2, 2)))], axis=0),
+    "head": lambda acts: acts["dec1"],
+}
+
+
+def _cx_forward(values, acts, start="enc1"):
+    """conv-ed's activations from layer `start` on, in complex arithmetic.
+
+    acts maps "x" to the (1, H, W) complex image and each layer before start
+    to its output (after the ReLU; "head" holds the logits), computed from
+    these values. A new dict is returned, so the activations of the
+    unperturbed parameters serve every perturbation of a later layer: a
+    complex step at layer L leaves everything before L unchanged.
+    """
+    acts = dict(acts)
+    layers = list(_CX_INPUTS)
+    for name in layers[layers.index(start):]:
+        out = _cx_conv(_CX_INPUTS[name](acts), values[f"{name}.w"], values[f"{name}.b"])
+        acts[name] = out if name == "head" else _cx_relu(out)
+    return acts
 
 
 def _cx_tv_smooth(P):
@@ -496,16 +515,21 @@ def check_end_to_end(kind: str, mode: str, trials: int = 4, seed: int = 0) -> Co
             for name, arr in backward(params, spec, cache, g).items():
                 analytic[name] = analytic[name] + arr if name in analytic else arr.copy()
 
+        cvalues = {n: v.astype(complex) for n, v in params.values.items()}
+        if kind == "conv-ed":
+            unperturbed = [_cx_forward(cvalues, {"x": im.intensities[None].astype(complex)})
+                           for im in images]
+
         def oracle_grad(name):
             base = params.values[name]
             grad = np.zeros(base.size)
-            cvalues = {n: v.astype(complex) for n, v in params.values.items()}
             flat = cvalues[name].reshape(-1)
+            layer = name.split(".")[0]
             for i in range(base.size):
                 saved = flat[i]
                 flat[i] = saved + 1j * COMPLEX_STEP
                 if kind == "conv-ed":
-                    logits = [_cx_forward(cvalues, im) for im in images]
+                    logits = [_cx_forward(cvalues, acts, layer)["head"] for acts in unperturbed]
                 else:
                     logits = [cvalues[f"field.{iid}"] for iid in ids]
                 value = _cx_objective(mode, logits, images, anns, plan, settings)

@@ -163,23 +163,39 @@ def _variance_map_backward(image, probs_k, mass_k, mean_k, grad_wrt_map, freeze_
     return grad
 
 
+def _ms_value(image: Image, pred: SoftPrediction):
+    """ms_data_term's value, with the class masses and means its gradient reuses."""
+    _, mass, means = _mean_stats(image, pred)
+    value = 0.0
+    for k, P_k in enumerate(pred.probabilities):
+        value += float(((image.intensities - means[k]) ** 2 * P_k).sum())
+    return value, mass, means
+
+
 def ms_data_term(image: Image, pred: SoftPrediction, freeze_means: bool = False):
     """Piecewise-constant data term: sum over classes and pixels of (I - c_k)^2 P_k.
 
     Returns (value, gradient w.r.t. probabilities). The gradient carries the
     full dependence of each c_k on the prediction.
     """
-    _, mass, means = _mean_stats(image, pred)
-    I = image.intensities
-    P = pred.probabilities
-    K = P.shape[0]
-    grad = np.empty_like(P)
-    value = 0.0
-    for k in range(K):
-        dev = I - means[k]
-        value += float((dev**2 * P[k]).sum())
-        grad[k] = _variance_map_backward(image, P[k], mass[k], means[k], 1.0, freeze_means)
+    value, mass, means = _ms_value(image, pred)
+    grad = np.stack([
+        _variance_map_backward(image, P_k, mass[k], means[k], 1.0, freeze_means)
+        for k, P_k in enumerate(pred.probabilities)
+    ])
     return value, grad
+
+
+def _tv_value(pred: SoftPrediction, smooth_value: bool = False):
+    """tv_term's value, with the forward differences its gradient reuses."""
+    P = pred.probabilities
+    dh = P[:, :, 1:] - P[:, :, :-1]
+    dv = P[:, 1:, :] - P[:, :-1, :]
+    if smooth_value:
+        value = float(np.sqrt(dh**2 + TV_SMOOTH_EPS).sum() + np.sqrt(dv**2 + TV_SMOOTH_EPS).sum())
+    else:
+        value = float(np.abs(dh).sum() + np.abs(dv).sum())
+    return value, dh, dv
 
 
 def tv_term(pred: SoftPrediction, smooth_value: bool = False):
@@ -192,14 +208,8 @@ def tv_term(pred: SoftPrediction, smooth_value: bool = False):
     With smooth_value the surrogate is also used for the value, so gradient
     checks can differentiate the very function the gradient belongs to.
     """
-    P = pred.probabilities
-    dh = P[:, :, 1:] - P[:, :, :-1]
-    dv = P[:, 1:, :] - P[:, :-1, :]
-    if smooth_value:
-        value = float(np.sqrt(dh**2 + TV_SMOOTH_EPS).sum() + np.sqrt(dv**2 + TV_SMOOTH_EPS).sum())
-    else:
-        value = float(np.abs(dh).sum() + np.abs(dv).sum())
-    grad = np.zeros_like(P)
+    value, dh, dv = _tv_value(pred, smooth_value)
+    grad = np.zeros_like(pred.probabilities)
     uh = dh / np.sqrt(dh**2 + TV_SMOOTH_EPS)
     uv = dv / np.sqrt(dv**2 + TV_SMOOTH_EPS)
     grad[:, :, 1:] += uh
@@ -228,18 +238,13 @@ class ContrastiveVarianceResult:
     num_anchors: int
 
 
-def cv_loss(images, preds, present, plan: PairingPlan, tau: float,
-            lambda_cv: float, *, freeze_means: bool = False) -> ContrastiveVarianceResult:
-    """Contrastive variance loss over a batch, with full gradients.
+def _cv_value(images, preds, present, plan: PairingPlan, tau: float):
+    """cv_loss's checks and value: (contrastive, anchors, saved).
 
-    For each anchor (image n, class k) that has a positive partner in `plan`,
-    adds -log(pos / (pos + neg)), where pos compares the anchor's variance map
-    with the partner's same-class map and neg compares it against every other
-    image's maps of other classes (restricted to classes present there). All
-    similarities come from one cosine matrix over the batch's variance maps,
-    as in supervised contrastive learning. Gradients flow through the variance
-    maps, the class means, and the predictions; classes not in `present` get
-    zero gradient. TV is not part of this term: total_loss adds it.
+    saved is None without anchors, else what the gradient reuses: the mean
+    statistics, the (image, class) key of each row of Z, Z itself, its row
+    norms, D, S, the anchor and positive rows, and each anchor's shifted
+    exponentials with their sum.
     """
     if tau <= 0:
         raise InvalidConfigError(f"temperature must be positive, got {tau}")
@@ -260,37 +265,54 @@ def cv_loss(images, preds, present, plan: PairingPlan, tau: float,
             raise InvalidInputError(f"pairing ({n}, {k}) -> {m} is out of range or self-paired")
         if k not in present[n] or k not in present[m]:
             raise InvalidInputError(f"pairing ({n}, {k}) -> {m} names a class not present")
+    if not anchors:
+        return 0.0, anchors, None
 
+    # Z holds one flattened variance map per (image, present class) row;
+    # S is the cosine of every pair of rows.
+    stats = [_mean_stats(images[n], preds[n]) for n in range(n_images)]
+    keys = [(n, k) for n in range(n_images) for k in present[n]]
+    row = {key: a for a, key in enumerate(keys)}
+    img, cls = np.array(keys).T
+    Z = np.stack([
+        variance_map(images[n], preds[n], stats[n][2], k).reshape(-1) for n, k in keys
+    ])
+    norms = np.linalg.norm(Z, axis=1)
+    D = np.outer(norms, norms) + COSINE_EPS
+    S = (Z @ Z.T) / D
+
+    # One row per anchor over its candidates: the positive column plus
+    # every other image's other-class maps. -log(pos / (pos + neg)) is a
+    # log-sum-exp shifted by the row max, so small temperatures stay finite.
+    a_rows = np.array([row[nk] for nk, _ in anchors])
+    pos = np.array([row[(m, k)] for (_, k), m in anchors])
+    mask = (img != img[a_rows, None]) & (cls != cls[a_rows, None])
+    mask[np.arange(len(anchors)), pos] = True
+    sims = np.where(mask, S[a_rows], -np.inf)
+    shift = sims.max(axis=1)
+    e = np.exp((sims - shift[:, None]) / tau)
+    e_sum = e.sum(axis=1)
+    contrastive = float((shift / tau + np.log(e_sum) - S[a_rows, pos] / tau).sum())
+    return contrastive, anchors, (stats, keys, Z, norms, D, S, a_rows, pos, e, e_sum)
+
+
+def cv_loss(images, preds, present, plan: PairingPlan, tau: float,
+            lambda_cv: float, *, freeze_means: bool = False) -> ContrastiveVarianceResult:
+    """Contrastive variance loss over a batch, with full gradients.
+
+    For each anchor (image n, class k) that has a positive partner in `plan`,
+    adds -log(pos / (pos + neg)), where pos compares the anchor's variance map
+    with the partner's same-class map and neg compares it against every other
+    image's maps of other classes (restricted to classes present there). All
+    similarities come from one cosine matrix over the batch's variance maps,
+    as in supervised contrastive learning. Gradients flow through the variance
+    maps, the class means, and the predictions; classes not in `present` get
+    zero gradient. TV is not part of this term: total_loss adds it.
+    """
+    contrastive, anchors, saved = _cv_value(images, preds, present, plan, tau)
     grads = [np.zeros_like(pred.probabilities) for pred in preds]
-    contrastive = 0.0
-    if anchors:
-        # Z holds one flattened variance map per (image, present class) row;
-        # S is the cosine of every pair of rows.
-        stats = [_mean_stats(images[n], preds[n]) for n in range(n_images)]
-        keys = [(n, k) for n in range(n_images) for k in present[n]]
-        row = {key: a for a, key in enumerate(keys)}
-        img, cls = np.array(keys).T
-        Z = np.stack([
-            variance_map(images[n], preds[n], stats[n][2], k).reshape(-1) for n, k in keys
-        ])
-        norms = np.linalg.norm(Z, axis=1)
-        D = np.outer(norms, norms) + COSINE_EPS
-        S = (Z @ Z.T) / D
-
-        # One row per anchor over its candidates: the positive column plus
-        # every other image's other-class maps. -log(pos / (pos + neg)) is a
-        # log-sum-exp shifted by the row max, so small temperatures stay finite.
-        a_rows = np.array([row[nk] for nk, _ in anchors])
-        pos = np.array([row[(m, k)] for (_, k), m in anchors])
-        mask = (img != img[a_rows, None]) & (cls != cls[a_rows, None])
-        mask[np.arange(len(anchors)), pos] = True
-        sims = np.where(mask, S[a_rows], -np.inf)
-        shift = sims.max(axis=1)
-        e = np.exp((sims - shift[:, None]) / tau)
-        e_sum = e.sum(axis=1)
-        s_pos = S[a_rows, pos]
-        contrastive = float((shift / tau + np.log(e_sum) - s_pos / tau).sum())
-
+    if saved is not None:
+        stats, keys, Z, norms, D, S, a_rows, pos, e, e_sum = saved
         # dS: softmax weight of each candidate, minus one at the positive.
         dS = np.zeros_like(S)
         dS[a_rows] = e / e_sum[:, None]
@@ -303,13 +325,13 @@ def cv_loss(images, preds, present, plan: PairingPlan, tau: float,
         dn = (dD + dD.T) @ norms
         safe = np.where(norms > 0.0, norms, 1.0)
         dZ = (dG + dG.T) @ Z + (dn / safe)[:, None] * Z
+        shape = preds[0].spatial_shape
         for (n, k), gz in zip(keys, dZ):
             _, mass, means = stats[n]
             grads[n][k] += _variance_map_backward(
                 images[n], preds[n].probabilities[k], mass[k], means[k],
                 gz.reshape(shape), freeze_means
             )
-
     return ContrastiveVarianceResult(contrastive, grads, len(anchors))
 
 

@@ -136,9 +136,10 @@ def _pad_flat(x, ph, pw):
     return xf
 
 
-def _conv2d(x, w, b):
+def _conv2d(x, w, b=None):
     """Zero-padded 2-d convolution, x (Cin, H, W) -> (Cout, H, W); every input
     gradient is one too (see _conv2d_backward), so the narrower side is chosen here.
+    Without a bias b the sums start from zeros.
 
     Output rows are Wp wide until the pad columns are dropped. With
     1 < Cout < Cin one matmul maps the flat input to each tap's Cout-channel
@@ -153,7 +154,7 @@ def _conv2d(x, w, b):
     ph, pw = kh // 2, kw // 2
     Wp = W + 2 * pw
     xf = _pad_flat(x, ph, pw)
-    out = np.broadcast_to(b[:, None], (cout, H * Wp)).copy()
+    out = np.zeros((cout, H * Wp)) if b is None else np.broadcast_to(b[:, None], (cout, H * Wp)).copy()
     stacked = 1 < cout < cin
     if stacked:
         planes = (w.transpose(2, 3, 0, 1).reshape(-1, cin) @ xf).reshape(kh, kw, cout, -1)
@@ -195,7 +196,7 @@ def _conv2d_backward(x, w, grad_out, need_input=True):
     if not need_input:
         return None, grad_w, grad_b
     t = -1 if kh * kw > 1 else 1  # the 180-degree turn; a 1x1 kernel skips it
-    grad_x = _conv2d(grad_out[:, ::t, ::t], w.transpose(1, 0, 2, 3), np.zeros(cin))
+    grad_x = _conv2d(grad_out[:, ::t, ::t], w.transpose(1, 0, 2, 3))
     return grad_x[:, ::t, ::t], grad_w, grad_b
 
 

@@ -15,14 +15,18 @@ is one reshape-sum over the window axes. Checkpoint bytes depend on that
 order, so the library's layers, and the conv-ed model composed from them,
 must equal these bit for bit. The loss composition is the same kind of
 exception: it sums the library's own term gradients, in the order the
-objective's gradient must keep. The batch oracle is the other exception: its
+objective's gradient must keep. The batch oracle is another exception: its
 draws come from the library's keyed random streams, which define the plan.
+So is the uncached complex forward: it composes the complex-step oracle's
+own layer helpers with no prefix cache, the reference the cached forward
+must equal bit for bit.
 """
 
 import math
 
 import numpy as np
 
+from pointseg.gradcheck import _cx_conv, _cx_maxpool, _cx_relu
 from pointseg.grids import softmax_backward
 from pointseg.losses import cv_loss, ms_data_term, partial_cross_entropy, tv_term
 from pointseg.seeding import keyed_rng
@@ -263,3 +267,15 @@ def assemble_batch_oracle(samples, iteration, seed, batch_size):
             if candidates:
                 partners[(n, k)] = candidates[int(pair_rng.integers(len(candidates)))]
     return [s.id for s in batch], partners
+
+
+def cx_forward_uncached(values, image):
+    """conv-ed's complex logits for one image, every layer computed afresh."""
+    x = image.intensities[None].astype(complex)
+    a1 = _cx_relu(_cx_conv(x, values["enc1.w"], values["enc1.b"]))
+    a2 = _cx_relu(_cx_conv(a1, values["enc2.w"], values["enc2.b"]))
+    a3 = _cx_relu(_cx_conv(_cx_maxpool(a2), values["enc3.w"], values["enc3.b"]))
+    up = np.kron(a3, np.ones((1, 2, 2)))
+    cat = np.concatenate([a2, up], axis=0)
+    a4 = _cx_relu(_cx_conv(cat, values["dec1.w"], values["dec1.b"]))
+    return _cx_conv(a4, values["head.w"], values["head.b"])

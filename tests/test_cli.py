@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import pointseg
+import pointseg.data
 import pointseg.gradcheck
 from pointseg import TrainConfig
 from pointseg.cli import _from_json, main
@@ -314,6 +315,30 @@ def test_sweep_orders_rows_and_writes_tables(dataset, tmp_path):
 def test_sweep_rejects_unknown_parameter(dataset, tmp_path):
     assert main(["sweep", "--data", str(dataset), "--out", str(tmp_path / "s"),
                  "--parameter", "power", "--values", "1,2"]) == 2
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "sweep"])
+def test_commands_read_each_dataset_json_file_once(dataset, trained, tmp_path, monkeypatch,
+                                                   command):
+    calls = []
+    read = pointseg.data.read_json_object
+
+    def counting(path):
+        calls.append(os.path.basename(path))
+        return read(path)
+
+    monkeypatch.setattr(pointseg.data, "read_json_object", counting)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({**TINY_TRAIN, "total_iterations": 1}))
+    argv = {
+        "train": ["train", "--config", str(cfg), "--out", str(tmp_path / "run")],
+        "eval": ["eval", "--checkpoint", str(trained / "checkpoint_final.bin"),
+                 "--out", str(tmp_path / "eval")],
+        "sweep": ["sweep", "--config", str(cfg), "--out", str(tmp_path / "sweep"),
+                  "--parameter", "lambda_cv", "--values", "0.0"],
+    }[command]
+    assert main(argv + ["--data", str(dataset)]) == 0
+    assert sorted(calls) == ["annotations.json", "manifest.json"]
 
 
 def test_usage_errors_exit_2(capsys):

@@ -1,8 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import pointseg.gradcheck as gc
 import pointseg.grids
+from pointseg import Image, ModelSpec, init_params
+
+from oracles import bit_equal, cx_forward_uncached
 
 
 def test_component_suites_pass_at_reduced_trials():
@@ -73,6 +78,80 @@ def test_detects_a_corrupted_gradient(monkeypatch):
     assert report.worst_rel_err > 1e-3
     assert report.worst_seed >= 0
     assert report.worst_coordinate >= 0
+
+
+def test_detects_a_corrupted_cv_gradient(monkeypatch):
+    # The finite differences evaluate cv's value step, so a gradient that
+    # cv_loss alone gets wrong must still show.
+    real = gc.cv_loss
+
+    def broken(*args, **kwargs):
+        res = real(*args, **kwargs)
+        return dataclasses.replace(res, grad_wrt_probs=[g * 1.01 for g in res.grad_wrt_probs])
+    monkeypatch.setattr(gc, "cv_loss", broken)
+    report = gc.check_cv(trials=3, seed=0)
+    assert not report.passed
+    assert report.worst_rel_err > 1e-3
+
+
+def test_check_cv_calls_the_full_cv_loss_once_per_trial(monkeypatch):
+    calls = []
+    real = gc.cv_loss
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(gc, "cv_loss", counting)
+    assert gc.check_cv(trials=2, seed=0).passed
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("mode", ["pce", "pce+ms", "pce+cv"])
+def test_complex_step_reruns_only_the_layers_from_the_perturbed_one(monkeypatch, mode):
+    # The trial's conv-ed has 277 parameters: enc1 20, enc2 57, enc3 84,
+    # dec1 110 and head 6. A step at layer L reruns L and the layers after
+    # it, for both images: 2 * (20*5 + 57*4 + 84*3 + 110*2 + 6*1) = 1612,
+    # plus 10 for the unperturbed pass. Rerunning every layer took 2770.
+    calls = []
+    real = gc._cx_conv
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+    monkeypatch.setattr(gc, "_cx_conv", counting)
+    assert gc.check_end_to_end("conv-ed", mode, trials=1).passed
+    assert len(calls) == 1622
+
+
+def test_prefix_cached_complex_forward_matches_uncached():
+    # One unperturbed pass serves every layer's perturbations, as in the
+    # end-to-end oracle, so a cached call that changed it would show too.
+    rng = np.random.default_rng(11)
+    spec = ModelSpec("conv-ed", 2, 8, 8, channels=(2, 3, 3, 2))
+    values = {n: v.astype(complex) for n, v in init_params(spec, 5).values.items()}
+    for name in values:
+        if name.endswith(".b"):
+            values[name] += 0.1 * rng.normal(size=values[name].shape)
+    image = Image(rng.random((8, 8)))
+    unperturbed = gc._cx_forward(values, {"x": image.intensities[None].astype(complex)})
+    want = cx_forward_uncached(values, image)
+    assert bit_equal(unperturbed["head"].real, want.real)
+    assert bit_equal(unperturbed["head"].imag, want.imag)
+    for layer in ("enc1", "enc2", "enc3", "dec1", "head"):
+        # Coordinates are tried until one reaches the logits through live ReLUs.
+        flat = values[f"{layer}.w"].reshape(-1)
+        for i in rng.permutation(flat.size):
+            saved = flat[i]
+            flat[i] = saved + 1j * gc.COMPLEX_STEP
+            got = gc._cx_forward(values, unperturbed, layer)["head"]
+            want = cx_forward_uncached(values, image)
+            flat[i] = saved
+            assert bit_equal(got.real, want.real), (layer, i)
+            assert bit_equal(got.imag, want.imag), (layer, i)
+            if want.imag.any():
+                break
+        else:
+            pytest.fail(f"no {layer} coordinate reaches the logits")
 
 
 def test_fd_noise_floor_scales_with_magnitude():

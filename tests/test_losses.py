@@ -27,6 +27,7 @@ from pointseg import (
     variance_map,
 )
 from pointseg.gradcheck import fd_noise_floor
+from pointseg.losses import _cv_value, _ms_value, _tv_value
 
 from oracles import bit_equal, cv_oracle, pce_oracle, total_loss_grads_oracle
 
@@ -204,6 +205,20 @@ def test_cosine_conventions():
         cosine_similarity(np.zeros(3), np.zeros(4))
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_value_steps_equal_full_values_bit_for_bit(seed):
+    # Gradient checks difference the value steps alone; the full functions
+    # must report the very same value.
+    rng = np.random.default_rng(seed)
+    K, H, W = 3, int(rng.integers(1, 6)), int(rng.integers(2, 6))
+    image = Image(rng.random((H, W)))
+    pred = softmax(LogitField(3.0 * rng.normal(size=(K, H, W))))
+    for smooth in (False, True):
+        assert _tv_value(pred, smooth)[0].hex() == tv_term(pred, smooth)[0].hex()
+    for freeze in (False, True):
+        assert _ms_value(image, pred)[0].hex() == ms_data_term(image, pred, freeze)[0].hex()
+
+
 # contrastive variance loss
 
 
@@ -292,6 +307,9 @@ def test_cv_matches_per_anchor_oracle(seed, present, tau):
                                [p.probabilities for p in preds], present, partners, tau)
     assert res.num_anchors == anchors
     assert res.contrastive == pytest.approx(value, rel=1e-9, abs=1e-9)
+    # The value step the finite-difference checks evaluate is cv_loss's own value.
+    only_value = _cv_value(images, preds, present, PairingPlan(partners), tau)[0]
+    assert only_value.hex() == res.contrastive.hex()
 
 
 def test_cv_loss_freeze_means_is_keyword_only():
