@@ -286,11 +286,11 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_sweep(args) -> int:
     base = _resolve_train_config(args)
+    configs = [dataclasses.replace(base, **{args.parameter: value}) for value in args.values]
     _, train_samples, eval_samples = _load_splits(args.data, "train", "test")
     os.makedirs(args.out, exist_ok=True)
     rows = []
-    for i, value in enumerate(args.values):
-        config = dataclasses.replace(base, **{args.parameter: value})
+    for i, (value, config) in enumerate(zip(args.values, configs)):
         run_dir = os.path.join(args.out, f"run_{i:03d}_{args.parameter}_{value:g}")
         state = _train_once(train_samples, config, run_dir, args.data)
         preds, report = _evaluate_params(

@@ -36,6 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import train
+from .data import Sample
 from .grids import Image, LogitField, _trusted, finite_diff_grad, softmax, softmax_backward
 from .losses import (
     LOG_CLAMP,
@@ -51,7 +53,6 @@ from .losses import (
     cv_loss,
     ms_data_term,
     partial_cross_entropy,
-    total_loss,
     tv_term,
 )
 from .models import (
@@ -63,8 +64,6 @@ from .models import (
     _maxpool2_backward,
     _upsample2,
     _upsample2_backward,
-    backward,
-    forward,
     init_params,
 )
 from .seeding import keyed_rng
@@ -503,17 +502,8 @@ def check_end_to_end(kind: str, mode: str, trials: int = 4, seed: int = 0) -> Co
                 tuple((int(p // W), int(p % W), k) for k, p in enumerate(pixels)), K))
         plan = PairingPlan({(n, k): (n + 1) % batch for n in range(batch) for k in range(K)})
         settings = LossSettings(lambda_cv=0.3, lambda_ms=0.3, mu=1e-2, tau=0.07)
-
-        fields, caches = [], []
-        for image, image_id in zip(images, ids):
-            lf, cache = forward(params, spec, image, image_id)
-            fields.append(lf)
-            caches.append(cache)
-        bd = total_loss(mode, images, fields, anns, plan, settings)
-        analytic = {}
-        for cache, g in zip(caches, bd.grad_wrt_logits):
-            for name, arr in backward(params, spec, cache, g).items():
-                analytic[name] = analytic[name] + arr if name in analytic else arr.copy()
+        samples = [Sample(iid, im, annotation=ann) for iid, im, ann in zip(ids, images, anns)]
+        _, analytic = train.batch_gradients(params, spec, samples, plan, mode, settings)
 
         cvalues = {n: v.astype(complex) for n, v in params.values.items()}
         if kind == "conv-ed":

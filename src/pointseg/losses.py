@@ -84,7 +84,6 @@ class PairingPlan:
 class LossBreakdown:
     """Mode-selected objective with its components and per-image logit gradients."""
 
-    mode: str
     pce: float
     ms_data: float
     cv_contrastive: float
@@ -399,4 +398,4 @@ def total_loss(mode: str, images, logit_fields, annotations, plan: PairingPlan,
         total = pce_sum + term + settings.mu * tv_sum
 
     grad_logits = [softmax_backward(pred, g) for pred, g in zip(preds, grads_probs)]
-    return LossBreakdown(mode, pce_sum, ms_sum, cv_sum, tv_sum, total, grad_logits)
+    return LossBreakdown(pce_sum, ms_sum, cv_sum, tv_sum, total, grad_logits)

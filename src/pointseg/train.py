@@ -1,9 +1,13 @@
-"""Training loop: SGD with momentum, poly LR decay, seeded batch assembly.
+"""Training: the batch gradient, SGD with momentum, poly LR decay, seeded
+batch assembly and the loop.
 
-Every source of randomness (epoch permutations, positive-pair draws,
-augmentation) is a keyed stream, so two runs with the same config and dataset
-produce bit-identical parameter trajectories and checkpoints. Gradients
-accumulate over the batch in fixed image order.
+`batch_gradients` is the one forward, loss and backward step; the loop and the
+end-to-end gradient check both run it. Gradients accumulate over the batch in
+fixed image order. Every source of randomness (epoch permutations,
+positive-pair draws, augmentation) is a keyed stream, so two runs with the same
+config and dataset produce bit-identical parameter trajectories and
+checkpoints. The loop runs each step and its update under one floating-point
+guard, so a divergence names the iteration whose values first overflowed.
 
 Weight decay applies to convolution kernels only: decaying biases is
 conventional to skip, and decaying a transductive logit field would drag
@@ -14,7 +18,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -53,28 +57,27 @@ class TrainConfig:
             raise InvalidConfigError(f"unknown loss mode {self.mode!r}")
         if self.model_kind not in KINDS:
             raise InvalidConfigError(f"unknown model kind {self.model_kind!r}")
-        if self.tau <= 0:
-            raise InvalidConfigError("tau must be positive")
         if self.lr0 is None:
             # The transductive field tolerates hot steps; the conv stack
             # needs gentle ones or early momentum kicks kill its ReLUs.
             object.__setattr__(
                 self, "lr0", 0.05 if self.model_kind == "logit-field" else 0.001
             )
-        if self.lr0 <= 0:
-            raise InvalidConfigError("lr0 must be positive")
-        if self.power <= 0:
-            raise InvalidConfigError("power must be positive")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and not math.isfinite(value):
+                raise InvalidConfigError(f"{f.name} must be finite, got {value!r}")
+        for name in ("tau", "lr0", "power"):
+            if getattr(self, name) <= 0:
+                raise InvalidConfigError(f"{name} must be positive")
+        for name in ("lambda_cv", "lambda_ms", "mu", "weight_decay", "total_iterations",
+                     "checkpoint_every"):
+            if getattr(self, name) < 0:
+                raise InvalidConfigError(f"{name} must be nonnegative")
         if self.batch_size < 1:
             raise InvalidConfigError("batch_size must be at least 1")
-        if self.total_iterations < 0:
-            raise InvalidConfigError("total_iterations must be nonnegative")
         if not 0.0 <= self.momentum < 1.0:
             raise InvalidConfigError("momentum must lie in [0, 1)")
-        if self.weight_decay < 0:
-            raise InvalidConfigError("weight_decay must be nonnegative")
-        if self.checkpoint_every < 0:
-            raise InvalidConfigError("checkpoint_every must be nonnegative")
         object.__setattr__(self, "channels", tuple(int(c) for c in self.channels))
 
     def loss_settings(self) -> LossSettings:
@@ -160,6 +163,31 @@ def assemble_batch(samples, iteration: int, seed: int, batch_size: int):
     return batch, PairingPlan(partners)
 
 
+def batch_gradients(params: ModelParams, spec: ModelSpec, batch, plan: PairingPlan,
+                    mode: str, settings: LossSettings):
+    """One batch's loss and parameter gradients: (LossBreakdown, grads).
+
+    Forwards each sample, evaluates the mode's total loss over the batch and
+    pulls each image's logit gradient back through the network. Per-image
+    gradients are added in batch order; checkpoint bytes depend on it.
+    """
+    logits, caches = [], []
+    for s in batch:
+        lf, cache = forward(params, spec, s.image, s.id)
+        logits.append(lf)
+        caches.append(cache)
+    breakdown = total_loss(mode, [s.image for s in batch], logits,
+                           [s.annotation for s in batch], plan, settings)
+    grads = {}
+    for cache, g in zip(caches, breakdown.grad_wrt_logits):
+        for name, arr in backward(params, spec, cache, g).items():
+            if name in grads:
+                grads[name] += arr
+            else:
+                grads[name] = arr  # backward returns fresh arrays
+    return breakdown, grads
+
+
 def history_to_csv(history) -> str:
     lines = [",".join(HISTORY_COLUMNS)]
     for row in history:
@@ -175,8 +203,8 @@ def train_loop(samples, config: TrainConfig, checkpoint_dir=None) -> TrainState:
 
     Returns the final TrainState; when checkpoint_dir is given, writes
     checkpoint_final.bin plus checkpoint_NNNNNN.bin at the configured
-    cadence. Raises a divergence error naming the offending batch when the
-    loss stops being finite.
+    cadence. Raises a divergence error naming the iteration and batch whose
+    loss, gradient or update first went non-finite.
     """
     if not samples:
         raise InvalidInputError("training needs at least one sample")
@@ -206,41 +234,21 @@ def train_loop(samples, config: TrainConfig, checkpoint_dir=None) -> TrainState:
             batch = [augment_sample(s, config.seed, it) for s in batch]
         lr = poly_lr(config.lr0, it, config.total_iterations, config.power)
 
-        # Inputs were validated before the loop, so an overflow, an invalid
-        # operation or an invalid-input failure inside the step means the
-        # activations or gradients left the finite range.
+        # Inputs were validated before the loop, so an overflow or an invalid
+        # operation in the step or the update means values left the finite range.
         ids = ", ".join(s.id for s in batch)
         try:
             with np.errstate(over="raise", invalid="raise"):
-                fields, caches = [], []
-                for s in batch:
-                    lf, cache = forward(params, spec, s.image, s.id)
-                    fields.append(lf)
-                    caches.append(cache)
-                breakdown = total_loss(
-                    config.mode,
-                    [s.image for s in batch],
-                    fields,
-                    [s.annotation for s in batch],
-                    plan,
-                    settings,
-                )
+                breakdown, grads = batch_gradients(params, spec, batch, plan, config.mode, settings)
                 if not math.isfinite(breakdown.total):
                     raise TrainingDivergenceError(
                         f"non-finite loss at iteration {it} on batch [{ids}]"
                     )
-                grads = {}
-                for cache, g in zip(caches, breakdown.grad_wrt_logits):
-                    for name, arr in backward(params, spec, cache, g).items():
-                        if name in grads:
-                            grads[name] += arr
-                        else:
-                            grads[name] = arr  # backward returns fresh arrays
-        except (InvalidInputError, FloatingPointError) as exc:
+                sgd_step(params, grads, lr, config.momentum, config.weight_decay)
+        except FloatingPointError as exc:
             raise TrainingDivergenceError(
                 f"non-finite values at iteration {it} on batch [{ids}]: {exc}"
             ) from exc
-        sgd_step(params, grads, lr, config.momentum, config.weight_decay)
 
         state.iteration = it + 1
         state.history.append((

@@ -33,8 +33,6 @@ from pointseg import (
     cosine_similarity,
     cv_loss,
     dsc,
-    evaluate,
-    hard_mask,
     hd95,
     init_params,
     load_split,
@@ -45,9 +43,8 @@ from pointseg import (
     tv_term,
     variance_map,
 )
-from pointseg.cli import main
+from pointseg.cli import _evaluate_params, main
 from pointseg.gradcheck import run_all
-from pointseg.models import forward
 from pointseg.train import TrainConfig, poly_lr, sgd_step, train_loop
 
 # Shared training profile for the ablation and sweep criteria. One profile
@@ -164,9 +161,7 @@ def _train_and_score(root, mode, lam, profile, seed):
     if lam is not None:
         kw["lambda_cv"] = lam
     params = train_loop(load_split(root, "train"), TrainConfig(mode=mode, seed=seed, **kw)).params
-    test_s = load_split(root, "test")
-    preds = [hard_mask(softmax(forward(params, params.spec, s.image, s.id)[0])) for s in test_s]
-    return evaluate(preds, [s.mask for s in test_s]).dsc_average
+    return _evaluate_params(params, load_split(root, "test"), 0)[1].dsc_average
 
 
 @pytest.fixture(scope="session")

@@ -211,6 +211,25 @@ def test_train_divergence_exits_3(dataset, tmp_path, capsys):
     assert "divergence" in capsys.readouterr().err
 
 
+BAD_FLAGS = [
+    (["--lr0", "nan", "--model-kind", "logit-field"], "lr0"),
+    (["--lr0", "nan"], "lr0"),
+    (["--tau", "nan", "--mode", "pce+cv"], "tau"),
+    (["--lambda-cv", "-1", "--mode", "pce+cv"], "lambda_cv"),
+]
+
+
+@pytest.mark.parametrize("flags, field", BAD_FLAGS, ids=[" ".join(f) for f, _ in BAD_FLAGS])
+def test_non_finite_or_negative_flag_exits_2_naming_the_field(dataset, tmp_path, capsys,
+                                                             flags, field):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(TINY_TRAIN))
+    assert main(["train", "--config", str(cfg), "--data", str(dataset),
+                 "--out", str(tmp_path / "out"), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err
+
+
 def test_eval_writes_report_and_predictions(dataset, trained, tmp_path):
     out = tmp_path / "eval"
     assert main(["eval", "--checkpoint", str(trained / "checkpoint_final.bin"),
@@ -315,6 +334,16 @@ def test_sweep_orders_rows_and_writes_tables(dataset, tmp_path):
 def test_sweep_rejects_unknown_parameter(dataset, tmp_path):
     assert main(["sweep", "--data", str(dataset), "--out", str(tmp_path / "s"),
                  "--parameter", "power", "--values", "1,2"]) == 2
+
+
+def test_sweep_rejects_a_bad_value_before_any_run_trains(dataset, tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(TINY_TRAIN))
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(cfg), "--data", str(dataset), "--out", str(out),
+                 "--parameter", "lr0", "--values", "0.001,nan"]) == 2
+    assert "error: lr0 must be finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["train", "eval", "sweep"])

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from oracles import assemble_batch_oracle
 
+import pointseg.gradcheck
 import pointseg.grids
+import pointseg.train
 from pointseg import (
     Image,
     InvalidConfigError,
@@ -249,6 +251,20 @@ def test_config_rejects_bad_values():
             TrainConfig(**kw)
 
 
+@pytest.mark.parametrize("name", ["lambda_cv", "lambda_ms", "mu", "tau", "lr0", "power",
+                                  "weight_decay"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_config_rejects_non_finite_floats(name, value):
+    with pytest.raises(InvalidConfigError, match=name):
+        TrainConfig(**{name: value})
+
+
+@pytest.mark.parametrize("name", ["lambda_cv", "lambda_ms", "mu"])
+def test_config_rejects_negative_loss_weights(name):
+    with pytest.raises(InvalidConfigError, match=name):
+        TrainConfig(**{name: -1.0})
+
+
 # training loop
 
 
@@ -370,3 +386,37 @@ def test_train_rejects_mixed_shapes():
                  annotation=PointAnnotation(((0, 0, 0), (1, 1, 1)), 2))
     with pytest.raises(InvalidInputError):
         train_loop([a, odd], TrainConfig(total_iterations=1))
+
+
+def test_train_overflowing_update_reports_its_iteration(monkeypatch):
+    # Iteration 0's update stays finite; iteration 1's overflows inside sgd_step.
+    def cold_fields(spec, seed):
+        params = init_params(spec, seed)
+        for value in params.values.values():
+            value[...] = -1e308
+        return params
+
+    monkeypatch.setattr(pointseg.train, "init_params", cold_fields)
+    cfg = TrainConfig(mode="pce", model_kind="logit-field", lr0=1e308, batch_size=2,
+                      total_iterations=3, augment=False)
+    with pytest.raises(TrainingDivergenceError, match="iteration 1 "):
+        train_loop(tiny_dataset(2), cfg)
+
+
+@pytest.mark.parametrize("kind", ["conv-ed", "logit-field"])
+def test_training_and_gradcheck_share_one_batch_step(kind, monkeypatch):
+    calls = []
+    step = pointseg.train.batch_gradients
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(pointseg.train, "batch_gradients", counting)
+    extra = {"channels": (2, 2, 3, 2)} if kind == "conv-ed" else {}
+    train_loop(tiny_dataset(4), TrainConfig(model_kind=kind, total_iterations=3,
+                                            batch_size=2, **extra))
+    assert len(calls) == 3
+    calls.clear()
+    assert pointseg.gradcheck.check_end_to_end(kind, "pce+cv", trials=2).passed
+    assert len(calls) == 2
