@@ -66,12 +66,12 @@ result = cv_loss(images, preds, [(0, 1), (0, 1)], plan, tau=0.07,
                  lambda_cv=1.0)
 print(f"contrastive sum over {result.num_anchors} anchors: {result.contrastive:.4f}")
 
-# total_loss wires the pieces together per mode and differentiates the
-# whole thing back to the logits.
+# total_loss wires the pieces together in the mode its settings name and
+# differentiates the whole thing back to the logits.
 anns = [PointAnnotation(((0, 0, 0), (3, 3, 1)), 2),
         PointAnnotation(((1, 1, 0), (4, 4, 1)), 2)]
 for mode in ("pce", "pce+ms", "pce+cv"):
-    breakdown = total_loss(mode, images, logits, anns, plan, LossSettings())
+    breakdown = total_loss(images, logits, anns, plan, LossSettings(mode))
     print(f"{mode:7s} total {breakdown.total:9.4f}  "
           f"(pce {breakdown.pce:.4f}, ms {breakdown.ms_data:.4f}, "
           f"cv {breakdown.cv_contrastive:.4f}, tv {breakdown.tv:.4f})")

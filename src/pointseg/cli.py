@@ -7,9 +7,10 @@ directory. The run manifest is written before training starts and is the
 only artifact carrying a timestamp, so identical inputs and seeds reproduce
 every other output byte for byte.
 
-Training config is a JSON object whose keys match TrainConfig fields;
-command-line flags override file values. A previously written run manifest
-is also accepted as --config, which reruns the training it describes.
+Training config is a JSON object whose keys match TrainConfig fields; each
+field also has a --kebab-case flag, and flags override file values. A
+previously written run manifest is also accepted as --config, which reruns the
+training it describes.
 """
 
 from __future__ import annotations
@@ -129,26 +130,17 @@ def _resolve_train_config(args) -> TrainConfig:
     return _from_json(TrainConfig, raw, overrides, "config")
 
 
+# argparse types per declared field type; bools become --x/--no-x pairs.
+_FLAG_TYPES = {"float": float, "int": int, "str": str, "tuple": _parse_channels}
+_FLAG_CHOICES = {"mode": MODES, "model_kind": KINDS}
+
+
 def _add_config_flags(sub):
-    sub.add_argument("--mode", choices=MODES)
-    sub.add_argument("--lambda-cv", type=float, dest="lambda_cv")
-    sub.add_argument("--lambda-ms", type=float, dest="lambda_ms")
-    sub.add_argument("--mu", type=float)
-    sub.add_argument("--tau", type=float)
-    sub.add_argument("--lr0", type=float)
-    sub.add_argument("--power", type=float)
-    sub.add_argument("--momentum", type=float)
-    sub.add_argument("--weight-decay", type=float, dest="weight_decay")
-    sub.add_argument("--batch-size", type=int, dest="batch_size")
-    sub.add_argument("--total-iterations", type=int, dest="total_iterations")
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--model-kind", choices=KINDS, dest="model_kind")
-    sub.add_argument("--channels", type=_parse_channels)
-    sub.add_argument("--central-bias-width", type=int, dest="central_bias_width")
-    sub.add_argument("--freeze-means", action=argparse.BooleanOptionalAction,
-                     default=None, dest="freeze_means")
-    sub.add_argument("--augment", action=argparse.BooleanOptionalAction, default=None)
-    sub.add_argument("--checkpoint-every", type=int, dest="checkpoint_every")
+    """One --kebab-name flag per TrainConfig field; unset flags stay None."""
+    for f in dataclasses.fields(TrainConfig):
+        kind = ({"action": argparse.BooleanOptionalAction} if f.type == "bool"
+                else {"type": _FLAG_TYPES[f.type], "choices": _FLAG_CHOICES.get(f.name)})
+        sub.add_argument("--" + f.name.replace("_", "-"), dest=f.name, default=None, **kind)
 
 
 def _write_run_manifest(out_dir, config: TrainConfig, dataset_root) -> RunManifest:
@@ -261,6 +253,10 @@ def cmd_eval(args) -> int:
         raise InvalidInputError(
             f"checkpoint grid {spec.height}x{spec.width} does not match dataset "
             f"{manifest['H']}x{manifest['W']}")
+    if spec.kind == "logit-field" and not {s.id for s in samples} <= set(spec.image_ids):
+        raise InvalidInputError(
+            f"logit-field checkpoint has no fields for the {args.split} split: a logit "
+            "field scores only the train images it was fit on (--split train)")
     preds, report = _evaluate_params(params, samples, args.central_bias_width)
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "eval.json"), "w", encoding="utf-8") as fh:

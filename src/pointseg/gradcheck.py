@@ -44,6 +44,7 @@ from .losses import (
     MEAN_DENOM_EPS,
     COSINE_EPS,
     TV_SMOOTH_EPS,
+    MODES,
     LossSettings,
     PairingPlan,
     PointAnnotation,
@@ -56,6 +57,7 @@ from .losses import (
     tv_term,
 )
 from .models import (
+    KINDS,
     ModelParams,
     ModelSpec,
     _conv2d,
@@ -426,20 +428,20 @@ def _cx_tv_smooth(P):
     return np.sqrt(dh * dh + TV_SMOOTH_EPS).sum() + np.sqrt(dv * dv + TV_SMOOTH_EPS).sum()
 
 
-def _cx_objective(mode, logits_list, images, anns, plan, settings):
+def _cx_objective(logits_list, images, anns, plan, settings):
     preds = [_cx_softmax(lg) for lg in logits_list]
     total = 0.0 + 0.0j
     for pred, ann in zip(preds, anns):
         for r, c, k in ann.points:
             p = pred[k, r, c]
             total -= np.log(p if p.real > LOG_CLAMP else LOG_CLAMP + 0.0j)
-    if mode == "pce":
+    if settings.mode == "pce":
         return total
 
     def class_mean(image, pk):
         return (image.intensities * pk).sum() / (pk.sum() + MEAN_DENOM_EPS)
 
-    if mode == "pce+ms":
+    if settings.mode == "pce+ms":
         for image, pred in zip(images, preds):
             ms = 0.0 + 0.0j
             for k in range(pred.shape[0]):
@@ -501,9 +503,9 @@ def check_end_to_end(kind: str, mode: str, trials: int = 4, seed: int = 0) -> Co
             anns.append(PointAnnotation(
                 tuple((int(p // W), int(p % W), k) for k, p in enumerate(pixels)), K))
         plan = PairingPlan({(n, k): (n + 1) % batch for n in range(batch) for k in range(K)})
-        settings = LossSettings(lambda_cv=0.3, lambda_ms=0.3, mu=1e-2, tau=0.07)
+        settings = LossSettings(mode, lambda_cv=0.3, lambda_ms=0.3, mu=1e-2, tau=0.07)
         samples = [Sample(iid, im, annotation=ann) for iid, im, ann in zip(ids, images, anns)]
-        _, analytic = train.batch_gradients(params, spec, samples, plan, mode, settings)
+        _, analytic = train.batch_gradients(params, spec, samples, plan, settings)
 
         cvalues = {n: v.astype(complex) for n, v in params.values.items()}
         if kind == "conv-ed":
@@ -522,7 +524,7 @@ def check_end_to_end(kind: str, mode: str, trials: int = 4, seed: int = 0) -> Co
                     logits = [_cx_forward(cvalues, acts, layer)["head"] for acts in unperturbed]
                 else:
                     logits = [cvalues[f"field.{iid}"] for iid in ids]
-                value = _cx_objective(mode, logits, images, anns, plan, settings)
+                value = _cx_objective(logits, images, anns, plan, settings)
                 grad[i] = value.imag / COMPLEX_STEP
                 flat[i] = saved
             return grad.reshape(base.shape)
@@ -550,8 +552,8 @@ def run_components(seed: int = 0, trials: int = 50) -> list:
 def run_end_to_end(seed: int = 0, trials: int = 4) -> list:
     return [
         check_end_to_end(kind, mode, trials, seed)
-        for kind in ("logit-field", "conv-ed")
-        for mode in ("pce", "pce+ms", "pce+cv")
+        for kind in KINDS
+        for mode in MODES
     ]
 
 

@@ -12,9 +12,10 @@ back through :func:`pointseg.grids.softmax_backward` into logits. The terms:
   from different images together and pushing different-class maps apart,
   with temperature-scaled cosine similarities.
 
-:func:`total_loss` composes them per training mode: partial cross-entropy,
-plus either the data term or the contrastive term, plus TV as a regularizer
-in both of those modes.
+:func:`total_loss` composes them in the mode a :class:`LossSettings` names:
+partial cross-entropy, plus either the data term or the contrastive term, plus
+TV as a regularizer in both of those modes. LossSettings is the one validated
+description of that objective; the training config extends it.
 
 Integrals over the pixel domain are discretized as plain sums, unnormalized
 by pixel count, so loss weights are calibrated to a fixed resolution.
@@ -23,7 +24,7 @@ by pixel count, so loss weights are calibrated to a fixed resolution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -336,31 +337,42 @@ def cv_loss(images, preds, present, plan: PairingPlan, tau: float,
 
 @dataclass(frozen=True)
 class LossSettings:
-    """Hyperparameters shared by the composite objective.
+    """The training objective: its mode and weights, validated once here.
 
-    smooth_tv_value swaps the reported TV value for its smoothed surrogate;
-    derivative checks set it so the objective matches the gradient everywhere.
+    Every float field must be finite, a subclass's included; tau must be
+    positive and the weights nonnegative.
     """
 
+    mode: str = "pce+cv"
     lambda_cv: float = 0.3
     lambda_ms: float = 0.3
     mu: float = 1e-5
     tau: float = 0.07
     freeze_means: bool = False
-    smooth_tv_value: bool = False
+
+    def __post_init__(self):
+        if self.mode not in MODES:
+            raise InvalidConfigError(f"unknown loss mode {self.mode!r}; expected one of {MODES}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and not math.isfinite(value):
+                raise InvalidConfigError(f"{f.name} must be finite, got {value!r}")
+        if self.tau <= 0:
+            raise InvalidConfigError("tau must be positive")
+        for name in ("lambda_cv", "lambda_ms", "mu"):
+            if getattr(self, name) < 0:
+                raise InvalidConfigError(f"{name} must be nonnegative")
 
 
-def total_loss(mode: str, images, logit_fields, annotations, plan: PairingPlan,
+def total_loss(images, logit_fields, annotations, plan: PairingPlan,
                settings: LossSettings) -> LossBreakdown:
-    """Mode-selected training objective over a batch, differentiated to logits.
+    """The objective settings.mode selects over a batch, differentiated to logits.
 
     Modes: "pce" is the supervised term alone; "pce+ms" adds the weighted
     piecewise-constant data term and "pce+cv" the weighted contrastive-variance
     term, each with mu times the TV of every prediction. This is the one place
     TV joins the objective. Components a mode does not use are reported as 0.
     """
-    if mode not in MODES:
-        raise InvalidConfigError(f"unknown loss mode {mode!r}; expected one of {MODES}")
     n_images = len(images)
     if len(logit_fields) != n_images or len(annotations) != n_images:
         raise InvalidInputError("images, logits and annotations must align")
@@ -375,8 +387,8 @@ def total_loss(mode: str, images, logit_fields, annotations, plan: PairingPlan,
 
     ms_sum = cv_sum = tv_sum = 0.0
     total = pce_sum
-    if mode != "pce":
-        if mode == "pce+ms":
+    if settings.mode != "pce":
+        if settings.mode == "pce+ms":
             term_grads = []
             for image, pred in zip(images, preds):
                 ms_value, ms_grad = ms_data_term(image, pred, settings.freeze_means)
@@ -392,7 +404,7 @@ def total_loss(mode: str, images, logit_fields, annotations, plan: PairingPlan,
         # TV regularizes both modes. Its gradient meets the term's before the
         # pce gradient: checkpoint bytes depend on that order.
         for pred, grad, term_grad in zip(preds, grads_probs, term_grads):
-            tv_value, tv_grad = tv_term(pred, settings.smooth_tv_value)
+            tv_value, tv_grad = tv_term(pred)
             tv_sum += tv_value
             grad += settings.mu * tv_grad + term_grad
         total = pce_sum + term + settings.mu * tv_sum

@@ -1,12 +1,14 @@
 """Training: the batch gradient, SGD with momentum, poly LR decay, seeded
 batch assembly and the loop.
 
-`batch_gradients` is the one forward, loss and backward step; the loop and the
-end-to-end gradient check both run it. Gradients accumulate over the batch in
-fixed image order. Every source of randomness (epoch permutations,
-positive-pair draws, augmentation) is a keyed stream, so two runs with the same
-config and dataset produce bit-identical parameter trajectories and
-checkpoints. The loop runs each step and its update under one floating-point
+`TrainConfig` extends the objective's `LossSettings` with the optimizer,
+schedule, batching and model fields, so the loop hands its config to the loss
+as it is. `batch_gradients` is the one forward, loss and backward step; the
+loop and the end-to-end gradient check both run it. Gradients accumulate over
+the batch in fixed image order. Every source of randomness (epoch
+permutations, positive-pair draws, augmentation) is a keyed stream, so two
+runs with the same config and dataset produce bit-identical parameter
+trajectories and checkpoints. The loop runs each step and its update under one floating-point
 guard, so a divergence names the iteration whose values first overflowed.
 
 Weight decay applies to convolution kernels only: decaying biases is
@@ -18,26 +20,22 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import augment as augment_sample
 from .errors import InvalidConfigError, InvalidInputError, TrainingDivergenceError
-from .losses import MODES, LossSettings, PairingPlan, total_loss
+from .losses import LossSettings, PairingPlan, total_loss
 from .models import KINDS, DEFAULT_CHANNELS, ModelParams, ModelSpec, backward, forward, init_params, save_checkpoint
 from .seeding import keyed_rng
 
 
 @dataclass(frozen=True)
-class TrainConfig:
-    """Fully resolved training hyperparameters."""
+class TrainConfig(LossSettings):
+    """Fully resolved training hyperparameters: the objective's LossSettings
+    fields, then the optimizer, schedule, batching and model fields."""
 
-    mode: str = "pce+cv"
-    lambda_cv: float = 0.3
-    lambda_ms: float = 0.3
-    mu: float = 1e-5
-    tau: float = 0.07
     lr0: float = None  # per-kind default: 0.05 logit-field, 0.001 conv-ed
     power: float = 0.9
     momentum: float = 0.9
@@ -48,30 +46,23 @@ class TrainConfig:
     model_kind: str = "conv-ed"
     channels: tuple = DEFAULT_CHANNELS
     central_bias_width: int = 0
-    freeze_means: bool = False
     augment: bool = True
     checkpoint_every: int = 0  # 0 writes only the final checkpoint
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise InvalidConfigError(f"unknown loss mode {self.mode!r}")
-        if self.model_kind not in KINDS:
-            raise InvalidConfigError(f"unknown model kind {self.model_kind!r}")
         if self.lr0 is None:
             # The transductive field tolerates hot steps; the conv stack
             # needs gentle ones or early momentum kicks kill its ReLUs.
             object.__setattr__(
                 self, "lr0", 0.05 if self.model_kind == "logit-field" else 0.001
             )
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type == "float" and not math.isfinite(value):
-                raise InvalidConfigError(f"{f.name} must be finite, got {value!r}")
-        for name in ("tau", "lr0", "power"):
+        super().__post_init__()
+        if self.model_kind not in KINDS:
+            raise InvalidConfigError(f"unknown model kind {self.model_kind!r}")
+        for name in ("lr0", "power"):
             if getattr(self, name) <= 0:
                 raise InvalidConfigError(f"{name} must be positive")
-        for name in ("lambda_cv", "lambda_ms", "mu", "weight_decay", "total_iterations",
-                     "checkpoint_every"):
+        for name in ("weight_decay", "total_iterations", "checkpoint_every"):
             if getattr(self, name) < 0:
                 raise InvalidConfigError(f"{name} must be nonnegative")
         if self.batch_size < 1:
@@ -79,15 +70,6 @@ class TrainConfig:
         if not 0.0 <= self.momentum < 1.0:
             raise InvalidConfigError("momentum must lie in [0, 1)")
         object.__setattr__(self, "channels", tuple(int(c) for c in self.channels))
-
-    def loss_settings(self) -> LossSettings:
-        return LossSettings(
-            lambda_cv=self.lambda_cv,
-            lambda_ms=self.lambda_ms,
-            mu=self.mu,
-            tau=self.tau,
-            freeze_means=self.freeze_means,
-        )
 
 
 @dataclass
@@ -164,10 +146,10 @@ def assemble_batch(samples, iteration: int, seed: int, batch_size: int):
 
 
 def batch_gradients(params: ModelParams, spec: ModelSpec, batch, plan: PairingPlan,
-                    mode: str, settings: LossSettings):
+                    settings: LossSettings):
     """One batch's loss and parameter gradients: (LossBreakdown, grads).
 
-    Forwards each sample, evaluates the mode's total loss over the batch and
+    Forwards each sample, evaluates the settings' objective over the batch and
     pulls each image's logit gradient back through the network. Per-image
     gradients are added in batch order; checkpoint bytes depend on it.
     """
@@ -176,7 +158,7 @@ def batch_gradients(params: ModelParams, spec: ModelSpec, batch, plan: PairingPl
         lf, cache = forward(params, spec, s.image, s.id)
         logits.append(lf)
         caches.append(cache)
-    breakdown = total_loss(mode, [s.image for s in batch], logits,
+    breakdown = total_loss([s.image for s in batch], logits,
                            [s.annotation for s in batch], plan, settings)
     grads = {}
     for cache, g in zip(caches, breakdown.grad_wrt_logits):
@@ -226,7 +208,6 @@ def train_loop(samples, config: TrainConfig, checkpoint_dir=None) -> TrainState:
         spec = ModelSpec("conv-ed", K, H, W, channels=config.channels)
     params = init_params(spec, config.seed)
     state = TrainState(0, params)
-    settings = config.loss_settings()
 
     for it in range(config.total_iterations):
         batch, plan = assemble_batch(samples, it, config.seed, config.batch_size)
@@ -239,7 +220,7 @@ def train_loop(samples, config: TrainConfig, checkpoint_dir=None) -> TrainState:
         ids = ", ".join(s.id for s in batch)
         try:
             with np.errstate(over="raise", invalid="raise"):
-                breakdown, grads = batch_gradients(params, spec, batch, plan, config.mode, settings)
+                breakdown, grads = batch_gradients(params, spec, batch, plan, config)
                 if not math.isfinite(breakdown.total):
                     raise TrainingDivergenceError(
                         f"non-finite loss at iteration {it} on batch [{ids}]"

@@ -222,13 +222,14 @@ def conv_ed_per_tap(values, intensities, grad_logits):
     return logits, grads
 
 
-def total_loss_grads_oracle(mode, images, preds, annotations, plan, settings):
-    """Per-image logit gradients of the mode's objective, summed term by term.
+def total_loss_grads_oracle(images, preds, annotations, plan, settings):
+    """Per-image logit gradients of settings.mode's objective, summed term by term.
 
     Each image's probability gradient is pce + (mu * tv + term): the pce+ms
     term is lambda_ms times the data-term gradient, and for pce+cv each
     present class's contrastive gradient is added onto mu * tv on its own.
     """
+    mode = settings.mode
     if mode == "pce+cv":
         cv = cv_loss(images, preds, [a.classes for a in annotations], plan,
                      settings.tau, settings.lambda_cv, freeze_means=settings.freeze_means)

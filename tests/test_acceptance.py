@@ -267,7 +267,7 @@ def test_criterion_6_invariance_suite():
     rng = np.random.default_rng(11)
     images, logits, anns, present, plan = _invariance_batch(rng)
     preds = [softmax(lf) for lf in logits]
-    settings = LossSettings(lambda_cv=0.3, lambda_ms=0.3, mu=1e-5, tau=0.07)
+    settings = LossSettings("pce+cv", lambda_cv=0.3, lambda_ms=0.3, mu=1e-5, tau=0.07)
     worst = {}
 
     # horizontal flip equivariance of every component value
@@ -329,9 +329,8 @@ def test_criterion_6_invariance_suite():
     p_plan = PairingPlan(
         {(inverse[n], k): inverse[m] for (n, k), m in plan.partners.items()}
     )
-    base_total = total_loss("pce+cv", images, logits, anns, plan, settings).total
+    base_total = total_loss(images, logits, anns, plan, settings).total
     perm_total = total_loss(
-        "pce+cv",
         [images[i] for i in order],
         [logits[i] for i in order],
         [anns[i] for i in order],

@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -11,7 +13,9 @@ import pointseg
 import pointseg.data
 import pointseg.gradcheck
 from pointseg import TrainConfig
-from pointseg.cli import _from_json, main
+from pointseg.cli import _from_json, build_parser, main
+from pointseg.losses import MODES
+from pointseg.models import KINDS
 
 
 TINY_SPEC = {
@@ -264,6 +268,24 @@ def test_eval_checkpoint_dataset_mismatch_exits_2(trained, tmp_path, capsys):
     assert "classes" in capsys.readouterr().err
 
 
+def test_eval_logit_field_off_its_train_split_exits_2(dataset, tmp_path, capsys):
+    # A transductive field holds logits only for the train images it was fit
+    # on, so the default test split is rejected before any forward pass.
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(dict(TINY_TRAIN, model_kind="logit-field", total_iterations=1)))
+    run = tmp_path / "run"
+    assert main(["train", "--config", str(cfg), "--data", str(dataset), "--out", str(run)]) == 0
+    checkpoint = str(run / "checkpoint_final.bin")
+    out = tmp_path / "eval"
+    assert main(["eval", "--checkpoint", checkpoint, "--data", str(dataset),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "test split" in err and "--split train" in err
+    assert not out.exists()
+    assert main(["eval", "--checkpoint", checkpoint, "--data", str(dataset),
+                 "--out", str(out), "--split", "train"]) == 0
+
+
 def test_train_malformed_annotation_exits_2(dataset, tmp_path, capsys):
     data = tmp_path / "data"
     shutil.copytree(dataset, data)
@@ -368,6 +390,23 @@ def test_commands_read_each_dataset_json_file_once(dataset, trained, tmp_path, m
     }[command]
     assert main(argv + ["--data", str(dataset)]) == 0
     assert sorted(calls) == ["annotations.json", "manifest.json"]
+
+
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_config_flags_are_one_per_train_config_field(command):
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    actions = subparsers.choices[command]._actions
+    names = [f.name for f in dataclasses.fields(TrainConfig)]
+    flags = {a.dest: a for a in actions if a.dest in names}
+    assert sorted(a.dest for a in actions if a.dest in names) == sorted(names)
+    for f in dataclasses.fields(TrainConfig):
+        flag = "--" + f.name.replace("_", "-")
+        want = [flag, "--no-" + flag[2:]] if f.type == "bool" else [flag]
+        assert flags[f.name].option_strings == want
+        assert flags[f.name].default is None
+    assert flags["mode"].choices == MODES
+    assert flags["model_kind"].choices == KINDS
 
 
 def test_usage_errors_exit_2(capsys):

@@ -186,12 +186,12 @@ def test_complex_step_matches_real_forward():
         PointAnnotation(((2, 2, 0), (3, 3, 1)), K),
     ]
     plan = PairingPlan({(0, 0): 1, (0, 1): 1, (1, 0): 0, (1, 1): 0})
-    settings = LossSettings(tau=1.0)
+    settings = LossSettings("pce+cv", tau=1.0)
     value = gc._cx_objective(
-        "pce+cv", [z.astype(complex) for z in logits], images, anns, plan, settings
+        [z.astype(complex) for z in logits], images, anns, plan, settings
     )
     breakdown = total_loss(
-        "pce+cv", images, [LogitField(z) for z in logits], anns, plan, settings
+        images, [LogitField(z) for z in logits], anns, plan, settings
     )
     # TV enters the oracle through its smoothed surrogate; its weight is tiny.
     assert abs(value.real - breakdown.total) <= settings.mu * 1e-3 + 1e-12

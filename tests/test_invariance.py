@@ -97,13 +97,13 @@ def test_total_loss_flip_equivariant_every_mode(rng):
     images, logits, anns = _random_batch(rng)
     W = images[0].intensities.shape[1]
     plan = _full_plan(anns)
-    settings = LossSettings(tau=0.5)
     f_images = [Image(_flip(im.intensities)) for im in images]
     f_logits = [LogitField(_flip(lf.logits)) for lf in logits]
     f_anns = [_flip_ann(a, W) for a in anns]
     for mode in ("pce", "pce+ms", "pce+cv"):
-        a = total_loss(mode, images, logits, anns, plan, settings)
-        b = total_loss(mode, f_images, f_logits, f_anns, plan, settings)
+        settings = LossSettings(mode, tau=0.5)
+        a = total_loss(images, logits, anns, plan, settings)
+        b = total_loss(f_images, f_logits, f_anns, plan, settings)
         assert abs(a.total - b.total) <= 1e-9
         for ga, gb in zip(a.grad_wrt_logits, b.grad_wrt_logits):
             assert np.max(np.abs(_flip(ga) - gb)) <= 1e-9
@@ -154,16 +154,15 @@ def test_contrastive_invariant_to_per_image_intensity_shift(rng):
 def test_total_loss_invariant_to_batch_permutation(rng):
     images, logits, anns = _random_batch(rng, n=4)
     plan = _full_plan(anns)
-    settings = LossSettings(tau=0.5)
     order = [2, 0, 3, 1]
     inverse = {old: new for new, old in enumerate(order)}
     permuted_plan = PairingPlan({
         (inverse[n], k): inverse[m] for (n, k), m in plan.items()
     })
     for mode in ("pce", "pce+ms", "pce+cv"):
-        a = total_loss(mode, images, logits, anns, plan, settings)
+        settings = LossSettings(mode, tau=0.5)
+        a = total_loss(images, logits, anns, plan, settings)
         b = total_loss(
-            mode,
             [images[i] for i in order],
             [logits[i] for i in order],
             [anns[i] for i in order],

@@ -27,7 +27,7 @@ from pointseg import (
     variance_map,
 )
 from pointseg.gradcheck import fd_noise_floor
-from pointseg.losses import _cv_value, _ms_value, _tv_value
+from pointseg.losses import MODES, _cv_value, _ms_value, _tv_value
 
 from oracles import bit_equal, cv_oracle, pce_oracle, total_loss_grads_oracle
 
@@ -342,18 +342,20 @@ def _random_batch(seed, K=3, H=5, W=4, n=2):
     return images, fields, anns, plan
 
 
-def test_total_loss_rejects_unknown_mode():
-    images, fields, anns, plan = _random_batch(0)
-    with pytest.raises(InvalidConfigError):
-        total_loss("pce+tv", images, fields, anns, plan, LossSettings())
+def test_loss_settings_rejects_unknown_mode_and_nonpositive_tau():
+    # The objective is validated once, when its settings are built, so
+    # total_loss never meets a mode it does not know.
+    with pytest.raises(InvalidConfigError, match="mode"):
+        LossSettings(mode="pce+tv")
+    with pytest.raises(InvalidConfigError, match="tau"):
+        LossSettings(tau=0.0)
 
 
 def test_total_loss_mode_components():
     images, fields, anns, plan = _random_batch(1)
     s = LossSettings()
-    pce_only = total_loss("pce", images, fields, anns, plan, s)
-    with_ms = total_loss("pce+ms", images, fields, anns, plan, s)
-    with_cv = total_loss("pce+cv", images, fields, anns, plan, s)
+    pce_only, with_ms, with_cv = (
+        total_loss(images, fields, anns, plan, LossSettings(mode)) for mode in MODES)
     assert pce_only.ms_data == 0.0 and pce_only.cv_contrastive == 0.0 and pce_only.tv == 0.0
     assert pce_only.total == pytest.approx(pce_only.pce)
     assert with_ms.ms_data > 0.0 and with_ms.cv_contrastive == 0.0
@@ -369,9 +371,9 @@ def test_total_loss_mode_components():
 
 def test_total_loss_zero_weights_collapse_to_pce():
     images, fields, anns, plan = _random_batch(2)
-    collapsed = total_loss("pce+cv", images, fields, anns, plan,
-                           LossSettings(lambda_cv=0.0, mu=0.0))
-    plain = total_loss("pce", images, fields, anns, plan, LossSettings())
+    collapsed = total_loss(images, fields, anns, plan,
+                           LossSettings("pce+cv", lambda_cv=0.0, mu=0.0))
+    plain = total_loss(images, fields, anns, plan, LossSettings("pce"))
     assert collapsed.total == pytest.approx(plain.total, abs=1e-15)
     for a, b in zip(collapsed.grad_wrt_logits, plain.grad_wrt_logits):
         assert np.array_equal(a, b)
@@ -381,11 +383,11 @@ def test_total_loss_zero_weights_collapse_to_pce():
 def test_total_loss_gradient_sums_terms_in_order(mode):
     # Checkpoint bytes depend on the order of the additions, not only on
     # their values: TV and the mode's term meet first, then the pce gradient.
-    settings = LossSettings(mu=1e-2)
+    settings = LossSettings(mode, mu=1e-2)
     for seed in range(4):
         images, fields, anns, plan = _random_batch(seed)
-        breakdown = total_loss(mode, images, fields, anns, plan, settings)
-        want = total_loss_grads_oracle(mode, images, [softmax(f) for f in fields],
+        breakdown = total_loss(images, fields, anns, plan, settings)
+        want = total_loss_grads_oracle(images, [softmax(f) for f in fields],
                                        anns, plan, settings)
         for got, ref in zip(breakdown.grad_wrt_logits, want):
             assert bit_equal(got, ref)
@@ -394,16 +396,22 @@ def test_total_loss_gradient_sums_terms_in_order(mode):
 @pytest.mark.parametrize("mode", ["pce", "pce+ms", "pce+cv"])
 def test_total_loss_gradient_matches_finite_differences(mode):
     images, fields, anns, plan = _random_batch(4, K=2, H=4, W=3)
-    settings = LossSettings(mu=1e-3, smooth_tv_value=True)
+    settings = LossSettings(mode, mu=1e-3)
 
     def objective(flat):
+        # The TV gradient belongs to the smoothed surrogate, so differentiate
+        # the total with the surrogate's value in place of the exact TV.
         lf = [LogitField(flat[: 24].reshape(2, 4, 3)),
               LogitField(flat[24:].reshape(2, 4, 3))]
-        return total_loss(mode, images, lf, anns, plan, settings).total
+        b = total_loss(images, lf, anns, plan, settings)
+        if mode == "pce":
+            return b.total
+        smooth_tv = sum(tv_term(softmax(f), smooth_value=True)[0] for f in lf)
+        return b.total + settings.mu * (smooth_tv - b.tv)
 
     flat0 = np.concatenate([f.logits.reshape(-1) for f in fields])
     fd = finite_diff_grad(objective, flat0)
-    breakdown = total_loss(mode, images, fields, anns, plan, settings)
+    breakdown = total_loss(images, fields, anns, plan, settings)
     analytic = np.concatenate([g.reshape(-1) for g in breakdown.grad_wrt_logits])
     scale = np.maximum(np.abs(analytic), np.abs(fd))
     # Skip the band where central differences bottom out in float64 rounding;
@@ -415,4 +423,4 @@ def test_total_loss_gradient_matches_finite_differences(mode):
 
 def test_loss_settings_defaults():
     s = LossSettings()
-    assert (s.lambda_cv, s.lambda_ms, s.mu, s.tau) == (0.3, 0.3, 1e-5, 0.07)
+    assert (s.mode, s.lambda_cv, s.lambda_ms, s.mu, s.tau) == ("pce+cv", 0.3, 0.3, 1e-5, 0.07)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from pointseg import (
     Image,
     InvalidConfigError,
     InvalidInputError,
+    LossSettings,
     PointAnnotation,
     Sample,
     TrainConfig,
@@ -251,18 +253,27 @@ def test_config_rejects_bad_values():
             TrainConfig(**kw)
 
 
-@pytest.mark.parametrize("name", ["lambda_cv", "lambda_ms", "mu", "tau", "lr0", "power",
-                                  "weight_decay"])
+def _config_classes(names):
+    """(class, field) cases: TrainConfig on every name, then LossSettings on
+    the objective's own fields, which it validates without a training config."""
+    loss_fields = {f.name for f in dataclasses.fields(LossSettings)}
+    return ([pytest.param(TrainConfig, name, id=name) for name in names]
+            + [pytest.param(LossSettings, name, id=f"LossSettings-{name}")
+               for name in names if name in loss_fields])
+
+
+@pytest.mark.parametrize("cls, name", _config_classes(
+    ["lambda_cv", "lambda_ms", "mu", "tau", "lr0", "power", "weight_decay"]))
 @pytest.mark.parametrize("value", [math.nan, math.inf])
-def test_config_rejects_non_finite_floats(name, value):
+def test_config_rejects_non_finite_floats(cls, name, value):
     with pytest.raises(InvalidConfigError, match=name):
-        TrainConfig(**{name: value})
+        cls(**{name: value})
 
 
-@pytest.mark.parametrize("name", ["lambda_cv", "lambda_ms", "mu"])
-def test_config_rejects_negative_loss_weights(name):
+@pytest.mark.parametrize("cls, name", _config_classes(["lambda_cv", "lambda_ms", "mu"]))
+def test_config_rejects_negative_loss_weights(cls, name):
     with pytest.raises(InvalidConfigError, match=name):
-        TrainConfig(**{name: -1.0})
+        cls(**{name: -1.0})
 
 
 # training loop
