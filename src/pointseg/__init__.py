@@ -62,7 +62,6 @@ from .data import (  # noqa: E402
     SynthSpec,
     augment,
     generate_annotations,
-    load_dataset,
     load_manifest,
     load_split,
     read_pgm,

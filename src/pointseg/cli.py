@@ -28,7 +28,6 @@ from . import __version__, _bad_threads
 from .data import (
     SynthSpec,
     _load_splits,
-    load_dataset,
     load_split,
     read_json_object,
     save_dataset,
@@ -58,22 +57,6 @@ _PALETTE = (
     (230, 25, 75), (60, 180, 75), (255, 225, 25), (0, 130, 200),
     (245, 130, 48), (145, 30, 180), (70, 240, 240), (240, 50, 230),
 )
-
-
-@dataclasses.dataclass(frozen=True)
-class RunManifest:
-    """Reproducibility record written before a training run starts."""
-
-    config: dict
-    dataset_root: str
-    out_dir: str
-    seed: int
-    artifacts: dict
-    tool_version: str
-    created: str
-
-    def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True) + "\n"
 
 
 def _parse_channels(text: str) -> tuple:
@@ -143,23 +126,23 @@ def _add_config_flags(sub):
         sub.add_argument("--" + f.name.replace("_", "-"), dest=f.name, default=None, **kind)
 
 
-def _write_run_manifest(out_dir, config: TrainConfig, dataset_root) -> RunManifest:
-    manifest = RunManifest(
-        config=dataclasses.asdict(config),
-        dataset_root=str(dataset_root),
-        out_dir=str(out_dir),
-        seed=config.seed,
-        artifacts={
+def _write_run_manifest(out_dir, config: TrainConfig, dataset_root) -> None:
+    """The reproducibility record, written before a training run starts."""
+    manifest = {
+        "config": dataclasses.asdict(config),
+        "dataset_root": str(dataset_root),
+        "out_dir": str(out_dir),
+        "seed": config.seed,
+        "artifacts": {
             "final_checkpoint": "checkpoint_final.bin",
             "history_csv": "history.csv",
             "eval_json": "eval.json",
         },
-        tool_version=__version__,
-        created=datetime.now(timezone.utc).isoformat(),
-    )
+        "tool_version": __version__,
+        "created": datetime.now(timezone.utc).isoformat(),
+    }
     with open(os.path.join(out_dir, "run_manifest.json"), "w", encoding="utf-8") as fh:
-        fh.write(manifest.to_json())
-    return manifest
+        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _train_once(samples, config: TrainConfig, out_dir, dataset_root):
@@ -220,7 +203,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_annotate(args) -> int:
-    samples = load_dataset(args.data)
+    _, train, test = _load_splits(args.data, "train", "test")
+    samples = train + test
     if not samples:
         raise InvalidInputError(f"{args.data}: no dataset found")
     annotated = generate_annotations(samples, args.seed)
@@ -235,7 +219,7 @@ def cmd_train(args) -> int:
     state = _train_once(samples, config, args.out, args.data)
     if state.history:
         last = state.history[-1]
-        print(f"finished {state.iteration} iterations; final total loss {last[6]:.6f}")
+        print(f"finished {len(state.history)} iterations; final total loss {last[6]:.6f}")
     else:
         print("finished 0 iterations; checkpoint equals initialization")
     print(f"artifacts in {args.out}")
@@ -267,6 +251,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    for name in ("trials", "end_to_end_trials"):
+        if getattr(args, name) < 1:
+            raise InvalidConfigError(f"{name} must be at least 1, got {getattr(args, name)}")
     report = run_all(seed=args.seed, trials=args.trials,
                      end_to_end_trials=args.end_to_end_trials)
     print(report.format_table())
@@ -282,6 +269,10 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_sweep(args) -> int:
     base = _resolve_train_config(args)
+    if base.model_kind == "logit-field":
+        raise InvalidConfigError(
+            "model_kind logit-field cannot be swept: sweep scores every run on the "
+            "test split, and a logit field fits only the train images")
     configs = [dataclasses.replace(base, **{args.parameter: value}) for value in args.values]
     _, train_samples, eval_samples = _load_splits(args.data, "train", "test")
     os.makedirs(args.out, exist_ok=True)

@@ -326,20 +326,6 @@ def load_split(root, split: str) -> list:
     return _load_splits(root, split)[1]
 
 
-def load_dataset(root) -> list:
-    """Load every sample in the dataset, train split then test split.
-
-    A directory without any dataset files yields an empty list; a partially
-    populated one raises an ingest error naming the offending file.
-    """
-    if not os.path.exists(os.path.join(root, "manifest.json")):
-        if os.path.isdir(os.path.join(root, "images")):
-            raise IngestError(f"{os.path.join(root, 'manifest.json')}: missing manifest")
-        return []
-    _, train, test = _load_splits(root, "train", "test")
-    return train + test
-
-
 def generate_annotations(samples, seed: int) -> list:
     """One uniformly drawn pixel per class present in each sample's mask.
 

@@ -272,7 +272,7 @@ def check_tv(trials: int = 50, seed: int = 0) -> ComponentReport:
             if diffs.size == 0 or diffs.min() >= 1e-4:
                 break
         return ([logits], lambda preds: _tv_value(preds[0], smooth_value=True)[0],
-                lambda preds: [tv_term(preds[0], smooth_value=True)[1]])
+                lambda preds: [tv_term(preds[0])[1]])
 
     return _check("tv_term", trials, seed, _through_softmax(draw))
 
@@ -298,7 +298,7 @@ def check_cv(trials: int = 50, seed: int = 0) -> ComponentReport:
 
         def grads(preds):
             cv = cv_loss(images, preds, present, plan, tau=0.07, lambda_cv=0.3)
-            return [1e-2 * tv_term(pred, smooth_value=True)[1] + cv_grad
+            return [1e-2 * tv_term(pred)[1] + cv_grad
                     for pred, cv_grad in zip(preds, cv.grad_wrt_probs)]
 
         return logits, value, grads

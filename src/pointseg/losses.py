@@ -198,17 +198,17 @@ def _tv_value(pred: SoftPrediction, smooth_value: bool = False):
     return value, dh, dv
 
 
-def tv_term(pred: SoftPrediction, smooth_value: bool = False):
+def tv_term(pred: SoftPrediction):
     """Anisotropic total variation of the probability maps.
 
     Sums |forward horizontal difference| + |forward vertical difference| over
     all classes; differences reaching outside the grid contribute nothing.
     The reported value uses the exact absolute differences; the gradient is
     that of the smoothed surrogate sqrt(x^2 + 1e-12), which is 0 at kinks.
-    With smooth_value the surrogate is also used for the value, so gradient
-    checks can differentiate the very function the gradient belongs to.
+    Gradient checks differentiate that surrogate's value,
+    _tv_value(pred, smooth_value=True).
     """
-    value, dh, dv = _tv_value(pred, smooth_value)
+    value, dh, dv = _tv_value(pred)
     grad = np.zeros_like(pred.probabilities)
     uh = dh / np.sqrt(dh**2 + TV_SMOOTH_EPS)
     uv = dv / np.sqrt(dv**2 + TV_SMOOTH_EPS)

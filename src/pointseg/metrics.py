@@ -34,16 +34,12 @@ def hard_mask(pred: SoftPrediction) -> LabelMask:
     return LabelMask(np.argmax(pred.probabilities, axis=0), pred.num_classes)
 
 
-def _region(mask: LabelMask, k: int) -> np.ndarray:
-    return mask.classes == k
-
-
 def dsc(pred_mask: LabelMask, gt: LabelMask, k: int) -> float:
     """Dice similarity of class-k regions; empty-vs-empty scores 1.0."""
     if pred_mask.classes.shape != gt.classes.shape:
         raise InvalidInputError("prediction and ground truth shapes differ")
-    p = _region(pred_mask, k)
-    g = _region(gt, k)
+    p = pred_mask.classes == k
+    g = gt.classes == k
     denom = int(p.sum()) + int(g.sum())
     if denom == 0:
         return 1.0
@@ -63,8 +59,8 @@ def hd95(pred_mask: LabelMask, gt: LabelMask, k: int) -> float:
     """95th percentile of pooled symmetric boundary distances, in pixels."""
     if pred_mask.classes.shape != gt.classes.shape:
         raise InvalidInputError("prediction and ground truth shapes differ")
-    p = _region(pred_mask, k)
-    g = _region(gt, k)
+    p = pred_mask.classes == k
+    g = gt.classes == k
     H, W = p.shape
     if not p.any() and not g.any():
         return 0.0

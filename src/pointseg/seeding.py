@@ -12,12 +12,16 @@ import hashlib
 
 import numpy as np
 
+from .errors import InvalidConfigError
+
 
 def seed_words(*parts) -> list:
     """Flatten ints and strings into a list of nonnegative seed integers."""
     words = []
     for part in parts:
         if isinstance(part, (int, np.integer)):
+            if part < 0:
+                raise InvalidConfigError(f"seed must be nonnegative, got {int(part)}")
             words.append(int(part))
         else:
             digest = hashlib.sha256(str(part).encode("utf-8")).digest()

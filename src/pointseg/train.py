@@ -62,7 +62,7 @@ class TrainConfig(LossSettings):
         for name in ("lr0", "power"):
             if getattr(self, name) <= 0:
                 raise InvalidConfigError(f"{name} must be positive")
-        for name in ("weight_decay", "total_iterations", "checkpoint_every"):
+        for name in ("weight_decay", "total_iterations", "seed", "checkpoint_every"):
             if getattr(self, name) < 0:
                 raise InvalidConfigError(f"{name} must be nonnegative")
         if self.batch_size < 1:
@@ -74,9 +74,8 @@ class TrainConfig(LossSettings):
 
 @dataclass
 class TrainState:
-    """Mutable loop state: the iteration counter, parameters, loss history."""
+    """Mutable loop state: parameters and loss history, one row per iteration."""
 
-    iteration: int
     params: ModelParams
     history: list = field(default_factory=list)  # rows per HISTORY_COLUMNS
 
@@ -207,7 +206,7 @@ def train_loop(samples, config: TrainConfig, checkpoint_dir=None) -> TrainState:
     else:
         spec = ModelSpec("conv-ed", K, H, W, channels=config.channels)
     params = init_params(spec, config.seed)
-    state = TrainState(0, params)
+    state = TrainState(params)
 
     for it in range(config.total_iterations):
         batch, plan = assemble_batch(samples, it, config.seed, config.batch_size)
@@ -231,7 +230,6 @@ def train_loop(samples, config: TrainConfig, checkpoint_dir=None) -> TrainState:
                 f"non-finite values at iteration {it} on batch [{ids}]: {exc}"
             ) from exc
 
-        state.iteration = it + 1
         state.history.append((
             it, lr, breakdown.pce, breakdown.ms_data,
             breakdown.cv_contrastive, breakdown.tv, breakdown.total,

@@ -15,7 +15,7 @@ import pointseg.gradcheck
 from pointseg import TrainConfig
 from pointseg.cli import _from_json, build_parser, main
 from pointseg.losses import MODES
-from pointseg.models import KINDS
+from pointseg.models import KINDS, load_checkpoint
 
 
 TINY_SPEC = {
@@ -156,6 +156,35 @@ def test_train_flag_overrides_config(dataset, tmp_path, capsys):
     assert "checkpoint equals initialization" in capsys.readouterr().out
     manifest = json.loads((out / "run_manifest.json").read_text())
     assert manifest["config"]["total_iterations"] == 0
+
+
+def test_train_checkpoint_cadence(dataset, tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(TINY_TRAIN))
+    for total in (5, 4):
+        out = tmp_path / f"every2_of_{total}"
+        assert main(["train", "--config", str(cfg), "--data", str(dataset), "--out", str(out),
+                     "--checkpoint-every", "2", "--total-iterations", str(total)]) == 0
+        assert sorted(p.name for p in out.glob("checkpoint_*.bin")) == [
+            "checkpoint_000002.bin", "checkpoint_000004.bin", "checkpoint_final.bin"]
+    assert ((out / "checkpoint_000004.bin").read_bytes()
+            == (out / "checkpoint_final.bin").read_bytes())
+
+
+def test_train_channels_flag(dataset, tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(TINY_TRAIN))
+    out = tmp_path / "out"
+    argv = ["train", "--config", str(cfg), "--data", str(dataset), "--out", str(out),
+            "--total-iterations", "1", "--channels"]
+    assert main(argv + ["2,3,3,2"]) == 0
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["config"]["channels"] == [2, 3, 3, 2]
+    params = load_checkpoint(out / "checkpoint_final.bin", height=16, width=16)
+    assert params.spec.channels == (2, 3, 3, 2)
+    capsys.readouterr()
+    assert main(argv + ["2,x"]) == 2
+    assert "channels must be comma-separated integers: '2,x'" in capsys.readouterr().err
 
 
 def test_train_rejects_unknown_config_keys(dataset, tmp_path, capsys):
@@ -327,8 +356,8 @@ def test_gradcheck_passes(capsys):
 def test_gradcheck_detects_corruption(monkeypatch, capsys):
     real = pointseg.gradcheck.tv_term
 
-    def broken(pred, smooth_value=False):
-        value, grad = real(pred, smooth_value)
+    def broken(pred):
+        value, grad = real(pred)
         return value, grad * 1.01
     monkeypatch.setattr(pointseg.gradcheck, "tv_term", broken)
     assert main(["gradcheck", "--trials", "2", "--end-to-end-trials", "1"]) == 1
@@ -368,9 +397,58 @@ def test_sweep_rejects_a_bad_value_before_any_run_trains(dataset, tmp_path, caps
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["train", "eval", "sweep"])
+def test_sweep_rejects_a_logit_field_before_any_run_trains(dataset, tmp_path, capsys):
+    # A logit field has predictions only for the images it was fit on, and
+    # sweep scores every run on the test split.
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({**TINY_TRAIN, "model_kind": "logit-field"}))
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(cfg), "--data", str(dataset), "--out", str(out),
+                 "--parameter", "lambda_cv", "--values", "0.0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "logit-field" in err and "test split" in err
+    assert not out.exists()
+
+
+NEGATIVE_SEEDS = {
+    "synth": ["synth", "--seed", "-3"],
+    "annotate": ["annotate", "--seed", "-2"],
+    "train": ["train", "--seed", "-1"],
+    "sweep": ["sweep", "--seed", "-1", "--parameter", "lambda_cv", "--values", "0.0"],
+    "gradcheck": ["gradcheck", "--seed", "-1", "--trials", "1", "--end-to-end-trials", "1"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(NEGATIVE_SEEDS))
+def test_negative_seed_exits_2_and_writes_nothing(dataset, tmp_path, capsys, command):
+    argv = list(NEGATIVE_SEEDS[command])
+    if command in ("annotate", "train", "sweep"):
+        argv += ["--data", str(dataset)]
+    out = tmp_path / "out"
+    if command in ("synth", "train", "sweep"):
+        argv += ["--out", str(out)]
+    before = tree_digest(dataset)
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: seed must be nonnegative")
+    assert not out.exists()
+    assert tree_digest(dataset) == before
+
+
+@pytest.mark.parametrize("flag", ["--trials", "--end-to-end-trials"])
+def test_gradcheck_with_no_instances_exits_2(capsys, flag):
+    assert main(["gradcheck", flag, "0"]) == 2
+    out, err = capsys.readouterr()
+    assert "overall" not in out
+    assert err.startswith("error: ") and "must be at least 1" in err
+
+
+@pytest.mark.parametrize("command", ["annotate", "train", "eval", "sweep"])
 def test_commands_read_each_dataset_json_file_once(dataset, trained, tmp_path, monkeypatch,
                                                    command):
+    data = dataset
+    if command == "annotate":  # annotate rewrites its dataset, so it gets a copy
+        data = tmp_path / "data"
+        shutil.copytree(dataset, data)
     calls = []
     read = pointseg.data.read_json_object
 
@@ -382,14 +460,17 @@ def test_commands_read_each_dataset_json_file_once(dataset, trained, tmp_path, m
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({**TINY_TRAIN, "total_iterations": 1}))
     argv = {
+        "annotate": ["annotate", "--seed", "0"],
         "train": ["train", "--config", str(cfg), "--out", str(tmp_path / "run")],
         "eval": ["eval", "--checkpoint", str(trained / "checkpoint_final.bin"),
                  "--out", str(tmp_path / "eval")],
         "sweep": ["sweep", "--config", str(cfg), "--out", str(tmp_path / "sweep"),
                   "--parameter", "lambda_cv", "--values", "0.0"],
     }[command]
-    assert main(argv + ["--data", str(dataset)]) == 0
+    assert main(argv + ["--data", str(data)]) == 0
     assert sorted(calls) == ["annotations.json", "manifest.json"]
+    if command == "annotate":  # seed 0 as in the fixture: the same points for all samples
+        assert (data / "annotations.json").read_bytes() == (dataset / "annotations.json").read_bytes()
 
 
 @pytest.mark.parametrize("command", ["train", "sweep"])

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import pointseg.data
 from pointseg import (
     Image,
     IngestError,
@@ -19,7 +18,6 @@ from pointseg import (
     SynthSpec,
     augment,
     generate_annotations,
-    load_dataset,
     load_manifest,
     load_split,
     read_pgm,
@@ -27,7 +25,6 @@ from pointseg import (
     synth_generate,
     write_pgm,
 )
-from pointseg.data import read_json_object
 
 
 def small_spec(**kw):
@@ -306,33 +303,10 @@ def test_dataset_roundtrip_bit_identity(tmp_path):
         assert (tmp_path / "ds" / name).read_bytes() == (tmp_path / "ds2" / name).read_bytes()
 
 
-def test_load_dataset_empty_dir(tmp_path):
-    assert load_dataset(tmp_path / "nothing") == []
-
-
-def test_load_dataset_reads_each_json_file_once(tmp_path, monkeypatch):
-    root, _ = _saved_annotated(tmp_path)
-    want = load_split(root, "train") + load_split(root, "test")
-    calls = []
-
-    def counting(path):
-        calls.append(os.path.basename(path))
-        return read_json_object(path)
-
-    monkeypatch.setattr(pointseg.data, "read_json_object", counting)
-    got = load_dataset(root)
-    assert sorted(calls) == ["annotations.json", "manifest.json"]
-    assert [s.id for s in got] == [s.id for s in want]
-    for a, b in zip(got, want):
-        assert np.array_equal(a.image.intensities, b.image.intensities)
-        assert np.array_equal(a.mask.classes, b.mask.classes)
-        assert a.annotation == b.annotation
-
-
 def test_load_dataset_images_without_manifest(tmp_path):
     os.makedirs(tmp_path / "orphan" / "images")
-    with pytest.raises(IngestError):
-        load_dataset(tmp_path / "orphan")
+    with pytest.raises(IngestError, match="manifest.json"):
+        load_split(tmp_path / "orphan", "train")
 
 
 def test_mask_id_out_of_range_is_ingest_error(tmp_path):

@@ -69,8 +69,8 @@ def test_run_all_checks_no_probe(monkeypatch):
 def test_detects_a_corrupted_gradient(monkeypatch):
     real = gc.tv_term
 
-    def broken(pred, smooth_value=False):
-        value, grad = real(pred, smooth_value)
+    def broken(pred):
+        value, grad = real(pred)
         return value, grad * 1.01
     monkeypatch.setattr(gc, "tv_term", broken)
     report = gc.check_tv(trials=3, seed=0)

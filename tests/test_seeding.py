@@ -1,6 +1,7 @@
 import numpy as np
+import pytest
 
-from pointseg import keyed_rng, seed_words
+from pointseg import InvalidConfigError, keyed_rng, seed_words
 
 
 def test_same_key_same_stream():
@@ -30,3 +31,9 @@ def test_strings_hash_to_four_words():
 
 def test_mixed_parts_concatenate_in_order():
     assert seed_words(5, "x", 9) == [5] + seed_words("x") + [9]
+
+
+@pytest.mark.parametrize("parts", [(-1,), (0, "augment", np.int64(-7)), ("x", -2, 3)])
+def test_negative_integer_part_is_a_config_error(parts):
+    with pytest.raises(InvalidConfigError, match="seed must be nonnegative"):
+        seed_words(*parts)

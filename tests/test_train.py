@@ -248,6 +248,7 @@ def test_config_rejects_bad_values():
         {"total_iterations": -1},
         {"weight_decay": -0.1},
         {"checkpoint_every": -5},
+        {"seed": -1},
     ):
         with pytest.raises(InvalidConfigError):
             TrainConfig(**kw)
