@@ -1,10 +1,12 @@
 """Gradient verification suites: analytic backward passes against oracles.
 
-Two layers of checking:
+One trial loop, `_check`, runs every suite: each trial draws an instance and
+yields, per input, the analytic gradient, the oracle's and the noise below
+which the two cannot be told apart. There are two oracles:
 
 * Component suites compare each loss term and each network layer against
-  central finite differences in float64, all through one harness: each
-  trial draws its inputs, a scalar objective and the analytic gradients.
+  central finite differences in float64, through one adapter, `_differenced`:
+  each trial draws its inputs, a scalar objective and the analytic gradients.
   Loss terms are isolated by differentiating them with respect to logits
   through the softmax chain (itself checked on its own), so perturbed
   inputs never leave the simplex; layers are weighted by a random probe of
@@ -24,7 +26,7 @@ Two layers of checking:
   unchanged, so conv-ed's unperturbed activations are computed once a trial
   and each step recomputes only L and the layers after it.
 
-End-to-end objectives evaluate TV through its smoothed surrogate; the
+Both oracles evaluate TV through one smoothed surrogate, `_smooth_tv`; the
 production gradient is the exact derivative of that surrogate, while the
 reported TV value stays the exact sum of absolute differences.
 """
@@ -38,7 +40,7 @@ import numpy as np
 
 from . import train
 from .data import Sample
-from .grids import Image, LogitField, _trusted, finite_diff_grad, softmax, softmax_backward
+from .grids import FD_STEP, Image, LogitField, _trusted, finite_diff_grad, softmax, softmax_backward
 from .losses import (
     LOG_CLAMP,
     MEAN_DENOM_EPS,
@@ -58,7 +60,6 @@ from .losses import (
 )
 from .models import (
     KINDS,
-    ModelParams,
     ModelSpec,
     _conv2d,
     _conv2d_backward,
@@ -73,22 +74,21 @@ from .seeding import keyed_rng
 REL_TOL = 1e-4
 GRAD_FLOOR = 1e-7
 SOFTMAX_FLOOR = 1e-8
-FD_STEP = 1e-5
 COMPLEX_STEP = 1e-20
 EPS64 = float(np.finfo(np.float64).eps)
 
 
-def fd_noise_floor(value: float, step: float = FD_STEP) -> float:
+def fd_noise_floor(value: float) -> float:
     """Rounding floor of a central difference around a value of this size.
 
     Each evaluation of the objective rounds to a few ulps of its magnitude;
-    the division by 2*step turns that into an irreducible absolute error on
+    the division by 2*FD_STEP turns that into an irreducible absolute error on
     the difference quotient. Coordinates where analytic and numeric gradients
     agree to within this floor carry no information either way, so the fd
     suites do not count them as disagreement; the complex-step suites cover
     those coordinates without any differencing error.
     """
-    return 8.0 * EPS64 * abs(value) / (2.0 * step)
+    return 8.0 * EPS64 * abs(value) / (2.0 * FD_STEP)
 
 
 @dataclass(frozen=True)
@@ -132,50 +132,44 @@ class GradCheckReport:
         return "\n".join(lines)
 
 
-class _Worst:
-    """Running worst relative error across instances."""
-
-    def __init__(self):
-        self.err = 0.0
-        self.seed = -1
-        self.coordinate = -1
-        self.compared = 0
-
-    def update(self, analytic, numeric, trial, floor=GRAD_FLOOR, noise=0.0):
-        a = np.asarray(analytic).reshape(-1)
-        n = np.asarray(numeric).reshape(-1)
-        mask = (np.abs(a) > floor) & (np.abs(a - n) > noise)
-        self.compared += int((np.abs(a) > floor).sum())
-        if mask.any():
-            rel = np.abs(a - n)[mask] / np.maximum(np.abs(a[mask]), np.abs(n[mask]))
-            worst = float(rel.max())
-            if worst > self.err:
-                self.err = worst
-                self.seed = trial
-                self.coordinate = int(np.flatnonzero(mask)[int(rel.argmax())])
-
-    def report(self, name, instances, tolerance=REL_TOL) -> ComponentReport:
-        return ComponentReport(name, instances, self.compared, self.err, self.seed,
-                               self.coordinate, tolerance)
-
-
 def _check(name, trials, seed, draw, floor=GRAD_FLOOR, key=None) -> ComponentReport:
-    """Check one suite against central finite differences, trial by trial.
+    """Run one suite's trials and report the worst relative error over them.
 
     `draw(rng, probe)` builds trial t's instance from keyed_rng(seed,
-    "gradcheck", key, t), the key defaulting to the suite's name. It returns
-    (inputs, objective, analytic): a list of float64 arrays, the scalar
-    function of such a list, and its gradient with respect to each input.
+    "gradcheck", *key, t), the key defaulting to (name,), and yields
+    (analytic, oracle, noise) per input. Coordinates with |analytic| above
+    `floor` are compared unless the two agree to within the noise.
     `probe(shape)` draws a layer's output weights from the trial's second
     stream, keyed "probe" last.
     """
-    key = key or name
-    worst = _Worst()
+    key = key or (name,)
+    err, worst_trial, coordinate, compared = 0.0, -1, -1, 0
     for t in range(trials):
         def probe(shape):
-            return keyed_rng(seed, "gradcheck", key, t, "probe").normal(size=shape)
+            return keyed_rng(seed, "gradcheck", *key, t, "probe").normal(size=shape)
 
-        inputs, objective, analytic = draw(keyed_rng(seed, "gradcheck", key, t), probe)
+        for analytic, oracle, noise in draw(keyed_rng(seed, "gradcheck", *key, t), probe):
+            a = np.asarray(analytic).reshape(-1)
+            n = np.asarray(oracle).reshape(-1)
+            above = np.abs(a) > floor
+            compared += int(above.sum())
+            mask = above & (np.abs(a - n) > noise)
+            if mask.any():
+                rel = np.abs(a - n)[mask] / np.maximum(np.abs(a[mask]), np.abs(n[mask]))
+                worst = float(rel.max())
+                if worst > err:
+                    err, worst_trial = worst, t
+                    coordinate = int(np.flatnonzero(mask)[int(rel.argmax())])
+    return ComponentReport(name, trials, compared, err, worst_trial, coordinate, REL_TOL)
+
+
+def _differenced(draw):
+    """Adapt to `_check` a draw that returns (inputs, objective, analytic):
+    a list of float64 arrays, the scalar function of such a list and its
+    gradient w.r.t. each input. Each input is central-differenced alone, and
+    the noise is the rounding floor of the objective's value."""
+    def differenced(rng, probe):
+        inputs, objective, analytic = draw(rng, probe)
         noise = fd_noise_floor(objective(inputs))
         for i, (x, grad) in enumerate(zip(inputs, analytic)):
             def f(moved, i=i):
@@ -183,8 +177,9 @@ def _check(name, trials, seed, draw, floor=GRAD_FLOOR, key=None) -> ComponentRep
                 probed[i] = moved
                 return objective(probed)
 
-            worst.update(grad, finite_diff_grad(f, x), t, floor=floor, noise=noise)
-    return worst.report(name, trials)
+            yield grad, finite_diff_grad(f, x), noise
+
+    return differenced
 
 
 def _through_softmax(draw_term):
@@ -209,7 +204,7 @@ def _through_softmax(draw_term):
 
         return logits, objective, analytic
 
-    return draw
+    return _differenced(draw)
 
 
 def _probed(layer, g):
@@ -227,7 +222,7 @@ def check_softmax(trials: int = 100, seed: int = 0) -> ComponentReport:
         return [logits], lambda preds: float((g * preds[0].probabilities).sum()), lambda preds: [g]
 
     return _check("softmax_backward", trials, seed, _through_softmax(draw),
-                  floor=SOFTMAX_FLOOR, key="softmax")
+                  floor=SOFTMAX_FLOOR, key=("softmax",))
 
 
 def check_pce(trials: int = 50, seed: int = 0) -> ComponentReport:
@@ -265,13 +260,11 @@ def check_tv(trials: int = 50, seed: int = 0) -> ComponentReport:
         H, W = (int(rng.integers(2, 7)) for _ in range(2))
         while True:
             logits = rng.normal(size=(K, H, W))
-            P = softmax(_trusted(LogitField, logits)).probabilities
-            dh = np.abs(P[:, :, 1:] - P[:, :, :-1])
-            dv = np.abs(P[:, 1:, :] - P[:, :-1, :])
-            diffs = np.concatenate([dh.reshape(-1), dv.reshape(-1)])
+            _, dh, dv = _tv_value(softmax(_trusted(LogitField, logits)))
+            diffs = np.abs(np.concatenate([dh.reshape(-1), dv.reshape(-1)]))
             if diffs.size == 0 or diffs.min() >= 1e-4:
                 break
-        return ([logits], lambda preds: _tv_value(preds[0], smooth_value=True)[0],
+        return ([logits], lambda preds: _smooth_tv(preds[0].probabilities),
                 lambda preds: [tv_term(preds[0])[1]])
 
     return _check("tv_term", trials, seed, _through_softmax(draw))
@@ -293,7 +286,7 @@ def check_cv(trials: int = 50, seed: int = 0) -> ComponentReport:
         })
 
         def value(preds):
-            tv_sum = sum(_tv_value(pred, smooth_value=True)[0] for pred in preds)
+            tv_sum = sum(_smooth_tv(pred.probabilities) for pred in preds)
             return 0.3 * _cv_value(images, preds, present, plan, tau=0.07)[0] + 1e-2 * tv_sum
 
         def grads(preds):
@@ -316,7 +309,7 @@ def check_conv(kernel: int, trials: int = 50, seed: int = 0) -> ComponentReport:
         g = probe((cout, H, W))
         return [x, w, b], _probed(_conv2d, g), _conv2d_backward(x, w, g)
 
-    return _check(f"conv{kernel}x{kernel}", trials, seed, draw)
+    return _check(f"conv{kernel}x{kernel}", trials, seed, _differenced(draw))
 
 
 def check_relu(trials: int = 50, seed: int = 0) -> ComponentReport:
@@ -328,7 +321,7 @@ def check_relu(trials: int = 50, seed: int = 0) -> ComponentReport:
         g = probe(x.shape)
         return [x], _probed(lambda x: np.maximum(x, 0.0), g), [g * (x > 0)]
 
-    return _check("relu", trials, seed, draw)
+    return _check("relu", trials, seed, _differenced(draw))
 
 
 def check_maxpool(trials: int = 50, seed: int = 0) -> ComponentReport:
@@ -347,7 +340,7 @@ def check_maxpool(trials: int = 50, seed: int = 0) -> ComponentReport:
         g = probe(pooled.shape)
         return [x], _probed(lambda x: _maxpool2(x)[0], g), [_maxpool2_backward(idx, g, x.shape)]
 
-    return _check("maxpool2x2", trials, seed, draw)
+    return _check("maxpool2x2", trials, seed, _differenced(draw))
 
 
 def check_upsample(trials: int = 50, seed: int = 0) -> ComponentReport:
@@ -357,7 +350,15 @@ def check_upsample(trials: int = 50, seed: int = 0) -> ComponentReport:
         g = probe((C, 2 * H, 2 * W))
         return [x], _probed(_upsample2, g), [_upsample2_backward(g)]
 
-    return _check("upsample2x2", trials, seed, draw)
+    return _check("upsample2x2", trials, seed, _differenced(draw))
+
+
+def _smooth_tv(P):
+    """tv_term's smoothed surrogate sum sqrt(d^2 + eps) on real or complex
+    probabilities: the value both oracles differentiate."""
+    dh = P[:, :, 1:] - P[:, :, :-1]
+    dv = P[:, 1:, :] - P[:, :-1, :]
+    return np.sqrt(dh * dh + TV_SMOOTH_EPS).sum() + np.sqrt(dv * dv + TV_SMOOTH_EPS).sum()
 
 
 # Complex re-implementation of the forward passes for the end-to-end oracle.
@@ -422,12 +423,6 @@ def _cx_forward(values, acts, start="enc1"):
     return acts
 
 
-def _cx_tv_smooth(P):
-    dh = P[:, :, 1:] - P[:, :, :-1]
-    dv = P[:, 1:, :] - P[:, :-1, :]
-    return np.sqrt(dh * dh + TV_SMOOTH_EPS).sum() + np.sqrt(dv * dv + TV_SMOOTH_EPS).sum()
-
-
 def _cx_objective(logits_list, images, anns, plan, settings):
     preds = [_cx_softmax(lg) for lg in logits_list]
     total = 0.0 + 0.0j
@@ -447,7 +442,7 @@ def _cx_objective(logits_list, images, anns, plan, settings):
             for k in range(pred.shape[0]):
                 ck = class_mean(image, pred[k])
                 ms += ((image.intensities - ck) ** 2 * pred[k]).sum()
-            total += settings.lambda_ms * ms + settings.mu * _cx_tv_smooth(pred)
+            total += settings.lambda_ms * ms + settings.mu * _smooth_tv(pred)
         return total
 
     zmaps = {}
@@ -476,15 +471,13 @@ def _cx_objective(logits_list, images, anns, plan, settings):
         contrastive += shift / settings.tau + np.log(e.sum()) - sims[0] / settings.tau
     total += settings.lambda_cv * contrastive
     for pred in preds:
-        total += settings.mu * _cx_tv_smooth(pred)
+        total += settings.mu * _smooth_tv(pred)
     return total
 
 
 def check_end_to_end(kind: str, mode: str, trials: int = 4, seed: int = 0) -> ComponentReport:
     """Whole model+loss composition against the complex-step oracle."""
-    worst = _Worst()
-    for t in range(trials):
-        rng = keyed_rng(seed, "gradcheck", "end_to_end", kind, mode, t)
+    def draw(rng, probe):
         K, H, W = 2, 8, 8
         batch = 2
         ids = [f"img{n}" for n in range(batch)]
@@ -505,14 +498,13 @@ def check_end_to_end(kind: str, mode: str, trials: int = 4, seed: int = 0) -> Co
         plan = PairingPlan({(n, k): (n + 1) % batch for n in range(batch) for k in range(K)})
         settings = LossSettings(mode, lambda_cv=0.3, lambda_ms=0.3, mu=1e-2, tau=0.07)
         samples = [Sample(iid, im, annotation=ann) for iid, im, ann in zip(ids, images, anns)]
-        _, analytic = train.batch_gradients(params, spec, samples, plan, settings)
+        _, analytic = train.batch_gradients(params, samples, plan, settings)
 
         cvalues = {n: v.astype(complex) for n, v in params.values.items()}
         if kind == "conv-ed":
             unperturbed = [_cx_forward(cvalues, {"x": im.intensities[None].astype(complex)})
                            for im in images]
-
-        def oracle_grad(name):
+        for name in sorted(analytic):
             base = params.values[name]
             grad = np.zeros(base.size)
             flat = cvalues[name].reshape(-1)
@@ -527,11 +519,10 @@ def check_end_to_end(kind: str, mode: str, trials: int = 4, seed: int = 0) -> Co
                 value = _cx_objective(logits, images, anns, plan, settings)
                 grad[i] = value.imag / COMPLEX_STEP
                 flat[i] = saved
-            return grad.reshape(base.shape)
+            yield analytic[name], grad.reshape(base.shape), 0.0
 
-        for name in sorted(analytic):
-            worst.update(analytic[name], oracle_grad(name), t)
-    return worst.report(f"end_to_end[{kind},{mode}]", trials)
+    return _check(f"end_to_end[{kind},{mode}]", trials, seed, draw,
+                  key=("end_to_end", kind, mode))
 
 
 def run_components(seed: int = 0, trials: int = 50) -> list:

@@ -21,6 +21,7 @@ import numpy as np
 from .errors import InvalidInputError, OracleFailureError
 
 SIMPLEX_ATOL = 1e-9  # per-pixel probability sums must match 1 this closely
+FD_STEP = 1e-5       # central-difference step of finite_diff_grad
 
 
 def as_grid(values) -> np.ndarray:
@@ -124,25 +125,24 @@ def softmax_backward(pred: SoftPrediction, grad_wrt_probs: np.ndarray) -> np.nda
     return p * (g - inner)
 
 
-def finite_diff_grad(f, x: np.ndarray, step: float = 1e-5) -> np.ndarray:
+def finite_diff_grad(f, x: np.ndarray) -> np.ndarray:
     """Central-difference gradient estimate of a scalar function of a grid.
 
-    Perturbs one coordinate at a time: (f(x + h e_i) - f(x - h e_i)) / 2h.
-    This is the reference oracle every analytic backward pass in the package
-    is checked against; it deliberately knows nothing about the function.
+    Perturbs one coordinate at a time: (f(x + h e_i) - f(x - h e_i)) / 2h,
+    with h = FD_STEP. This is the reference oracle every analytic backward
+    pass in the package is checked against; it deliberately knows nothing
+    about the function.
     """
-    if step <= 0:
-        raise InvalidInputError("finite-difference step must be positive")
     x = np.asarray(x, dtype=np.float64)
     grad = np.zeros_like(x)
     flat = grad.reshape(-1)
     for i in range(x.size):
         probe = x.copy().reshape(-1)
-        probe[i] += step
+        probe[i] += FD_STEP
         hi = float(f(probe.reshape(x.shape)))
-        probe[i] -= 2.0 * step
+        probe[i] -= 2.0 * FD_STEP
         lo = float(f(probe.reshape(x.shape)))
         if not (np.isfinite(hi) and np.isfinite(lo)):
             raise OracleFailureError(f"non-finite function value at coordinate {i}")
-        flat[i] = (hi - lo) / (2.0 * step)
+        flat[i] = (hi - lo) / (2.0 * FD_STEP)
     return grad

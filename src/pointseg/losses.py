@@ -186,16 +186,12 @@ def ms_data_term(image: Image, pred: SoftPrediction, freeze_means: bool = False)
     return value, grad
 
 
-def _tv_value(pred: SoftPrediction, smooth_value: bool = False):
+def _tv_value(pred: SoftPrediction):
     """tv_term's value, with the forward differences its gradient reuses."""
     P = pred.probabilities
     dh = P[:, :, 1:] - P[:, :, :-1]
     dv = P[:, 1:, :] - P[:, :-1, :]
-    if smooth_value:
-        value = float(np.sqrt(dh**2 + TV_SMOOTH_EPS).sum() + np.sqrt(dv**2 + TV_SMOOTH_EPS).sum())
-    else:
-        value = float(np.abs(dh).sum() + np.abs(dv).sum())
-    return value, dh, dv
+    return float(np.abs(dh).sum() + np.abs(dv).sum()), dh, dv
 
 
 def tv_term(pred: SoftPrediction):
@@ -206,7 +202,7 @@ def tv_term(pred: SoftPrediction):
     The reported value uses the exact absolute differences; the gradient is
     that of the smoothed surrogate sqrt(x^2 + 1e-12), which is 0 at kinks.
     Gradient checks differentiate that surrogate's value,
-    _tv_value(pred, smooth_value=True).
+    gradcheck._smooth_tv(pred.probabilities).
     """
     value, dh, dv = _tv_value(pred)
     grad = np.zeros_like(pred.probabilities)

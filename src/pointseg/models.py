@@ -20,6 +20,7 @@ Writes go to a temp file in the same directory and are renamed into place.
 
 from __future__ import annotations
 
+import numbers
 import os
 import struct
 from dataclasses import dataclass
@@ -35,6 +36,15 @@ MOMENTUM_PREFIX = "momentum:"
 DEFAULT_CHANNELS = (16, 16, 32, 16)
 
 KINDS = ("logit-field", "conv-ed")
+
+
+def _checked_channels(channels) -> tuple:
+    """conv-ed's four positive widths as ints; a float or bool is rejected, not truncated."""
+    ch = tuple(channels)
+    if len(ch) != 4 or any(isinstance(c, bool) or not isinstance(c, numbers.Integral) or c < 1
+                           for c in ch):
+        raise InvalidConfigError(f"conv-ed needs 4 positive integer channel widths, got {channels}")
+    return tuple(int(c) for c in ch)
 
 
 @dataclass(frozen=True)
@@ -60,10 +70,7 @@ class ModelSpec:
                 raise InvalidConfigError(
                     f"conv-ed needs even height and width, got {self.height}x{self.width}"
                 )
-            ch = tuple(int(c) for c in self.channels)
-            if len(ch) != 4 or any(c < 1 for c in ch):
-                raise InvalidConfigError(f"conv-ed needs 4 positive channel widths, got {self.channels}")
-            object.__setattr__(self, "channels", ch)
+            object.__setattr__(self, "channels", _checked_channels(self.channels))
         else:
             ids = tuple(str(i) for i in self.image_ids)
             if not ids or len(set(ids)) != len(ids):

@@ -27,7 +27,8 @@ import numpy as np
 from .data import augment as augment_sample
 from .errors import InvalidConfigError, InvalidInputError, TrainingDivergenceError
 from .losses import LossSettings, PairingPlan, total_loss
-from .models import KINDS, DEFAULT_CHANNELS, ModelParams, ModelSpec, backward, forward, init_params, save_checkpoint
+from .models import (KINDS, DEFAULT_CHANNELS, ModelParams, ModelSpec, _checked_channels, backward,
+                     forward, init_params, save_checkpoint)
 from .seeding import keyed_rng
 
 
@@ -62,14 +63,15 @@ class TrainConfig(LossSettings):
         for name in ("lr0", "power"):
             if getattr(self, name) <= 0:
                 raise InvalidConfigError(f"{name} must be positive")
-        for name in ("weight_decay", "total_iterations", "seed", "checkpoint_every"):
+        for name in ("weight_decay", "total_iterations", "seed", "central_bias_width",
+                     "checkpoint_every"):
             if getattr(self, name) < 0:
                 raise InvalidConfigError(f"{name} must be nonnegative")
         if self.batch_size < 1:
             raise InvalidConfigError("batch_size must be at least 1")
         if not 0.0 <= self.momentum < 1.0:
             raise InvalidConfigError("momentum must lie in [0, 1)")
-        object.__setattr__(self, "channels", tuple(int(c) for c in self.channels))
+        object.__setattr__(self, "channels", _checked_channels(self.channels))
 
 
 @dataclass
@@ -144,8 +146,7 @@ def assemble_batch(samples, iteration: int, seed: int, batch_size: int):
     return batch, PairingPlan(partners)
 
 
-def batch_gradients(params: ModelParams, spec: ModelSpec, batch, plan: PairingPlan,
-                    settings: LossSettings):
+def batch_gradients(params: ModelParams, batch, plan: PairingPlan, settings: LossSettings):
     """One batch's loss and parameter gradients: (LossBreakdown, grads).
 
     Forwards each sample, evaluates the settings' objective over the batch and
@@ -154,14 +155,14 @@ def batch_gradients(params: ModelParams, spec: ModelSpec, batch, plan: PairingPl
     """
     logits, caches = [], []
     for s in batch:
-        lf, cache = forward(params, spec, s.image, s.id)
+        lf, cache = forward(params, params.spec, s.image, s.id)
         logits.append(lf)
         caches.append(cache)
     breakdown = total_loss([s.image for s in batch], logits,
                            [s.annotation for s in batch], plan, settings)
     grads = {}
     for cache, g in zip(caches, breakdown.grad_wrt_logits):
-        for name, arr in backward(params, spec, cache, g).items():
+        for name, arr in backward(params, params.spec, cache, g).items():
             if name in grads:
                 grads[name] += arr
             else:
@@ -219,7 +220,7 @@ def train_loop(samples, config: TrainConfig, checkpoint_dir=None) -> TrainState:
         ids = ", ".join(s.id for s in batch)
         try:
             with np.errstate(over="raise", invalid="raise"):
-                breakdown, grads = batch_gradients(params, spec, batch, plan, config)
+                breakdown, grads = batch_gradients(params, batch, plan, config)
                 if not math.isfinite(breakdown.total):
                     raise TrainingDivergenceError(
                         f"non-finite loss at iteration {it} on batch [{ids}]"

@@ -410,6 +410,34 @@ def test_sweep_rejects_a_logit_field_before_any_run_trains(dataset, tmp_path, ca
     assert not out.exists()
 
 
+BAD_MODEL_CONFIGS = [
+    ("train", ["--channels", "2,3"], {}, "channel widths"),
+    ("train", ["--channels", "0,1,1,1"], {}, "channel widths"),
+    ("train", [], {"channels": [2.5, 3, 3, True]}, "channel widths"),
+    ("train", ["--central-bias-width", "-1"], {}, "central_bias_width"),
+    ("sweep", ["--channels", "1,1"], {}, "channel widths"),
+    ("sweep", ["--central-bias-width", "-1"], {}, "central_bias_width"),
+]
+
+
+@pytest.mark.parametrize("command, flags, values, field", BAD_MODEL_CONFIGS,
+                         ids=[f"{c} {' '.join(f) or json.dumps(v)}" for c, f, v, _ in BAD_MODEL_CONFIGS])
+def test_bad_model_config_exits_2_before_any_file_is_written(dataset, tmp_path, capsys,
+                                                             command, flags, values, field):
+    # Channel widths are four positive integers (a float or a bool is not
+    # truncated), and a negative central-bias width is rejected with the config.
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({**TINY_TRAIN, **values}))
+    out = tmp_path / "out"
+    argv = [command, "--config", str(cfg), "--data", str(dataset), "--out", str(out), *flags]
+    if command == "sweep":
+        argv += ["--parameter", "lambda_cv", "--values", "0.0"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err
+    assert not out.exists()
+
+
 NEGATIVE_SEEDS = {
     "synth": ["synth", "--seed", "-3"],
     "annotate": ["annotate", "--seed", "-2"],

@@ -94,6 +94,22 @@ def test_detects_a_corrupted_cv_gradient(monkeypatch):
     assert report.worst_rel_err > 1e-3
 
 
+@pytest.mark.parametrize("kind", ["conv-ed", "logit-field"])
+def test_complex_step_detects_a_corrupted_parameter_gradient(monkeypatch, kind):
+    real = gc.train.batch_gradients
+
+    def broken(*args, **kwargs):
+        breakdown, grads = real(*args, **kwargs)
+        name = max(grads)  # head.w or field.img1
+        return breakdown, {**grads, name: grads[name] * 1.01}
+    monkeypatch.setattr(gc.train, "batch_gradients", broken)
+    report = gc.check_end_to_end(kind, "pce", trials=1)
+    assert not report.passed
+    assert report.worst_rel_err > 1e-3
+    assert report.worst_seed == 0
+    assert report.worst_coordinate >= 0
+
+
 def test_check_cv_calls_the_full_cv_loss_once_per_trial(monkeypatch):
     calls = []
     real = gc.cv_loss
@@ -195,3 +211,31 @@ def test_complex_step_matches_real_forward():
     )
     # TV enters the oracle through its smoothed surrogate; its weight is tiny.
     assert abs(value.real - breakdown.total) <= settings.mu * 1e-3 + 1e-12
+
+
+# The verdicts of run_all(seed=0, trials=15, end_to_end_trials=1), the
+# benchmark's gradcheck instance, without the timing line. A refactor of the
+# suites or the trial loop must leave every count and worst error as it is.
+VERDICT_TABLE = """\
+component                        instances  compared  worst rel err  tolerance  result
+softmax_backward                       100      5706      1.961e-09      1e-04    PASS
+partial_cross_entropy                   15        90      0.000e+00      1e-04    PASS
+ms_data_term                            15      1127      0.000e+00      1e-04    PASS
+tv_term                                 15       469      0.000e+00      1e-04    PASS
+cv_loss                                 15       964      4.182e-07      1e-04    PASS
+conv3x3                                 15      1179      1.068e-09      1e-04    PASS
+conv1x1                                 15       730      0.000e+00      1e-04    PASS
+relu                                    15       488      1.403e-09      1e-04    PASS
+maxpool2x2                              15       250      5.937e-09      1e-04    PASS
+upsample2x2                             15       166      7.756e-11      1e-04    PASS
+end_to_end[logit-field,pce]              1         8      2.779e-16      1e-04    PASS
+end_to_end[logit-field,pce+ms]           1       256      6.401e-14      1e-04    PASS
+end_to_end[logit-field,pce+cv]           1       256      8.046e-14      1e-04    PASS
+end_to_end[conv-ed,pce]                  1       226      7.212e-13      1e-04    PASS
+end_to_end[conv-ed,pce+ms]               1       273      3.864e-13      1e-04    PASS
+end_to_end[conv-ed,pce+cv]               1       265      4.858e-14      1e-04    PASS"""
+
+
+def test_verdict_table_is_unchanged():
+    table = gc.run_all(seed=0, trials=15, end_to_end_trials=1).format_table()
+    assert table.rsplit("\n", 1)[0] == VERDICT_TABLE

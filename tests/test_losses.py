@@ -26,7 +26,7 @@ from pointseg import (
     tv_term,
     variance_map,
 )
-from pointseg.gradcheck import fd_noise_floor
+from pointseg.gradcheck import _smooth_tv, fd_noise_floor
 from pointseg.losses import MODES, _cv_value, _ms_value, _tv_value
 
 from oracles import bit_equal, cv_oracle, pce_oracle, total_loss_grads_oracle
@@ -184,7 +184,7 @@ def test_tv_smooth_value_overestimates_slightly():
     rng = np.random.default_rng(1)
     pred = softmax(LogitField(rng.normal(size=(2, 4, 4))))
     exact = tv_term(pred)[0]
-    smooth = _tv_value(pred, smooth_value=True)[0]
+    smooth = _smooth_tv(pred.probabilities)
     assert smooth >= exact
     assert smooth - exact <= 1e-4
 
@@ -404,7 +404,7 @@ def test_total_loss_gradient_matches_finite_differences(mode):
         b = total_loss(images, lf, anns, plan, settings)
         if mode == "pce":
             return b.total
-        smooth_tv = sum(_tv_value(softmax(f), smooth_value=True)[0] for f in lf)
+        smooth_tv = sum(_smooth_tv(softmax(f).probabilities) for f in lf)
         return b.total + settings.mu * (smooth_tv - b.tv)
 
     flat0 = np.concatenate([f.logits.reshape(-1) for f in fields])

@@ -249,6 +249,11 @@ def test_config_rejects_bad_values():
         {"weight_decay": -0.1},
         {"checkpoint_every": -5},
         {"seed": -1},
+        {"central_bias_width": -1},
+        {"channels": (2, 3)},
+        {"channels": (0, 1, 1, 1)},
+        {"channels": (2.5, 3, 3, 1)},
+        {"channels": (2, 3, 3, True)},
     ):
         with pytest.raises(InvalidConfigError):
             TrainConfig(**kw)
