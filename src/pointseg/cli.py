@@ -45,9 +45,9 @@ from .errors import (
 from .gradcheck import run_all
 from .grids import softmax
 from .losses import MODES
-from .metrics import evaluate, hard_mask
+from .metrics import check_central_bias_width, evaluate, hard_mask
 from .models import KINDS, forward, load_checkpoint
-from .train import TrainConfig, history_to_csv, train_loop
+from .train import TrainConfig, check_training_samples, history_to_csv, train_loop
 
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(TrainConfig)}
 _SWEEP_PARAMETERS = ("lambda_cv", "tau", "mu", "lr0")
@@ -216,6 +216,7 @@ def cmd_annotate(args) -> int:
 def cmd_train(args) -> int:
     config = _resolve_train_config(args)
     samples = load_split(args.data, "train")
+    check_training_samples(samples)
     state = _train_once(samples, config, args.out, args.data)
     if state.history:
         last = state.history[-1]
@@ -228,6 +229,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     manifest, samples = _load_splits(args.data, args.split)
+    check_central_bias_width(args.central_bias_width, manifest["W"])
     params = load_checkpoint(args.checkpoint, height=manifest["H"], width=manifest["W"])
     spec = params.spec
     if spec.num_classes != manifest["K"]:
@@ -274,7 +276,9 @@ def cmd_sweep(args) -> int:
             "model_kind logit-field cannot be swept: sweep scores every run on the "
             "test split, and a logit field fits only the train images")
     configs = [dataclasses.replace(base, **{args.parameter: value}) for value in args.values]
-    _, train_samples, eval_samples = _load_splits(args.data, "train", "test")
+    manifest, train_samples, eval_samples = _load_splits(args.data, "train", "test")
+    check_training_samples(train_samples)
+    check_central_bias_width(base.central_bias_width, manifest["W"])
     os.makedirs(args.out, exist_ok=True)
     rows = []
     for i, (value, config) in enumerate(zip(args.values, configs)):

@@ -16,15 +16,16 @@ which the two cannot be told apart. There are two oracles:
   halves each full term is built on, so the gradient is built once a trial.
 * End-to-end suites differentiate whole model+loss compositions with a
   complex-step oracle: an imaginary perturbation of one parameter propagates
-  through an independent complex re-implementation of the forward pass, and
-  the derivative is read off the imaginary part. There is no subtraction of
+  through the forward training runs (conv-ed's `walk_layers` on complex
+  values) and an independent complex restatement of the objective, and the
+  derivative is read off the imaginary part. There is no subtraction of
   nearby values, hence no cancellation noise, which matters because the
   composition's gradient entries span many orders of magnitude. Branch
   choices (ReLU, pooling argmax, log clamp) follow the real parts, so the
   oracle differentiates exactly the branch the production code takes.
-  A step at a parameter of layer L leaves every activation before L real and
+  A step at a parameter of layer L leaves every activation before L
   unchanged, so conv-ed's unperturbed activations are computed once a trial
-  and each step recomputes only L and the layers after it.
+  and each step walks the layers from L on.
 
 Both oracles evaluate TV through one smoothed surrogate, `_smooth_tv`; the
 production gradient is the exact derivative of that surrogate, while the
@@ -65,9 +66,11 @@ from .models import (
     _conv2d_backward,
     _maxpool2,
     _maxpool2_backward,
+    _relu,
     _upsample2,
     _upsample2_backward,
     init_params,
+    walk_layers,
 )
 from .seeding import keyed_rng
 
@@ -319,7 +322,7 @@ def check_relu(trials: int = 50, seed: int = 0) -> ComponentReport:
         C, H, W = int(rng.integers(1, 4)), int(rng.integers(2, 9)), int(rng.integers(2, 9))
         x = rng.uniform(0.2, 1.5, size=(C, H, W)) * rng.choice([-1.0, 1.0], size=(C, H, W))
         g = probe(x.shape)
-        return [x], _probed(lambda x: np.maximum(x, 0.0), g), [g * (x > 0)]
+        return [x], _probed(_relu, g), [g * (x > 0)]
 
     return _check("relu", trials, seed, _differenced(draw))
 
@@ -361,66 +364,13 @@ def _smooth_tv(P):
     return np.sqrt(dh * dh + TV_SMOOTH_EPS).sum() + np.sqrt(dv * dv + TV_SMOOTH_EPS).sum()
 
 
-# Complex re-implementation of the forward passes for the end-to-end oracle.
+# The end-to-end oracle's loss side, in complex arithmetic: the production
+# value steps drop imaginary parts (norms, float(), math.log).
 
 def _cx_softmax(logits):
     shift = logits.real.max(axis=0, keepdims=True)
     e = np.exp(logits - shift)
     return e / e.sum(axis=0, keepdims=True)
-
-
-def _cx_relu(x):
-    return np.where(x.real > 0, x, 0.0 + 0.0j)
-
-
-def _cx_conv(x, w, b):
-    cout, cin, kh, kw = w.shape
-    H, W = x.shape[1:]
-    ph, pw = kh // 2, kw // 2
-    xp = np.zeros((cin, H + 2 * ph, W + 2 * pw), dtype=complex)
-    xp[:, ph : ph + H, pw : pw + W] = x
-    out = np.zeros((cout, H, W), dtype=complex)
-    for i in range(kh):
-        for j in range(kw):
-            out += np.einsum("oc,chw->ohw", w[:, :, i, j], xp[:, i : i + H, j : j + W])
-    return out + b[:, None, None]
-
-
-def _cx_maxpool(x):
-    C, H, W = x.shape
-    windows = x.reshape(C, H // 2, 2, W // 2, 2).transpose(0, 1, 3, 2, 4).reshape(C, H // 2, W // 2, 4)
-    idx = windows.real.argmax(axis=3)
-    return np.take_along_axis(windows, idx[..., None], axis=3)[..., 0]
-
-
-# conv-ed's layers in order, each with its input built from the activations
-# before it: enc2's output a2 feeds enc3 through the pool and dec1 through
-# the concat.
-_CX_INPUTS = {
-    "enc1": lambda acts: acts["x"],
-    "enc2": lambda acts: acts["enc1"],
-    "enc3": lambda acts: _cx_maxpool(acts["enc2"]),
-    "dec1": lambda acts: np.concatenate(
-        [acts["enc2"], np.kron(acts["enc3"], np.ones((1, 2, 2)))], axis=0),
-    "head": lambda acts: acts["dec1"],
-}
-
-
-def _cx_forward(values, acts, start="enc1"):
-    """conv-ed's activations from layer `start` on, in complex arithmetic.
-
-    acts maps "x" to the (1, H, W) complex image and each layer before start
-    to its output (after the ReLU; "head" holds the logits), computed from
-    these values. A new dict is returned, so the activations of the
-    unperturbed parameters serve every perturbation of a later layer: a
-    complex step at layer L leaves everything before L unchanged.
-    """
-    acts = dict(acts)
-    layers = list(_CX_INPUTS)
-    for name in layers[layers.index(start):]:
-        out = _cx_conv(_CX_INPUTS[name](acts), values[f"{name}.w"], values[f"{name}.b"])
-        acts[name] = out if name == "head" else _cx_relu(out)
-    return acts
 
 
 def _cx_objective(logits_list, images, anns, plan, settings):
@@ -502,7 +452,7 @@ def check_end_to_end(kind: str, mode: str, trials: int = 4, seed: int = 0) -> Co
 
         cvalues = {n: v.astype(complex) for n, v in params.values.items()}
         if kind == "conv-ed":
-            unperturbed = [_cx_forward(cvalues, {"x": im.intensities[None].astype(complex)})
+            unperturbed = [walk_layers(cvalues, {"x": im.intensities[None].astype(complex)})
                            for im in images]
         for name in sorted(analytic):
             base = params.values[name]
@@ -513,7 +463,7 @@ def check_end_to_end(kind: str, mode: str, trials: int = 4, seed: int = 0) -> Co
                 saved = flat[i]
                 flat[i] = saved + 1j * COMPLEX_STEP
                 if kind == "conv-ed":
-                    logits = [_cx_forward(cvalues, acts, layer)["head"] for acts in unperturbed]
+                    logits = [walk_layers(cvalues, acts, layer)["head"] for acts in unperturbed]
                 else:
                     logits = [cvalues[f"field.{iid}"] for iid in ids]
                 value = _cx_objective(logits, images, anns, plan, settings)

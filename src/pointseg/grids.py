@@ -14,7 +14,7 @@ from validated ones (softmax output, augmented samples) skip the checks through
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,10 +33,11 @@ def as_grid(values) -> np.ndarray:
 
 
 def _trusted(cls, *values):
-    """Frozen dataclass `cls` built from validated field values without ``__post_init__``."""
+    """Frozen dataclass `cls` built from validated field values without ``__post_init__``;
+    the names come from ``cls.__dataclass_fields__``, not a ``fields()`` call per object."""
     obj = object.__new__(cls)
-    for f, value in zip(fields(cls), values, strict=True):
-        object.__setattr__(obj, f.name, value)
+    for name, value in zip(cls.__dataclass_fields__, values, strict=True):
+        object.__setattr__(obj, name, value)
     return obj
 
 

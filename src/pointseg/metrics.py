@@ -73,16 +73,22 @@ def hd95(pred_mask: LabelMask, gt: LabelMask, k: int) -> float:
     return float(np.percentile(pooled, 95))
 
 
+def check_central_bias_width(width: int, W: int) -> None:
+    """Reject a filter width that is negative or would blank all W columns."""
+    if not 0 <= 2 * width < W:
+        raise InvalidInputError(f"central-bias width {width} must lie in [0, {W / 2:g}) "
+                                f"on {W} columns: a width of half or more blanks them all")
+
+
 def central_bias_filter(pred_mask: LabelMask, width: int) -> LabelMask:
     """Reassign the left and right `width`-column bands to background."""
-    if width < 0:
-        raise InvalidInputError(f"filter width must be nonnegative, got {width}")
+    W = pred_mask.classes.shape[1]
+    check_central_bias_width(width, W)
     if width == 0:
         return pred_mask
     classes = pred_mask.classes.copy()
-    W = classes.shape[1]
-    classes[:, : min(width, W)] = 0
-    classes[:, max(W - width, 0):] = 0
+    classes[:, :width] = 0
+    classes[:, W - width:] = 0
     return LabelMask(classes, pred_mask.num_classes)
 
 

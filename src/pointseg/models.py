@@ -9,7 +9,8 @@ Two kinds share one interface:
   conv3x3 + ReLU -> conv3x3 + ReLU -> maxpool2x2 -> conv3x3 + ReLU ->
   nearest-neighbor upsample x2 -> channel concat with the pre-pool
   activation -> conv3x3 + ReLU -> conv1x1 to K logits. All 3x3 convolutions
-  use zero padding, so the output is exactly (K, H, W).
+  use zero padding, so the output is exactly (K, H, W). `CONV_ED_LAYERS` holds
+  this wiring; `walk_layers` runs it, on complex values too (gradcheck's oracle).
 
 Checkpoints are a flat binary format: the magic string ``PSCV1``, then for
 each entry a little-endian u32 name length, the UTF-8 name, a u32 rank,
@@ -138,7 +139,7 @@ def _pad_flat(x, ph, pw):
     if not (ph or pw):
         return x.reshape(C, H * W)
     Hp, Wp = H + 2 * ph, W + 2 * pw
-    xf = np.zeros((C, Hp * Wp + 2 * pw))
+    xf = np.zeros((C, Hp * Wp + 2 * pw), dtype=x.dtype)
     xf[:, : Hp * Wp].reshape(C, Hp, Wp)[:, ph : ph + H, pw : pw + W] = x
     return xf
 
@@ -161,7 +162,8 @@ def _conv2d(x, w, b=None):
     ph, pw = kh // 2, kw // 2
     Wp = W + 2 * pw
     xf = _pad_flat(x, ph, pw)
-    out = np.zeros((cout, H * Wp)) if b is None else np.broadcast_to(b[:, None], (cout, H * Wp)).copy()
+    out = (np.zeros((cout, H * Wp), dtype=x.dtype) if b is None
+           else np.broadcast_to(b[:, None], (cout, H * Wp)).copy())
     stacked = 1 < cout < cin
     if stacked:
         planes = (w.transpose(2, 3, 0, 1).reshape(-1, cin) @ xf).reshape(kh, kw, cout, -1)
@@ -212,13 +214,22 @@ def _taps2(x):
     return x[:, 0::2, 0::2], x[:, 0::2, 1::2], x[:, 1::2, 0::2], x[:, 1::2, 1::2]
 
 
+def _relu(z):
+    """max(z, 0) by the real part: np.maximum on float64, but a complex z with
+    real part 0 maps to 0 (np.maximum would keep it), as backward's mask a > 0 does."""
+    if np.iscomplexobj(z):
+        return np.where(z.real > 0, z, 0)
+    return np.maximum(z, 0.0)
+
+
 def _maxpool2(x):
-    """2x2 max pooling; ties go to the first position in row-major window order."""
+    """2x2 max pooling by the real part; ties go to the first position in
+    row-major window order."""
     taps = _taps2(x)
     out = taps[0]
     idx = np.zeros(out.shape, dtype=np.intp)
     for t in range(1, 4):
-        better = taps[t] > out
+        better = taps[t].real > out.real
         out = np.where(better, taps[t], out)
         idx = np.where(better, t, idx)
     return out, idx
@@ -250,6 +261,44 @@ def _upsample2_backward(grad_out):
     return out
 
 
+def _pool(acts):
+    acts["pooled"], acts["idx"] = _maxpool2(acts["enc2"])
+    return acts["pooled"]
+
+
+def _skip_concat(acts):
+    acts["cat"] = np.concatenate([acts["enc2"], _upsample2(acts["enc3"])], axis=0)
+    return acts["cat"]
+
+
+# conv-ed's layers in order, each with its input built from the activations
+# before it ("x" is the image, a layer's name its output after the ReLU). The
+# builders of enc3's pooled and dec1's skip-concat inputs keep them for backward.
+CONV_ED_LAYERS = {
+    "enc1": lambda acts: acts["x"],
+    "enc2": lambda acts: acts["enc1"],
+    "enc3": _pool,
+    "dec1": _skip_concat,
+    "head": lambda acts: acts["dec1"],
+}
+
+
+def walk_layers(values, acts, start="enc1"):
+    """Run conv-ed from layer `start` on. acts holds the image ("x") and, for a
+    later start, what the layers before it made from these values; the result
+    is a copy with the remaining layers added ("head" holds the logits), so one
+    walk's activations serve every walk that starts at a later layer."""
+    acts = dict(acts)
+    names = list(CONV_ED_LAYERS)
+    for name in names[names.index(start):]:
+        # The pre-activation is replaced, not kept, so it is freed before the
+        # next layer allocates.
+        acts[name] = _conv2d(CONV_ED_LAYERS[name](acts), values[f"{name}.w"], values[f"{name}.b"])
+        if name != "head":
+            acts[name] = _relu(acts[name])
+    return acts
+
+
 def forward(params: ModelParams, spec: ModelSpec, image: Image, image_id=None):
     """Predict logits for one image; returns (LogitField, cache for backward)."""
     if image.intensities.shape != (spec.height, spec.width):
@@ -263,21 +312,8 @@ def forward(params: ModelParams, spec: ModelSpec, image: Image, image_id=None):
             raise InvalidInputError(f"no logit field for image id {image_id!r}")
         return LogitField(params.values[name].copy()), {"kind": spec.kind, "name": name}
 
-    v = params.values
-    x0 = image.intensities[None, :, :]
-    a1 = np.maximum(_conv2d(x0, v["enc1.w"], v["enc1.b"]), 0.0)
-    a2 = np.maximum(_conv2d(a1, v["enc2.w"], v["enc2.b"]), 0.0)
-    pooled, idx = _maxpool2(a2)
-    a3 = np.maximum(_conv2d(pooled, v["enc3.w"], v["enc3.b"]), 0.0)
-    cat = np.concatenate([a2, _upsample2(a3)], axis=0)
-    a4 = np.maximum(_conv2d(cat, v["dec1.w"], v["dec1.b"]), 0.0)
-    logits = _conv2d(a4, v["head.w"], v["head.b"])
-    cache = {
-        "kind": spec.kind,
-        "x0": x0, "a1": a1, "a2": a2, "pooled": pooled, "idx": idx,
-        "a3": a3, "cat": cat, "a4": a4,
-    }
-    return LogitField(logits), cache
+    acts = walk_layers(params.values, {"kind": spec.kind, "x": image.intensities[None, :, :]})
+    return LogitField(acts.pop("head")), acts
 
 
 def backward(params: ModelParams, spec: ModelSpec, cache: dict, grad_wrt_logits: np.ndarray) -> dict:
@@ -291,27 +327,27 @@ def backward(params: ModelParams, spec: ModelSpec, cache: dict, grad_wrt_logits:
     if spec.kind == "logit-field":
         return {cache["name"]: g.copy()}
 
-    v = params.values
+    grads = {}
+
+    def back(name, x, grad_out, need_input=True):
+        """Layer `name`'s input gradient; its kernel and bias gradients go to grads."""
+        grad_x, grads[f"{name}.w"], grads[f"{name}.b"] = _conv2d_backward(
+            x, params.values[f"{name}.w"], grad_out, need_input)
+        return grad_x
+
     c2 = spec.channels[1]
     # Masks apply in place (g * mask's -0.0 kept), except on enc2's strided crop.
-    grad_a4, g_head_w, g_head_b = _conv2d_backward(cache["a4"], v["head.w"], g)
-    grad_a4 *= cache["a4"] > 0
-    grad_cat, g_dec1_w, g_dec1_b = _conv2d_backward(cache["cat"], v["dec1.w"], grad_a4)
+    grad_a4 = back("head", cache["dec1"], g)
+    grad_a4 *= cache["dec1"] > 0
+    grad_cat = back("dec1", cache["cat"], grad_a4)
     grad_a3 = _upsample2_backward(grad_cat[c2:])
-    grad_a3 *= cache["a3"] > 0
-    grad_pooled, g_enc3_w, g_enc3_b = _conv2d_backward(cache["pooled"], v["enc3.w"], grad_a3)
-    grad_a2 = grad_cat[:c2] + _maxpool2_backward(cache["idx"], grad_pooled, cache["a2"].shape)
-    grad_a2 *= cache["a2"] > 0
-    grad_a1, g_enc2_w, g_enc2_b = _conv2d_backward(cache["a1"], v["enc2.w"], grad_a2)
-    grad_z1 = grad_a1 * (cache["a1"] > 0)
-    _, g_enc1_w, g_enc1_b = _conv2d_backward(cache["x0"], v["enc1.w"], grad_z1, need_input=False)
-    return {
-        "enc1.w": g_enc1_w, "enc1.b": g_enc1_b,
-        "enc2.w": g_enc2_w, "enc2.b": g_enc2_b,
-        "enc3.w": g_enc3_w, "enc3.b": g_enc3_b,
-        "dec1.w": g_dec1_w, "dec1.b": g_dec1_b,
-        "head.w": g_head_w, "head.b": g_head_b,
-    }
+    grad_a3 *= cache["enc3"] > 0
+    grad_pooled = back("enc3", cache["pooled"], grad_a3)
+    grad_a2 = grad_cat[:c2] + _maxpool2_backward(cache["idx"], grad_pooled, cache["enc2"].shape)
+    grad_a2 *= cache["enc2"] > 0
+    grad_a1 = back("enc2", cache["enc1"], grad_a2)
+    back("enc1", cache["x"], grad_a1 * (cache["enc1"] > 0), need_input=False)
+    return grads
 
 
 def save_checkpoint(path, params: ModelParams) -> None:
@@ -394,13 +430,7 @@ def load_checkpoint(path, height=None, width=None) -> ModelParams:
         spec = ModelSpec("logit-field", K, H, W, image_ids=ids)
     else:
         try:
-            channels = (
-                values["enc1.w"].shape[0],
-                values["enc2.w"].shape[0],
-                values["enc3.w"].shape[0],
-                values["dec1.w"].shape[0],
-            )
-            K = values["head.w"].shape[0]
+            *channels, K = (values[f"{name}.w"].shape[0] for name in CONV_ED_LAYERS)
         except KeyError as exc:
             raise IngestError(f"{path}: missing conv-ed parameter {exc}") from exc
         if height is None or width is None:

@@ -180,14 +180,9 @@ def history_to_csv(history) -> str:
     return "\n".join(lines) + "\n"
 
 
-def train_loop(samples, config: TrainConfig, checkpoint_dir=None) -> TrainState:
-    """Run the configured number of iterations over annotated samples.
-
-    Returns the final TrainState; when checkpoint_dir is given, writes
-    checkpoint_final.bin plus checkpoint_NNNNNN.bin at the configured
-    cadence. Raises a divergence error naming the iteration and batch whose
-    loss, gradient or update first went non-finite.
-    """
+def check_training_samples(samples) -> tuple:
+    """(K, H, W) of a training set, once every sample is annotated and all
+    share one grid and one class count; callers run it before writing."""
     if not samples:
         raise InvalidInputError("training needs at least one sample")
     for s in samples:
@@ -200,7 +195,18 @@ def train_loop(samples, config: TrainConfig, checkpoint_dir=None) -> TrainState:
             raise InvalidInputError("all training images must share one height and width")
         if s.annotation.num_classes != K:
             raise InvalidInputError("all annotations must share one class count")
+    return K, H, W
 
+
+def train_loop(samples, config: TrainConfig, checkpoint_dir=None) -> TrainState:
+    """Run the configured number of iterations over annotated samples.
+
+    Returns the final TrainState; when checkpoint_dir is given, writes
+    checkpoint_final.bin plus checkpoint_NNNNNN.bin at the configured
+    cadence. Raises a divergence error naming the iteration and batch whose
+    loss, gradient or update first went non-finite.
+    """
+    K, H, W = check_training_samples(samples)
     if config.model_kind == "logit-field":
         spec = ModelSpec("logit-field", K, H, W,
                          image_ids=tuple(s.id for s in samples))

@@ -17,18 +17,23 @@ must equal these bit for bit. The loss composition is the same kind of
 exception: it sums the library's own term gradients, in the order the
 objective's gradient must keep. The batch oracle is another exception: its
 draws come from the library's keyed random streams, which define the plan.
-So is the uncached complex forward: it composes the complex-step oracle's
-own layer helpers with no prefix cache, the reference the cached forward
-must equal bit for bit.
+So is the uncached complex forward: it composes the library's own layer
+helpers with no layer table and no prefix cache, the reference a walk from
+cached activations must equal bit for bit.
+
+The complex-step oracle runs the library's layers on complex values, so
+those layers are also checked against references written for any dtype: an
+einsum convolution, which must agree to rounding, and the argmax pool, which
+takes each window's argmax by the real part.
 """
 
 import math
 
 import numpy as np
 
-from pointseg.gradcheck import _cx_conv, _cx_maxpool, _cx_relu
 from pointseg.grids import softmax_backward
 from pointseg.losses import cv_loss, ms_data_term, partial_cross_entropy, tv_term
+from pointseg.models import _conv2d, _maxpool2, _relu, _upsample2
 from pointseg.seeding import keyed_rng
 
 
@@ -168,13 +173,28 @@ def conv2d_backward_per_tap(x, w, grad_out):
     return grad_xp[:, ph : ph + H, pw : pw + W], grad_w, grad_b
 
 
+def conv2d_einsum(x, w, b):
+    """Zero-padded convolution in x's and w's dtype: one einsum per tap, added onto zeros."""
+    cout, cin, kh, kw = w.shape
+    H, W = x.shape[1:]
+    ph, pw = kh // 2, kw // 2
+    xp = np.zeros((cin, H + 2 * ph, W + 2 * pw), dtype=np.result_type(x, w))
+    xp[:, ph : ph + H, pw : pw + W] = x
+    out = np.zeros((cout, H, W), dtype=xp.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            out += np.einsum("oc,chw->ohw", w[:, :, i, j], xp[:, i : i + H, j : j + W])
+    return out + b[:, None, None]
+
+
 def maxpool2_argmax(x):
-    """2x2 max pooling as an argmax over each window's four row-major entries."""
+    """2x2 max pooling as an argmax over each window's four row-major entries,
+    compared by the real part."""
     C, H, W = x.shape
     windows = (
         x.reshape(C, H // 2, 2, W // 2, 2).transpose(0, 1, 3, 2, 4).reshape(C, H // 2, W // 2, 4)
     )
-    idx = windows.argmax(axis=3)
+    idx = windows.real.argmax(axis=3)
     out = np.take_along_axis(windows, idx[..., None], axis=3)[..., 0]
     return out, idx
 
@@ -272,11 +292,11 @@ def assemble_batch_oracle(samples, iteration, seed, batch_size):
 
 def cx_forward_uncached(values, image):
     """conv-ed's complex logits for one image, every layer computed afresh."""
-    x = image.intensities[None].astype(complex)
-    a1 = _cx_relu(_cx_conv(x, values["enc1.w"], values["enc1.b"]))
-    a2 = _cx_relu(_cx_conv(a1, values["enc2.w"], values["enc2.b"]))
-    a3 = _cx_relu(_cx_conv(_cx_maxpool(a2), values["enc3.w"], values["enc3.b"]))
-    up = np.kron(a3, np.ones((1, 2, 2)))
-    cat = np.concatenate([a2, up], axis=0)
-    a4 = _cx_relu(_cx_conv(cat, values["dec1.w"], values["dec1.b"]))
-    return _cx_conv(a4, values["head.w"], values["head.b"])
+    def conv(x, name):
+        return _conv2d(x, values[f"{name}.w"], values[f"{name}.b"])
+
+    a1 = _relu(conv(image.intensities[None].astype(complex), "enc1"))
+    a2 = _relu(conv(a1, "enc2"))
+    a3 = _relu(conv(_maxpool2(a2)[0], "enc3"))
+    a4 = _relu(conv(np.concatenate([a2, _upsample2(a3)], axis=0), "dec1"))
+    return conv(a4, "head")

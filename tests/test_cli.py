@@ -438,6 +438,46 @@ def test_bad_model_config_exits_2_before_any_file_is_written(dataset, tmp_path, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["eval", "sweep"])
+def test_central_bias_width_that_blanks_every_column_exits_2(dataset, trained, tmp_path, capsys,
+                                                            command):
+    # The dataset is 16 columns wide, so bands of 8 leave none; eval and
+    # sweep check the width against the dataset before writing anything.
+    out = tmp_path / "out"
+    if command == "eval":
+        argv = ["eval", "--checkpoint", str(trained / "checkpoint_final.bin")]
+    else:
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(TINY_TRAIN))
+        argv = ["sweep", "--config", str(cfg), "--parameter", "lambda_cv", "--values", "0.0"]
+    argv += ["--data", str(dataset), "--out", str(out), "--central-bias-width", "8"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: central-bias width 8 must lie in [0, 8) on 16 columns")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_unannotated_train_image_exits_2_before_any_file_is_written(dataset, tmp_path, capsys,
+                                                                    command):
+    data = tmp_path / "data"
+    shutil.copytree(dataset, data)
+    path = data / "annotations.json"
+    annotations = json.loads(path.read_text())
+    victim = json.loads((data / "manifest.json").read_text())["train"][1]
+    del annotations[victim]
+    path.write_text(json.dumps(annotations))
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(TINY_TRAIN))
+    out = tmp_path / "out"
+    argv = [command, "--config", str(cfg), "--data", str(data), "--out", str(out)]
+    if command == "sweep":
+        argv += ["--parameter", "lambda_cv", "--values", "0.0"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: sample {victim}: training needs point")
+    assert not out.exists()
+
+
 NEGATIVE_SEEDS = {
     "synth": ["synth", "--seed", "-3"],
     "annotate": ["annotate", "--seed", "-2"],

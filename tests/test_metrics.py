@@ -110,9 +110,15 @@ def test_central_bias_filter_identity_and_validation():
         central_bias_filter(m, -1)
 
 
-def test_central_bias_filter_width_covers_grid():
-    m = mask(np.ones((2, 4), dtype=int))
-    assert not central_bias_filter(m, 5).classes.any()
+def test_central_bias_filter_rejects_a_width_that_covers_the_grid():
+    # Bands of half the width or more would blank every column and score DSC 0.
+    m = mask(np.ones((2, 5), dtype=int))
+    assert central_bias_filter(m, 2).classes[:, 2].all()
+    for width in (3, 5):
+        with pytest.raises(InvalidInputError, match=r"must lie in \[0, 2.5\) on 5 columns"):
+            central_bias_filter(m, width)
+    with pytest.raises(InvalidInputError):
+        central_bias_filter(mask(np.ones((2, 4), dtype=int)), 2)
 
 
 # aggregated evaluation

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from oracles import (
     bit_equal,
     conv2d_backward_per_tap,
+    conv2d_einsum,
     conv2d_per_tap,
     conv_ed_per_tap,
     maxpool2_argmax,
@@ -33,6 +34,7 @@ from pointseg.models import (
     _conv2d_backward,
     _maxpool2,
     _maxpool2_backward,
+    _relu,
     _upsample2,
     _upsample2_backward,
 )
@@ -169,7 +171,7 @@ def test_conv2d_backward_matches_naive_loops(cout, cin, k):
 def _crop(a, extra=2):
     """`a` as a row-strided crop of a wider C-ordered buffer, the layout of
     the input gradients the flat-buffer convolutions return."""
-    wide = np.zeros(a.shape[:-1] + (a.shape[-1] + extra,))
+    wide = np.zeros(a.shape[:-1] + (a.shape[-1] + extra,), dtype=a.dtype)
     wide[..., : a.shape[-1]] = a
     return wide[..., : a.shape[-1]]
 
@@ -298,6 +300,50 @@ def test_conv_ed_bit_identical_to_layer_oracles(spec):
     assert sorted(grads) == sorted(want_grads)
     for name, grad in grads.items():
         assert bit_equal(grad, want_grads[name]), name
+
+
+# The complex-step oracle runs these layers on complex128 values.
+
+@pytest.mark.parametrize("cout,cin,k", CONV_SHAPES)
+def test_conv2d_on_complex_matches_einsum_conv(cout, cin, k):
+    rng = np.random.default_rng(12)
+
+    def cx(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    for trial in range(20):
+        H, W = (int(v) for v in rng.integers(1, 10, size=2))
+        x, w, b = cx(cin, H, W), cx(cout, cin, k, k), cx(cout)
+        for bias in (b, None):  # without a bias the sums start from complex zeros
+            got = _conv2d(x, w, bias)
+            want = conv2d_einsum(x, w, np.zeros(cout) if bias is None else bias)
+            assert got.dtype == np.complex128
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), (trial, H, W)
+
+
+def test_relu_follows_the_real_part():
+    # np.maximum keeps 0 + 1e-20j, the complex step of a dead unit's bias,
+    # but backward's mask a > 0 zeroes it.
+    z = np.array([0 + 1e-20j, 0 - 1e-20j, -1e-300 + 1j, -2 + 3j, 2 - 3j, 1e-300 + 0j])
+    assert np.array_equal(_relu(z), [0, 0, 0, 0, 2 - 3j, 1e-300])
+    assert _relu(z).dtype == np.complex128
+    x = np.random.default_rng(4).choice([0.0, -0.0, 1.5, -1.5, 5e-324, -5e-324], size=(3, 8, 8))
+    assert bit_equal(_relu(x), np.maximum(x, 0.0))
+
+
+@pytest.mark.parametrize("shape", POOL_SHAPES, ids=lambda s: "x".join(map(str, s)))
+def test_complex_pooling_and_upsampling_follow_the_real_part(shape):
+    # Real parts tie often and imaginary parts differ, so a pool that compared
+    # whole complex values would route some windows elsewhere.
+    rng = np.random.default_rng(8)
+    x = rng.integers(0, 3, size=shape) + 1j * rng.normal(size=shape)
+    for x_in in (x, _crop(x)):
+        pooled, idx = _maxpool2(x_in)
+        want_pooled, want_idx = maxpool2_argmax(x_in)
+        assert np.array_equal(idx, want_idx)
+        assert bit_equal(pooled.real, want_pooled.real) and bit_equal(pooled.imag, want_pooled.imag)
+        up = _upsample2(x_in)
+        assert np.array_equal(up, np.kron(x_in, np.ones((1, 2, 2))))
 
 
 def test_upsample_repeats_blocks():
