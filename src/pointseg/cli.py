@@ -44,12 +44,10 @@ from .errors import (
 )
 from .gradcheck import run_all
 from .grids import softmax
-from .losses import MODES
 from .metrics import check_central_bias_width, evaluate, hard_mask
-from .models import KINDS, forward, load_checkpoint
+from .models import forward, load_checkpoint
 from .train import TrainConfig, check_training_samples, history_to_csv, train_loop
 
-_CONFIG_FIELDS = {f.name for f in dataclasses.fields(TrainConfig)}
 _SWEEP_PARAMETERS = ("lambda_cv", "tau", "mu", "lr0")
 
 # Foreground palette for composite overlays; class 0 stays grayscale.
@@ -77,30 +75,19 @@ def _tuples(value):
     return tuple(_tuples(v) for v in value) if isinstance(value, list) else value
 
 
-# The JSON values each declared field type takes; a bool is not a number.
-_JSON_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str, "tuple": (list, tuple)}
-
-
 def _from_json(cls, raw: dict, overrides: dict, what: str):
     """`cls` from a JSON object's fields, command-line overrides on top.
 
-    Each value must have its field's declared type, or be null where the
-    default is None. JSON arrays become the tuples the frozen dataclasses
-    hold. Unknown keys and values the constructor cannot take are config errors.
+    JSON arrays become the tuples the frozen dataclasses hold. Unknown keys
+    are config errors, and so is a value of the wrong type, which the class's
+    domain check raises as a TypeError; null stands for a default of None.
     """
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = sorted(set(raw) - set(fields))
+    unknown = sorted(set(raw) - {f.name for f in dataclasses.fields(cls)})
     if unknown:
         raise InvalidConfigError(f"unknown {what} keys: {', '.join(unknown)}")
-    values = {**raw, **overrides}
-    for key, value in values.items():
-        f = fields[key]
-        typed = isinstance(value, _JSON_TYPES[f.type]) and isinstance(value, bool) == (f.type == "bool")
-        if not (typed or value is None and f.default is None):
-            raise InvalidConfigError(f"bad {what} value: {key} must be {f.type}, got {value!r}")
     try:
-        return cls(**{key: _tuples(value) for key, value in values.items()})
-    except (TypeError, ValueError) as exc:
+        return cls(**{key: _tuples(value) for key, value in {**raw, **overrides}.items()})
+    except TypeError as exc:
         raise InvalidConfigError(f"bad {what} value: {exc}") from exc
 
 
@@ -108,21 +95,20 @@ def _resolve_train_config(args) -> TrainConfig:
     raw = read_json_object(args.config) if getattr(args, "config", None) else {}
     if isinstance(raw.get("config"), dict):  # a run manifest reruns its config
         raw = raw["config"]
-    overrides = {name: getattr(args, name) for name in _CONFIG_FIELDS
-                 if getattr(args, name, None) is not None}
+    overrides = {f.name: getattr(args, f.name) for f in dataclasses.fields(TrainConfig)
+                 if getattr(args, f.name, None) is not None}
     return _from_json(TrainConfig, raw, overrides, "config")
 
 
 # argparse types per declared field type; bools become --x/--no-x pairs.
 _FLAG_TYPES = {"float": float, "int": int, "str": str, "tuple": _parse_channels}
-_FLAG_CHOICES = {"mode": MODES, "model_kind": KINDS}
 
 
 def _add_config_flags(sub):
     """One --kebab-name flag per TrainConfig field; unset flags stay None."""
     for f in dataclasses.fields(TrainConfig):
         kind = ({"action": argparse.BooleanOptionalAction} if f.type == "bool"
-                else {"type": _FLAG_TYPES[f.type], "choices": _FLAG_CHOICES.get(f.name)})
+                else {"type": _FLAG_TYPES[f.type], "choices": f.metadata["choices"]})
         sub.add_argument("--" + f.name.replace("_", "-"), dest=f.name, default=None, **kind)
 
 
@@ -154,10 +140,16 @@ def _train_once(samples, config: TrainConfig, out_dir, dataset_root):
     return state
 
 
-def _evaluate_params(params, samples, central_bias_width: int):
+def _check_evaluation_samples(samples, split: str) -> None:
+    """Reject a split evaluation cannot score; callers run it before writing."""
+    if not samples:
+        raise InvalidInputError(f"the {split} split is empty: nothing to evaluate")
     for s in samples:
         if s.mask is None:
             raise InvalidInputError(f"sample {s.id}: evaluation needs a ground-truth mask")
+
+
+def _evaluate_params(params, samples, central_bias_width: int):
     preds = [hard_mask(softmax(forward(params, params.spec, s.image, s.id)[0])) for s in samples]
     report = evaluate(preds, [s.mask for s in samples], central_bias_width)
     return preds, report
@@ -229,6 +221,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     manifest, samples = _load_splits(args.data, args.split)
+    _check_evaluation_samples(samples, args.split)
     check_central_bias_width(args.central_bias_width, manifest["W"])
     params = load_checkpoint(args.checkpoint, height=manifest["H"], width=manifest["W"])
     spec = params.spec
@@ -278,6 +271,7 @@ def cmd_sweep(args) -> int:
     configs = [dataclasses.replace(base, **{args.parameter: value}) for value in args.values]
     manifest, train_samples, eval_samples = _load_splits(args.data, "train", "test")
     check_training_samples(train_samples)
+    _check_evaluation_samples(eval_samples, "test")
     check_central_bias_width(base.central_bias_width, manifest["W"])
     os.makedirs(args.out, exist_ok=True)
     rows = []

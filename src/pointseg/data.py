@@ -19,6 +19,7 @@ jitter and zero noise every image of a split is identical.
 
 from __future__ import annotations
 
+import itertools
 import json
 import numbers
 import os
@@ -28,7 +29,7 @@ import numpy as np
 
 from .errors import IngestError, InvalidConfigError, InvalidInputError
 from .grids import Image, _trusted
-from .losses import PointAnnotation
+from .losses import PointAnnotation, check_domains, domain
 from .seeding import keyed_rng
 
 
@@ -81,50 +82,40 @@ class Sample:
 class SynthSpec:
     """Recipe for the synthetic ellipse dataset (class 0 is background)."""
 
-    num_classes: int = 3
-    height: int = 64
-    width: int = 64
-    anchors: tuple = ((0.35, 0.35), (0.65, 0.65))  # fractional (row, col) per class >= 1
-    jitter: float = 0.08          # center offset bound, fraction of min(H, W)
-    radius_range: tuple = (0.12, 0.22)  # ellipse axes, fraction of min(H, W)
-    intensity_means: tuple = (0.2, 0.5, 0.8)
-    noise_sigma: float = 0.05
-    train_count: int = 40
-    test_count: int = 10
-    seed: int = 0
+    num_classes: int = domain(3, "[2, inf)")
+    height: int = domain(64, "[4, inf)")
+    width: int = domain(64, "[4, inf)")
+    anchors: tuple = domain(((0.35, 0.35), (0.65, 0.65)), "[0, 1]")  # fractional (row, col) per class >= 1
+    jitter: float = domain(0.08, "[0, 0.5)")  # center offset bound, fraction of min(H, W)
+    radius_range: tuple = domain((0.12, 0.22), "(0, 0.5)")  # ellipse axes, fraction of min(H, W)
+    intensity_means: tuple = domain((0.2, 0.5, 0.8), "[0, 1]")
+    noise_sigma: float = domain(0.05, "[0, inf)")
+    train_count: int = domain(40, "[0, inf)")
+    test_count: int = domain(10, "[0, inf)")
+    seed: int = domain(0, "[0, inf)")
 
     def __post_init__(self):
+        check_domains(self)
         K = self.num_classes
-        if K < 2:
-            raise InvalidConfigError("need background plus at least one foreground class")
-        if self.height < 4 or self.width < 4:
-            raise InvalidConfigError(f"grid {self.height}x{self.width} too small")
         if len(self.anchors) != K - 1:
             raise InvalidConfigError(f"need {K - 1} anchors for {K} classes, got {len(self.anchors)}")
         for anchor in self.anchors:
-            pair = isinstance(anchor, (tuple, list)) and len(anchor) == 2
-            if not (pair and all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in anchor)):
+            if not _numbers(anchor, 2):
                 raise InvalidConfigError(f"anchor {anchor!r} must be a (row, col) pair of numbers")
-        if len(self.intensity_means) != K:
-            raise InvalidConfigError(f"need {K} intensity means, got {len(self.intensity_means)}")
         means = self.intensity_means
-        if any(not 0.0 <= m <= 1.0 for m in means):
-            raise InvalidConfigError("intensity means must lie in [0, 1]")
-        for i in range(K):
-            for j in range(i + 1, K):
-                if abs(means[i] - means[j]) < 2 * self.noise_sigma:
-                    raise InvalidConfigError(
-                        f"intensity means {means[i]} and {means[j]} closer than 2 sigma"
-                    )
-        lo, hi = self.radius_range
-        if not 0 < lo <= hi < 0.5:
-            raise InvalidConfigError(f"radius range {self.radius_range} must satisfy 0 < lo <= hi < 0.5")
-        if not 0.0 <= self.jitter < 0.5:
-            raise InvalidConfigError(f"jitter {self.jitter} must lie in [0, 0.5)")
-        if self.noise_sigma < 0:
-            raise InvalidConfigError("noise sigma must be nonnegative")
-        if self.train_count < 0 or self.test_count < 0:
-            raise InvalidConfigError("split counts must be nonnegative")
+        if not _numbers(means, K):
+            raise InvalidConfigError(f"need {K} intensity means, got {means!r}")
+        for a, b in itertools.combinations(means, 2):
+            if abs(a - b) < 2 * self.noise_sigma:
+                raise InvalidConfigError(f"intensity means {a} and {b} closer than 2 sigma")
+        if not (_numbers(self.radius_range, 2) and self.radius_range[0] <= self.radius_range[1]):
+            raise InvalidConfigError(f"radius range {self.radius_range} must be (lo, hi) with lo <= hi")
+
+
+def _numbers(values, n: int) -> bool:
+    """Whether `values` is a sequence of n numbers (a bool is not one)."""
+    return (isinstance(values, (tuple, list)) and len(values) == n
+            and all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in values))
 
 
 # NetPBM P5 reading and writing, from scratch for bit-exact round trips.
@@ -269,17 +260,15 @@ def _load_sample(root, sample_id, manifest, annotations):
         raise IngestError(f"{image_path}: shape {values.shape} does not match manifest {H}x{W}")
     image = Image(values.astype(np.float64) / maxval)
 
-    mask = None
+    mask_values = None
     mask_path = os.path.join(root, "masks", f"{sample_id}.pgm")
     if os.path.exists(mask_path):
         mask_values, _ = read_pgm(mask_path)
         if mask_values.shape != (H, W):
             raise IngestError(f"{mask_path}: shape differs from image shape")
-        if mask_values.size and mask_values.max() >= K:
-            raise IngestError(f"{mask_path}: mask id {int(mask_values.max())} >= K={K}")
-        mask = LabelMask(mask_values, K)
 
     try:
+        mask = None if mask_values is None else LabelMask(mask_values, K)
         annotation = None
         if sample_id in annotations:
             annotation = PointAnnotation(annotations[sample_id], K)

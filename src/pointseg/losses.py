@@ -15,7 +15,8 @@ back through :func:`pointseg.grids.softmax_backward` into logits. The terms:
 :func:`total_loss` composes them in the mode a :class:`LossSettings` names:
 partial cross-entropy, plus either the data term or the contrastive term, plus
 TV as a regularizer in both of those modes. LossSettings is the one validated
-description of that objective; the training config extends it.
+description of that objective; the training config extends it. Each config
+field declares its domain with `domain`, which `check_domains` enforces.
 
 Integrals over the pixel domain are discretized as plain sums, unnormalized
 by pixel count, so loss weights are calibrated to a fixed resolution.
@@ -24,6 +25,7 @@ by pixel count, so loss weights are calibrated to a fixed resolution.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -331,33 +333,61 @@ def cv_loss(images, preds, present, plan: PairingPlan, tau: float,
     return ContrastiveVarianceResult(contrastive, grads, len(anchors))
 
 
+# The values each annotated field type takes; a bool is no number.
+_FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "bool": bool, "str": str,
+                "tuple": (tuple, list)}
+_NAMED_INTERVALS = {"[0, inf)": "be nonnegative", "(0, inf)": "be positive"}
+
+
+def domain(default, interval="(-inf, inf)", choices=None):
+    """A config field taking `choices`, or numbers in `interval` ("[lo, hi)" and
+    the like; for a tuple field, every number inside it)."""
+    return field(default=default, metadata={"interval": interval, "choices": choices})
+
+
+def _leaves(value):
+    return [x for item in value for x in _leaves(item)] if isinstance(value, (tuple, list)) else [value]
+
+
+def check_domains(config) -> None:
+    """Hold every field of a config dataclass to its declared domain.
+
+    A value not of the annotated type raises TypeError (an int field takes no
+    float, no field but a bool takes a bool). A number that is not finite or
+    not in the interval, or a value not among the choices, raises
+    InvalidConfigError. Non-numbers inside a tuple are left to the class's rules.
+    """
+    for f in fields(config):
+        value, interval, choices = getattr(config, f.name), f.metadata["interval"], f.metadata["choices"]
+        if not isinstance(value, _FIELD_TYPES[f.type]) or isinstance(value, bool) != (f.type == "bool"):
+            raise TypeError(f"{f.name} must be {f.type}, got {value!r}")
+        if choices is not None and value not in choices:
+            raise InvalidConfigError(f"{f.name} must be one of {choices}, got {value!r}")
+        lo, hi = (float(end) for end in interval[1:-1].split(","))
+        for x in _leaves(value):
+            if isinstance(x, bool) or not isinstance(x, numbers.Real):
+                continue
+            if not math.isfinite(x):
+                raise InvalidConfigError(f"{f.name} must be finite, got {x!r}")
+            if not lo <= x <= hi or (x == lo and interval[0] == "(") or (x == hi and interval[-1] == ")"):
+                rule = _NAMED_INTERVALS.get(interval, f"lie in {interval}")
+                raise InvalidConfigError(f"{f.name} must {rule}, got {x!r}")
+
+
 @dataclass(frozen=True)
 class LossSettings:
-    """The training objective: its mode and weights, validated once here.
+    """The training objective: its mode and weights, each field held to its
+    domain once here, a subclass's fields included."""
 
-    Every float field must be finite, a subclass's included; tau must be
-    positive and the weights nonnegative.
-    """
-
-    mode: str = "pce+cv"
-    lambda_cv: float = 0.3
-    lambda_ms: float = 0.3
-    mu: float = 1e-5
-    tau: float = 0.07
-    freeze_means: bool = False
+    mode: str = domain("pce+cv", choices=MODES)
+    lambda_cv: float = domain(0.3, "[0, inf)")
+    lambda_ms: float = domain(0.3, "[0, inf)")
+    mu: float = domain(1e-5, "[0, inf)")
+    tau: float = domain(0.07, "(0, inf)")
+    freeze_means: bool = domain(False)
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise InvalidConfigError(f"unknown loss mode {self.mode!r}; expected one of {MODES}")
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type == "float" and not math.isfinite(value):
-                raise InvalidConfigError(f"{f.name} must be finite, got {value!r}")
-        if self.tau <= 0:
-            raise InvalidConfigError("tau must be positive")
-        for name in ("lambda_cv", "lambda_ms", "mu"):
-            if getattr(self, name) < 0:
-                raise InvalidConfigError(f"{name} must be nonnegative")
+        check_domains(self)
 
 
 def total_loss(images, logit_fields, annotations, plan: PairingPlan,

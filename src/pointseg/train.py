@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import augment as augment_sample
-from .errors import InvalidConfigError, InvalidInputError, TrainingDivergenceError
-from .losses import LossSettings, PairingPlan, total_loss
+from .errors import InvalidInputError, TrainingDivergenceError
+from .losses import LossSettings, PairingPlan, domain, total_loss
 from .models import (KINDS, DEFAULT_CHANNELS, ModelParams, ModelSpec, _checked_channels, backward,
                      forward, init_params, save_checkpoint)
 from .seeding import keyed_rng
@@ -37,40 +37,25 @@ class TrainConfig(LossSettings):
     """Fully resolved training hyperparameters: the objective's LossSettings
     fields, then the optimizer, schedule, batching and model fields."""
 
-    lr0: float = None  # per-kind default: 0.05 logit-field, 0.001 conv-ed
-    power: float = 0.9
-    momentum: float = 0.9
-    weight_decay: float = 1e-5
-    batch_size: int = 8
-    total_iterations: int = 2000
-    seed: int = 0
-    model_kind: str = "conv-ed"
-    channels: tuple = DEFAULT_CHANNELS
-    central_bias_width: int = 0
-    augment: bool = True
-    checkpoint_every: int = 0  # 0 writes only the final checkpoint
+    lr0: float = domain(None, "(0, inf)")  # per-kind default: 0.05 logit-field, 0.001 conv-ed
+    power: float = domain(0.9, "(0, inf)")
+    momentum: float = domain(0.9, "[0, 1)")
+    weight_decay: float = domain(1e-5, "[0, inf)")
+    batch_size: int = domain(8, "[1, inf)")
+    total_iterations: int = domain(2000, "[0, inf)")
+    seed: int = domain(0, "[0, inf)")
+    model_kind: str = domain("conv-ed", choices=KINDS)
+    channels: tuple = domain(DEFAULT_CHANNELS)
+    central_bias_width: int = domain(0, "[0, inf)")
+    augment: bool = domain(True)
+    checkpoint_every: int = domain(0, "[0, inf)")  # 0 writes only the final checkpoint
 
     def __post_init__(self):
         if self.lr0 is None:
             # The transductive field tolerates hot steps; the conv stack
             # needs gentle ones or early momentum kicks kill its ReLUs.
-            object.__setattr__(
-                self, "lr0", 0.05 if self.model_kind == "logit-field" else 0.001
-            )
+            object.__setattr__(self, "lr0", 0.05 if self.model_kind == "logit-field" else 0.001)
         super().__post_init__()
-        if self.model_kind not in KINDS:
-            raise InvalidConfigError(f"unknown model kind {self.model_kind!r}")
-        for name in ("lr0", "power"):
-            if getattr(self, name) <= 0:
-                raise InvalidConfigError(f"{name} must be positive")
-        for name in ("weight_decay", "total_iterations", "seed", "central_bias_width",
-                     "checkpoint_every"):
-            if getattr(self, name) < 0:
-                raise InvalidConfigError(f"{name} must be nonnegative")
-        if self.batch_size < 1:
-            raise InvalidConfigError("batch_size must be at least 1")
-        if not 0.0 <= self.momentum < 1.0:
-            raise InvalidConfigError("momentum must lie in [0, 1)")
         object.__setattr__(self, "channels", _checked_channels(self.channels))
 
 

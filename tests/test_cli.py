@@ -478,6 +478,69 @@ def test_unannotated_train_image_exits_2_before_any_file_is_written(dataset, tmp
     assert not out.exists()
 
 
+BAD_POINTS = {
+    "pixel-outside-image": ({"row": 16}, "annotated pixel (16, "),
+    "class-not-below-K": ({"class": 2}, "annotated class 2 outside [0, 2)"),
+    "float-row": ({"row": 1.5}, 'needs integer "row", "col" and "class"'),
+    "bool-col": ({"col": True}, 'needs integer "row", "col" and "class"'),
+    "duplicate-class": (None, "annotated more than once"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_POINTS))
+def test_bad_annotation_point_exits_2_before_any_file_is_written(dataset, tmp_path, capsys,
+                                                                 case):
+    change, message = BAD_POINTS[case]
+    data = tmp_path / "data"
+    shutil.copytree(dataset, data)
+    path = data / "annotations.json"
+    annotations = json.loads(path.read_text())
+    points = annotations["train000"]
+    if change is None:  # a second pixel for the first point's class
+        points.append({**points[0], "row": (points[0]["row"] + 1) % 16})
+    else:
+        points[0].update(change)
+    path.write_text(json.dumps(annotations))
+    out = tmp_path / "out"
+    assert main(["train", "--data", str(data), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "train000" in err and message in err
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+def _without_test_mask(data):
+    (data / "masks" / "test000.pgm").unlink()
+    return "error: sample test000: evaluation needs a ground-truth mask"
+
+
+def _without_test_split(data):
+    path = data / "manifest.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()), "test": []}))
+    return "error: the test split is empty: nothing to evaluate"
+
+
+@pytest.mark.parametrize("command", ["eval", "sweep"])
+@pytest.mark.parametrize("damage", [_without_test_mask, _without_test_split],
+                         ids=["unmasked-test-image", "empty-test-split"])
+def test_unscorable_test_split_exits_2_before_any_file_is_written(dataset, trained, tmp_path,
+                                                                 capsys, command, damage):
+    # Both commands check the split they score before training or writing.
+    data = tmp_path / "data"
+    shutil.copytree(dataset, data)
+    message = damage(data)
+    out = tmp_path / "out"
+    if command == "eval":
+        argv = ["eval", "--checkpoint", str(trained / "checkpoint_final.bin")]
+    else:
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(TINY_TRAIN))
+        argv = ["sweep", "--config", str(cfg), "--parameter", "lambda_cv", "--values", "0.0"]
+    assert main(argv + ["--data", str(data), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(message)
+    assert not out.exists()
+
+
 NEGATIVE_SEEDS = {
     "synth": ["synth", "--seed", "-3"],
     "annotate": ["annotate", "--seed", "-2"],
