@@ -277,13 +277,16 @@ def _load_sample(root, sample_id, manifest, annotations):
         raise IngestError(f"{root}: sample {sample_id!r} inconsistent ({exc})") from exc
 
 
-def _load_annotations(root) -> dict:
-    """Sample id -> (row, col, class) tuples; empty when there is no annotations.json."""
+def _load_annotations(root, sample_ids) -> dict:
+    """Sample id -> (row, col, class) tuples; empty when there is no annotations.json.
+    Every id must be one of `sample_ids`, the manifest's."""
     path = os.path.join(root, "annotations.json")
     if not os.path.exists(path):
         return {}
     annotations = {}
     for sample_id, points in read_json_object(path).items():
+        if sample_id not in sample_ids:
+            raise IngestError(f"{path}: sample {sample_id!r} is not in the manifest")
         if not isinstance(points, list):
             raise IngestError(f"{path}: sample {sample_id!r}: points must be a list")
         for p in points:
@@ -304,7 +307,7 @@ def _load_splits(root, *splits):
     for split in splits:
         if split not in ("train", "test"):
             raise InvalidInputError(f"unknown split {split!r}")
-    annotations = _load_annotations(root)
+    annotations = _load_annotations(root, set(manifest["train"] + manifest["test"]))
     loaded = [[_load_sample(root, sid, manifest, annotations) for sid in manifest[split]]
               for split in splits]
     return (manifest, *loaded)

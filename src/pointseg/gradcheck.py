@@ -17,7 +17,7 @@ which the two cannot be told apart. There are two oracles:
 * End-to-end suites differentiate whole model+loss compositions with a
   complex-step oracle: an imaginary perturbation of one parameter propagates
   through the forward training runs (conv-ed's `walk_layers` on complex
-  values) and an independent complex restatement of the objective, and the
+  values) and the objective's production softmax and value steps, and the
   derivative is read off the imaginary part. There is no subtraction of
   nearby values, hence no cancellation noise, which matters because the
   composition's gradient entries span many orders of magnitude. Branch
@@ -44,8 +44,6 @@ from .data import Sample
 from .grids import FD_STEP, Image, LogitField, _trusted, finite_diff_grad, softmax, softmax_backward
 from .losses import (
     LOG_CLAMP,
-    MEAN_DENOM_EPS,
-    COSINE_EPS,
     TV_SMOOTH_EPS,
     MODES,
     LossSettings,
@@ -141,7 +139,8 @@ def _check(name, trials, seed, draw, floor=GRAD_FLOOR, key=None) -> ComponentRep
     `draw(rng, probe)` builds trial t's instance from keyed_rng(seed,
     "gradcheck", *key, t), the key defaulting to (name,), and yields
     (analytic, oracle, noise) per input. Coordinates with |analytic| above
-    `floor` are compared unless the two agree to within the noise.
+    `floor` are compared unless the two agree to within the noise; one where
+    either side is not finite is compared and fails with error inf.
     `probe(shape)` draws a layer's output weights from the trial's second
     stream, keyed "probe" last.
     """
@@ -154,11 +153,14 @@ def _check(name, trials, seed, draw, floor=GRAD_FLOOR, key=None) -> ComponentRep
         for analytic, oracle, noise in draw(keyed_rng(seed, "gradcheck", *key, t), probe):
             a = np.asarray(analytic).reshape(-1)
             n = np.asarray(oracle).reshape(-1)
-            above = np.abs(a) > floor
+            bad = ~(np.isfinite(a) & np.isfinite(n))
+            above = (np.abs(a) > floor) | bad
             compared += int(above.sum())
-            mask = above & (np.abs(a - n) > noise)
-            if mask.any():
+            with np.errstate(invalid="ignore"):  # inf - inf and inf / inf, where bad
+                mask = above & ((np.abs(a - n) > noise) | bad)
                 rel = np.abs(a - n)[mask] / np.maximum(np.abs(a[mask]), np.abs(n[mask]))
+            if mask.any():
+                rel[bad[mask]] = np.inf
                 worst = float(rel.max())
                 if worst > err:
                     err, worst_trial = worst, t
@@ -364,65 +366,24 @@ def _smooth_tv(P):
     return np.sqrt(dh * dh + TV_SMOOTH_EPS).sum() + np.sqrt(dv * dv + TV_SMOOTH_EPS).sum()
 
 
-# The end-to-end oracle's loss side, in complex arithmetic: the production
-# value steps drop imaginary parts (norms, float(), math.log).
-
-def _cx_softmax(logits):
-    shift = logits.real.max(axis=0, keepdims=True)
-    e = np.exp(logits - shift)
-    return e / e.sum(axis=0, keepdims=True)
-
-
 def _cx_objective(logits_list, images, anns, plan, settings):
-    preds = [_cx_softmax(lg) for lg in logits_list]
+    """total_loss's value on complex logits, composed as total_loss composes
+    it: the production softmax and value steps, pce's clamped log (math.log
+    would drop the imaginary part) and TV's smoothed surrogate."""
+    preds = [softmax(_trusted(LogitField, lg)) for lg in logits_list]
     total = 0.0 + 0.0j
     for pred, ann in zip(preds, anns):
         for r, c, k in ann.points:
-            p = pred[k, r, c]
+            p = pred.probabilities[k, r, c]
             total -= np.log(p if p.real > LOG_CLAMP else LOG_CLAMP + 0.0j)
     if settings.mode == "pce":
         return total
-
-    def class_mean(image, pk):
-        return (image.intensities * pk).sum() / (pk.sum() + MEAN_DENOM_EPS)
-
     if settings.mode == "pce+ms":
-        for image, pred in zip(images, preds):
-            ms = 0.0 + 0.0j
-            for k in range(pred.shape[0]):
-                ck = class_mean(image, pred[k])
-                ms += ((image.intensities - ck) ** 2 * pred[k]).sum()
-            total += settings.lambda_ms * ms + settings.mu * _smooth_tv(pred)
-        return total
-
-    zmaps = {}
-    for n, (image, pred, ann) in enumerate(zip(images, preds, anns)):
-        for k in ann.classes:
-            ck = class_mean(image, pred[k])
-            zmaps[(n, k)] = ((image.intensities - ck) ** 2 * pred[k]).reshape(-1)
-
-    def cos(a, b):
-        na = np.sqrt((a * a).sum())
-        nb = np.sqrt((b * b).sum())
-        return (a * b).sum() / (na * nb + COSINE_EPS)
-
-    contrastive = 0.0 + 0.0j
-    for (n, k), m in plan.items():
-        sims = [cos(zmaps[(n, k)], zmaps[(m, k)])]
-        for i in range(len(images)):
-            if i == n:
-                continue
-            for j in anns[i].classes:
-                if j != k:
-                    sims.append(cos(zmaps[(n, k)], zmaps[(i, j)]))
-        sims = np.array(sims)
-        shift = sims.real.max()
-        e = np.exp((sims - shift) / settings.tau)
-        contrastive += shift / settings.tau + np.log(e.sum()) - sims[0] / settings.tau
-    total += settings.lambda_cv * contrastive
-    for pred in preds:
-        total += settings.mu * _smooth_tv(pred)
-    return total
+        term = settings.lambda_ms * sum(_ms_value(im, pred)[0] for im, pred in zip(images, preds))
+    else:
+        present = [ann.classes for ann in anns]
+        term = settings.lambda_cv * _cv_value(images, preds, present, plan, settings.tau)[0]
+    return total + term + settings.mu * sum(_smooth_tv(pred.probabilities) for pred in preds)
 
 
 def check_end_to_end(kind: str, mode: str, trials: int = 4, seed: int = 0) -> ComponentReport:

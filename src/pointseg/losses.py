@@ -166,11 +166,12 @@ def _variance_map_backward(image, probs_k, mass_k, mean_k, grad_wrt_map, freeze_
 
 
 def _ms_value(image: Image, pred: SoftPrediction):
-    """ms_data_term's value, with the class masses and means its gradient reuses."""
+    """ms_data_term's value, with the class masses and means its gradient reuses.
+    Complex probabilities give a complex value (the complex-step oracle's)."""
     _, mass, means = _mean_stats(image, pred)
     value = 0.0
     for k, P_k in enumerate(pred.probabilities):
-        value += float(((image.intensities - means[k]) ** 2 * P_k).sum())
+        value += ((image.intensities - means[k]) ** 2 * P_k).sum()
     return value, mass, means
 
 
@@ -242,7 +243,8 @@ def _cv_value(images, preds, present, plan: PairingPlan, tau: float):
     saved is None without anchors, else what the gradient reuses: the mean
     statistics, the (image, class) key of each row of Z, Z itself, its row
     norms, D, S, the anchor and positive rows, and each anchor's shifted
-    exponentials with their sum.
+    exponentials with their sum. Complex probabilities give a complex value
+    (the complex-step oracle's): no step drops an imaginary part.
     """
     if tau <= 0:
         raise InvalidConfigError(f"temperature must be positive, got {tau}")
@@ -275,22 +277,24 @@ def _cv_value(images, preds, present, plan: PairingPlan, tau: float):
     Z = np.stack([
         variance_map(images[n], preds[n], stats[n][2], k).reshape(-1) for n, k in keys
     ])
-    norms = np.linalg.norm(Z, axis=1)
+    norms = np.sqrt((Z * Z).sum(axis=1))
     D = np.outer(norms, norms) + COSINE_EPS
     S = (Z @ Z.T) / D
 
     # One row per anchor over its candidates: the positive column plus
     # every other image's other-class maps. -log(pos / (pos + neg)) is a
     # log-sum-exp shifted by the row max, so small temperatures stay finite.
+    # Non-candidates get -inf only after the division by tau: a complex -inf
+    # divided by tau is an invalid operation.
     a_rows = np.array([row[nk] for nk, _ in anchors])
     pos = np.array([row[(m, k)] for (_, k), m in anchors])
     mask = (img != img[a_rows, None]) & (cls != cls[a_rows, None])
     mask[np.arange(len(anchors)), pos] = True
-    sims = np.where(mask, S[a_rows], -np.inf)
-    shift = sims.max(axis=1)
-    e = np.exp((sims - shift[:, None]) / tau)
+    sims = S[a_rows]
+    shift = np.where(mask, sims, -np.inf).max(axis=1)
+    e = np.exp(np.where(mask, (sims - shift[:, None]) / tau, -np.inf))
     e_sum = e.sum(axis=1)
-    contrastive = float((shift / tau + np.log(e_sum) - S[a_rows, pos] / tau).sum())
+    contrastive = (shift / tau + np.log(e_sum) - S[a_rows, pos] / tau).sum()
     return contrastive, anchors, (stats, keys, Z, norms, D, S, a_rows, pos, e, e_sum)
 
 

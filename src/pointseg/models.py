@@ -44,7 +44,7 @@ def _checked_channels(channels) -> tuple:
     ch = tuple(channels)
     if len(ch) != 4 or any(isinstance(c, bool) or not isinstance(c, numbers.Integral) or c < 1
                            for c in ch):
-        raise InvalidConfigError(f"conv-ed needs 4 positive integer channel widths, got {channels}")
+        raise InvalidConfigError(f"channels must be 4 positive integers for conv-ed, got {channels}")
     return tuple(int(c) for c in ch)
 
 

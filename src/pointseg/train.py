@@ -45,7 +45,7 @@ class TrainConfig(LossSettings):
     total_iterations: int = domain(2000, "[0, inf)")
     seed: int = domain(0, "[0, inf)")
     model_kind: str = domain("conv-ed", choices=KINDS)
-    channels: tuple = domain(DEFAULT_CHANNELS)
+    channels: tuple = domain(DEFAULT_CHANNELS, "[1, inf)")
     central_bias_width: int = domain(0, "[0, inf)")
     augment: bool = domain(True)
     checkpoint_every: int = domain(0, "[0, inf)")  # 0 writes only the final checkpoint

@@ -365,6 +365,16 @@ def test_gradcheck_detects_corruption(monkeypatch, capsys):
     assert "tv_term" in err and "coordinate" in err
 
 
+def test_gradcheck_fails_a_non_finite_gradient(monkeypatch, capsys):
+    real = pointseg.gradcheck._upsample2_backward
+    monkeypatch.setattr(pointseg.gradcheck, "_upsample2_backward",
+                        lambda g: real(g) * float("nan"))
+    assert main(["gradcheck", "--trials", "2", "--end-to-end-trials", "1"]) == 1
+    captured = capsys.readouterr()
+    assert "overall: FAIL" in captured.out
+    assert captured.err == "FAIL upsample2x2: seed 0, coordinate 0, rel err inf\n"
+
+
 def test_sweep_orders_rows_and_writes_tables(dataset, tmp_path):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(TINY_TRAIN))
@@ -411,11 +421,11 @@ def test_sweep_rejects_a_logit_field_before_any_run_trains(dataset, tmp_path, ca
 
 
 BAD_MODEL_CONFIGS = [
-    ("train", ["--channels", "2,3"], {}, "channel widths"),
-    ("train", ["--channels", "0,1,1,1"], {}, "channel widths"),
-    ("train", [], {"channels": [2.5, 3, 3, True]}, "channel widths"),
+    ("train", ["--channels", "2,3"], {}, "channels must be 4 positive integers"),
+    ("train", ["--channels", "0,1,1,1"], {}, "channels must lie in [1, inf), got 0"),
+    ("train", [], {"channels": [2.5, 3, 3, True]}, "channels must be 4 positive integers"),
     ("train", ["--central-bias-width", "-1"], {}, "central_bias_width"),
-    ("sweep", ["--channels", "1,1"], {}, "channel widths"),
+    ("sweep", ["--channels", "1,1"], {}, "channels must be 4 positive integers"),
     ("sweep", ["--central-bias-width", "-1"], {}, "central_bias_width"),
 ]
 
@@ -483,7 +493,8 @@ BAD_POINTS = {
     "class-not-below-K": ({"class": 2}, "annotated class 2 outside [0, 2)"),
     "float-row": ({"row": 1.5}, 'needs integer "row", "col" and "class"'),
     "bool-col": ({"col": True}, 'needs integer "row", "col" and "class"'),
-    "duplicate-class": (None, "annotated more than once"),
+    "duplicate-class": ("duplicate", "annotated more than once"),
+    "stray-sample": ("stray", "annotations.json: sample 'train999' is not in the manifest"),
 }
 
 
@@ -496,15 +507,18 @@ def test_bad_annotation_point_exits_2_before_any_file_is_written(dataset, tmp_pa
     path = data / "annotations.json"
     annotations = json.loads(path.read_text())
     points = annotations["train000"]
-    if change is None:  # a second pixel for the first point's class
+    if change == "duplicate":  # a second pixel for the first point's class
         points.append({**points[0], "row": (points[0]["row"] + 1) % 16})
+    elif change == "stray":  # train000's points under an id the manifest lacks
+        annotations["train999"] = points
     else:
         points[0].update(change)
     path.write_text(json.dumps(annotations))
     out = tmp_path / "out"
     assert main(["train", "--data", str(data), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "train000" in err and message in err
+    assert err.startswith("error: ") and message in err
+    assert "train999" in err if change == "stray" else "train000" in err
     assert len(err.splitlines()) == 1
     assert not out.exists()
 
@@ -515,8 +529,13 @@ def _without_test_mask(data):
 
 
 def _without_test_split(data):
-    path = data / "manifest.json"
-    path.write_text(json.dumps({**json.loads(path.read_text()), "test": []}))
+    # The split's annotations go with it: an annotated id that the manifest
+    # does not list is an error of its own.
+    path, annotations_path = data / "manifest.json", data / "annotations.json"
+    manifest, annotations = json.loads(path.read_text()), json.loads(annotations_path.read_text())
+    annotations_path.write_text(json.dumps({k: v for k, v in annotations.items()
+                                            if k not in manifest["test"]}))
+    path.write_text(json.dumps({**manifest, "test": []}))
     return "error: the test split is empty: nothing to evaluate"
 
 

@@ -174,6 +174,27 @@ def test_prefix_cached_complex_forward_matches_uncached():
             pytest.fail(f"no {layer} coordinate reaches the logits")
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("side", ["analytic", "oracle"])
+def test_non_finite_gradient_fails_with_infinite_error(side, bad):
+    # Every comparison with NaN is False and inf - inf is NaN, so a non-finite
+    # side must fail by itself rather than through the tolerance.
+    drawn = []
+
+    def draw(rng, probe):
+        drawn.append(1)
+        analytic, oracle = np.ones(3), np.ones(3)
+        if len(drawn) == 2:
+            (analytic if side == "analytic" else oracle)[1:] = bad
+        yield analytic, oracle, 0.0
+
+    report = gc._check("non-finite", 3, 0, draw)
+    assert not report.passed
+    assert report.worst_rel_err == np.inf
+    assert (report.worst_seed, report.worst_coordinate) == (1, 1)
+    assert report.compared == 9
+
+
 def test_fd_noise_floor_scales_with_magnitude():
     assert gc.fd_noise_floor(0.0) == 0.0
     small, large = gc.fd_noise_floor(1.0), gc.fd_noise_floor(1e6)
@@ -191,7 +212,8 @@ def test_reports_carry_worst_location():
     assert isinstance(report.worst_coordinate, int)
 
 
-def test_complex_step_matches_real_forward():
+@pytest.mark.parametrize("mode", gc.MODES)
+def test_complex_step_matches_real_forward(mode):
     # The complex-step oracle must agree with the real-path loss when fed
     # real inputs, otherwise its derivatives verify a different function.
     rng = np.random.default_rng(0)
@@ -206,7 +228,7 @@ def test_complex_step_matches_real_forward():
         PointAnnotation(((2, 2, 0), (3, 3, 1)), K),
     ]
     plan = PairingPlan({(0, 0): 1, (0, 1): 1, (1, 0): 0, (1, 1): 0})
-    settings = LossSettings("pce+cv", tau=1.0)
+    settings = LossSettings(mode, tau=1.0)
     value = gc._cx_objective(
         [z.astype(complex) for z in logits], images, anns, plan, settings
     )
@@ -220,8 +242,9 @@ def test_complex_step_matches_real_forward():
 # The verdicts of run_all(seed=0, trials=15, end_to_end_trials=1), the
 # benchmark's gradcheck instance, without the timing line. A refactor of the
 # suites or the trial loop must leave every count and worst error as it is.
-# The conv-ed rows' worst errors come from the production conv's arithmetic,
-# which the complex-step oracle runs on complex values.
+# The end-to-end rows' worst errors come from the production arithmetic (the
+# conv kernels, softmax and the loss terms' value steps), which the
+# complex-step oracle runs on complex values.
 VERDICT_TABLE = """\
 component                        instances  compared  worst rel err  tolerance  result
 softmax_backward                       100      5706      1.961e-09      1e-04    PASS
@@ -234,12 +257,12 @@ conv1x1                                 15       730      0.000e+00      1e-04  
 relu                                    15       488      1.403e-09      1e-04    PASS
 maxpool2x2                              15       250      5.937e-09      1e-04    PASS
 upsample2x2                             15       166      7.756e-11      1e-04    PASS
-end_to_end[logit-field,pce]              1         8      2.779e-16      1e-04    PASS
-end_to_end[logit-field,pce+ms]           1       256      6.401e-14      1e-04    PASS
-end_to_end[logit-field,pce+cv]           1       256      8.046e-14      1e-04    PASS
-end_to_end[conv-ed,pce]                  1       226      4.460e-13      1e-04    PASS
-end_to_end[conv-ed,pce+ms]               1       273      3.066e-13      1e-04    PASS
-end_to_end[conv-ed,pce+cv]               1       265      3.242e-14      1e-04    PASS"""
+end_to_end[logit-field,pce]              1         8      4.200e-16      1e-04    PASS
+end_to_end[logit-field,pce+ms]           1       256      6.435e-14      1e-04    PASS
+end_to_end[logit-field,pce+cv]           1       256      1.152e-13      1e-04    PASS
+end_to_end[conv-ed,pce]                  1       226      5.378e-13      1e-04    PASS
+end_to_end[conv-ed,pce+ms]               1       273      3.468e-13      1e-04    PASS
+end_to_end[conv-ed,pce+cv]               1       265      2.406e-14      1e-04    PASS"""
 
 
 def test_verdict_table_is_unchanged():
