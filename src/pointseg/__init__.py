@@ -1,31 +1,13 @@
-"""Point-supervised segmentation trained from one annotated pixel per class.
+"""Point-supervised segmentation trained from one annotated pixel per class."""
 
-Set PSCV_THREADS to cap the BLAS/OpenMP thread pools; it must take effect
-before numpy is imported, which is why it is handled at the top of this file.
-A value that is not a positive integer leaves the pools alone; importing still
-succeeds, and the command line reports the value as a usage error.
-"""
-
-import os
-
-_threads = os.environ.get("PSCV_THREADS")
-_bad_threads = None  # a rejected PSCV_THREADS value, reported by the CLI
-if _threads is not None:
-    if _threads.isdigit() and int(_threads) >= 1:
-        for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(_var, _threads)
-    else:
-        _bad_threads = _threads
-
-from .errors import (  # noqa: E402
+from .errors import (
     IngestError,
     InvalidConfigError,
     InvalidInputError,
-    OracleFailureError,
     PointsegError,
     TrainingDivergenceError,
 )
-from .grids import (  # noqa: E402
+from .grids import (
     Image,
     LogitField,
     SoftPrediction,
@@ -33,7 +15,7 @@ from .grids import (  # noqa: E402
     softmax,
     softmax_backward,
 )
-from .losses import (  # noqa: E402
+from .losses import (
     LossBreakdown,
     LossSettings,
     PairingPlan,
@@ -47,7 +29,7 @@ from .losses import (  # noqa: E402
     tv_term,
     variance_map,
 )
-from .models import (  # noqa: E402
+from .models import (
     ModelParams,
     ModelSpec,
     backward,
@@ -56,7 +38,7 @@ from .models import (  # noqa: E402
     load_checkpoint,
     save_checkpoint,
 )
-from .data import (  # noqa: E402
+from .data import (
     LabelMask,
     Sample,
     SynthSpec,
@@ -69,7 +51,7 @@ from .data import (  # noqa: E402
     synth_generate,
     write_pgm,
 )
-from .metrics import (  # noqa: E402
+from .metrics import (
     EvalReport,
     central_bias_filter,
     dsc,
@@ -77,7 +59,7 @@ from .metrics import (  # noqa: E402
     hard_mask,
     hd95,
 )
-from .train import (  # noqa: E402
+from .train import (
     TrainConfig,
     TrainState,
     assemble_batch,
@@ -85,6 +67,6 @@ from .train import (  # noqa: E402
     sgd_step,
     train_loop,
 )
-from .seeding import keyed_rng, seed_words  # noqa: E402
+from .seeding import keyed_rng, seed_words
 
 __version__ = "0.1.0"

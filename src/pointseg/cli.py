@@ -24,7 +24,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from . import __version__, _bad_threads
+from . import __version__
 from .data import (
     SynthSpec,
     _load_splits,
@@ -195,7 +195,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_annotate(args) -> int:
-    _, train, test = _load_splits(args.data, "train", "test")
+    _, train, test = _load_splits(args.data, "train", "test", annotated=False)
     samples = train + test
     if not samples:
         raise InvalidInputError(f"{args.data}: no dataset found")
@@ -361,10 +361,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    if _bad_threads is not None:
-        print(f"error: PSCV_THREADS must be a positive integer, got {_bad_threads!r}",
-              file=sys.stderr)
-        return 2
     try:
         return args.func(args)
     except TrainingDivergenceError as exc:

@@ -297,17 +297,18 @@ def _load_annotations(root, sample_ids) -> dict:
     return annotations
 
 
-def _load_splits(root, *splits):
+def _load_splits(root, *splits, annotated=True):
     """The manifest, then each named split's samples in manifest order.
 
     manifest.json and annotations.json are each read once, however many
-    splits are asked for.
+    splits are asked for. annotated=False skips annotations.json, which
+    annotate rewrites, so that a damaged file cannot stop its regeneration.
     """
     manifest = load_manifest(root)
     for split in splits:
         if split not in ("train", "test"):
             raise InvalidInputError(f"unknown split {split!r}")
-    annotations = _load_annotations(root, set(manifest["train"] + manifest["test"]))
+    annotations = _load_annotations(root, {*manifest["train"], *manifest["test"]}) if annotated else {}
     loaded = [[_load_sample(root, sid, manifest, annotations) for sid in manifest[split]]
               for split in splits]
     return (manifest, *loaded)

@@ -17,9 +17,5 @@ class IngestError(PointsegError):
     """A dataset file is missing or malformed; the message names the offending file."""
 
 
-class OracleFailureError(PointsegError):
-    """The finite-difference oracle hit a non-finite function value."""
-
-
 class TrainingDivergenceError(PointsegError):
     """A non-finite loss or gradient appeared; the message names the parameter or batch."""

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, OracleFailureError
+from .errors import InvalidInputError
 
 SIMPLEX_ATOL = 1e-9  # per-pixel probability sums must match 1 this closely
 FD_STEP = 1e-5       # central-difference step of finite_diff_grad
@@ -132,7 +132,7 @@ def finite_diff_grad(f, x: np.ndarray) -> np.ndarray:
     Perturbs one coordinate at a time: (f(x + h e_i) - f(x - h e_i)) / 2h,
     with h = FD_STEP. This is the reference oracle every analytic backward
     pass in the package is checked against; it deliberately knows nothing
-    about the function.
+    about the function. A non-finite value passes through into the quotient.
     """
     x = np.asarray(x, dtype=np.float64)
     grad = np.zeros_like(x)
@@ -143,7 +143,5 @@ def finite_diff_grad(f, x: np.ndarray) -> np.ndarray:
         hi = float(f(probe.reshape(x.shape)))
         probe[i] -= 2.0 * FD_STEP
         lo = float(f(probe.reshape(x.shape)))
-        if not (np.isfinite(hi) and np.isfinite(lo)):
-            raise OracleFailureError(f"non-finite function value at coordinate {i}")
         flat[i] = (hi - lo) / (2.0 * FD_STEP)
     return grad

@@ -425,7 +425,12 @@ def load_checkpoint(path, height=None, width=None) -> ModelParams:
     if field_names:
         if len(field_names) != len(values):
             raise IngestError(f"{path}: mixes logit fields with other parameters")
-        K, H, W = values[field_names[0]].shape
+        shape = values[field_names[0]].shape
+        for name in field_names:
+            if len(shape) != 3 or values[name].shape != shape:
+                raise IngestError(f"{path}: logit field {name!r} has shape "
+                                  f"{values[name].shape}, not one (K, H, W) shared by all")
+        K, H, W = shape
         ids = tuple(n[len("field."):] for n in field_names)
         spec = ModelSpec("logit-field", K, H, W, image_ids=ids)
     else:

@@ -180,9 +180,7 @@ def ablation_scores(default_dataset):
     runs.sort(key=lambda run: -run[2]["total_iterations"])
     workers = min(len(os.sched_getaffinity(0)), len(runs))
     # Each worker reads these before it imports numpy: one BLAS thread apiece.
-    blas_env = dict.fromkeys(
-        ("PSCV_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"), "1"
-    )
+    blas_env = dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"), "1")
     with mock.patch.dict(os.environ, blas_env):
         pool = multiprocessing.get_context("spawn").Pool(workers)
     with pool:

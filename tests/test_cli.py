@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import pointseg
@@ -123,6 +124,22 @@ def test_annotate_is_deterministic(tmp_path):
     assert (root / "annotations.json").read_bytes() == first
     points = json.loads(first)
     assert len(points) == 6  # every image, train and test
+
+
+@pytest.mark.parametrize("damage", ["stray-sample", "float-row"])
+def test_annotate_regenerates_a_damaged_annotation_file(dataset, tmp_path, damage):
+    # annotate rewrites annotations.json, so it must not read the old one.
+    data = tmp_path / "data"
+    shutil.copytree(dataset, data)
+    path = data / "annotations.json"
+    annotations = json.loads(path.read_text())
+    if damage == "stray-sample":
+        annotations["train999"] = annotations["train000"]
+    else:
+        annotations["train000"][0]["row"] = 1.5
+    path.write_text(json.dumps(annotations))
+    assert main(["annotate", "--data", str(data), "--seed", "0"]) == 0
+    assert path.read_bytes() == (dataset / "annotations.json").read_bytes()
 
 
 def test_train_writes_artifacts(trained):
@@ -347,6 +364,21 @@ def test_eval_nan_checkpoint_exits_2_naming_the_entry(dataset, trained, tmp_path
     assert "entry 'dec1.w' holds NaN or Inf" in capsys.readouterr().err
 
 
+def test_eval_mixed_logit_field_shapes_exits_2_naming_the_entry(dataset, tmp_path, capsys):
+    ids = tuple(json.loads((dataset / "manifest.json").read_text())["train"])
+    params = pointseg.init_params(pointseg.ModelSpec("logit-field", 2, 16, 16, image_ids=ids), 0)
+    params.values["field.train001"] = params.momentum["field.train001"] = np.zeros((3, 16, 16))
+    bad = tmp_path / "mixed.bin"
+    pointseg.save_checkpoint(bad, params)
+    out = tmp_path / "out"
+    assert main(["eval", "--checkpoint", str(bad), "--data", str(dataset),
+                 "--out", str(out), "--split", "train"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "mixed.bin" in err and "'field.train001'" in err
+    assert not out.exists()
+
+
 def test_gradcheck_passes(capsys):
     assert main(["gradcheck", "--trials", "2", "--end-to-end-trials", "1"]) == 0
     out = capsys.readouterr().out
@@ -373,6 +405,16 @@ def test_gradcheck_fails_a_non_finite_gradient(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert "overall: FAIL" in captured.out
     assert captured.err == "FAIL upsample2x2: seed 0, coordinate 0, rel err inf\n"
+
+
+def test_gradcheck_fails_a_non_finite_objective_value(monkeypatch, capsys):
+    real = pointseg.gradcheck._smooth_tv
+    monkeypatch.setattr(pointseg.gradcheck, "_smooth_tv",
+                        lambda P: real(P) if np.iscomplexobj(P) else float("nan"))
+    assert main(["gradcheck", "--trials", "2", "--end-to-end-trials", "1"]) == 1
+    captured = capsys.readouterr()
+    assert "overall: FAIL" in captured.out
+    assert "FAIL tv_term:" in captured.err and "error:" not in captured.err
 
 
 def test_sweep_orders_rows_and_writes_tables(dataset, tmp_path):
@@ -618,7 +660,8 @@ def test_commands_read_each_dataset_json_file_once(dataset, trained, tmp_path, m
                   "--parameter", "lambda_cv", "--values", "0.0"],
     }[command]
     assert main(argv + ["--data", str(data)]) == 0
-    assert sorted(calls) == ["annotations.json", "manifest.json"]
+    expected = ["manifest.json"] if command == "annotate" else ["annotations.json", "manifest.json"]
+    assert sorted(calls) == expected
     if command == "annotate":  # seed 0 as in the fixture: the same points for all samples
         assert (data / "annotations.json").read_bytes() == (dataset / "annotations.json").read_bytes()
 
@@ -646,31 +689,25 @@ def test_usage_errors_exit_2(capsys):
     assert main(["no-such-command"]) == 2
 
 
-def _thread_env(threads):
-    """Subprocess environment in which PSCV_THREADS alone sets the BLAS threads."""
+def _subprocess_env(**extra):
+    """This environment without BLAS thread variables, plus `extra`, importing src."""
     env = {k: v for k, v in os.environ.items()
            if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
-    env["PSCV_THREADS"] = threads
+    env.update(extra)
     src = os.path.dirname(os.path.dirname(pointseg.__file__))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return env
 
 
-def test_bad_thread_count_exits_2_and_import_succeeds(tmp_path):
-    env = _thread_env("abc")
-    cli = subprocess.run(
-        [sys.executable, "-m", "pointseg.cli", "annotate", "--data", str(tmp_path), "--seed", "0"],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert cli.returncode == 2
-    assert "error: PSCV_THREADS must be a positive integer, got 'abc'" in cli.stderr
+def test_import_leaves_the_environment_unchanged():
+    env = _subprocess_env(PSCV_THREADS="1")
     imported = subprocess.run(
         [sys.executable, "-c",
-         "import os, pointseg; print(os.environ.get('OPENBLAS_NUM_THREADS'))"],
+         "import os; before = dict(os.environ); import pointseg; print(dict(os.environ) == before)"],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert imported.returncode == 0, imported.stderr
-    assert imported.stdout.strip() == "None"
+    assert imported.stdout.strip() == "True"
 
 
 def test_checkpoint_bytes_do_not_depend_on_blas_threads(tmp_path):
@@ -686,7 +723,8 @@ def test_checkpoint_bytes_do_not_depend_on_blas_threads(tmp_path):
         run = subprocess.run(
             [sys.executable, "-m", "pointseg.cli", "train", "--data", str(data),
              "--out", str(out), "--model-kind", "conv-ed", "--total-iterations", "4"],
-            env=_thread_env(threads), capture_output=True, text=True, timeout=600,
+            env=_subprocess_env(OMP_NUM_THREADS=threads), capture_output=True, text=True,
+            timeout=600,
         )
         assert run.returncode == 0, run.stderr
         checkpoints.append((out / "checkpoint_final.bin").read_bytes())

@@ -18,8 +18,8 @@ def test_all_demos_found():
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_runs(demo, tmp_path):
     env = {k: v for k, v in os.environ.items()
-           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
-    env.update(PSCV_THREADS="1", PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmp_path))
+           if k not in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    env.update(OMP_NUM_THREADS="1", PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmp_path))
     run = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                          capture_output=True, text=True, timeout=600)
     assert run.returncode == 0, run.stderr[-2000:]

@@ -195,6 +195,18 @@ def test_non_finite_gradient_fails_with_infinite_error(side, bad):
     assert report.compared == 9
 
 
+def test_non_finite_objective_value_fails_its_suites(monkeypatch):
+    # A NaN value on the real (finite-difference) path reaches the difference
+    # quotient and fails the two suites that difference it; the complex-step
+    # suites still see the real surrogate and pass.
+    real = gc._smooth_tv
+    monkeypatch.setattr(gc, "_smooth_tv",
+                        lambda P: real(P) if np.iscomplexobj(P) else float("nan"))
+    report = gc.run_all(0, 2, 1)
+    failed = {c.name: c.worst_rel_err for c in report.components if not c.passed}
+    assert failed == {"tv_term": np.inf, "cv_loss": np.inf}
+
+
 def test_fd_noise_floor_scales_with_magnitude():
     assert gc.fd_noise_floor(0.0) == 0.0
     small, large = gc.fd_noise_floor(1.0), gc.fd_noise_floor(1e6)

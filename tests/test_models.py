@@ -413,6 +413,13 @@ def test_checkpoint_rejects_corruption(tmp_path):
     with pytest.raises(IngestError, match=r"bad\.bin: entry 'field\.b' holds NaN"):
         load_checkpoint(bad)
 
+    params = init_params(spec, 0)
+    # a (2, H, W) field beside field.a's (3, H, W): the class count is ambiguous
+    params.values["field.b"] = params.momentum["field.b"] = np.zeros((2, 4, 5))
+    save_checkpoint(bad, params)
+    with pytest.raises(IngestError, match=r"bad\.bin: logit field 'field\.b' has shape \(2, 4, 5\)"):
+        load_checkpoint(bad)
+
 
 def test_conv_checkpoint_needs_grid_size(tmp_path):
     spec = conv_spec()
