@@ -35,6 +35,9 @@ from .seeding import keyed_rng
 CHECKPOINT_MAGIC = b"PSCV1"
 MOMENTUM_PREFIX = "momentum:"
 DEFAULT_CHANNELS = (16, 16, 32, 16)
+# Output channels per block of the per-tap convolution: on a 64x64 image one
+# tap's (8, H*Wp) product is about 270 KB, so it and its block stay in L2.
+CHANNEL_BLOCK = 8
 
 KINDS = ("logit-field", "conv-ed")
 
@@ -149,32 +152,42 @@ def _conv2d(x, w, b=None):
     gradient is one too (see _conv2d_backward), so the narrower side is chosen here.
     Without a bias b the sums start from zeros.
 
-    Output rows are Wp wide until the pad columns are dropped. With
-    1 < Cout < Cin one matmul maps the flat input to each tap's Cout-channel
-    plane and the shifted planes are added. Otherwise each tap's kernel slice
-    multiplies its flat window, through np.dot when Cin == 1 (matmul does that
-    outer product without BLAS). Each kept element gets the dots of one
-    tensordot per tap on a copied window, added onto the bias in row-major tap
-    order: the same bits (a single output row, stacked, would go to gemv).
+    The input is padded into one flat buffer, where each tap's window is a
+    strided view; output rows are Wp wide until the pad columns are dropped.
+    With 1 < Cout < Cin one matmul maps the input to each tap's Cout-channel
+    plane and the shifted planes are added (a single output row, stacked,
+    would go to gemv). Otherwise the output is built in blocks of CHANNEL_BLOCK channels, adding
+    each tap's kernel rows times its window in turn, so the product and its
+    block stay in cache. With Cin == 1 that product is a broadcast multiply:
+    one rounding per element, as BLAS's outer product (matmul would do it
+    without BLAS). Either way each element gets one dot per tap, the same in
+    any block, added onto the bias in row-major tap order: the bits of one
+    tensordot per tap over the whole kernel.
     """
     cout, cin, kh, kw = w.shape
     H, W = x.shape[1:]
     ph, pw = kh // 2, kw // 2
     Wp = W + 2 * pw
+    N = H * Wp
     xf = _pad_flat(x, ph, pw)
-    out = (np.zeros((cout, H * Wp), dtype=x.dtype) if b is None
-           else np.broadcast_to(b[:, None], (cout, H * Wp)).copy())
-    stacked = 1 < cout < cin
-    if stacked:
+    out = (np.zeros((cout, N), dtype=x.dtype) if b is None
+           else np.broadcast_to(b[:, None], (cout, N)).copy())
+    taps = [(i, j, i * Wp + j) for i in range(kh) for j in range(kw)]
+    if 1 < cout < cin:
         planes = (w.transpose(2, 3, 0, 1).reshape(-1, cin) @ xf).reshape(kh, kw, cout, -1)
-    mul = np.dot if cin == 1 else np.matmul
-    for i in range(kh):
-        for j in range(kw):
-            s = i * Wp + j
-            if stacked:
-                out += planes[i, j, :, s : s + H * Wp]
-            else:
-                out += mul(w[:, :, i, j], xf[:, s : s + H * Wp])
+        for i, j, s in taps:
+            out += planes[i, j, :, s : s + N]
+    else:
+        # No block holds a lone row unless Cout == 1: matmul sends one row to
+        # gemv, whose sums can differ from gemm's in the last bit.
+        ends = [*range(CHANNEL_BLOCK, cout - 1, CHANNEL_BLOCK), cout]
+        for c0, c1 in zip([0] + ends[:-1], ends):
+            block, wb = out[c0:c1], w[c0:c1]
+            for i, j, s in taps:
+                if cin == 1:
+                    block += wb[:, :, i, j] * xf[:, s : s + N]
+                else:
+                    block += wb[:, :, i, j] @ xf[:, s : s + N]
     return out.reshape(cout, H, Wp)[:, :, :W]
 
 
@@ -182,12 +195,15 @@ def _conv2d_backward(x, w, grad_out, need_input=True):
     """Gradients of a zero-padded convolution w.r.t. input, kernel and bias.
 
     With need_input=False the input gradient is None. The kernel gradient
-    pads the input once, channels last; each tap's window reshapes into the
-    (H*W, Cin) operand a per-tap tensordot builds (for an unpadded input, the
-    same transposed view), so each tap is that tensordot's matmul. The input
-    gradient is _conv2d of grad_out turned 180 degrees with the transposed
-    kernel, turned back: turning the data, not the kernel, keeps the
-    row-major tap order and so the bits. A 1x1 kernel needs no turn.
+    pads the input once, channels last, and copies it once per kernel
+    column; each tap's (H*W, Cin) operand is then a contiguous view of that
+    copy, the matrix a per-tap tensordot would copy out, so each tap is that
+    tensordot's matmul. A 1x1 kernel keeps the unpadded input's transposed
+    view, as the tensordot does: a copied operand there would send BLAS down
+    its other transpose path and change the bits. The input gradient is
+    _conv2d of grad_out turned 180 degrees with the transposed kernel, turned
+    back: turning the data, not the kernel, keeps the row-major tap order and
+    so the bits. A 1x1 kernel needs no turn.
     """
     cout, cin, kh, kw = w.shape
     H, W = x.shape[1:]
@@ -198,9 +214,10 @@ def _conv2d_backward(x, w, grad_out, need_input=True):
         xl[ph : ph + H, pw : pw + W] = x.transpose(1, 2, 0)
     g2 = np.ascontiguousarray(grad_out).reshape(cout, H * W)
     grad_w = np.empty_like(w)
-    for i in range(kh):
-        for j in range(kw):
-            grad_w[:, :, i, j] = np.dot(g2, xl[i : i + H, j : j + W].reshape(H * W, cin))
+    for j in range(kw):
+        xs = xl[:, j : j + W].copy() if pw else xl
+        for i in range(kh):
+            grad_w[:, :, i, j] = np.dot(g2, xs[i : i + H].reshape(H * W, cin))
     grad_b = grad_out.sum(axis=(1, 2))
     if not need_input:
         return None, grad_w, grad_b
@@ -242,8 +259,16 @@ def _maxpool2_backward(idx, grad_out, shape):
     return grad
 
 
-def _upsample2(x):
-    return np.repeat(np.repeat(x, 2, axis=1), 2, axis=2)
+def _upsample2(x, out=None):
+    """Nearest-neighbor x2 upsampling of x (C, h, w), written into out (C, 2h, 2w)
+    when given (a C-contiguous block, such as a leading-axis slice)."""
+    C, h, w = x.shape
+    if out is None:
+        out = np.empty((C, 2 * h, 2 * w), dtype=x.dtype)
+    blocks = out.reshape(C, h, 2, w, 2)
+    for b in range(2):  # one strided write per column of each 2x2 block
+        blocks[..., b] = x[:, :, None]
+    return out
 
 
 def _upsample2_backward(grad_out):
@@ -267,8 +292,14 @@ def _pool(acts):
 
 
 def _skip_concat(acts):
-    acts["cat"] = np.concatenate([acts["enc2"], _upsample2(acts["enc3"])], axis=0)
-    return acts["cat"]
+    """enc2 and the upsampled enc3 written into one buffer, with no temporaries."""
+    a2, a3 = acts["enc2"], acts["enc3"]
+    c2 = a2.shape[0]
+    cat = np.empty((c2 + a3.shape[0],) + a2.shape[1:], dtype=np.result_type(a2, a3))
+    cat[:c2] = a2
+    _upsample2(a3, out=cat[c2:])
+    acts["cat"] = cat
+    return cat
 
 
 # conv-ed's layers in order, each with its input built from the activations
@@ -446,4 +477,8 @@ def load_checkpoint(path, height=None, width=None) -> ModelParams:
         for name, shape in expected.items():
             if name not in values or values[name].shape != shape:
                 raise IngestError(f"{path}: parameter {name!r} missing or mis-shaped")
+    for name, value in values.items():
+        if momentum[name].shape != value.shape:
+            raise IngestError(f"{path}: entry {MOMENTUM_PREFIX + name!r} has shape "
+                              f"{momentum[name].shape}, not its parameter's {value.shape}")
     return ModelParams(spec, values, momentum)

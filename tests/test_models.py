@@ -29,6 +29,7 @@ from pointseg import (
     softmax,
 )
 from pointseg.models import (
+    CHANNEL_BLOCK,
     DEFAULT_CHANNELS,
     _conv2d,
     _conv2d_backward,
@@ -112,8 +113,11 @@ def test_forward_shapes_and_determinism():
 
 # (cout, cin, kernel): both sides of the cout < cin branch, cout == cin,
 # a single input channel, a single output channel, and 1x1 kernels on both
-# sides (with cout >= cin, the flat path with no pad columns).
-CONV_SHAPES = [(4, 3, 3), (2, 5, 3), (3, 3, 3), (4, 1, 3), (1, 3, 3), (2, 5, 1), (3, 2, 1)]
+# sides (with cout >= cin, the flat path with no pad columns). The last four
+# end the per-tap path on a partial channel block: 9 and 17 output channels in
+# the forward pass (one with a single input channel), 10 in an input gradient.
+CONV_SHAPES = [(4, 3, 3), (2, 5, 3), (3, 3, 3), (4, 1, 3), (1, 3, 3), (2, 5, 1), (3, 2, 1),
+               (9, 2, 3), (17, 3, 1), (9, 1, 3), (3, 10, 3)]
 
 
 @pytest.mark.parametrize("cout,cin,k", CONV_SHAPES)
@@ -141,31 +145,50 @@ def test_conv2d_matches_naive_loops(cout, cin, k):
 @pytest.mark.parametrize("cout,cin,k", CONV_SHAPES)
 def test_conv2d_backward_matches_naive_loops(cout, cin, k):
     rng = np.random.default_rng(3)
-    H, W = 5, 6
-    x = rng.normal(size=(cin, H, W))
+    # Besides 5x6, grids narrower than the kernel, where each kernel
+    # column's copy of the padded input is mostly pad.
+    for H, W in [(5, 6), (1, 1), (1, 2), (3, 1), (4, 2), (1, 5)]:
+        x = rng.normal(size=(cin, H, W))
+        w = rng.normal(size=(cout, cin, k, k))
+        g = rng.normal(size=(cout, H, W))
+        grad_x, grad_w, grad_b = _conv2d_backward(x, w, g)
+        p = k // 2
+        xp = np.pad(x, ((0, 0), (p, p), (p, p)))
+        ref_x = np.zeros((cin, H, W))
+        ref_w = np.zeros((cout, cin, k, k))
+        for o in range(cout):
+            for i in range(H):
+                for j in range(W):
+                    for c in range(cin):
+                        for di in range(k):
+                            for dj in range(k):
+                                ref_w[o, c, di, dj] += g[o, i, j] * xp[c, i + di, j + dj]
+                                r, q = i + di - p, j + dj - p
+                                if 0 <= r < H and 0 <= q < W:
+                                    ref_x[c, r, q] += w[o, c, di, dj] * g[o, i, j]
+        assert np.abs(grad_x - ref_x).max() <= 1e-12, (H, W)
+        assert np.abs(grad_w - ref_w).max() <= 1e-12, (H, W)
+        assert np.abs(grad_b - g.sum(axis=(1, 2))).max() <= 1e-12, (H, W)
+        skipped, grad_w2, grad_b2 = _conv2d_backward(x, w, g, need_input=False)
+        assert skipped is None
+        assert np.array_equal(grad_w2, grad_w) and np.array_equal(grad_b2, grad_b)
+
+
+@pytest.mark.parametrize("cout,cin,k", [s for s in CONV_SHAPES if max(s[:2]) > CHANNEL_BLOCK])
+def test_conv2d_partial_channel_block_bit_identical_to_per_tap(cout, cin, k):
+    # The per-tap path ends on a block of fewer than CHANNEL_BLOCK channels;
+    # its rows must still get the bits of one tensordot over the whole kernel.
+    rng = np.random.default_rng(9)
+    x = rng.normal(size=(cin, 5, 6))
     w = rng.normal(size=(cout, cin, k, k))
-    g = rng.normal(size=(cout, H, W))
-    grad_x, grad_w, grad_b = _conv2d_backward(x, w, g)
-    p = k // 2
-    xp = np.pad(x, ((0, 0), (p, p), (p, p)))
-    ref_x = np.zeros((cin, H, W))
-    ref_w = np.zeros((cout, cin, k, k))
-    for o in range(cout):
-        for i in range(H):
-            for j in range(W):
-                for c in range(cin):
-                    for di in range(k):
-                        for dj in range(k):
-                            ref_w[o, c, di, dj] += g[o, i, j] * xp[c, i + di, j + dj]
-                            r, q = i + di - p, j + dj - p
-                            if 0 <= r < H and 0 <= q < W:
-                                ref_x[c, r, q] += w[o, c, di, dj] * g[o, i, j]
-    assert np.abs(grad_x - ref_x).max() <= 1e-12
-    assert np.abs(grad_w - ref_w).max() <= 1e-12
-    assert np.abs(grad_b - g.sum(axis=(1, 2))).max() <= 1e-12
-    skipped, grad_w2, grad_b2 = _conv2d_backward(x, w, g, need_input=False)
-    assert skipped is None
-    assert np.array_equal(grad_w2, grad_w) and np.array_equal(grad_b2, grad_b)
+    b = rng.normal(size=cout)
+    g = rng.normal(size=(cout, 5, 6))
+    assert bit_equal(_conv2d(x, w, b), conv2d_per_tap(x, w, b))
+    # conv-ed never takes a one-channel input's gradient (enc1's), whose
+    # one-row products go to gemv where the oracle's tensordot does not.
+    grads = _conv2d_backward(x, w, g, need_input=cin > 1)
+    for got, ref in zip(grads, conv2d_backward_per_tap(x, w, g)):
+        assert got is None or bit_equal(got, ref)
 
 
 def _crop(a, extra=2):
@@ -418,6 +441,12 @@ def test_checkpoint_rejects_corruption(tmp_path):
     params.values["field.b"] = params.momentum["field.b"] = np.zeros((2, 4, 5))
     save_checkpoint(bad, params)
     with pytest.raises(IngestError, match=r"bad\.bin: logit field 'field\.b' has shape \(2, 4, 5\)"):
+        load_checkpoint(bad)
+
+    params = init_params(spec, 0)
+    params.momentum["field.b"] = np.zeros((3, 4, 6))  # beside a (3, 4, 5) field
+    save_checkpoint(bad, params)
+    with pytest.raises(IngestError, match=r"bad\.bin: entry 'momentum:field\.b' has shape \(3, 4, 6\)"):
         load_checkpoint(bad)
 
 

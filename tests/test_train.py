@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -15,18 +16,21 @@ from pointseg import (
     LossSettings,
     PointAnnotation,
     Sample,
+    SynthSpec,
     TrainConfig,
     TrainingDivergenceError,
     assemble_batch,
     forward,
+    generate_annotations,
     init_params,
     poly_lr,
     sgd_step,
+    synth_generate,
     train_loop,
 )
 from pointseg.losses import partial_cross_entropy
 from pointseg.grids import softmax
-from pointseg.models import ModelSpec
+from pointseg.models import DEFAULT_CHANNELS, ModelSpec
 from pointseg.train import HISTORY_COLUMNS, history_to_csv
 
 
@@ -437,3 +441,19 @@ def test_training_and_gradcheck_share_one_batch_step(kind, monkeypatch):
     calls.clear()
     assert pointseg.gradcheck.check_end_to_end(kind, "pce+cv", trials=2).passed
     assert len(calls) == 2
+
+
+def test_default_model_bytes_pinned(tmp_path):
+    # The default shape (conv-ed, 64x64, channels (16, 16, 32, 16), batch 8,
+    # pce+cv, augmentation on) for two iterations on a small synthetic set.
+    # The digests were taken before the conv kernels were blocked to cache
+    # size; any change to the convolutions' arithmetic moves them.
+    train, _, _ = synth_generate(SynthSpec(train_count=8, test_count=0))
+    config = TrainConfig(total_iterations=2)
+    assert (config.model_kind, config.mode, config.batch_size, config.augment,
+            config.channels) == ("conv-ed", "pce+cv", 8, True, DEFAULT_CHANNELS)
+    state = train_loop(generate_annotations(train, seed=0), config, checkpoint_dir=tmp_path)
+    digests = (hashlib.sha256((tmp_path / "checkpoint_final.bin").read_bytes()).hexdigest(),
+               hashlib.sha256(history_to_csv(state.history).encode()).hexdigest())
+    assert digests == ("156600dbc1b9106aefa87824bb5913f0feb4cd91fe0c01aecd469df3d05d9c28",
+                       "195b1214e4e609853c48a19c0787443fa7e4c5ed5a8ea24ac00b4eb413cdb51f")
