@@ -12,8 +12,9 @@ which the two cannot be told apart. There are two oracles:
   inputs never leave the simplex; layers are weighted by a random probe of
   their output. The contrastive suite checks cv_loss together with smoothed
   TV, the regularizer training adds beside it. A probe re-softmaxes only the
-  input it moves and evaluates the terms' private value steps, the forward
-  halves each full term is built on, so the gradient is built once a trial.
+  input it moves. The ms and cv probes evaluate the private value steps those
+  full terms are built on, so their gradients are built once a trial; the pce
+  probes call the whole partial_cross_entropy.
 * End-to-end suites differentiate whole model+loss compositions with a
   complex-step oracle: an imaginary perturbation of one parameter propagates
   through the forward training runs (conv-ed's `walk_layers` on complex

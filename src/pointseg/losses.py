@@ -238,44 +238,28 @@ class ContrastiveVarianceResult:
 
 
 def _cv_value(images, preds, present, plan: PairingPlan, tau: float):
-    """cv_loss's checks and value: (contrastive, anchors, saved).
+    """cv_loss's value, unchecked: (contrastive, anchors, saved).
 
-    saved is None without anchors, else what the gradient reuses: the mean
-    statistics, the (image, class) key of each row of Z, Z itself, its row
-    norms, D, S, the anchor and positive rows, and each anchor's shifted
-    exponentials with their sum. Complex probabilities give a complex value
-    (the complex-step oracle's): no step drops an imaginary part.
+    The inputs must pass cv_loss's checks, with each present set a sorted tuple
+    of distinct classes. saved is None without anchors, else what the gradient
+    reuses: the mean statistics, the (image, class) key of each row of Z, Z
+    itself, its row norms, D, S, the anchor and positive rows, and each
+    anchor's shifted exponentials with their sum. Complex probabilities give a
+    complex value (the complex-step oracle's): no step drops an imaginary part.
     """
-    if tau <= 0:
-        raise InvalidConfigError(f"temperature must be positive, got {tau}")
-    n_images = len(images)
-    if n_images < 1 or len(preds) != n_images or len(present) != n_images:
-        raise InvalidInputError("images, preds and present-class sets must align")
-    shape = preds[0].spatial_shape
-    present = [tuple(sorted(set(int(k) for k in s))) for s in present]
-    for n in range(n_images):
-        if preds[n].spatial_shape != shape:
-            raise InvalidInputError("all predictions in a batch must share one H x W")
-        for k in present[n]:
-            if not 0 <= k < preds[n].num_classes:
-                raise InvalidInputError(f"present class {k} outside range for image {n}")
     anchors = plan.items()
-    for (n, k), m in anchors:
-        if not (0 <= n < n_images and 0 <= m < n_images) or m == n:
-            raise InvalidInputError(f"pairing ({n}, {k}) -> {m} is out of range or self-paired")
-        if k not in present[n] or k not in present[m]:
-            raise InvalidInputError(f"pairing ({n}, {k}) -> {m} names a class not present")
     if not anchors:
         return 0.0, anchors, None
 
     # Z holds one flattened variance map per (image, present class) row;
     # S is the cosine of every pair of rows.
-    stats = [_mean_stats(images[n], preds[n]) for n in range(n_images)]
-    keys = [(n, k) for n in range(n_images) for k in present[n]]
+    stats = [_mean_stats(image, pred) for image, pred in zip(images, preds)]
+    keys = [(n, k) for n, classes in enumerate(present) for k in classes]
     row = {key: a for a, key in enumerate(keys)}
     img, cls = np.array(keys).T
     Z = np.stack([
-        variance_map(images[n], preds[n], stats[n][2], k).reshape(-1) for n, k in keys
+        ((images[n].intensities - stats[n][2][k]) ** 2 * preds[n].probabilities[k]).reshape(-1)
+        for n, k in keys
     ])
     norms = np.sqrt((Z * Z).sum(axis=1))
     D = np.outer(norms, norms) + COSINE_EPS
@@ -311,6 +295,25 @@ def cv_loss(images, preds, present, plan: PairingPlan, tau: float,
     maps, the class means, and the predictions; classes not in `present` get
     zero gradient. TV is not part of this term: total_loss adds it.
     """
+    if tau <= 0:
+        raise InvalidConfigError(f"temperature must be positive, got {tau}")
+    n_images = len(images)
+    if n_images < 1 or len(preds) != n_images or len(present) != n_images:
+        raise InvalidInputError("images, preds and present-class sets must align")
+    shape = preds[0].spatial_shape
+    present = [tuple(sorted(set(int(k) for k in s))) for s in present]
+    for n in range(n_images):
+        if preds[n].spatial_shape != shape:
+            raise InvalidInputError("all predictions in a batch must share one H x W")
+        for k in present[n]:
+            if not 0 <= k < preds[n].num_classes:
+                raise InvalidInputError(f"present class {k} outside range for image {n}")
+    anchors = plan.items()
+    for (n, k), m in anchors:
+        if not (0 <= n < n_images and 0 <= m < n_images) or m == n:
+            raise InvalidInputError(f"pairing ({n}, {k}) -> {m} is out of range or self-paired")
+        if k not in present[n] or k not in present[m]:
+            raise InvalidInputError(f"pairing ({n}, {k}) -> {m} names a class not present")
     contrastive, anchors, saved = _cv_value(images, preds, present, plan, tau)
     grads = [np.zeros_like(pred.probabilities) for pred in preds]
     if saved is not None:
@@ -327,7 +330,6 @@ def cv_loss(images, preds, present, plan: PairingPlan, tau: float,
         dn = (dD + dD.T) @ norms
         safe = np.where(norms > 0.0, norms, 1.0)
         dZ = (dG + dG.T) @ Z + (dn / safe)[:, None] * Z
-        shape = preds[0].spatial_shape
         for (n, k), gz in zip(keys, dZ):
             _, mass, means = stats[n]
             grads[n][k] += _variance_map_backward(

@@ -84,18 +84,12 @@ class ModelSpec:
 
 @dataclass
 class ModelParams:
-    """Named parameter arrays plus same-shaped optimizer momentum buffers."""
+    """Named parameter arrays plus same-shaped optimizer momentum buffers, as
+    init_params builds them and load_checkpoint checks them."""
 
     spec: ModelSpec
     values: dict
     momentum: dict
-
-    def __post_init__(self):
-        if sorted(self.values) != sorted(self.momentum):
-            raise InvalidInputError("parameter and momentum names disagree")
-        for name, v in self.values.items():
-            if self.momentum[name].shape != v.shape:
-                raise InvalidInputError(f"momentum shape mismatch for {name!r}")
 
 
 def _conv_shapes(spec: ModelSpec) -> dict:
@@ -170,8 +164,8 @@ def _conv2d(x, w, b=None):
     Wp = W + 2 * pw
     N = H * Wp
     xf = _pad_flat(x, ph, pw)
-    out = (np.zeros((cout, N), dtype=x.dtype) if b is None
-           else np.broadcast_to(b[:, None], (cout, N)).copy())
+    out = np.empty((cout, N), dtype=x.dtype if b is None else b.dtype)
+    out[:] = 0.0 if b is None else b[:, None]
     taps = [(i, j, i * Wp + j) for i in range(kh) for j in range(kw)]
     if 1 < cout < cin:
         planes = (w.transpose(2, 3, 0, 1).reshape(-1, cin) @ xf).reshape(kh, kw, cout, -1)

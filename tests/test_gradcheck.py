@@ -9,6 +9,7 @@ import pointseg.models
 from pointseg import Image, ModelSpec, init_params
 from pointseg.models import walk_layers
 
+from conftest import blas_core
 from oracles import bit_equal, cx_forward_uncached
 
 
@@ -279,4 +280,5 @@ end_to_end[conv-ed,pce+cv]               1       265      2.406e-14      1e-04  
 
 def test_verdict_table_is_unchanged():
     table = gc.run_all(seed=0, trials=15, end_to_end_trials=1).format_table()
-    assert table.rsplit("\n", 1)[0] == VERDICT_TABLE
+    assert table.rsplit("\n", 1)[0] == VERDICT_TABLE, \
+        f"pinned on SkylakeX; this process runs {blas_core()}"

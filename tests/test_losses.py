@@ -215,6 +215,12 @@ def test_value_steps_equal_full_values_bit_for_bit(seed):
     assert _tv_value(pred)[0].hex() == tv_term(pred)[0].hex()
     for freeze in (False, True):
         assert _ms_value(image, pred)[0].hex() == ms_data_term(image, pred, freeze)[0].hex()
+    # cv_loss sorts and dedupes each present set before its value step runs.
+    images = [image, Image(rng.random((H, W)))]
+    preds = [pred, softmax(LogitField(3.0 * rng.normal(size=(K, H, W))))]
+    plan = PairingPlan({(0, 0): 1, (0, 2): 1, (1, 2): 0})
+    cv = cv_loss(images, preds, [(2, 0, 0), (1, 2, 0)], plan, 0.07, 0.3)
+    assert _cv_value(images, preds, [(0, 2), (0, 1, 2)], plan, 0.07)[0].hex() == cv.contrastive.hex()
 
 
 # contrastive variance loss
@@ -264,6 +270,13 @@ def test_cv_plan_validation():
         cv_loss(images, preds, present, PairingPlan({(0, 0): 0}), 1.0, 1.0)
     with pytest.raises(InvalidInputError):
         cv_loss(images, preds, [(0,), (0,)], PairingPlan({(0, 1): 1}), 1.0, 1.0)
+    with pytest.raises(InvalidInputError, match="must align"):
+        cv_loss(images, preds[:1], present, PairingPlan({}), 1.0, 1.0)
+    wide = softmax(LogitField(np.zeros((2, 2, 3))))
+    with pytest.raises(InvalidInputError, match="share one H x W"):
+        cv_loss(images, [preds[0], wide], present, PairingPlan({}), 1.0, 1.0)
+    with pytest.raises(InvalidInputError, match="present class 2 outside range for image 1"):
+        cv_loss(images, preds, [(0, 1), (0, 2)], PairingPlan({}), 1.0, 1.0)
     with pytest.raises(InvalidConfigError):
         cv_loss(images, preds, present, PairingPlan({}), -1.0, 1.0)
     with pytest.raises(InvalidConfigError):
@@ -306,7 +319,8 @@ def test_cv_matches_per_anchor_oracle(seed, present, tau):
     assert res.num_anchors == anchors
     assert res.contrastive == pytest.approx(value, rel=1e-9, abs=1e-9)
     # The value step the finite-difference checks evaluate is cv_loss's own value.
-    only_value = _cv_value(images, preds, present, PairingPlan(partners), tau)[0]
+    sorted_present = [tuple(sorted(classes)) for classes in present]
+    only_value = _cv_value(images, preds, sorted_present, PairingPlan(partners), tau)[0]
     assert only_value.hex() == res.contrastive.hex()
 
 

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import blas_core
 from oracles import assemble_batch_oracle
 
 import pointseg.gradcheck
@@ -456,4 +457,5 @@ def test_default_model_bytes_pinned(tmp_path):
     digests = (hashlib.sha256((tmp_path / "checkpoint_final.bin").read_bytes()).hexdigest(),
                hashlib.sha256(history_to_csv(state.history).encode()).hexdigest())
     assert digests == ("156600dbc1b9106aefa87824bb5913f0feb4cd91fe0c01aecd469df3d05d9c28",
-                       "195b1214e4e609853c48a19c0787443fa7e4c5ed5a8ea24ac00b4eb413cdb51f")
+                       "195b1214e4e609853c48a19c0787443fa7e4c5ed5a8ea24ac00b4eb413cdb51f"), \
+        f"pinned on SkylakeX; this process runs {blas_core()}"
