@@ -208,7 +208,7 @@ def cmd_annotate(args) -> int:
 def cmd_train(args) -> int:
     config = _resolve_train_config(args)
     samples = load_split(args.data, "train")
-    check_training_samples(samples)
+    check_training_samples(samples, config)
     state = _train_once(samples, config, args.out, args.data)
     if state.history:
         last = state.history[-1]
@@ -270,7 +270,7 @@ def cmd_sweep(args) -> int:
             "test split, and a logit field fits only the train images")
     configs = [dataclasses.replace(base, **{args.parameter: value}) for value in args.values]
     manifest, train_samples, eval_samples = _load_splits(args.data, "train", "test")
-    check_training_samples(train_samples)
+    check_training_samples(train_samples, base)
     _check_evaluation_samples(eval_samples, "test")
     check_central_bias_width(base.central_bias_width, manifest["W"])
     os.makedirs(args.out, exist_ok=True)

@@ -181,6 +181,8 @@ def read_pgm(path):
         raise IngestError(f"{path}: trailing bytes after PGM payload")
     dtype = np.uint8 if bytes_per == 1 else ">u2"
     values = np.frombuffer(data, dtype=dtype).reshape(height, width).astype(np.int64)
+    if values.max() > maxval:
+        raise IngestError(f"{path}: pixel value {values.max()} exceeds maxval {maxval}")
     return values, maxval
 
 

@@ -12,9 +12,8 @@ which the two cannot be told apart. There are two oracles:
   inputs never leave the simplex; layers are weighted by a random probe of
   their output. The contrastive suite checks cv_loss together with smoothed
   TV, the regularizer training adds beside it. A probe re-softmaxes only the
-  input it moves. The ms and cv probes evaluate the private value steps those
-  full terms are built on, so their gradients are built once a trial; the pce
-  probes call the whole partial_cross_entropy.
+  input it moves. A loss term's probes evaluate the private value step the
+  full term is built on, so its gradient is built once a trial.
 * End-to-end suites differentiate whole model+loss compositions with a
   complex-step oracle: an imaginary perturbation of one parameter propagates
   through the forward training runs (conv-ed's `walk_layers` on complex
@@ -28,9 +27,8 @@ which the two cannot be told apart. There are two oracles:
   unchanged, so conv-ed's unperturbed activations are computed once a trial
   and each step walks the layers from L on.
 
-Both oracles evaluate TV through one smoothed surrogate, `_smooth_tv`; the
-production gradient is the exact derivative of that surrogate, while the
-reported TV value stays the exact sum of absolute differences.
+Every value either oracle differentiates comes from `losses`; TV's is the
+smoothed surrogate `_smooth_tv`, whose exact derivative tv_term returns.
 """
 
 from __future__ import annotations
@@ -44,15 +42,14 @@ from . import train
 from .data import Sample
 from .grids import FD_STEP, Image, LogitField, _trusted, finite_diff_grad, softmax, softmax_backward
 from .losses import (
-    LOG_CLAMP,
-    TV_SMOOTH_EPS,
     MODES,
     LossSettings,
     PairingPlan,
     PointAnnotation,
     _cv_value,
     _ms_value,
-    _tv_value,
+    _pce_value,
+    _smooth_tv,
     cv_loss,
     ms_data_term,
     partial_cross_entropy,
@@ -236,9 +233,9 @@ def check_pce(trials: int = 50, seed: int = 0) -> ComponentReport:
         K = int(rng.integers(2, 4))
         H, W = (int(rng.integers(2, 9)) for _ in range(2))
         logits = rng.normal(size=(K, H, W))
-        pixels = rng.choice(H * W, size=min(K, H * W), replace=False)
+        pixels = rng.choice(H * W, size=K, replace=False)
         ann = PointAnnotation(tuple((int(p // W), int(p % W), k) for k, p in enumerate(pixels)), K)
-        return ([logits], lambda preds: partial_cross_entropy(preds[0], ann)[0],
+        return ([logits], lambda preds: _pce_value(preds, [ann]),
                 lambda preds: [partial_cross_entropy(preds[0], ann)[1]])
 
     return _check("partial_cross_entropy", trials, seed, _through_softmax(draw))
@@ -266,8 +263,8 @@ def check_tv(trials: int = 50, seed: int = 0) -> ComponentReport:
         H, W = (int(rng.integers(2, 7)) for _ in range(2))
         while True:
             logits = rng.normal(size=(K, H, W))
-            _, dh, dv = _tv_value(softmax(_trusted(LogitField, logits)))
-            diffs = np.abs(np.concatenate([dh.reshape(-1), dv.reshape(-1)]))
+            P = softmax(_trusted(LogitField, logits)).probabilities
+            diffs = np.abs(np.concatenate([np.diff(P, axis=2).ravel(), np.diff(P, axis=1).ravel()]))
             if diffs.size == 0 or diffs.min() >= 1e-4:
                 break
         return ([logits], lambda preds: _smooth_tv(preds[0].probabilities),
@@ -359,24 +356,12 @@ def check_upsample(trials: int = 50, seed: int = 0) -> ComponentReport:
     return _check("upsample2x2", trials, seed, _differenced(draw))
 
 
-def _smooth_tv(P):
-    """tv_term's smoothed surrogate sum sqrt(d^2 + eps) on real or complex
-    probabilities: the value both oracles differentiate."""
-    dh = P[:, :, 1:] - P[:, :, :-1]
-    dv = P[:, 1:, :] - P[:, :-1, :]
-    return np.sqrt(dh * dh + TV_SMOOTH_EPS).sum() + np.sqrt(dv * dv + TV_SMOOTH_EPS).sum()
-
-
 def _cx_objective(logits_list, images, anns, plan, settings):
     """total_loss's value on complex logits, composed as total_loss composes
-    it: the production softmax and value steps, pce's clamped log (math.log
-    would drop the imaginary part) and TV's smoothed surrogate."""
+    it from the production softmax and value steps, with TV's smoothed
+    surrogate in place of its exact value."""
     preds = [softmax(_trusted(LogitField, lg)) for lg in logits_list]
-    total = 0.0 + 0.0j
-    for pred, ann in zip(preds, anns):
-        for r, c, k in ann.points:
-            p = pred.probabilities[k, r, c]
-            total -= np.log(p if p.real > LOG_CLAMP else LOG_CLAMP + 0.0j)
+    total = _pce_value(preds, anns)
     if settings.mode == "pce":
         return total
     if settings.mode == "pce+ms":

@@ -108,15 +108,27 @@ def partial_cross_entropy(pred: SoftPrediction, ann: PointAnnotation):
     if ann.num_classes != K:
         raise InvalidInputError(f"annotation has {ann.num_classes} classes, prediction has {K}")
     grad = np.zeros_like(probs)
-    value = 0.0
     for r, c, k in ann.points:
         if not (0 <= r < H and 0 <= c < W):
             raise InvalidInputError(f"annotated pixel ({r}, {c}) outside {H}x{W} image")
         p = probs[k, r, c]
-        value -= math.log(max(p, LOG_CLAMP))
         if p > LOG_CLAMP:
             grad[k, r, c] = -1.0 / p
-    return value, grad
+    return _pce_value([pred], [ann]), grad
+
+
+def _pce_value(preds, anns):
+    """partial_cross_entropy's value summed over a batch, unchecked. Real
+    probabilities take math.log, whose last bits history.csv records (np.log's
+    differ for some inputs); complex ones take np.log, which keeps the
+    imaginary part the complex-step oracle reads."""
+    value = 0.0
+    for pred, ann in zip(preds, anns):
+        log = np.log if np.iscomplexobj(pred.probabilities) else math.log
+        for r, c, k in ann.points:
+            p = pred.probabilities[k, r, c]
+            value -= log(p if p.real > LOG_CLAMP else LOG_CLAMP)
+    return value
 
 
 def _mean_stats(image: Image, pred: SoftPrediction):
@@ -189,12 +201,12 @@ def ms_data_term(image: Image, pred: SoftPrediction, freeze_means: bool = False)
     return value, grad
 
 
-def _tv_value(pred: SoftPrediction):
-    """tv_term's value, with the forward differences its gradient reuses."""
-    P = pred.probabilities
+def _smooth_tv(P):
+    """tv_term's smoothed surrogate sum sqrt(d^2 + eps) on real or complex
+    probabilities: the value both gradient oracles differentiate."""
     dh = P[:, :, 1:] - P[:, :, :-1]
     dv = P[:, 1:, :] - P[:, :-1, :]
-    return float(np.abs(dh).sum() + np.abs(dv).sum()), dh, dv
+    return np.sqrt(dh * dh + TV_SMOOTH_EPS).sum() + np.sqrt(dv * dv + TV_SMOOTH_EPS).sum()
 
 
 def tv_term(pred: SoftPrediction):
@@ -202,20 +214,22 @@ def tv_term(pred: SoftPrediction):
 
     Sums |forward horizontal difference| + |forward vertical difference| over
     all classes; differences reaching outside the grid contribute nothing.
-    The reported value uses the exact absolute differences; the gradient is
-    that of the smoothed surrogate sqrt(x^2 + 1e-12), which is 0 at kinks.
-    Gradient checks differentiate that surrogate's value,
-    gradcheck._smooth_tv(pred.probabilities).
+    Exact value, smoothed gradient: the value is the exact sum of absolute
+    differences, and the gradient is the exact derivative of the surrogate
+    _smooth_tv, sqrt(x^2 + 1e-12) per difference, which is 0 at kinks. The
+    gradient oracles differentiate _smooth_tv.
     """
-    value, dh, dv = _tv_value(pred)
-    grad = np.zeros_like(pred.probabilities)
+    P = pred.probabilities
+    dh = P[:, :, 1:] - P[:, :, :-1]
+    dv = P[:, 1:, :] - P[:, :-1, :]
+    grad = np.zeros_like(P)
     uh = dh / np.sqrt(dh**2 + TV_SMOOTH_EPS)
     uv = dv / np.sqrt(dv**2 + TV_SMOOTH_EPS)
     grad[:, :, 1:] += uh
     grad[:, :, :-1] -= uh
     grad[:, 1:, :] += uv
     grad[:, :-1, :] -= uv
-    return value, grad
+    return float(np.abs(dh).sum() + np.abs(dv).sum()), grad
 
 
 def cosine_similarity(a, b) -> float:

@@ -165,9 +165,11 @@ def history_to_csv(history) -> str:
     return "\n".join(lines) + "\n"
 
 
-def check_training_samples(samples) -> tuple:
-    """(K, H, W) of a training set, once every sample is annotated and all
-    share one grid and one class count; callers run it before writing."""
+def check_training_samples(samples, config: TrainConfig) -> ModelSpec:
+    """The ModelSpec config gives a training set, once every sample is
+    annotated and all share one grid and one class count. Callers run it
+    before writing, so a spec the set cannot take (an odd grid for conv-ed, a
+    repeated id for a logit field) fails before any file exists."""
     if not samples:
         raise InvalidInputError("training needs at least one sample")
     for s in samples:
@@ -180,7 +182,9 @@ def check_training_samples(samples) -> tuple:
             raise InvalidInputError("all training images must share one height and width")
         if s.annotation.num_classes != K:
             raise InvalidInputError("all annotations must share one class count")
-    return K, H, W
+    if config.model_kind == "logit-field":
+        return ModelSpec("logit-field", K, H, W, image_ids=tuple(s.id for s in samples))
+    return ModelSpec("conv-ed", K, H, W, channels=config.channels)
 
 
 def train_loop(samples, config: TrainConfig, checkpoint_dir=None) -> TrainState:
@@ -191,13 +195,7 @@ def train_loop(samples, config: TrainConfig, checkpoint_dir=None) -> TrainState:
     cadence. Raises a divergence error naming the iteration and batch whose
     loss, gradient or update first went non-finite.
     """
-    K, H, W = check_training_samples(samples)
-    if config.model_kind == "logit-field":
-        spec = ModelSpec("logit-field", K, H, W,
-                         image_ids=tuple(s.id for s in samples))
-    else:
-        spec = ModelSpec("conv-ed", K, H, W, channels=config.channels)
-    params = init_params(spec, config.seed)
+    params = init_params(check_training_samples(samples, config), config.seed)
     state = TrainState(params)
 
     for it in range(config.total_iterations):

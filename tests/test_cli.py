@@ -490,6 +490,35 @@ def test_bad_model_config_exits_2_before_any_file_is_written(dataset, tmp_path, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, kind, message", [
+    ("train", "conv-ed", "conv-ed needs even height and width, got 9x9"),
+    ("sweep", "conv-ed", "conv-ed needs even height and width, got 9x9"),
+    ("train", "logit-field", "logit-field needs a non-empty set of unique image ids"),
+], ids=["train-odd-grid", "sweep-odd-grid", "train-duplicate-id"])
+def test_model_spec_rejection_exits_2_before_any_file_is_written(tmp_path, capsys,
+                                                                 command, kind, message):
+    # The model spec is built from the training set before --out is made: a
+    # 9x9 grid fails conv-ed, and a train id listed twice fails a logit field.
+    spec, root = tmp_path / "spec.json", tmp_path / "data"
+    spec.write_text(json.dumps({**TINY_SPEC, "height": 9, "width": 9}))
+    assert main(["synth", "--spec", str(spec), "--out", str(root)]) == 0
+    assert main(["annotate", "--data", str(root)]) == 0
+    if kind == "logit-field":
+        manifest = json.loads((root / "manifest.json").read_text())
+        manifest["train"].append(manifest["train"][0])
+        (root / "manifest.json").write_text(json.dumps(manifest))
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({**TINY_TRAIN, "model_kind": kind}))
+    out = tmp_path / "out"
+    argv = [command, "--config", str(cfg), "--data", str(root), "--out", str(out)]
+    if command == "sweep":
+        argv += ["--parameter", "lambda_cv", "--values", "0.0,0.3"]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["eval", "sweep"])
 def test_central_bias_width_that_blanks_every_column_exits_2(dataset, trained, tmp_path, capsys,
                                                             command):

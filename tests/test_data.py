@@ -71,6 +71,7 @@ def test_pgm_reader_sixteen_bit(tmp_path):
     b"P5\n2 2\n255\n" + bytes(5),          # trailing bytes
     b"P5\n2 2\n70000\n" + bytes(8),        # maxval out of range
     b"P5\n2\n255\n" + bytes(4),            # missing dimension
+    b"P5\n2 2\n100\n" + bytes([0, 50, 100, 204]),  # pixel above maxval
 ])
 def test_pgm_reader_rejects_malformed_named_file(tmp_path, payload):
     path = tmp_path / "bad.pgm"

@@ -26,8 +26,9 @@ from pointseg import (
     tv_term,
     variance_map,
 )
-from pointseg.gradcheck import _smooth_tv, fd_noise_floor
-from pointseg.losses import MODES, _cv_value, _ms_value, _tv_value
+from pointseg.gradcheck import fd_noise_floor
+from pointseg.grids import _trusted
+from pointseg.losses import MODES, _cv_value, _ms_value, _pce_value, _smooth_tv
 
 from oracles import bit_equal, cv_oracle, pce_oracle, total_loss_grads_oracle
 
@@ -65,6 +66,21 @@ def test_pce_clamps_vanishing_probability():
     value, grad = partial_cross_entropy(pred, ann)
     assert value == pytest.approx(-math.log(1e-12))
     assert not grad.any()  # below the clamp, the loss is locally flat
+
+
+def test_pce_value_complex_step_is_the_unclamped_derivative():
+    # The complex-step oracle's pce: Im(value) / h is the derivative along D,
+    # -sum D/P over the unclamped points; a clamped point is flat, so its
+    # imaginary part must not survive the clamp.
+    rng = np.random.default_rng(0)
+    probs = softmax(LogitField(rng.normal(size=(3, 2, 3)))).probabilities.copy()
+    probs[:, 0, 0] = (1.0, 0.0, 0.0)
+    ann = PointAnnotation(((0, 0, 1), (0, 2, 0), (1, 1, 2)), 3)
+    D = rng.normal(size=probs.shape)
+    h = 1e-20
+    value = _pce_value([_trusted(SoftPrediction, probs + 1j * h * D)], [ann])
+    expected = -(D[0, 0, 2] / probs[0, 0, 2] + D[2, 1, 1] / probs[2, 1, 1])
+    assert value.imag / h == pytest.approx(expected, rel=1e-14)
 
 
 def _distinct_points(rng, K, H, W):
@@ -212,7 +228,12 @@ def test_value_steps_equal_full_values_bit_for_bit(seed):
     K, H, W = 3, int(rng.integers(1, 6)), int(rng.integers(2, 6))
     image = Image(rng.random((H, W)))
     pred = softmax(LogitField(3.0 * rng.normal(size=(K, H, W))))
-    assert _tv_value(pred)[0].hex() == tv_term(pred)[0].hex()
+    # Class 1 at pixel (0, 0) has probability 0, below the log clamp.
+    probs = pred.probabilities.copy()
+    probs[:, 0, 0] = (1.0, 0.0, 0.0)
+    clamped = SoftPrediction(probs)
+    ann = PointAnnotation(((0, 0, 1), (H - 1, W - 1, 2)), K)
+    assert _pce_value([clamped], [ann]).hex() == partial_cross_entropy(clamped, ann)[0].hex()
     for freeze in (False, True):
         assert _ms_value(image, pred)[0].hex() == ms_data_term(image, pred, freeze)[0].hex()
     # cv_loss sorts and dedupes each present set before its value step runs.

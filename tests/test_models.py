@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from conftest import blas_core
 from oracles import (
     bit_equal,
     conv2d_backward_per_tap,
@@ -183,12 +184,13 @@ def test_conv2d_partial_channel_block_bit_identical_to_per_tap(cout, cin, k):
     w = rng.normal(size=(cout, cin, k, k))
     b = rng.normal(size=cout)
     g = rng.normal(size=(cout, 5, 6))
-    assert bit_equal(_conv2d(x, w, b), conv2d_per_tap(x, w, b))
+    kernel = f"bit identity measured on SkylakeX; this process runs {blas_core()}"
+    assert bit_equal(_conv2d(x, w, b), conv2d_per_tap(x, w, b)), kernel
     # conv-ed never takes a one-channel input's gradient (enc1's), whose
     # one-row products go to gemv where the oracle's tensordot does not.
     grads = _conv2d_backward(x, w, g, need_input=cin > 1)
     for got, ref in zip(grads, conv2d_backward_per_tap(x, w, g)):
-        assert got is None or bit_equal(got, ref)
+        assert got is None or bit_equal(got, ref), kernel
 
 
 def _crop(a, extra=2):
@@ -319,10 +321,11 @@ def test_conv_ed_bit_identical_to_layer_oracles(spec):
     field, cache = forward(params, spec, image)
     grads = backward(params, spec, cache, g)
     want_logits, want_grads = conv_ed_per_tap(params.values, image.intensities, g)
-    assert bit_equal(field.logits, want_logits)
+    kernel = f"bit identity measured on SkylakeX; this process runs {blas_core()}"
+    assert bit_equal(field.logits, want_logits), kernel
     assert sorted(grads) == sorted(want_grads)
     for name, grad in grads.items():
-        assert bit_equal(grad, want_grads[name]), name
+        assert bit_equal(grad, want_grads[name]), f"{name}: {kernel}"
 
 
 # The complex-step oracle runs these layers on complex128 values.
