@@ -35,9 +35,10 @@ from .seeding import keyed_rng
 CHECKPOINT_MAGIC = b"PSCV1"
 MOMENTUM_PREFIX = "momentum:"
 DEFAULT_CHANNELS = (16, 16, 32, 16)
-# Output channels per block of the per-tap convolution: on a 64x64 image one
-# tap's (8, H*Wp) product is about 270 KB, so it and its block stay in L2.
-CHANNEL_BLOCK = 8
+# The per-tap convolution's blocks take as many output channels as keep one
+# tap's (rows, H*Wp) product within this many bytes, so it and its block stay
+# in L2: 8 rows on a 64x64 image, all 32 of enc3's on its 32x32 grid.
+TAP_PRODUCT_BYTES = 270 * 1024
 
 KINDS = ("logit-field", "conv-ed")
 
@@ -150,13 +151,14 @@ def _conv2d(x, w, b=None):
     strided view; output rows are Wp wide until the pad columns are dropped.
     With 1 < Cout < Cin one matmul maps the input to each tap's Cout-channel
     plane and the shifted planes are added (a single output row, stacked,
-    would go to gemv). Otherwise the output is built in blocks of CHANNEL_BLOCK channels, adding
-    each tap's kernel rows times its window in turn, so the product and its
-    block stay in cache. With Cin == 1 that product is a broadcast multiply:
-    one rounding per element, as BLAS's outer product (matmul would do it
-    without BLAS). Either way each element gets one dot per tap, the same in
-    any block, added onto the bias in row-major tap order: the bits of one
-    tensordot per tap over the whole kernel.
+    would go to gemv). Otherwise the output is built in blocks of channels
+    sized by TAP_PRODUCT_BYTES, adding each tap's kernel rows times its
+    window in turn, so the product and its block stay in cache. With
+    Cin == 1 that product is a broadcast multiply: one rounding per element,
+    as BLAS's outer product (matmul would do it without BLAS). Either way
+    each element gets one dot per tap, the same in any block, added onto the
+    bias in row-major tap order: the bits of one tensordot per tap over the
+    whole kernel.
     """
     cout, cin, kh, kw = w.shape
     H, W = x.shape[1:]
@@ -174,7 +176,8 @@ def _conv2d(x, w, b=None):
     else:
         # No block holds a lone row unless Cout == 1: matmul sends one row to
         # gemv, whose sums can differ from gemm's in the last bit.
-        ends = [*range(CHANNEL_BLOCK, cout - 1, CHANNEL_BLOCK), cout]
+        rows = max(2, TAP_PRODUCT_BYTES // (N * out.itemsize))
+        ends = [*range(rows, cout - 1, rows), cout]
         for c0, c1 in zip([0] + ends[:-1], ends):
             block, wb = out[c0:c1], w[c0:c1]
             for i, j, s in taps:
@@ -198,14 +201,23 @@ def _conv2d_backward(x, w, grad_out, need_input=True):
     _conv2d of grad_out turned 180 degrees with the transposed kernel, turned
     back: turning the data, not the kernel, keeps the row-major tap order and
     so the bits. A 1x1 kernel needs no turn.
+
+    With a kernel wider than 1x1, x may also be a function that writes the
+    input into the (Cin, H, W) view it is given, the padded copy's interior,
+    so an input built for this call alone needs no buffer of its own.
     """
     cout, cin, kh, kw = w.shape
-    H, W = x.shape[1:]
+    H, W = grad_out.shape[1:]
     ph, pw = kh // 2, kw // 2
-    xl = x.transpose(1, 2, 0)
     if ph or pw:
         xl = np.zeros((H + 2 * ph, W + 2 * pw, cin))
-        xl[ph : ph + H, pw : pw + W] = x.transpose(1, 2, 0)
+        inner = xl[ph : ph + H, pw : pw + W].transpose(2, 0, 1)
+        if callable(x):
+            x(inner)
+        else:
+            inner[...] = x
+    else:
+        xl = x.transpose(1, 2, 0)
     g2 = np.ascontiguousarray(grad_out).reshape(cout, H * W)
     grad_w = np.empty_like(w)
     for j in range(kw):
@@ -238,7 +250,7 @@ def _maxpool2(x):
     row-major window order."""
     taps = _taps2(x)
     out = taps[0]
-    idx = np.zeros(out.shape, dtype=np.intp)
+    idx = np.zeros(out.shape, dtype=np.uint8)  # the window position, 0-3
     for t in range(1, 4):
         better = taps[t].real > out.real
         out = np.where(better, taps[t], out)
@@ -254,14 +266,13 @@ def _maxpool2_backward(idx, grad_out, shape):
 
 
 def _upsample2(x, out=None):
-    """Nearest-neighbor x2 upsampling of x (C, h, w), written into out (C, 2h, 2w)
-    when given (a C-contiguous block, such as a leading-axis slice)."""
+    """Nearest-neighbor x2 upsampling of x (C, h, w), written into out (C, 2h, 2w),
+    any strided view, when given."""
     C, h, w = x.shape
     if out is None:
         out = np.empty((C, 2 * h, 2 * w), dtype=x.dtype)
-    blocks = out.reshape(C, h, 2, w, 2)
-    for b in range(2):  # one strided write per column of each 2x2 block
-        blocks[..., b] = x[:, :, None]
+    for tap in _taps2(out):
+        tap[...] = x
     return out
 
 
@@ -285,20 +296,23 @@ def _pool(acts):
     return acts["pooled"]
 
 
-def _skip_concat(acts):
-    """enc2 and the upsampled enc3 written into one buffer, with no temporaries."""
+def _skip_concat(acts, out=None):
+    """enc2 and the upsampled enc3 written into out (C, H, W), any strided view,
+    or into a new buffer, with no temporaries. Nothing keeps it: backward
+    writes it again, straight into dec1's kernel-gradient operand."""
     a2, a3 = acts["enc2"], acts["enc3"]
     c2 = a2.shape[0]
-    cat = np.empty((c2 + a3.shape[0],) + a2.shape[1:], dtype=np.result_type(a2, a3))
-    cat[:c2] = a2
-    _upsample2(a3, out=cat[c2:])
-    acts["cat"] = cat
-    return cat
+    if out is None:
+        out = np.empty((c2 + a3.shape[0],) + a2.shape[1:], dtype=np.result_type(a2, a3))
+    out[:c2] = a2
+    _upsample2(a3, out=out[c2:])
+    return out
 
 
 # conv-ed's layers in order, each with its input built from the activations
-# before it ("x" is the image, a layer's name its output after the ReLU). The
-# builders of enc3's pooled and dec1's skip-concat inputs keep them for backward.
+# before it ("x" is the image, a layer's name its output after the ReLU).
+# enc3's builder keeps the pooled input and its routing for backward; dec1's
+# skip concat is a copy of enc2 and the upsampled enc3, so backward rebuilds it.
 CONV_ED_LAYERS = {
     "enc1": lambda acts: acts["x"],
     "enc2": lambda acts: acts["enc1"],
@@ -325,7 +339,9 @@ def walk_layers(values, acts, start="enc1"):
 
 
 def forward(params: ModelParams, spec: ModelSpec, image: Image, image_id=None):
-    """Predict logits for one image; returns (LogitField, cache for backward)."""
+    """Predict logits for one image; returns (LogitField, cache for backward).
+    conv-ed's cache holds each array backward reads once: the image, the four
+    ReLU outputs, the pooled enc2 and its window indices."""
     if image.intensities.shape != (spec.height, spec.width):
         raise InvalidInputError(
             f"image shape {image.intensities.shape} does not match spec "
@@ -364,7 +380,7 @@ def backward(params: ModelParams, spec: ModelSpec, cache: dict, grad_wrt_logits:
     # Masks apply in place (g * mask's -0.0 kept), except on enc2's strided crop.
     grad_a4 = back("head", cache["dec1"], g)
     grad_a4 *= cache["dec1"] > 0
-    grad_cat = back("dec1", cache["cat"], grad_a4)
+    grad_cat = back("dec1", lambda out: CONV_ED_LAYERS["dec1"](cache, out), grad_a4)
     grad_a3 = _upsample2_backward(grad_cat[c2:])
     grad_a3 *= cache["enc3"] > 0
     grad_pooled = back("enc3", cache["pooled"], grad_a3)

@@ -20,6 +20,9 @@ draws come from the library's keyed random streams, which define the plan.
 So is the uncached complex forward: it composes the library's own layer
 helpers with no layer table and no prefix cache, the reference a walk from
 cached activations must equal bit for bit.
+The pairwise HD95 is one too: it takes every boundary distance as a float
+sqrt of an (n, m, 2) difference tensor, the arithmetic the library's
+nearest-square HD95 must equal exactly.
 
 The complex-step oracle runs the library's layers on complex values, so
 those layers are also checked against references written for any dtype: an
@@ -93,6 +96,22 @@ def hd95_oracle(pred: np.ndarray, gt: np.ndarray, k: int) -> float:
     for a, b in sorted(bg):
         pooled.append(min(math.hypot(i - a, j - b) for i, j in bp))
     return _percentile_linear(pooled, 95.0)
+
+
+def hd95_pairwise(pred: np.ndarray, gt: np.ndarray, k: int) -> float:
+    """HD95 from every boundary pair's float distance, minima taken after the sqrt."""
+    H, W = pred.shape
+    p = pred == k
+    g = gt == k
+    if not p.any() and not g.any():
+        return 0.0
+    if not p.any() or not g.any():
+        return float(np.hypot(H, W))
+    bp = np.array(sorted(_boundary_set(p)), dtype=np.float64)
+    bg = np.array(sorted(_boundary_set(g)), dtype=np.float64)
+    cross = np.sqrt(((bp[:, None, :] - bg[None, :, :]) ** 2).sum(axis=2))
+    pooled = np.concatenate([cross.min(axis=1), cross.min(axis=0)])
+    return float(np.percentile(pooled, 95))
 
 
 def pce_oracle(probs: np.ndarray, points) -> float:

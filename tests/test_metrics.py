@@ -17,7 +17,7 @@ from pointseg import (
     hd95,
 )
 
-from oracles import dsc_oracle, hd95_oracle
+from oracles import dsc_oracle, hd95_oracle, hd95_pairwise
 
 
 def mask(arr, K=2):
@@ -90,6 +90,22 @@ def test_metrics_match_bruteforce_oracles(seed):
     for k in (1, 2):
         assert abs(dsc(mask(p, 3), mask(g, 3), k) - dsc_oracle(p, g, k)) <= 1e-9
         assert abs(hd95(mask(p, 3), mask(g, 3), k) - hd95_oracle(p, g, k)) <= 1e-9
+
+
+@given(st.integers(0, 1000))
+def test_hd95_equals_pairwise_float_distances(seed):
+    # The nearest squared distance's sqrt is exactly the nearest distance, so
+    # eval.json keeps its bytes. A noisy prediction against a box, as an
+    # untrained model's against a ground truth, gives boundaries of unequal
+    # size and distances up to the grid's diagonal.
+    rng = np.random.default_rng(seed)
+    H, W = int(rng.integers(2, 41)), int(rng.integers(2, 41))
+    p = (rng.random((H, W)) < rng.uniform(0.0, 0.5)).astype(np.int64)
+    g = np.zeros((H, W), dtype=np.int64)
+    r0, c0 = int(rng.integers(0, H)), int(rng.integers(0, W))
+    g[r0 : int(rng.integers(r0, H)) + 1, c0 : int(rng.integers(c0, W)) + 1] = 1
+    assert hd95(mask(p), mask(g), 1) == hd95_pairwise(p, g, 1)
+    assert hd95(mask(g), mask(p), 1) == hd95_pairwise(g, p, 1)
 
 
 # central-bias filter

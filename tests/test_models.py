@@ -30,8 +30,8 @@ from pointseg import (
     softmax,
 )
 from pointseg.models import (
-    CHANNEL_BLOCK,
     DEFAULT_CHANNELS,
+    TAP_PRODUCT_BYTES,
     _conv2d,
     _conv2d_backward,
     _maxpool2,
@@ -112,11 +112,23 @@ def test_forward_shapes_and_determinism():
         assert g.shape == params.values[name].shape
 
 
+def test_default_conv_ed_cache_holds_each_array_once():
+    # backward writes dec1's skip concat again from enc2 and enc3, and a pool
+    # window's index (0-3) takes one byte: 3,702,784 bytes with the concat
+    # and intp indices kept.
+    spec = ModelSpec("conv-ed", 3, 64, 64)
+    _, cache = forward(init_params(spec, 1), spec, Image(np.random.default_rng(0).random((64, 64))))
+    assert set(cache) == {"kind", "x", "enc1", "enc2", "pooled", "idx", "enc3", "dec1"}
+    assert cache["idx"].dtype == np.uint8
+    assert sum(v.nbytes for v in cache.values() if isinstance(v, np.ndarray)) == 2_015_232
+
+
 # (cout, cin, kernel): both sides of the cout < cin branch, cout == cin,
 # a single input channel, a single output channel, and 1x1 kernels on both
-# sides (with cout >= cin, the flat path with no pad columns). The last four
-# end the per-tap path on a partial channel block: 9 and 17 output channels in
-# the forward pass (one with a single input channel), 10 in an input gradient.
+# sides (with cout >= cin, the flat path with no pad columns). On a grid wide
+# enough, the last four run the per-tap path in several channel blocks, the
+# last of them partial: 9 and 17 output channels in the forward pass (one
+# with a single input channel), 10 in an input gradient.
 CONV_SHAPES = [(4, 3, 3), (2, 5, 3), (3, 3, 3), (4, 1, 3), (1, 3, 3), (2, 5, 1), (3, 2, 1),
                (9, 2, 3), (17, 3, 1), (9, 1, 3), (3, 10, 3)]
 
@@ -175,15 +187,20 @@ def test_conv2d_backward_matches_naive_loops(cout, cin, k):
         assert np.array_equal(grad_w2, grad_w) and np.array_equal(grad_b2, grad_b)
 
 
-@pytest.mark.parametrize("cout,cin,k", [s for s in CONV_SHAPES if max(s[:2]) > CHANNEL_BLOCK])
+@pytest.mark.parametrize("cout,cin,k", CONV_SHAPES[-4:])
 def test_conv2d_partial_channel_block_bit_identical_to_per_tap(cout, cin, k):
-    # The per-tap path ends on a block of fewer than CHANNEL_BLOCK channels;
-    # its rows must still get the bits of one tensordot over the whole kernel.
+    # On a 132x132 grid one row of a tap's product is over half of
+    # TAP_PRODUCT_BYTES, so the per-tap path runs in the smallest blocks, two
+    # channels (a lone row would go to gemv), the last of three when the count
+    # is odd; each row must still get the bits of one tensordot over the
+    # whole kernel.
+    H = W = 132
+    assert TAP_PRODUCT_BYTES // (H * (W + 2 * (k // 2)) * 8) == 1
     rng = np.random.default_rng(9)
-    x = rng.normal(size=(cin, 5, 6))
+    x = rng.normal(size=(cin, H, W))
     w = rng.normal(size=(cout, cin, k, k))
     b = rng.normal(size=cout)
-    g = rng.normal(size=(cout, 5, 6))
+    g = rng.normal(size=(cout, H, W))
     kernel = f"bit identity measured on SkylakeX; this process runs {blas_core()}"
     assert bit_equal(_conv2d(x, w, b), conv2d_per_tap(x, w, b)), kernel
     # conv-ed never takes a one-channel input's gradient (enc1's), whose
@@ -191,6 +208,22 @@ def test_conv2d_partial_channel_block_bit_identical_to_per_tap(cout, cin, k):
     grads = _conv2d_backward(x, w, g, need_input=cin > 1)
     for got, ref in zip(grads, conv2d_backward_per_tap(x, w, g)):
         assert got is None or bit_equal(got, ref), kernel
+
+
+@pytest.mark.parametrize("cout,cin,k", [s for s in CONV_SHAPES if s[2] > 1])
+def test_conv2d_backward_takes_a_writer_of_its_input(cout, cin, k):
+    # backward writes dec1's skip concat straight into the kernel gradient's
+    # padded operand; a writer must give the bits the input itself gives.
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=(cin, 5, 6))
+    w = rng.normal(size=(cout, cin, k, k))
+    g = rng.normal(size=(cout, 5, 6))
+
+    def write(out):
+        out[...] = x
+
+    for got, want in zip(_conv2d_backward(write, w, g), _conv2d_backward(x, w, g)):
+        assert bit_equal(got, want)
 
 
 def _crop(a, extra=2):
