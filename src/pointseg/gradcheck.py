@@ -11,9 +11,10 @@ which the two cannot be told apart. There are two oracles:
   through the softmax chain (itself checked on its own), so perturbed
   inputs never leave the simplex; layers are weighted by a random probe of
   their output. The contrastive suite checks cv_loss together with smoothed
-  TV, the regularizer training adds beside it. A probe re-softmaxes only the
-  input it moves. A loss term's probes evaluate the private value step the
-  full term is built on, so its gradient is built once a trial.
+  TV, the regularizer training adds beside it. A loss term's probes evaluate
+  the private value step the full term is built on, so its gradient is built
+  once a trial. A probe recomputes only the moved input's softmax and part
+  of that value, and cv's plan index is built once a trial.
 * End-to-end suites differentiate whole model+loss compositions with a
   complex-step oracle: an imaginary perturbation of one parameter propagates
   through the forward training runs (conv-ed's `walk_layers` on complex
@@ -25,7 +26,9 @@ which the two cannot be told apart. There are two oracles:
   oracle differentiates exactly the branch the production code takes.
   A step at a parameter of layer L leaves every activation before L
   unchanged, so conv-ed's unperturbed activations are computed once a trial
-  and each step walks the layers from L on.
+  and each step walks the layers from L on. A logit-field step recomputes
+  the objective's part for the one image it reaches, a conv-ed step every
+  image's part; both reuse the trial's plan index.
 
 Every value either oracle differentiates comes from `losses`; TV's is the
 smoothed surrogate `_smooth_tv`, whose exact derivative tv_term returns.
@@ -35,6 +38,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -46,7 +50,9 @@ from .losses import (
     LossSettings,
     PairingPlan,
     PointAnnotation,
-    _cv_value,
+    _cv_batch,
+    _cv_index,
+    _cv_part,
     _ms_value,
     _pce_value,
     _smooth_tv,
@@ -188,22 +194,24 @@ def _differenced(draw):
 def _through_softmax(draw_term):
     """Adapt a probability-space term to `_check`, differentiated in logits.
 
-    `draw_term(rng)` returns (logit arrays, value, grads): value(predictions)
-    is the term's scalar and grads(predictions) its gradient w.r.t. each
-    prediction's probabilities. The finite differences evaluate value alone,
-    and an objective input that is still the drawn array (the probe moves one
-    input at a time) reuses the drawn prediction. Differentiating against
-    logits keeps finite-difference probes on the simplex. A probe moves one
-    entry of a finite grid by the step, so it is wrapped with _trusted.
+    `draw_term(rng)` returns (logit arrays, part, combine, grads): part(n,
+    prediction) is input n's share of the term, combine(parts) the term's
+    scalar, and grads(predictions) its gradient w.r.t. each prediction's
+    probabilities. The finite differences evaluate the value alone, and an
+    objective input that is still the drawn array (the probe moves one input
+    at a time) reuses the drawn input's part. Differentiating against logits
+    keeps finite-difference probes on the simplex. A probe moves one entry
+    of a finite grid by the step, so it is wrapped with _trusted.
     """
     def draw(rng, probe):
-        logits, value, grads = draw_term(rng)
+        logits, part, combine, grads = draw_term(rng)
         preds = [softmax(_trusted(LogitField, x)) for x in logits]
+        parts = [part(n, p) for n, p in enumerate(preds)]
         analytic = [softmax_backward(p, g) for p, g in zip(preds, grads(preds))]
 
         def objective(xs):
-            return value([p if x is drawn else softmax(_trusted(LogitField, x))
-                          for x, drawn, p in zip(xs, logits, preds)])
+            return combine([q if x is drawn else part(n, softmax(_trusted(LogitField, x)))
+                            for n, (x, drawn, q) in enumerate(zip(xs, logits, parts))])
 
         return logits, objective, analytic
 
@@ -222,7 +230,8 @@ def check_softmax(trials: int = 100, seed: int = 0) -> ComponentReport:
         H, W = (int(rng.integers(1, 9)) for _ in range(2))
         logits = rng.normal(size=(K, H, W))
         g = rng.normal(size=(K, H, W))
-        return [logits], lambda preds: float((g * preds[0].probabilities).sum()), lambda preds: [g]
+        return ([logits], lambda n, pred: float((g * pred.probabilities).sum()), itemgetter(0),
+                lambda preds: [g])
 
     return _check("softmax_backward", trials, seed, _through_softmax(draw),
                   floor=SOFTMAX_FLOOR, key=("softmax",))
@@ -235,7 +244,7 @@ def check_pce(trials: int = 50, seed: int = 0) -> ComponentReport:
         logits = rng.normal(size=(K, H, W))
         pixels = rng.choice(H * W, size=K, replace=False)
         ann = PointAnnotation(tuple((int(p // W), int(p % W), k) for k, p in enumerate(pixels)), K)
-        return ([logits], lambda preds: _pce_value(preds, [ann]),
+        return ([logits], lambda n, pred: _pce_value([pred], [ann]), itemgetter(0),
                 lambda preds: [partial_cross_entropy(preds[0], ann)[1]])
 
     return _check("partial_cross_entropy", trials, seed, _through_softmax(draw))
@@ -247,7 +256,7 @@ def check_ms(trials: int = 50, seed: int = 0) -> ComponentReport:
         H, W = (int(rng.integers(2, 9)) for _ in range(2))
         logits = rng.normal(size=(K, H, W))
         image = Image(rng.random((H, W)))
-        return ([logits], lambda preds: _ms_value(image, preds[0])[0],
+        return ([logits], lambda n, pred: _ms_value(image, pred)[0], itemgetter(0),
                 lambda preds: [ms_data_term(image, preds[0])[1]])
 
     return _check("ms_data_term", trials, seed, _through_softmax(draw))
@@ -267,7 +276,7 @@ def check_tv(trials: int = 50, seed: int = 0) -> ComponentReport:
             diffs = np.abs(np.concatenate([np.diff(P, axis=2).ravel(), np.diff(P, axis=1).ravel()]))
             if diffs.size == 0 or diffs.min() >= 1e-4:
                 break
-        return ([logits], lambda preds: _smooth_tv(preds[0].probabilities),
+        return ([logits], lambda n, pred: _smooth_tv(pred.probabilities), itemgetter(0),
                 lambda preds: [tv_term(preds[0])[1]])
 
     return _check("tv_term", trials, seed, _through_softmax(draw))
@@ -288,16 +297,21 @@ def check_cv(trials: int = 50, seed: int = 0) -> ComponentReport:
             for n in range(batch) for k in range(K)
         })
 
-        def value(preds):
-            tv_sum = sum(_smooth_tv(pred.probabilities) for pred in preds)
-            return 0.3 * _cv_value(images, preds, present, plan, tau=0.07)[0] + 1e-2 * tv_sum
+        index = _cv_index(present, plan)
+
+        def part(n, pred):
+            return _cv_part(images[n], pred, present[n]), _smooth_tv(pred.probabilities)
+
+        def combine(parts):
+            cv_parts, tvs = zip(*parts)
+            return 0.3 * _cv_batch(cv_parts, index, tau=0.07)[0] + 1e-2 * sum(tvs)
 
         def grads(preds):
             cv = cv_loss(images, preds, present, plan, tau=0.07, lambda_cv=0.3)
             return [1e-2 * tv_term(pred)[1] + cv_grad
                     for pred, cv_grad in zip(preds, cv.grad_wrt_probs)]
 
-        return logits, value, grads
+        return logits, part, combine, grads
 
     return _check("cv_loss", trials, seed, _through_softmax(draw))
 
@@ -356,20 +370,37 @@ def check_upsample(trials: int = 50, seed: int = 0) -> ComponentReport:
     return _check("upsample2x2", trials, seed, _differenced(draw))
 
 
-def _cx_objective(logits_list, images, anns, plan, settings):
-    """total_loss's value on complex logits, composed as total_loss composes
-    it from the production softmax and value steps, with TV's smoothed
-    surrogate in place of its exact value."""
-    preds = [softmax(_trusted(LogitField, lg)) for lg in logits_list]
+def _cx_part(logits, image, ann, settings):
+    """One image's part of _cx_objective: its production softmax and, beyond
+    pce, its ms value or _cv_part and its smoothed TV."""
+    pred = softmax(_trusted(LogitField, logits))
+    if settings.mode == "pce":
+        return pred, None, None
+    term = _ms_value(image, pred)[0] if settings.mode == "pce+ms" else _cv_part(image, pred, ann.classes)
+    return pred, term, _smooth_tv(pred.probabilities)
+
+
+def _cx_combine(parts, anns, index, settings):
+    """_cx_objective from every image's _cx_part and, in pce+cv, the plan's
+    _cv_index, adding in total_loss's order."""
+    preds, terms, tvs = zip(*parts)
     total = _pce_value(preds, anns)
     if settings.mode == "pce":
         return total
     if settings.mode == "pce+ms":
-        term = settings.lambda_ms * sum(_ms_value(im, pred)[0] for im, pred in zip(images, preds))
+        term = settings.lambda_ms * sum(terms)
     else:
-        present = [ann.classes for ann in anns]
-        term = settings.lambda_cv * _cv_value(images, preds, present, plan, settings.tau)[0]
-    return total + term + settings.mu * sum(_smooth_tv(pred.probabilities) for pred in preds)
+        term = settings.lambda_cv * (0.0 if index is None else _cv_batch(terms, index, settings.tau)[0])
+    return total + term + settings.mu * sum(tvs)
+
+
+def _cx_objective(logits_list, images, anns, plan, settings):
+    """total_loss's value on complex logits, composed as total_loss composes
+    it from the production softmax and value steps, with TV's smoothed
+    surrogate in place of its exact value."""
+    parts = [_cx_part(lg, im, ann, settings) for lg, im, ann in zip(logits_list, images, anns)]
+    index = _cv_index([ann.classes for ann in anns], plan) if settings.mode == "pce+cv" else None
+    return _cx_combine(parts, anns, index, settings)
 
 
 def check_end_to_end(kind: str, mode: str, trials: int = 4, seed: int = 0) -> ComponentReport:
@@ -398,9 +429,13 @@ def check_end_to_end(kind: str, mode: str, trials: int = 4, seed: int = 0) -> Co
         _, analytic = train.batch_gradients(params, samples, plan, settings)
 
         cvalues = {n: v.astype(complex) for n, v in params.values.items()}
+        index = _cv_index([ann.classes for ann in anns], plan)
         if kind == "conv-ed":
             unperturbed = [walk_layers(cvalues, {"x": im.intensities[None].astype(complex)})
                            for im in images]
+        else:
+            unperturbed = [_cx_part(cvalues[f"field.{iid}"], im, ann, settings)
+                           for iid, im, ann in zip(ids, images, anns)]
         for name in sorted(analytic):
             base = params.values[name]
             grad = np.zeros(base.size)
@@ -410,10 +445,13 @@ def check_end_to_end(kind: str, mode: str, trials: int = 4, seed: int = 0) -> Co
                 saved = flat[i]
                 flat[i] = saved + 1j * COMPLEX_STEP
                 if kind == "conv-ed":
-                    logits = [walk_layers(cvalues, acts, layer)["head"] for acts in unperturbed]
+                    parts = [_cx_part(walk_layers(cvalues, acts, layer)["head"], im, ann, settings)
+                             for acts, im, ann in zip(unperturbed, images, anns)]
                 else:
-                    logits = [cvalues[f"field.{iid}"] for iid in ids]
-                value = _cx_objective(logits, images, anns, plan, settings)
+                    # A field parameter reaches its own image alone.
+                    parts = [_cx_part(cvalues[name], im, ann, settings) if name == f"field.{iid}"
+                             else part for iid, im, ann, part in zip(ids, images, anns, unperturbed)]
+                value = _cx_combine(parts, anns, index, settings)
                 grad[i] = value.imag / COMPLEX_STEP
                 flat[i] = saved
             yield analytic[name], grad.reshape(base.shape), 0.0

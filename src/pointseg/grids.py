@@ -129,19 +129,21 @@ def softmax_backward(pred: SoftPrediction, grad_wrt_probs: np.ndarray) -> np.nda
 def finite_diff_grad(f, x: np.ndarray) -> np.ndarray:
     """Central-difference gradient estimate of a scalar function of a grid.
 
-    Perturbs one coordinate at a time: (f(x + h e_i) - f(x - h e_i)) / 2h,
-    with h = FD_STEP. This is the reference oracle every analytic backward
-    pass in the package is checked against; it deliberately knows nothing
-    about the function. A non-finite value passes through into the quotient.
+    Perturbs one coordinate at a time: (f(x + h e_i) - f(x + h e_i - 2h e_i)) / 2h,
+    with h = FD_STEP, in one probe buffer moved in place and restored, so `f`
+    must not keep its argument. This is the reference oracle every analytic
+    backward pass in the package is checked against; it deliberately knows
+    nothing about the function. A non-finite value passes through.
     """
     x = np.asarray(x, dtype=np.float64)
-    grad = np.zeros_like(x)
-    flat = grad.reshape(-1)
+    probe, grad = x.copy(), np.zeros_like(x)
+    moved, flat = probe.reshape(-1), grad.reshape(-1)
     for i in range(x.size):
-        probe = x.copy().reshape(-1)
-        probe[i] += FD_STEP
-        hi = float(f(probe.reshape(x.shape)))
-        probe[i] -= 2.0 * FD_STEP
-        lo = float(f(probe.reshape(x.shape)))
+        saved = moved[i]
+        moved[i] += FD_STEP
+        hi = float(f(probe))
+        moved[i] -= 2.0 * FD_STEP
+        lo = float(f(probe))
+        moved[i] = saved
         flat[i] = (hi - lo) / (2.0 * FD_STEP)
     return grad

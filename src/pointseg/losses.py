@@ -251,49 +251,69 @@ class ContrastiveVarianceResult:
     num_anchors: int
 
 
-def _cv_value(images, preds, present, plan: PairingPlan, tau: float):
-    """cv_loss's value, unchecked: (contrastive, anchors, saved).
+def _cv_part(image: Image, pred: SoftPrediction, classes):
+    """_cv_value's per-image step: the mean statistics and one flattened
+    variance-map row (I - c_k)^2 P_k per class k in `classes`, in its order."""
+    stats = _mean_stats(image, pred)
+    I, P, means = image.intensities, pred.probabilities, stats[2]
+    return stats, [((I - means[k]) ** 2 * P[k]).reshape(-1) for k in classes]
 
-    The inputs must pass cv_loss's checks, with each present set a sorted tuple
-    of distinct classes. saved is None without anchors, else what the gradient
-    reuses: the mean statistics, the (image, class) key of each row of Z, Z
-    itself, its row norms, D, S, the anchor and positive rows, and each
-    anchor's shifted exponentials with their sum. Complex probabilities give a
-    complex value (the complex-step oracle's): no step drops an imaginary part.
-    """
+
+def _cv_index(present, plan: PairingPlan):
+    """_cv_value's plan index, None without anchors: the anchors, the (image,
+    class) key of each row of Z, the anchor rows, their positive columns and
+    each anchor's candidate mask (the positive plus every other image's
+    other-class rows). It depends on the present sets and the plan alone."""
     anchors = plan.items()
     if not anchors:
-        return 0.0, anchors, None
-
-    # Z holds one flattened variance map per (image, present class) row;
-    # S is the cosine of every pair of rows.
-    stats = [_mean_stats(image, pred) for image, pred in zip(images, preds)]
+        return None
     keys = [(n, k) for n, classes in enumerate(present) for k in classes]
     row = {key: a for a, key in enumerate(keys)}
     img, cls = np.array(keys).T
-    Z = np.stack([
-        ((images[n].intensities - stats[n][2][k]) ** 2 * preds[n].probabilities[k]).reshape(-1)
-        for n, k in keys
-    ])
-    norms = np.sqrt((Z * Z).sum(axis=1))
-    D = np.outer(norms, norms) + COSINE_EPS
-    S = (Z @ Z.T) / D
-
-    # One row per anchor over its candidates: the positive column plus
-    # every other image's other-class maps. -log(pos / (pos + neg)) is a
-    # log-sum-exp shifted by the row max, so small temperatures stay finite.
-    # Non-candidates get -inf only after the division by tau: a complex -inf
-    # divided by tau is an invalid operation.
     a_rows = np.array([row[nk] for nk, _ in anchors])
     pos = np.array([row[(m, k)] for (_, k), m in anchors])
     mask = (img != img[a_rows, None]) & (cls != cls[a_rows, None])
     mask[np.arange(len(anchors)), pos] = True
+    return anchors, keys, a_rows, pos, mask
+
+
+def _cv_batch(parts, index, tau: float):
+    """_cv_value's batch step over every image's _cv_part and the plan's
+    _cv_index: the row norms, the cosine matrix S and each anchor's log-sum-exp."""
+    anchors, keys, a_rows, pos, mask = index
+    Z = np.stack([z for _, rows in parts for z in rows])
+    norms = np.sqrt((Z * Z).sum(axis=1))
+    D = np.outer(norms, norms) + COSINE_EPS
+    S = (Z @ Z.T) / D
+
+    # -log(pos / (pos + neg)) is a log-sum-exp shifted by the row max, so
+    # small temperatures stay finite. Non-candidates get -inf only after the
+    # division by tau: a complex -inf divided by tau is an invalid operation.
     sims = S[a_rows]
     shift = np.where(mask, sims, -np.inf).max(axis=1)
     e = np.exp(np.where(mask, (sims - shift[:, None]) / tau, -np.inf))
     e_sum = e.sum(axis=1)
     contrastive = (shift / tau + np.log(e_sum) - S[a_rows, pos] / tau).sum()
-    return contrastive, anchors, (stats, keys, Z, norms, D, S, a_rows, pos, e, e_sum)
+    return contrastive, anchors, ([s for s, _ in parts], keys, Z, norms, D, S, a_rows, pos, e, e_sum)
+
+
+def _cv_value(images, preds, present, plan: PairingPlan, tau: float):
+    """cv_loss's value, unchecked: (contrastive, anchors, saved).
+
+    The inputs must pass cv_loss's checks, with each present set a sorted tuple
+    of distinct classes. It is _cv_batch over each image's _cv_part and the
+    plan's _cv_index. Z holds one flattened variance map per (image, present
+    class) row; S is the cosine of every pair of rows. saved is None without
+    anchors, else what the gradient reuses: the mean statistics, the key of
+    each row of Z, Z, its row norms, D, S, the anchor and positive rows, and
+    each anchor's shifted exponentials with their sum. Complex probabilities
+    give a complex value (the complex-step oracle's).
+    """
+    index = _cv_index(present, plan)
+    if index is None:
+        return 0.0, [], None
+    parts = [_cv_part(image, pred, classes) for image, pred, classes in zip(images, preds, present)]
+    return _cv_batch(parts, index, tau)
 
 
 def cv_loss(images, preds, present, plan: PairingPlan, tau: float,

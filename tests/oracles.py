@@ -20,6 +20,9 @@ draws come from the library's keyed random streams, which define the plan.
 So is the uncached complex forward: it composes the library's own layer
 helpers with no layer table and no prefix cache, the reference a walk from
 cached activations must equal bit for bit.
+The copy-per-coordinate central difference is one too: a fresh copy of the
+input per coordinate, moved up by the step and then down by twice it, the
+values the in-place probe buffer of finite_diff_grad must equal bit for bit.
 The pairwise HD95 is one too: it takes every boundary distance as a float
 sqrt of an (n, m, 2) difference tensor, the arithmetic the library's
 nearest-square HD95 must equal exactly.
@@ -34,7 +37,7 @@ import math
 
 import numpy as np
 
-from pointseg.grids import softmax_backward
+from pointseg.grids import FD_STEP, softmax_backward
 from pointseg.losses import cv_loss, ms_data_term, partial_cross_entropy, tv_term
 from pointseg.models import _conv2d, _maxpool2, _relu, _upsample2
 from pointseg.seeding import keyed_rng
@@ -307,6 +310,21 @@ def assemble_batch_oracle(samples, iteration, seed, batch_size):
             if candidates:
                 partners[(n, k)] = candidates[int(pair_rng.integers(len(candidates)))]
     return [s.id for s in batch], partners
+
+
+def finite_diff_copying(f, x):
+    """Central differences with a fresh copy of x for every coordinate."""
+    x = np.asarray(x, dtype=np.float64)
+    grad = np.zeros_like(x)
+    flat = grad.reshape(-1)
+    for i in range(x.size):
+        probe = x.copy().reshape(-1)
+        probe[i] += FD_STEP
+        hi = float(f(probe.reshape(x.shape)))
+        probe[i] -= 2.0 * FD_STEP
+        lo = float(f(probe.reshape(x.shape)))
+        flat[i] = (hi - lo) / (2.0 * FD_STEP)
+    return grad
 
 
 def cx_forward_uncached(values, image):

@@ -8,6 +8,7 @@ supervision is still climbing, and criterion 4's 0.85 bar reads pce+cv at the
 CONVERGED budget; everything else is self-contained.
 """
 
+import hashlib
 import json
 import math
 import multiprocessing
@@ -17,7 +18,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import record_criterion
+from conftest import blas_core, record_criterion
 from oracles import dsc_oracle, hd95_oracle
 
 from pointseg import (
@@ -72,10 +73,17 @@ SWEEP_VALUES = (0.0, 0.05, 0.3, 3.0)
 # criterion 1: analytic gradients match central finite differences
 
 
-def test_criterion_1_gradient_checks():
+@pytest.fixture(scope="module")
+def default_gradcheck():
+    """run_all at the `pointseg gradcheck` defaults, run once for this module,
+    and its wall time."""
     t0 = time.perf_counter()
     report = run_all(seed=0, trials=50, end_to_end_trials=4)
-    elapsed = time.perf_counter() - t0
+    return report, time.perf_counter() - t0
+
+
+def test_criterion_1_gradient_checks(default_gradcheck):
+    report, elapsed = default_gradcheck
     instances = sum(c.instances for c in report.components)
     worst = max(c.worst_rel_err for c in report.components)
     ok = report.passed and instances >= 50 and elapsed <= 120.0
@@ -84,6 +92,18 @@ def test_criterion_1_gradient_checks():
         ok,
         f"{instances} instances, worst rel err {worst:.2e}, {elapsed:.0f}s",
     )
+
+
+# The sha256 of criterion 1's verdict table without its timing line. A change
+# to the suites, the trial loop or the production arithmetic they run must
+# leave every count and worst error of the CLI's default run as it is.
+DEFAULT_VERDICTS_SHA256 = "be2b2957144b2f4072e845370e9f584d0cfe7812cf6898007a654653b157abde"
+
+
+def test_default_gradcheck_verdicts_pinned(default_gradcheck):
+    table = default_gradcheck[0].format_table().rsplit("\n", 1)[0]
+    assert hashlib.sha256(table.encode()).hexdigest() == DEFAULT_VERDICTS_SHA256, \
+        f"pinned on SkylakeX; this process runs {blas_core()}"
 
 
 # criterion 2: metric implementations match brute-force oracles

@@ -125,6 +125,50 @@ def test_check_cv_calls_the_full_cv_loss_once_per_trial(monkeypatch):
     assert len(calls) == 2
 
 
+def test_check_cv_probes_recompute_only_the_moved_image(monkeypatch):
+    # Trial 0 draws K 2, 6x3 and 2 images (72 coordinates), trial 1 K 2, 3x2
+    # and 2 images (24). A probe moves one image, so it reruns that image's
+    # smoothed TV and mean statistics alone: 2 * 96 probes, plus the drawn
+    # images' parts (2 a trial) and, for _mean_stats, cv_loss's analytic side
+    # (2 a trial). The plan index is built once a trial by the suite and once
+    # by cv_loss. Recomputing every image per probe made 388 _smooth_tv and
+    # 392 _mean_stats calls, and rebuilt the index in all 196 value calls.
+    import pointseg.losses
+    calls = {"tv": 0, "stats": 0, "index": 0}
+
+    def counting(key, real):
+        def wrapper(*args):
+            calls[key] += 1
+            return real(*args)
+        return wrapper
+
+    monkeypatch.setattr(gc, "_smooth_tv", counting("tv", gc._smooth_tv))
+    monkeypatch.setattr(pointseg.losses, "_mean_stats",
+                        counting("stats", pointseg.losses._mean_stats))
+    index = counting("index", pointseg.losses._cv_index)
+    monkeypatch.setattr(gc, "_cv_index", index)
+    monkeypatch.setattr(pointseg.losses, "_cv_index", index)
+    assert gc.check_cv(trials=2, seed=0).passed
+    assert calls == {"tv": 2 * 96 + 4, "stats": 2 * 96 + 8, "index": 4}
+
+
+@pytest.mark.parametrize("mode", ["pce", "pce+ms", "pce+cv"])
+def test_logit_field_steps_rerun_only_the_stepped_image(monkeypatch, mode):
+    # Each of the 2 * (2 * 8 * 8) = 256 field parameters reaches its own
+    # image alone, so a step reruns one complex softmax, and the unperturbed
+    # images' parts take 2 more. Rerunning both images took 512.
+    calls = []
+    real = gc.softmax
+
+    def counting(field):
+        if np.iscomplexobj(field.logits):
+            calls.append(1)
+        return real(field)
+    monkeypatch.setattr(gc, "softmax", counting)
+    assert gc.check_end_to_end("logit-field", mode, trials=1).passed
+    assert len(calls) == 258
+
+
 @pytest.mark.parametrize("mode", ["pce", "pce+ms", "pce+cv"])
 def test_complex_step_reruns_only_the_layers_from_the_perturbed_one(monkeypatch, mode):
     # The trial's conv-ed has 277 parameters: enc1 20, enc2 57, enc3 84,
@@ -234,7 +278,7 @@ def test_complex_step_matches_real_forward(mode):
     from pointseg.losses import LossSettings, PairingPlan, PointAnnotation, total_loss
 
     K, H, W = 2, 4, 4
-    logits = [rng.normal(size=(K, H, W)) for _ in range(2)]
+    fields = [rng.normal(size=(K, H, W)).astype(complex) for _ in range(2)]
     images = [gc.Image(rng.random((H, W))) for _ in range(2)]
     anns = [
         PointAnnotation(((0, 0, 0), (1, 1, 1)), K),
@@ -242,14 +286,38 @@ def test_complex_step_matches_real_forward(mode):
     ]
     plan = PairingPlan({(0, 0): 1, (0, 1): 1, (1, 0): 0, (1, 1): 0})
     settings = LossSettings(mode, tau=1.0)
-    value = gc._cx_objective(
-        [z.astype(complex) for z in logits], images, anns, plan, settings
-    )
-    breakdown = total_loss(
-        images, [LogitField(z) for z in logits], anns, plan, settings
-    )
-    # TV enters the oracle through its smoothed surrogate; its weight is tiny.
-    assert abs(value.real - breakdown.total) <= settings.mu * 1e-3 + 1e-12
+    for kind in gc.KINDS:
+        if kind == "conv-ed":
+            spec = ModelSpec(kind, K, H, W, channels=(2, 3, 3, 2))
+            values = {n: v.astype(complex) for n, v in init_params(spec, 0).values.items()}
+            acts = [walk_layers(values, {"x": im.intensities[None].astype(complex)})
+                    for im in images]
+            logits = [a["head"] for a in acts]
+        else:
+            logits = [z.copy() for z in fields]
+        value = gc._cx_objective(logits, images, anns, plan, settings)
+        breakdown = total_loss(
+            images, [LogitField(z.real) for z in logits], anns, plan, settings
+        )
+        # TV enters the oracle through its smoothed surrogate; its weight is tiny.
+        assert abs(value.real - breakdown.total) <= settings.mu * 1e-3 + 1e-12
+
+        # A step keeps the parts of the images it does not reach: image 0's
+        # part, kept from before image 1's logits moved in place, combined
+        # with image 1's part afresh and the index built once, is the moved
+        # objective.
+        parts = [gc._cx_part(z, im, ann, settings) for z, im, ann in zip(logits, images, anns)]
+        if kind == "conv-ed":
+            values["head.w"].reshape(-1)[1] += 1j * gc.COMPLEX_STEP
+            logits[1] = walk_layers(values, acts[1], "head")["head"]
+        else:
+            logits[1].reshape(-1)[10] += 1j * gc.COMPLEX_STEP  # class 0 at (2, 2), annotated
+        parts[1] = gc._cx_part(logits[1], images[1], anns[1], settings)
+        index = gc._cv_index([ann.classes for ann in anns], plan)
+        got = gc._cx_combine(parts, anns, index, settings)
+        want = gc._cx_objective(logits, images, anns, plan, settings)
+        assert want.imag != 0.0, kind
+        assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex()), kind
 
 
 # The verdicts of run_all(seed=0, trials=15, end_to_end_trials=1), the

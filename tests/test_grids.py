@@ -13,6 +13,8 @@ from pointseg import (
     softmax_backward,
 )
 
+from oracles import bit_equal, finite_diff_copying
+
 fields = st.integers(0, 10_000).map(
     lambda s: np.random.default_rng(s).normal(scale=3.0, size=(3, 4, 5))
 )
@@ -70,6 +72,26 @@ def test_softmax_backward_matches_finite_differences(seed):
 
     fd = finite_diff_grad(f, logits.reshape(-1)).reshape(2, 3, 3)
     assert np.abs(analytic - fd).max() <= 1e-6
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_finite_diff_grad_equals_a_copy_per_coordinate_bit_for_bit(seed):
+    # One probe buffer, moved in place and restored, must give the values a
+    # fresh copy per coordinate gives, and leave x as it was.
+    rng = np.random.default_rng(seed)
+    shape = tuple(int(n) for n in rng.integers(1, 5, size=3))
+    x = rng.normal(scale=10.0 ** rng.integers(-3, 4), size=shape)
+    if seed % 2:
+        x = x.transpose(2, 0, 1)  # a non-contiguous view
+
+    def f(v):
+        assert v.shape == x.shape
+        return float(np.sin(v).sum() * (v**3).sum() + np.exp(-v * v).sum())
+
+    before = x.copy()
+    got = finite_diff_grad(f, x)
+    assert bit_equal(got, finite_diff_copying(f, x))
+    assert bit_equal(x, before)
 
 
 def test_finite_diff_grad_on_quadratic():

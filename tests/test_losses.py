@@ -28,7 +28,16 @@ from pointseg import (
 )
 from pointseg.gradcheck import fd_noise_floor
 from pointseg.grids import _trusted
-from pointseg.losses import MODES, _cv_value, _ms_value, _pce_value, _smooth_tv
+from pointseg.losses import (
+    MODES,
+    _cv_batch,
+    _cv_index,
+    _cv_part,
+    _cv_value,
+    _ms_value,
+    _pce_value,
+    _smooth_tv,
+)
 
 from oracles import bit_equal, cv_oracle, pce_oracle, total_loss_grads_oracle
 
@@ -343,6 +352,18 @@ def test_cv_matches_per_anchor_oracle(seed, present, tau):
     sorted_present = [tuple(sorted(classes)) for classes in present]
     only_value = _cv_value(images, preds, sorted_present, PairingPlan(partners), tau)[0]
     assert only_value.hex() == res.contrastive.hex()
+    # That value is the batch step over each image's part and the plan's
+    # index; with one image moved, the other images' kept parts and the same
+    # index give the moved batch's value.
+    index = _cv_index(sorted_present, PairingPlan(partners))
+    assert (index is None) == (not partners)
+    if index is not None:
+        parts = [_cv_part(im, p, c) for im, p, c in zip(images, preds, sorted_present)]
+        assert _cv_batch(parts, index, tau)[0].hex() == only_value.hex()
+        preds[0] = softmax(LogitField(2.0 * rng.normal(size=(K, H, W))))
+        parts[0] = _cv_part(images[0], preds[0], sorted_present[0])
+        moved = _cv_value(images, preds, sorted_present, PairingPlan(partners), tau)[0]
+        assert _cv_batch(parts, index, tau)[0].hex() == moved.hex()
 
 
 def test_cv_loss_freeze_means_is_keyword_only():
