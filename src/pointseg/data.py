@@ -251,6 +251,9 @@ def load_manifest(root) -> dict:
     for key in ("train", "test"):
         if not isinstance(manifest[key], list) or not all(isinstance(i, str) for i in manifest[key]):
             raise IngestError(f"{path}: {key} must be a list of sample ids")
+        for i in manifest[key]:
+            if i in ("", ".", "..") or any(c in i for c in ("/", os.sep, "\0")):
+                raise IngestError(f"{path}: sample id {i!r} is not a plain file name")
     return manifest
 
 

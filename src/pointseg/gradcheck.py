@@ -52,10 +52,10 @@ from .losses import (
     PointAnnotation,
     _cv_batch,
     _cv_index,
-    _cv_part,
     _ms_value,
     _pce_value,
     _smooth_tv,
+    _variance_rows,
     cv_loss,
     ms_data_term,
     partial_cross_entropy,
@@ -300,7 +300,7 @@ def check_cv(trials: int = 50, seed: int = 0) -> ComponentReport:
         index = _cv_index(present, plan)
 
         def part(n, pred):
-            return _cv_part(images[n], pred, present[n]), _smooth_tv(pred.probabilities)
+            return _variance_rows(images[n], pred, present[n]), _smooth_tv(pred.probabilities)
 
         def combine(parts):
             cv_parts, tvs = zip(*parts)
@@ -371,18 +371,19 @@ def check_upsample(trials: int = 50, seed: int = 0) -> ComponentReport:
 
 
 def _cx_part(logits, image, ann, settings):
-    """One image's part of _cx_objective: its production softmax and, beyond
-    pce, its ms value or _cv_part and its smoothed TV."""
+    """One image's part of the complex-step objective: its production softmax
+    and, beyond pce, its ms value or _variance_rows and its smoothed TV."""
     pred = softmax(_trusted(LogitField, logits))
     if settings.mode == "pce":
         return pred, None, None
-    term = _ms_value(image, pred)[0] if settings.mode == "pce+ms" else _cv_part(image, pred, ann.classes)
+    ms = settings.mode == "pce+ms"
+    term = _ms_value(image, pred)[0] if ms else _variance_rows(image, pred, ann.classes)
     return pred, term, _smooth_tv(pred.probabilities)
 
 
 def _cx_combine(parts, anns, index, settings):
-    """_cx_objective from every image's _cx_part and, in pce+cv, the plan's
-    _cv_index, adding in total_loss's order."""
+    """total_loss's value on complex logits, with TV's smoothed surrogate, from
+    every image's _cx_part and, in pce+cv, the plan's _cv_index, in its order."""
     preds, terms, tvs = zip(*parts)
     total = _pce_value(preds, anns)
     if settings.mode == "pce":
@@ -392,15 +393,6 @@ def _cx_combine(parts, anns, index, settings):
     else:
         term = settings.lambda_cv * (0.0 if index is None else _cv_batch(terms, index, settings.tau)[0])
     return total + term + settings.mu * sum(tvs)
-
-
-def _cx_objective(logits_list, images, anns, plan, settings):
-    """total_loss's value on complex logits, composed as total_loss composes
-    it from the production softmax and value steps, with TV's smoothed
-    surrogate in place of its exact value."""
-    parts = [_cx_part(lg, im, ann, settings) for lg, im, ann in zip(logits_list, images, anns)]
-    index = _cv_index([ann.classes for ann in anns], plan) if settings.mode == "pce+cv" else None
-    return _cx_combine(parts, anns, index, settings)
 
 
 def check_end_to_end(kind: str, mode: str, trials: int = 4, seed: int = 0) -> ComponentReport:

@@ -149,8 +149,7 @@ def class_means(image: Image, pred: SoftPrediction) -> np.ndarray:
     A class with vanishing predicted mass gets mean 0 through the epsilon
     in the denominator.
     """
-    _, _, means = _mean_stats(image, pred)
-    return means
+    return _mean_stats(image, pred)[2]
 
 
 def variance_map(image: Image, pred: SoftPrediction, means: np.ndarray, k: int) -> np.ndarray:
@@ -177,13 +176,22 @@ def _variance_map_backward(image, probs_k, mass_k, mean_k, grad_wrt_map, freeze_
     return grad
 
 
+def _variance_rows(image: Image, pred: SoftPrediction, classes):
+    """The mean statistics and one flattened variance-map row (I - c_k)^2 P_k
+    per class k in `classes`, in its order: the MS term's summands and cv's
+    per-image step."""
+    stats = _mean_stats(image, pred)
+    I, P, means = image.intensities, pred.probabilities, stats[2]
+    return stats, [((I - means[k]) ** 2 * P[k]).reshape(-1) for k in classes]
+
+
 def _ms_value(image: Image, pred: SoftPrediction):
-    """ms_data_term's value, with the class masses and means its gradient reuses.
-    Complex probabilities give a complex value (the complex-step oracle's)."""
-    _, mass, means = _mean_stats(image, pred)
+    """ms_data_term's value, the sum of its variance rows, with the class masses
+    and means its gradient reuses. Complex probabilities give a complex value."""
+    (_, mass, means), rows = _variance_rows(image, pred, range(pred.num_classes))
     value = 0.0
-    for k, P_k in enumerate(pred.probabilities):
-        value += ((image.intensities - means[k]) ** 2 * P_k).sum()
+    for row in rows:
+        value += row.sum()
     return value, mass, means
 
 
@@ -251,16 +259,8 @@ class ContrastiveVarianceResult:
     num_anchors: int
 
 
-def _cv_part(image: Image, pred: SoftPrediction, classes):
-    """_cv_value's per-image step: the mean statistics and one flattened
-    variance-map row (I - c_k)^2 P_k per class k in `classes`, in its order."""
-    stats = _mean_stats(image, pred)
-    I, P, means = image.intensities, pred.probabilities, stats[2]
-    return stats, [((I - means[k]) ** 2 * P[k]).reshape(-1) for k in classes]
-
-
 def _cv_index(present, plan: PairingPlan):
-    """_cv_value's plan index, None without anchors: the anchors, the (image,
+    """cv_loss's plan index, None without anchors: the anchors, the (image,
     class) key of each row of Z, the anchor rows, their positive columns and
     each anchor's candidate mask (the positive plus every other image's
     other-class rows). It depends on the present sets and the plan alone."""
@@ -278,9 +278,11 @@ def _cv_index(present, plan: PairingPlan):
 
 
 def _cv_batch(parts, index, tau: float):
-    """_cv_value's batch step over every image's _cv_part and the plan's
-    _cv_index: the row norms, the cosine matrix S and each anchor's log-sum-exp."""
-    anchors, keys, a_rows, pos, mask = index
+    """cv_loss's value over every image's _variance_rows and the plan's
+    _cv_index, with what its gradient reuses: Z (one row per image and present
+    class), its row norms, D, the cosine matrix S, and each anchor's shifted
+    exponentials e and their sum. Complex probabilities give a complex value."""
+    _, _, a_rows, pos, mask = index
     Z = np.stack([z for _, rows in parts for z in rows])
     norms = np.sqrt((Z * Z).sum(axis=1))
     D = np.outer(norms, norms) + COSINE_EPS
@@ -294,26 +296,7 @@ def _cv_batch(parts, index, tau: float):
     e = np.exp(np.where(mask, (sims - shift[:, None]) / tau, -np.inf))
     e_sum = e.sum(axis=1)
     contrastive = (shift / tau + np.log(e_sum) - S[a_rows, pos] / tau).sum()
-    return contrastive, anchors, ([s for s, _ in parts], keys, Z, norms, D, S, a_rows, pos, e, e_sum)
-
-
-def _cv_value(images, preds, present, plan: PairingPlan, tau: float):
-    """cv_loss's value, unchecked: (contrastive, anchors, saved).
-
-    The inputs must pass cv_loss's checks, with each present set a sorted tuple
-    of distinct classes. It is _cv_batch over each image's _cv_part and the
-    plan's _cv_index. Z holds one flattened variance map per (image, present
-    class) row; S is the cosine of every pair of rows. saved is None without
-    anchors, else what the gradient reuses: the mean statistics, the key of
-    each row of Z, Z, its row norms, D, S, the anchor and positive rows, and
-    each anchor's shifted exponentials with their sum. Complex probabilities
-    give a complex value (the complex-step oracle's).
-    """
-    index = _cv_index(present, plan)
-    if index is None:
-        return 0.0, [], None
-    parts = [_cv_part(image, pred, classes) for image, pred, classes in zip(images, preds, present)]
-    return _cv_batch(parts, index, tau)
+    return contrastive, (Z, norms, D, S, e, e_sum)
 
 
 def cv_loss(images, preds, present, plan: PairingPlan, tau: float,
@@ -342,34 +325,36 @@ def cv_loss(images, preds, present, plan: PairingPlan, tau: float,
         for k in present[n]:
             if not 0 <= k < preds[n].num_classes:
                 raise InvalidInputError(f"present class {k} outside range for image {n}")
-    anchors = plan.items()
-    for (n, k), m in anchors:
+    for (n, k), m in plan.items():
         if not (0 <= n < n_images and 0 <= m < n_images) or m == n:
             raise InvalidInputError(f"pairing ({n}, {k}) -> {m} is out of range or self-paired")
         if k not in present[n] or k not in present[m]:
             raise InvalidInputError(f"pairing ({n}, {k}) -> {m} names a class not present")
-    contrastive, anchors, saved = _cv_value(images, preds, present, plan, tau)
     grads = [np.zeros_like(pred.probabilities) for pred in preds]
-    if saved is not None:
-        stats, keys, Z, norms, D, S, a_rows, pos, e, e_sum = saved
-        # dS: softmax weight of each candidate, minus one at the positive.
-        dS = np.zeros_like(S)
-        dS[a_rows] = e / e_sum[:, None]
-        dS[a_rows, pos] -= 1.0
-        dS *= lambda_cv / tau
-        # S = G / D with G = Z Z^T and D = n n^T + eps; the guard keeps dn / n
-        # finite for a zero row, whose own contribution vanishes with it.
-        dG = dS / D
-        dD = -dS * S / D
-        dn = (dD + dD.T) @ norms
-        safe = np.where(norms > 0.0, norms, 1.0)
-        dZ = (dG + dG.T) @ Z + (dn / safe)[:, None] * Z
-        for (n, k), gz in zip(keys, dZ):
-            _, mass, means = stats[n]
-            grads[n][k] += _variance_map_backward(
-                images[n], preds[n].probabilities[k], mass[k], means[k],
-                gz.reshape(shape), freeze_means
-            )
+    index = _cv_index(present, plan)
+    if index is None:
+        return ContrastiveVarianceResult(0.0, grads, 0)
+    anchors, keys, a_rows, pos, _ = index
+    parts = [_variance_rows(image, pred, classes) for image, pred, classes in zip(images, preds, present)]
+    contrastive, (Z, norms, D, S, e, e_sum) = _cv_batch(parts, index, tau)
+    # dS: softmax weight of each candidate, minus one at the positive.
+    dS = np.zeros_like(S)
+    dS[a_rows] = e / e_sum[:, None]
+    dS[a_rows, pos] -= 1.0
+    dS *= lambda_cv / tau
+    # S = G / D with G = Z Z^T and D = n n^T + eps; the guard keeps dn / n
+    # finite for a zero row, whose own contribution vanishes with it.
+    dG = dS / D
+    dD = -dS * S / D
+    dn = (dD + dD.T) @ norms
+    safe = np.where(norms > 0.0, norms, 1.0)
+    dZ = (dG + dG.T) @ Z + (dn / safe)[:, None] * Z
+    for (n, k), gz in zip(keys, dZ):
+        (_, mass, means), _ = parts[n]
+        grads[n][k] += _variance_map_backward(
+            images[n], preds[n].probabilities[k], mass[k], means[k],
+            gz.reshape(shape), freeze_means
+        )
     return ContrastiveVarianceResult(contrastive, grads, len(anchors))
 
 

@@ -631,6 +631,28 @@ def test_unscorable_test_split_exits_2_before_any_file_is_written(dataset, train
     assert not out.exists()
 
 
+def test_manifest_id_that_leaves_the_dataset_exits_2_and_writes_nothing(dataset, trained, tmp_path,
+                                                                         capsys):
+    # The id resolves to images/../../outside.pgm and masks/../../outside.pgm,
+    # one file beside the dataset root holding a valid mask. Evaluating it
+    # would write its prediction to ev/outside.pgm, outside --out ev/deep.
+    data = tmp_path / "data"
+    shutil.copytree(dataset, data)
+    shutil.copy(data / "masks" / "test000.pgm", tmp_path / "outside.pgm")
+    escape = "../../outside"
+    path, annotations_path = data / "manifest.json", data / "annotations.json"
+    manifest, annotations = json.loads(path.read_text()), json.loads(annotations_path.read_text())
+    annotations[escape] = annotations.pop("test000")
+    annotations_path.write_text(json.dumps(annotations))
+    test_ids = [escape if i == "test000" else i for i in manifest["test"]]
+    path.write_text(json.dumps({**manifest, "test": test_ids}))
+    assert main(["eval", "--checkpoint", str(trained / "checkpoint_final.bin"),
+                 "--data", str(data), "--out", str(tmp_path / "ev" / "deep")]) == 2
+    err = capsys.readouterr().err
+    assert "manifest.json" in err and repr(escape) in err
+    assert not (tmp_path / "ev").exists()
+
+
 NEGATIVE_SEEDS = {
     "synth": ["synth", "--seed", "-3"],
     "annotate": ["annotate", "--seed", "-2"],

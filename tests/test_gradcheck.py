@@ -269,6 +269,12 @@ def test_reports_carry_worst_location():
     assert isinstance(report.worst_coordinate, int)
 
 
+def cx_total(logits, images, anns, plan, settings):
+    # The complex-step objective as check_end_to_end composes it, every image afresh.
+    parts = [gc._cx_part(z, im, ann, settings) for z, im, ann in zip(logits, images, anns)]
+    return gc._cx_combine(parts, anns, gc._cv_index([ann.classes for ann in anns], plan), settings)
+
+
 @pytest.mark.parametrize("mode", gc.MODES)
 def test_complex_step_matches_real_forward(mode):
     # The complex-step oracle must agree with the real-path loss when fed
@@ -295,7 +301,7 @@ def test_complex_step_matches_real_forward(mode):
             logits = [a["head"] for a in acts]
         else:
             logits = [z.copy() for z in fields]
-        value = gc._cx_objective(logits, images, anns, plan, settings)
+        value = cx_total(logits, images, anns, plan, settings)
         breakdown = total_loss(
             images, [LogitField(z.real) for z in logits], anns, plan, settings
         )
@@ -315,7 +321,7 @@ def test_complex_step_matches_real_forward(mode):
         parts[1] = gc._cx_part(logits[1], images[1], anns[1], settings)
         index = gc._cv_index([ann.classes for ann in anns], plan)
         got = gc._cx_combine(parts, anns, index, settings)
-        want = gc._cx_objective(logits, images, anns, plan, settings)
+        want = cx_total(logits, images, anns, plan, settings)
         assert want.imag != 0.0, kind
         assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex()), kind
 

@@ -32,11 +32,10 @@ from pointseg.losses import (
     MODES,
     _cv_batch,
     _cv_index,
-    _cv_part,
-    _cv_value,
     _ms_value,
     _pce_value,
     _smooth_tv,
+    _variance_rows,
 )
 
 from oracles import bit_equal, cv_oracle, pce_oracle, total_loss_grads_oracle
@@ -250,7 +249,13 @@ def test_value_steps_equal_full_values_bit_for_bit(seed):
     preds = [pred, softmax(LogitField(3.0 * rng.normal(size=(K, H, W))))]
     plan = PairingPlan({(0, 0): 1, (0, 2): 1, (1, 2): 0})
     cv = cv_loss(images, preds, [(2, 0, 0), (1, 2, 0)], plan, 0.07, 0.3)
-    assert _cv_value(images, preds, [(0, 2), (0, 1, 2)], plan, 0.07)[0].hex() == cv.contrastive.hex()
+    assert _cv_steps(images, preds, [(0, 2), (0, 1, 2)], plan, 0.07).hex() == cv.contrastive.hex()
+
+
+def _cv_steps(images, preds, present, plan, tau):
+    # cv_loss's value as its three steps compose it, for sorted present sets.
+    parts = [_variance_rows(im, p, classes) for im, p, classes in zip(images, preds, present)]
+    return _cv_batch(parts, _cv_index(present, plan), tau)[0]
 
 
 # contrastive variance loss
@@ -324,15 +329,9 @@ def test_cv_tiny_temperature_stays_finite():
     assert all(np.all(np.isfinite(g)) for g in res.grad_wrt_probs)
 
 
-@given(
-    seed=st.integers(0, 1 << 16),
-    present=st.lists(st.sets(st.integers(0, 2)), min_size=1, max_size=4),
-    tau=st.sampled_from([1e-4, 0.07, 1.0]),
-)
-@example(seed=0, present=[{0, 1}, set(), {1, 2}], tau=0.07)  # an image with no class
-@example(seed=1, present=[{1}, {1}], tau=1e-4)  # anchors without negatives
-@example(seed=2, present=[{0, 2}, {0, 1, 2}, {2}], tau=1.0)  # partial present sets
-def test_cv_matches_per_anchor_oracle(seed, present, tau):
+def _drawn_cv_batch(seed, present):
+    # 3-class 3x4 images and predictions, and a plan pairing about 80% of the
+    # anchors that have a partner; the rng goes on for further draws.
     rng = np.random.default_rng(seed)
     K, H, W = 3, 3, 4
     images = [Image(rng.random((H, W))) for _ in present]
@@ -343,27 +342,76 @@ def test_cv_matches_per_anchor_oracle(seed, present, tau):
             others = [m for m, other in enumerate(present) if m != n and k in other]
             if others and rng.random() < 0.8:
                 partners[(n, k)] = others[int(rng.integers(len(others)))]
+    return rng, images, preds, partners
+
+
+PARTIAL_CV_BATCHES = [
+    dict(seed=0, present=[{0, 1}, set(), {1, 2}], tau=0.07),  # an image with no class
+    dict(seed=1, present=[{1}, {1}], tau=1e-4),  # anchors without negatives
+    dict(seed=2, present=[{0, 2}, {0, 1, 2}, {2}], tau=1.0),  # partial present sets
+]
+
+
+@given(
+    seed=st.integers(0, 1 << 16),
+    present=st.lists(st.sets(st.integers(0, 2)), min_size=1, max_size=4),
+    tau=st.sampled_from([1e-4, 0.07, 1.0]),
+)
+@example(**PARTIAL_CV_BATCHES[0])
+@example(**PARTIAL_CV_BATCHES[1])
+@example(**PARTIAL_CV_BATCHES[2])
+def test_cv_matches_per_anchor_oracle(seed, present, tau):
+    rng, images, preds, partners = _drawn_cv_batch(seed, present)
+    K, H, W = preds[0].probabilities.shape
     res = cv_loss(images, preds, present, PairingPlan(partners), tau, 0.3)
     value, anchors = cv_oracle([im.intensities for im in images],
                                [p.probabilities for p in preds], present, partners, tau)
     assert res.num_anchors == anchors
     assert res.contrastive == pytest.approx(value, rel=1e-9, abs=1e-9)
     # The value step the finite-difference checks evaluate is cv_loss's own value.
-    sorted_present = [tuple(sorted(classes)) for classes in present]
-    only_value = _cv_value(images, preds, sorted_present, PairingPlan(partners), tau)[0]
-    assert only_value.hex() == res.contrastive.hex()
-    # That value is the batch step over each image's part and the plan's
-    # index; with one image moved, the other images' kept parts and the same
+    # It is the batch step over each image's variance rows and the plan's
+    # index; with one image moved, the other images' kept rows and the same
     # index give the moved batch's value.
+    sorted_present = [tuple(sorted(classes)) for classes in present]
     index = _cv_index(sorted_present, PairingPlan(partners))
     assert (index is None) == (not partners)
     if index is not None:
-        parts = [_cv_part(im, p, c) for im, p, c in zip(images, preds, sorted_present)]
-        assert _cv_batch(parts, index, tau)[0].hex() == only_value.hex()
+        parts = [_variance_rows(im, p, c) for im, p, c in zip(images, preds, sorted_present)]
+        assert _cv_batch(parts, index, tau)[0].hex() == res.contrastive.hex()
         preds[0] = softmax(LogitField(2.0 * rng.normal(size=(K, H, W))))
-        parts[0] = _cv_part(images[0], preds[0], sorted_present[0])
-        moved = _cv_value(images, preds, sorted_present, PairingPlan(partners), tau)[0]
+        parts[0] = _variance_rows(images[0], preds[0], sorted_present[0])
+        moved = cv_loss(images, preds, present, PairingPlan(partners), tau, 0.3).contrastive
+        assert _cv_steps(images, preds, sorted_present, PairingPlan(partners), tau).hex() == moved.hex()
         assert _cv_batch(parts, index, tau)[0].hex() == moved.hex()
+
+
+@pytest.mark.parametrize("batch", PARTIAL_CV_BATCHES, ids=["no-class", "no-negatives", "partial"])
+def test_cv_gradient_matches_finite_differences_on_partial_batches(batch):
+    seed, present, tau = batch["seed"], batch["present"], batch["tau"]
+    _, images, preds, partners = _drawn_cv_batch(seed, present)
+    plan = PairingPlan(partners)
+    res = cv_loss(images, preds, present, plan, tau, 1.0)
+    sorted_present = [tuple(sorted(classes)) for classes in present]
+    index = _cv_index(sorted_present, plan)
+    assert index is not None
+    parts = [_variance_rows(im, p, c) for im, p, c in zip(images, preds, sorted_present)]
+    compared = 0
+    for n, pred in enumerate(preds):
+        def value(probs, n=n):
+            moved = list(parts)
+            moved[n] = _variance_rows(images[n], _trusted(SoftPrediction, probs), sorted_present[n])
+            return _cv_batch(moved, index, tau)[0]
+
+        analytic = res.grad_wrt_probs[n]
+        fd = finite_diff_grad(value, pred.probabilities)
+        absent = [k for k in range(pred.num_classes) if k not in present[n]]
+        assert not analytic[absent].any() and not fd[absent].any()
+        scale = np.maximum(np.abs(analytic), np.abs(fd))
+        mask = (scale > 1e-7) & (np.abs(analytic - fd) > fd_noise_floor(value(pred.probabilities)))
+        compared += int((scale > 1e-7).sum())
+        assert (np.abs(analytic - fd)[mask] / scale[mask]).max(initial=0.0) <= 1e-4
+    # Anchors without negatives contrast nothing: their loss is flat.
+    assert compared > 0 or seed == 1
 
 
 def test_cv_loss_freeze_means_is_keyword_only():
