@@ -16,7 +16,9 @@ training it describes.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
+import glob
 import json
 import os
 import sys
@@ -112,8 +114,33 @@ def _add_config_flags(sub):
         sub.add_argument("--" + f.name.replace("_", "-"), dest=f.name, default=None, **kind)
 
 
+def _openblas_call(name, restype):
+    """The result of a no-argument query to numpy's bundled OpenBLAS, or None
+    when that library or the query is missing."""
+    libs = glob.glob(os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
+                                  "numpy.libs", "libscipy_openblas64_*"))
+    try:
+        query = getattr(ctypes.CDLL(libs[0]), name)
+    except (IndexError, OSError, AttributeError):
+        return None
+    query.restype = restype
+    return query()
+
+
+def blas_core() -> str:
+    """The kernel name of numpy's bundled OpenBLAS in this process ("SkylakeX",
+    "Haswell", ...), or "unknown". The conv and cosine matmuls' last bits
+    depend on it, so values pinned on one kernel name it in their failure
+    message."""
+    core = _openblas_call("scipy_openblas_get_corename64_", ctypes.c_char_p)
+    return "unknown" if core is None else core.decode()
+
+
 def _write_run_manifest(out_dir, config: TrainConfig, dataset_root) -> None:
-    """The reproducibility record, written before a training run starts."""
+    """The reproducibility record, written before a training run starts. Its
+    "numerics" entry names what the artifacts' bytes depend on beyond the
+    config: numpy's version, its OpenBLAS kernel and that library's thread
+    count (None where the library cannot be queried)."""
     manifest = {
         "config": dataclasses.asdict(config),
         "dataset_root": str(dataset_root),
@@ -125,6 +152,11 @@ def _write_run_manifest(out_dir, config: TrainConfig, dataset_root) -> None:
             "eval_json": "eval.json",
         },
         "tool_version": __version__,
+        "numerics": {
+            "numpy": np.__version__,
+            "openblas_core": blas_core(),
+            "blas_threads": _openblas_call("scipy_openblas_get_num_threads64_", ctypes.c_int),
+        },
         "created": datetime.now(timezone.utc).isoformat(),
     }
     with open(os.path.join(out_dir, "run_manifest.json"), "w", encoding="utf-8") as fh:

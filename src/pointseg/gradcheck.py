@@ -304,7 +304,8 @@ def check_cv(trials: int = 50, seed: int = 0) -> ComponentReport:
 
         def combine(parts):
             cv_parts, tvs = zip(*parts)
-            return 0.3 * _cv_batch(cv_parts, index, tau=0.07)[0] + 1e-2 * sum(tvs)
+            Z = np.concatenate([rows for _, rows, _ in cv_parts])
+            return 0.3 * _cv_batch(Z, index, tau=0.07)[0] + 1e-2 * sum(tvs)
 
         def grads(preds):
             cv = cv_loss(images, preds, present, plan, tau=0.07, lambda_cv=0.3)
@@ -391,7 +392,9 @@ def _cx_combine(parts, anns, index, settings):
     if settings.mode == "pce+ms":
         term = settings.lambda_ms * sum(terms)
     else:
-        term = settings.lambda_cv * (0.0 if index is None else _cv_batch(terms, index, settings.tau)[0])
+        term = 0.0 if index is None else _cv_batch(
+            np.concatenate([rows for _, rows, _ in terms]), index, settings.tau)[0]
+        term = settings.lambda_cv * term
     return total + term + settings.mu * sum(tvs)
 
 

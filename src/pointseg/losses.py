@@ -160,13 +160,12 @@ def variance_map(image: Image, pred: SoftPrediction, means: np.ndarray, k: int) 
     return (image.intensities - means[k]) ** 2 * pred.probabilities[k]
 
 
-def _variance_map_backward(image, probs_k, mass_k, mean_k, grad_wrt_map, freeze_means):
-    """Gradient of sum(g * z_k) w.r.t. P_k, where z_k = (I - c_k)^2 P_k.
+def _variance_map_backward(dev, probs_k, mass_k, grad_wrt_map, freeze_means):
+    """Gradient of sum(g * z_k) w.r.t. P_k, where z_k = (I - c_k)^2 P_k and
+    dev = I - c_k is the deviation _variance_rows formed for that row.
 
     Includes the quotient-rule chain through c_k unless freeze_means is on.
     """
-    I = image.intensities
-    dev = I - mean_k
     grad = grad_wrt_map * dev**2
     if not freeze_means:
         # dL/dc_k collects -2 (I - c_k) P_k g over pixels; c_k = A/(B + eps)
@@ -176,23 +175,29 @@ def _variance_map_backward(image, probs_k, mass_k, mean_k, grad_wrt_map, freeze_
     return grad
 
 
-def _variance_rows(image: Image, pred: SoftPrediction, classes):
-    """The mean statistics and one flattened variance-map row (I - c_k)^2 P_k
-    per class k in `classes`, in its order: the MS term's summands and cv's
-    per-image step."""
+def _variance_rows(image: Image, pred: SoftPrediction, classes, out=None):
+    """The mean statistics, one flattened variance-map row (I - c_k)^2 P_k per
+    class k in `classes`, in its order, and each row's deviation I - c_k: the
+    MS term's summands and cv's per-image step. The rows go into `out` (cv's
+    block of its batch matrix Z) or a new (len(classes), H*W) array."""
     stats = _mean_stats(image, pred)
     I, P, means = image.intensities, pred.probabilities, stats[2]
-    return stats, [((I - means[k]) ** 2 * P[k]).reshape(-1) for k in classes]
+    devs = [I - means[k] for k in classes]
+    if out is None:
+        out = np.empty((len(devs), I.size), dtype=P.dtype)
+    for z, dev, k in zip(out.reshape(len(devs), *I.shape), devs, classes):
+        np.multiply(np.square(dev, out=z), P[k], out=z)
+    return stats, out, devs
 
 
 def _ms_value(image: Image, pred: SoftPrediction):
     """ms_data_term's value, the sum of its variance rows, with the class masses
-    and means its gradient reuses. Complex probabilities give a complex value."""
-    (_, mass, means), rows = _variance_rows(image, pred, range(pred.num_classes))
+    and deviations its gradient reuses. Complex probabilities give a complex value."""
+    (_, mass, _), rows, devs = _variance_rows(image, pred, range(pred.num_classes))
     value = 0.0
     for row in rows:
         value += row.sum()
-    return value, mass, means
+    return value, mass, devs
 
 
 def ms_data_term(image: Image, pred: SoftPrediction, freeze_means: bool = False):
@@ -201,10 +206,10 @@ def ms_data_term(image: Image, pred: SoftPrediction, freeze_means: bool = False)
     Returns (value, gradient w.r.t. probabilities). The gradient carries the
     full dependence of each c_k on the prediction.
     """
-    value, mass, means = _ms_value(image, pred)
+    value, mass, devs = _ms_value(image, pred)
     grad = np.stack([
-        _variance_map_backward(image, P_k, mass[k], means[k], 1.0, freeze_means)
-        for k, P_k in enumerate(pred.probabilities)
+        _variance_map_backward(dev, P_k, mass[k], 1.0, freeze_means)
+        for k, (P_k, dev) in enumerate(zip(pred.probabilities, devs))
     ])
     return value, grad
 
@@ -226,18 +231,28 @@ def tv_term(pred: SoftPrediction):
     differences, and the gradient is the exact derivative of the surrogate
     _smooth_tv, sqrt(x^2 + 1e-12) per difference, which is 0 at kinks. The
     gradient oracles differentiate _smooth_tv.
+
+    Horizontal differences are taken on the flattened grid, with the ones that
+    wrap from a row's end to the next row zeroed, so they add nothing to the
+    gradient; the value sums a contiguous (K, H, W-1) copy, keeping its order.
     """
     P = pred.probabilities
-    dh = P[:, :, 1:] - P[:, :, :-1]
+    K, H, W = P.shape
+    flat = P.reshape(-1)
+    d = np.empty_like(flat)
+    np.subtract(flat[1:], flat[:-1], out=d[:-1])
+    dh = d.reshape(K, H, W)
+    dh[:, :, -1] = 0.0
     dv = P[:, 1:, :] - P[:, :-1, :]
-    grad = np.zeros_like(P)
-    uh = dh / np.sqrt(dh**2 + TV_SMOOTH_EPS)
+    uh = d / np.sqrt(d**2 + TV_SMOOTH_EPS)
     uv = dv / np.sqrt(dv**2 + TV_SMOOTH_EPS)
-    grad[:, :, 1:] += uh
-    grad[:, :, :-1] -= uh
+    grad = np.zeros(P.shape)  # C order, so g is a view of it
+    g = grad.reshape(-1)
+    g[1:] += uh[:-1]
+    g[:-1] -= uh[:-1]
     grad[:, 1:, :] += uv
     grad[:, :-1, :] -= uv
-    return float(np.abs(dh).sum() + np.abs(dv).sum()), grad
+    return float(np.abs(dh[:, :, :-1]).sum() + np.abs(dv).sum()), grad
 
 
 def cosine_similarity(a, b) -> float:
@@ -277,13 +292,13 @@ def _cv_index(present, plan: PairingPlan):
     return anchors, keys, a_rows, pos, mask
 
 
-def _cv_batch(parts, index, tau: float):
-    """cv_loss's value over every image's _variance_rows and the plan's
-    _cv_index, with what its gradient reuses: Z (one row per image and present
-    class), its row norms, D, the cosine matrix S, and each anchor's shifted
-    exponentials e and their sum. Complex probabilities give a complex value."""
+def _cv_batch(Z, index, tau: float):
+    """cv_loss's value over Z, the batch's variance rows (every image's
+    _variance_rows, one row per image and present class in _cv_index's key
+    order), and the plan's _cv_index, with what its gradient reuses: Z's row
+    norms, D, the cosine matrix S, and each anchor's shifted exponentials e and
+    their sum. Complex rows give a complex value."""
     _, _, a_rows, pos, mask = index
-    Z = np.stack([z for _, rows in parts for z in rows])
     norms = np.sqrt((Z * Z).sum(axis=1))
     D = np.outer(norms, norms) + COSINE_EPS
     S = (Z @ Z.T) / D
@@ -296,7 +311,7 @@ def _cv_batch(parts, index, tau: float):
     e = np.exp(np.where(mask, (sims - shift[:, None]) / tau, -np.inf))
     e_sum = e.sum(axis=1)
     contrastive = (shift / tau + np.log(e_sum) - S[a_rows, pos] / tau).sum()
-    return contrastive, (Z, norms, D, S, e, e_sum)
+    return contrastive, (norms, D, S, e, e_sum)
 
 
 def cv_loss(images, preds, present, plan: PairingPlan, tau: float,
@@ -311,6 +326,10 @@ def cv_loss(images, preds, present, plan: PairingPlan, tau: float,
     as in supervised contrastive learning. Gradients flow through the variance
     maps, the class means, and the predictions; classes not in `present` get
     zero gradient. TV is not part of this term: total_loss adds it.
+
+    Each image's _variance_rows go straight into its block of the batch
+    matrix Z; the backward completes each row's dZ in its loop and pulls it
+    back through the deviation the value step kept, which it then drops.
     """
     if tau <= 0:
         raise InvalidConfigError(f"temperature must be positive, got {tau}")
@@ -335,8 +354,14 @@ def cv_loss(images, preds, present, plan: PairingPlan, tau: float,
     if index is None:
         return ContrastiveVarianceResult(0.0, grads, 0)
     anchors, keys, a_rows, pos, _ = index
-    parts = [_variance_rows(image, pred, classes) for image, pred, classes in zip(images, preds, present)]
-    contrastive, (Z, norms, D, S, e, e_sum) = _cv_batch(parts, index, tau)
+    Z = np.empty((len(keys), shape[0] * shape[1]))
+    masses, devs = [], []  # per image; per row of Z
+    for image, pred, classes in zip(images, preds, present):
+        block = Z[len(devs):len(devs) + len(classes)]
+        (_, mass, _), _, image_devs = _variance_rows(image, pred, classes, block)
+        masses.append(mass)
+        devs += image_devs
+    contrastive, (norms, D, S, e, e_sum) = _cv_batch(Z, index, tau)
     # dS: softmax weight of each candidate, minus one at the positive.
     dS = np.zeros_like(S)
     dS[a_rows] = e / e_sum[:, None]
@@ -348,13 +373,13 @@ def cv_loss(images, preds, present, plan: PairingPlan, tau: float,
     dD = -dS * S / D
     dn = (dD + dD.T) @ norms
     safe = np.where(norms > 0.0, norms, 1.0)
-    dZ = (dG + dG.T) @ Z + (dn / safe)[:, None] * Z
-    for (n, k), gz in zip(keys, dZ):
-        (_, mass, means), _ = parts[n]
+    dZ = (dG + dG.T) @ Z
+    scale = dn / safe
+    for r, (n, k) in enumerate(keys):
+        dZ[r] += scale[r] * Z[r]
         grads[n][k] += _variance_map_backward(
-            images[n], preds[n].probabilities[k], mass[k], means[k],
-            gz.reshape(shape), freeze_means
-        )
+            devs[r], preds[n].probabilities[k], masses[n][k], dZ[r].reshape(shape), freeze_means)
+        devs[r] = None
     return ContrastiveVarianceResult(contrastive, grads, len(anchors))
 
 
@@ -444,7 +469,8 @@ def total_loss(images, logit_fields, annotations, plan: PairingPlan,
             for image, pred in zip(images, preds):
                 ms_value, ms_grad = ms_data_term(image, pred, settings.freeze_means)
                 ms_sum += ms_value
-                term_grads.append(settings.lambda_ms * ms_grad)
+                ms_grad *= settings.lambda_ms
+                term_grads.append(ms_grad)
             term = settings.lambda_ms * ms_sum
         else:
             cv = cv_loss(images, preds, [ann.classes for ann in annotations], plan,
@@ -454,10 +480,13 @@ def total_loss(images, logit_fields, annotations, plan: PairingPlan,
             term = settings.lambda_cv * cv_sum
         # TV regularizes both modes. Its gradient meets the term's before the
         # pce gradient: checkpoint bytes depend on that order.
-        for pred, grad, term_grad in zip(preds, grads_probs, term_grads):
-            tv_value, tv_grad = tv_term(pred)
+        for n, (pred, term_grad) in enumerate(zip(preds, term_grads)):
+            tv_value, grad = tv_term(pred)
             tv_sum += tv_value
-            grad += settings.mu * tv_grad + term_grad
+            grad *= settings.mu
+            grad += term_grad
+            grad += grads_probs[n]
+            grads_probs[n] = grad
         total = pce_sum + term + settings.mu * tv_sum
 
     grad_logits = [softmax_backward(pred, g) for pred, g in zip(preds, grads_probs)]

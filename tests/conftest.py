@@ -1,10 +1,8 @@
-import ctypes
-import glob
-import os
-
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
+
+from pointseg.cli import blas_core  # noqa: F401  (tests import it from conftest)
 
 settings.register_profile(
     "ci",
@@ -32,20 +30,6 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for _, line in sorted(_CRITERION_LINES):
             terminalreporter.write_line(line)
-
-
-def blas_core() -> str:
-    """The kernel name of numpy's bundled OpenBLAS in this process ("SkylakeX",
-    "Haswell", ...), or "unknown" when that library or its query is missing.
-    Values pinned on one kernel name it in their failure message."""
-    libs = glob.glob(os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
-                                  "numpy.libs", "libscipy_openblas64_*"))
-    try:
-        corename = ctypes.CDLL(libs[0]).scipy_openblas_get_corename64_
-    except (IndexError, OSError, AttributeError):
-        return "unknown"
-    corename.restype = ctypes.c_char_p
-    return corename().decode()
 
 
 @pytest.fixture

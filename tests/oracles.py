@@ -26,6 +26,13 @@ values the in-place probe buffer of finite_diff_grad must equal bit for bit.
 The pairwise HD95 is one too: it takes every boundary distance as a float
 sqrt of an (n, m, 2) difference tensor, the arithmetic the library's
 nearest-square HD95 must equal exactly.
+The whole-array loss terms are the last exceptions. The TV term forms each
+difference array on the (K, H, W) grid and adds its gradient from zeros; the
+data and contrastive terms take each variance map and its deviation I - c_k
+afresh, the contrastive term stacks its rows into one matrix and forms their
+gradient whole, and each map's pullback to P_k recomputes its deviation. The
+library's terms, which write their rows and gradients in place, must equal
+them bit for bit, signs of zero included.
 
 The complex-step oracle runs the library's layers on complex values, so
 those layers are also checked against references written for any dtype: an
@@ -38,7 +45,7 @@ import math
 import numpy as np
 
 from pointseg.grids import FD_STEP, softmax_backward
-from pointseg.losses import cv_loss, ms_data_term, partial_cross_entropy, tv_term
+from pointseg.losses import COSINE_EPS, MEAN_DENOM_EPS, TV_SMOOTH_EPS, partial_cross_entropy
 from pointseg.models import _conv2d, _maxpool2, _relu, _upsample2
 from pointseg.seeding import keyed_rng
 
@@ -264,27 +271,119 @@ def conv_ed_per_tap(values, intensities, grad_logits):
     return logits, grads
 
 
+def tv_term_whole(P):
+    """TV value and smoothed gradient from whole (K, H, W) difference arrays."""
+    dh = P[:, :, 1:] - P[:, :, :-1]
+    dv = P[:, 1:, :] - P[:, :-1, :]
+    grad = np.zeros_like(P)
+    uh = dh / np.sqrt(dh**2 + TV_SMOOTH_EPS)
+    uv = dv / np.sqrt(dv**2 + TV_SMOOTH_EPS)
+    grad[:, :, 1:] += uh
+    grad[:, :, :-1] -= uh
+    grad[:, 1:, :] += uv
+    grad[:, :-1, :] -= uv
+    return float(np.abs(dh).sum() + np.abs(dv).sum()), grad
+
+
+def _soft_means(I, P):
+    mass = P.sum(axis=(1, 2))
+    return mass, (P * I[None, :, :]).sum(axis=(1, 2)) / (mass + MEAN_DENOM_EPS)
+
+
+def variance_map_backward_afresh(I, P_k, mass_k, mean_k, g, freeze_means):
+    """Gradient of sum(g * (I - c_k)^2 P_k) w.r.t. P_k, its deviation recomputed."""
+    dev = I - mean_k
+    grad = g * dev**2
+    if not freeze_means:
+        grad_mean = -2.0 * (g * P_k * dev).sum()
+        grad += grad_mean * dev / (mass_k + MEAN_DENOM_EPS)
+    return grad
+
+
+def ms_data_term_afresh(I, P, freeze_means):
+    """Data-term value and gradient, each variance map and its pullback afresh."""
+    mass, means = _soft_means(I, P)
+    value = 0.0
+    for k in range(P.shape[0]):
+        value += ((I - means[k]) ** 2 * P[k]).reshape(-1).sum()
+    grad = np.stack([variance_map_backward_afresh(I, P[k], mass[k], means[k], 1.0, freeze_means)
+                     for k in range(P.shape[0])])
+    return value, grad
+
+
+def cv_loss_stacked(intensities, probs, present, partners, tau, lambda_cv, freeze_means):
+    """Contrastive value and per-image probability gradients over a stacked Z.
+
+    present holds one sorted tuple of class ids per image and partners maps
+    (n, k) to the positive image m. Z's rows are the variance maps, image by
+    image and class by class; dZ is formed whole, and every row's gradient is
+    added onto zeros through variance_map_backward_afresh.
+    """
+    grads = [np.zeros_like(P) for P in probs]
+    anchors = sorted(partners.items())
+    if not anchors:
+        return 0.0, grads
+    keys = [(n, k) for n, classes in enumerate(present) for k in classes]
+    row = {key: a for a, key in enumerate(keys)}
+    img, cls = np.array(keys).T
+    a_rows = np.array([row[nk] for nk, _ in anchors])
+    pos = np.array([row[(m, k)] for (_, k), m in anchors])
+    mask = (img != img[a_rows, None]) & (cls != cls[a_rows, None])
+    mask[np.arange(len(anchors)), pos] = True
+    stats = [_soft_means(I, P) for I, P in zip(intensities, probs)]
+    Z = np.stack([((intensities[n] - stats[n][1][k]) ** 2 * probs[n][k]).reshape(-1)
+                  for n, k in keys])
+    norms = np.sqrt((Z * Z).sum(axis=1))
+    D = np.outer(norms, norms) + COSINE_EPS
+    S = (Z @ Z.T) / D
+    sims = S[a_rows]
+    shift = np.where(mask, sims, -np.inf).max(axis=1)
+    e = np.exp(np.where(mask, (sims - shift[:, None]) / tau, -np.inf))
+    e_sum = e.sum(axis=1)
+    value = (shift / tau + np.log(e_sum) - S[a_rows, pos] / tau).sum()
+    dS = np.zeros_like(S)
+    dS[a_rows] = e / e_sum[:, None]
+    dS[a_rows, pos] -= 1.0
+    dS *= lambda_cv / tau
+    dG = dS / D
+    dD = -dS * S / D
+    dn = (dD + dD.T) @ norms
+    safe = np.where(norms > 0.0, norms, 1.0)
+    dZ = (dG + dG.T) @ Z + (dn / safe)[:, None] * Z
+    for (n, k), gz in zip(keys, dZ):
+        mass, means = stats[n]
+        grads[n][k] += variance_map_backward_afresh(
+            intensities[n], probs[n][k], mass[k], means[k], gz.reshape(probs[n][k].shape),
+            freeze_means)
+    return value, grads
+
+
 def total_loss_grads_oracle(images, preds, annotations, plan, settings):
     """Per-image logit gradients of settings.mode's objective, summed term by term.
 
     Each image's probability gradient is pce + (mu * tv + term): the pce+ms
     term is lambda_ms times the data-term gradient, and for pce+cv each
     present class's contrastive gradient is added onto mu * tv on its own.
+    TV and the two terms come from the whole-array references above.
     """
     mode = settings.mode
     if mode == "pce+cv":
-        cv = cv_loss(images, preds, [a.classes for a in annotations], plan,
-                     settings.tau, settings.lambda_cv, freeze_means=settings.freeze_means)
+        _, cv_grads = cv_loss_stacked(
+            [im.intensities for im in images], [p.probabilities for p in preds],
+            [a.classes for a in annotations], plan.partners, settings.tau, settings.lambda_cv,
+            settings.freeze_means)
     grads = []
     for n, (image, pred, ann) in enumerate(zip(images, preds, annotations)):
         grad = partial_cross_entropy(pred, ann)[1]
         if mode != "pce":
-            reg = settings.mu * tv_term(pred)[1]
+            reg = settings.mu * tv_term_whole(pred.probabilities)[1]
             if mode == "pce+ms":
-                reg = settings.lambda_ms * ms_data_term(image, pred, settings.freeze_means)[1] + reg
+                ms_grad = ms_data_term_afresh(image.intensities, pred.probabilities,
+                                              settings.freeze_means)[1]
+                reg = settings.lambda_ms * ms_grad + reg
             else:
                 for k in ann.classes:
-                    reg[k] += cv.grad_wrt_probs[n][k]
+                    reg[k] += cv_grads[n][k]
             grad = grad + reg
         grads.append(softmax_backward(pred, grad))
     return grads

@@ -14,7 +14,7 @@ import pointseg
 import pointseg.data
 import pointseg.gradcheck
 from pointseg import TrainConfig
-from pointseg.cli import _from_json, build_parser, main
+from pointseg.cli import _from_json, blas_core, build_parser, main
 from pointseg.losses import MODES
 from pointseg.models import KINDS, load_checkpoint
 
@@ -152,6 +152,14 @@ def test_train_writes_artifacts(trained):
     history = (trained / "history.csv").read_text().strip().split("\n")
     assert history[0] == "iteration,lr,pce,ms_data,cv_contrastive,tv,total"
     assert len(history) == 6
+
+
+def test_train_manifest_records_what_the_bytes_depend_on(trained):
+    numerics = json.loads((trained / "run_manifest.json").read_text())["numerics"]
+    assert numerics == {"numpy": np.__version__, "openblas_core": blas_core(),
+                        "blas_threads": numerics["blas_threads"]}
+    # None only where numpy bundles no OpenBLAS that answers the query.
+    assert numerics["blas_threads"] is None or numerics["blas_threads"] >= 1
 
 
 def test_train_rerun_from_manifest_reproduces_checkpoint(dataset, trained, tmp_path):

@@ -38,7 +38,15 @@ from pointseg.losses import (
     _variance_rows,
 )
 
-from oracles import bit_equal, cv_oracle, pce_oracle, total_loss_grads_oracle
+from oracles import (
+    bit_equal,
+    cv_loss_stacked,
+    cv_oracle,
+    ms_data_term_afresh,
+    pce_oracle,
+    total_loss_grads_oracle,
+    tv_term_whole,
+)
 
 
 def uniform_pred(K, H, W):
@@ -213,6 +221,50 @@ def test_tv_smooth_value_overestimates_slightly():
     assert smooth - exact <= 1e-4
 
 
+def _hard_with_negative_zeros(K, H, W, seed):
+    # One-hot probabilities: wide flat regions whose differences are exactly
+    # zero, with every zero entry stored as -0.0 in a checkerboard.
+    rng = np.random.default_rng(seed)
+    labels = np.repeat(rng.integers(0, K, size=(H, 1)), W, axis=1)
+    labels[: H // 2, : W // 2] = rng.integers(0, K)
+    probs = (np.arange(K)[:, None, None] == labels).astype(float)
+    checker = (np.indices((K, H, W)).sum(axis=0) % 2).astype(bool)
+    probs[(probs == 0.0) & checker] = -0.0
+    return SoftPrediction(probs)
+
+
+TERM_SHAPES = [(2, 1, 5), (3, 4, 1), (2, 1, 1), (2, 3, 4), (3, 5, 6)]
+
+
+@pytest.mark.parametrize("shape", TERM_SHAPES)
+def test_tv_term_equals_whole_array_reference_bit_for_bit(shape):
+    rng = np.random.default_rng(sum(shape))
+    for pred in (softmax(LogitField(rng.normal(size=shape))), _hard_with_negative_zeros(*shape, 3),
+                 uniform_pred(*shape)):
+        value, grad = tv_term(pred)
+        want_value, want_grad = tv_term_whole(pred.probabilities)
+        assert value.hex() == want_value.hex()
+        assert bit_equal(grad, want_grad)
+        # A column-major grid has the same gradient; its value's sum may round
+        # in another order.
+        value_f, grad_f = tv_term(SoftPrediction(np.asfortranarray(pred.probabilities)))
+        assert value_f == pytest.approx(value, rel=1e-12, abs=1e-15)
+        assert bit_equal(grad_f, grad)
+
+
+@pytest.mark.parametrize("shape", TERM_SHAPES)
+def test_ms_data_term_equals_afresh_reference_bit_for_bit(shape):
+    rng = np.random.default_rng(sum(shape))
+    for pred in (softmax(LogitField(rng.normal(size=shape))), _hard_with_negative_zeros(*shape, 4)):
+        for image in (Image(rng.random(shape[1:])), Image(np.zeros(shape[1:]))):
+            for freeze in (False, True):
+                value, grad = ms_data_term(image, pred, freeze)
+                want_value, want_grad = ms_data_term_afresh(image.intensities, pred.probabilities,
+                                                            freeze)
+                assert value.hex() == want_value.hex()
+                assert bit_equal(grad, want_grad)
+
+
 # cosine similarity and anchor terms
 
 
@@ -255,7 +307,12 @@ def test_value_steps_equal_full_values_bit_for_bit(seed):
 def _cv_steps(images, preds, present, plan, tau):
     # cv_loss's value as its three steps compose it, for sorted present sets.
     parts = [_variance_rows(im, p, classes) for im, p, classes in zip(images, preds, present)]
-    return _cv_batch(parts, _cv_index(present, plan), tau)[0]
+    return _cv_batch(_stacked(parts), _cv_index(present, plan), tau)[0]
+
+
+def _stacked(parts):
+    # The batch matrix Z from every image's _variance_rows, in image order.
+    return np.concatenate([rows for _, rows, _ in parts])
 
 
 # contrastive variance loss
@@ -377,12 +434,12 @@ def test_cv_matches_per_anchor_oracle(seed, present, tau):
     assert (index is None) == (not partners)
     if index is not None:
         parts = [_variance_rows(im, p, c) for im, p, c in zip(images, preds, sorted_present)]
-        assert _cv_batch(parts, index, tau)[0].hex() == res.contrastive.hex()
+        assert _cv_batch(_stacked(parts), index, tau)[0].hex() == res.contrastive.hex()
         preds[0] = softmax(LogitField(2.0 * rng.normal(size=(K, H, W))))
         parts[0] = _variance_rows(images[0], preds[0], sorted_present[0])
         moved = cv_loss(images, preds, present, PairingPlan(partners), tau, 0.3).contrastive
         assert _cv_steps(images, preds, sorted_present, PairingPlan(partners), tau).hex() == moved.hex()
-        assert _cv_batch(parts, index, tau)[0].hex() == moved.hex()
+        assert _cv_batch(_stacked(parts), index, tau)[0].hex() == moved.hex()
 
 
 @pytest.mark.parametrize("batch", PARTIAL_CV_BATCHES, ids=["no-class", "no-negatives", "partial"])
@@ -400,7 +457,7 @@ def test_cv_gradient_matches_finite_differences_on_partial_batches(batch):
         def value(probs, n=n):
             moved = list(parts)
             moved[n] = _variance_rows(images[n], _trusted(SoftPrediction, probs), sorted_present[n])
-            return _cv_batch(moved, index, tau)[0]
+            return _cv_batch(_stacked(moved), index, tau)[0]
 
         analytic = res.grad_wrt_probs[n]
         fd = finite_diff_grad(value, pred.probabilities)
@@ -412,6 +469,39 @@ def test_cv_gradient_matches_finite_differences_on_partial_batches(batch):
         assert (np.abs(analytic - fd)[mask] / scale[mask]).max(initial=0.0) <= 1e-4
     # Anchors without negatives contrast nothing: their loss is flat.
     assert compared > 0 or seed == 1
+
+
+def _assert_cv_equals_stacked_reference(images, preds, present, partners, tau):
+    sorted_present = [tuple(sorted(set(classes))) for classes in present]
+    for freeze in (False, True):
+        res = cv_loss(images, preds, present, PairingPlan(partners), tau, 0.3, freeze_means=freeze)
+        value, grads = cv_loss_stacked([im.intensities for im in images],
+                                       [p.probabilities for p in preds], sorted_present,
+                                       partners, tau, 0.3, freeze)
+        assert float(res.contrastive).hex() == float(value).hex()
+        assert all(bit_equal(got, want) for got, want in zip(res.grad_wrt_probs, grads))
+
+
+@pytest.mark.parametrize("batch", PARTIAL_CV_BATCHES, ids=["no-class", "no-negatives", "partial"])
+def test_cv_loss_equals_stacked_reference_bit_for_bit_on_partial_batches(batch):
+    _, images, preds, partners = _drawn_cv_batch(batch["seed"], batch["present"])
+    _assert_cv_equals_stacked_reference(images, preds, batch["present"], partners, batch["tau"])
+
+
+@pytest.mark.parametrize("shape", TERM_SHAPES)
+def test_cv_loss_equals_stacked_reference_bit_for_bit_on_flat_and_thin_grids(shape):
+    # Three images: a soft one, a hard one with negative zeros, and a hard one
+    # on a zero image, whose variance maps are all zero (zero-norm rows).
+    # Anchors (1, 1) and (2, K - 1) have no partner; image 2's one row is a
+    # positive and a candidate only.
+    K, H, W = shape
+    rng = np.random.default_rng(sum(shape))
+    images = [Image(rng.random((H, W))), Image(rng.random((H, W))), Image(np.zeros((H, W)))]
+    preds = [softmax(LogitField(rng.normal(size=shape))), _hard_with_negative_zeros(K, H, W, 5),
+             _hard_with_negative_zeros(K, H, W, 6)]
+    present = [tuple(range(K)), (1, 0), (K - 1,)]
+    partners = {(0, 0): 1, (0, 1): 1, (1, 0): 0, (0, K - 1): 2}
+    _assert_cv_equals_stacked_reference(images, preds, present, partners, 0.07)
 
 
 def test_cv_loss_freeze_means_is_keyword_only():

@@ -459,3 +459,24 @@ def test_default_model_bytes_pinned(tmp_path):
     assert digests == ("156600dbc1b9106aefa87824bb5913f0feb4cd91fe0c01aecd469df3d05d9c28",
                        "195b1214e4e609853c48a19c0787443fa7e4c5ed5a8ea24ac00b4eb413cdb51f"), \
         f"pinned on SkylakeX; this process runs {blas_core()}"
+
+
+@pytest.mark.parametrize("mode, digests", [
+    ("pce+cv", ("c6d29f08d9c177ece3208094b576880d5b83a0735320870b9a3c01bf9acfcd6e",
+                "1fea6aa3192c5c3dcabaecc6d7d670449e97c58c82c2951eef3db5af0e1ad77e")),
+    ("pce+ms", ("bbc5de03d70f349c8fadede1e4c2f3bdfd02476a8e627ef1a9c5592ab08e9dcc",
+                "84059e81128a065b253ebc46ca0f165433361bd5805f03960e5cc4692b587e3f")),
+])
+def test_logit_field_bytes_pinned(tmp_path, mode, digests):
+    # A logit field (64x64, batch 8, augmentation on) for two iterations. Its
+    # forward is a copy, so nearly all of its arithmetic is the loss side: a
+    # change to the bits of the ms, cv or TV terms, or to the order their
+    # gradients meet in, moves these. The digests were taken before those
+    # terms wrote their rows and gradients in place.
+    train, _, _ = synth_generate(SynthSpec(train_count=8, test_count=0))
+    config = TrainConfig(model_kind="logit-field", mode=mode, total_iterations=2)
+    assert (config.batch_size, config.augment) == (8, True)
+    state = train_loop(generate_annotations(train, seed=0), config, checkpoint_dir=tmp_path)
+    assert (hashlib.sha256((tmp_path / "checkpoint_final.bin").read_bytes()).hexdigest(),
+            hashlib.sha256(history_to_csv(state.history).encode()).hexdigest()) == digests, \
+        f"pinned on SkylakeX; this process runs {blas_core()}"
