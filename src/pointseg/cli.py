@@ -287,7 +287,7 @@ def cmd_gradcheck(args) -> int:
     if not report.passed:
         for c in report.components:
             if not c.passed:
-                print(f"FAIL {c.name}: seed {c.worst_seed}, "
+                print(f"FAIL {c.name}: trial {c.worst_seed}, "
                       f"coordinate {c.worst_coordinate}, "
                       f"rel err {c.worst_rel_err:.3e}", file=sys.stderr)
         return 1

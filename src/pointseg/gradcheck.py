@@ -104,7 +104,7 @@ class ComponentReport:
     instances: int
     compared: int      # coordinates above the magnitude floor
     worst_rel_err: float
-    worst_seed: int
+    worst_seed: int    # the worst trial's index (-1 if none differed), not a --seed value
     worst_coordinate: int
     tolerance: float
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -389,9 +389,9 @@ _FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "bool": bool, "s
 _NAMED_INTERVALS = {"[0, inf)": "be nonnegative", "(0, inf)": "be positive"}
 
 
-def domain(default, interval="(-inf, inf)", choices=None):
+def domain(default=MISSING, interval="(-inf, inf)", choices=None):
     """A config field taking `choices`, or numbers in `interval` ("[lo, hi)" and
-    the like; for a tuple field, every number inside it)."""
+    the like; for a tuple field, every number inside it); required with no default."""
     return field(default=default, metadata={"interval": interval, "choices": choices})
 
 

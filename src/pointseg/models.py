@@ -15,7 +15,9 @@ Two kinds share one interface:
 Checkpoints are a flat binary format: the magic string ``PSCV1``, then for
 each entry a little-endian u32 name length, the UTF-8 name, a u32 rank,
 rank u32 dims, and the raw float64 little-endian values. Parameters come
-first in sorted name order, then momentum buffers under ``momentum:<name>``.
+first in sorted name order, then momentum buffers under ``momentum:<name>``:
+a checkpoint holds exactly the entries of its spec's parameter table
+(`_param_shapes`), each with its momentum twin, and no name twice.
 Writes go to a temp file in the same directory and are renamed into place.
 """
 
@@ -30,6 +32,7 @@ import numpy as np
 
 from .errors import IngestError, InvalidConfigError, InvalidInputError
 from .grids import Image, LogitField
+from .losses import check_domains, domain
 from .seeding import keyed_rng
 
 CHECKPOINT_MAGIC = b"PSCV1"
@@ -56,20 +59,15 @@ def _checked_channels(channels) -> tuple:
 class ModelSpec:
     """Shape-level description of a model; enough to allocate its parameters."""
 
-    kind: str
-    num_classes: int
-    height: int
-    width: int
-    channels: tuple = DEFAULT_CHANNELS  # conv-ed widths (c1, c2, c3, c4)
-    image_ids: tuple = ()               # logit-field owners
+    kind: str = domain(choices=KINDS)
+    num_classes: int = domain(interval="[2, inf)")
+    height: int = domain(interval="[1, inf)")
+    width: int = domain(interval="[1, inf)")
+    channels: tuple = domain(DEFAULT_CHANNELS, "[1, inf)")  # conv-ed widths (c1, c2, c3, c4)
+    image_ids: tuple = domain(())                            # logit-field owners
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise InvalidConfigError(f"unknown model kind {self.kind!r}; expected one of {KINDS}")
-        if self.num_classes < 2:
-            raise InvalidConfigError(f"need at least 2 classes, got {self.num_classes}")
-        if self.height < 1 or self.width < 1:
-            raise InvalidConfigError(f"bad spatial shape {self.height}x{self.width}")
+        check_domains(self)
         if self.kind == "conv-ed":
             if self.height % 2 or self.width % 2:
                 raise InvalidConfigError(
@@ -93,9 +91,12 @@ class ModelParams:
     momentum: dict
 
 
-def _conv_shapes(spec: ModelSpec) -> dict:
-    c1, c2, c3, c4 = spec.channels
+def _param_shapes(spec: ModelSpec) -> dict:
+    """The model's parameter names and shapes, for init_params and load_checkpoint alike."""
     K = spec.num_classes
+    if spec.kind == "logit-field":
+        return {f"field.{image_id}": (K, spec.height, spec.width) for image_id in spec.image_ids}
+    c1, c2, c3, c4 = spec.channels
     return {
         "enc1.w": (c1, 1, 3, 3), "enc1.b": (c1,),
         "enc2.w": (c2, c1, 3, 3), "enc2.b": (c2,),
@@ -109,20 +110,12 @@ def init_params(spec: ModelSpec, seed: int) -> ModelParams:
     """Fresh parameters: kernels uniform(-b, b) with b = sqrt(6 / fan_in),
     biases zero, logit fields zero (so softmax starts uniform)."""
     values = {}
-    if spec.kind == "logit-field":
-        for image_id in spec.image_ids:
-            values[f"field.{image_id}"] = np.zeros(
-                (spec.num_classes, spec.height, spec.width)
-            )
-    else:
-        for name, shape in _conv_shapes(spec).items():
-            if name.endswith(".w"):
-                fan_in = int(np.prod(shape[1:]))
-                bound = np.sqrt(6.0 / fan_in)
-                rng = keyed_rng(seed, "init", name)
-                values[name] = rng.uniform(-bound, bound, size=shape)
-            else:
-                values[name] = np.zeros(shape)
+    for name, shape in _param_shapes(spec).items():
+        if len(shape) == 4:  # a kernel
+            bound = np.sqrt(6.0 / int(np.prod(shape[1:])))
+            values[name] = keyed_rng(seed, "init", name).uniform(-bound, bound, size=shape)
+        else:
+            values[name] = np.zeros(shape)
     momentum = {name: np.zeros_like(v) for name, v in values.items()}
     return ModelParams(spec, values, momentum)
 
@@ -435,6 +428,8 @@ def _read_entries(path):
             count = int(np.prod(dims)) if rank else 1
             arr = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
             offset += 8 * count
+            if name in entries:
+                raise IngestError(f"{path}: entry {name!r} appears twice")
             if not np.all(np.isfinite(arr)):
                 raise IngestError(f"{path}: entry {name!r} holds NaN or Inf")
             entries[name] = arr.reshape(dims).astype(np.float64)
@@ -446,49 +441,39 @@ def _read_entries(path):
 
 
 def load_checkpoint(path, height=None, width=None) -> ModelParams:
-    """Rebuild ModelParams from a PSCV1 file.
-
-    The model kind, class count and channel widths are recovered from the
-    entry names and shapes. conv-ed checkpoints do not record the image size,
-    so callers supply height and width (from the dataset they evaluate on).
-    """
+    """Rebuild ModelParams from a PSCV1 file holding exactly its spec's parameter
+    table, each entry with its momentum twin. The spec comes from the entries: a
+    logit field's sorted ids and first field's shape, or conv-ed's kernel row
+    counts on the grid callers supply (from the dataset they evaluate on), which
+    conv-ed checkpoints do not record."""
     entries = _read_entries(path)
     values = {n: a for n, a in entries.items() if not n.startswith(MOMENTUM_PREFIX)}
-    momentum = {
-        n[len(MOMENTUM_PREFIX):]: a for n, a in entries.items() if n.startswith(MOMENTUM_PREFIX)
-    }
-    if not values:
-        raise IngestError(f"{path}: checkpoint holds no parameters")
-    if sorted(values) != sorted(momentum):
-        raise IngestError(f"{path}: parameter and momentum entries disagree")
-
-    field_names = sorted(n for n in values if n.startswith("field."))
-    if field_names:
-        if len(field_names) != len(values):
-            raise IngestError(f"{path}: mixes logit fields with other parameters")
-        shape = values[field_names[0]].shape
-        for name in field_names:
-            if len(shape) != 3 or values[name].shape != shape:
-                raise IngestError(f"{path}: logit field {name!r} has shape "
-                                  f"{values[name].shape}, not one (K, H, W) shared by all")
-        K, H, W = shape
-        ids = tuple(n[len("field."):] for n in field_names)
-        spec = ModelSpec("logit-field", K, H, W, image_ids=ids)
-    else:
-        try:
-            *channels, K = (values[f"{name}.w"].shape[0] for name in CONV_ED_LAYERS)
-        except KeyError as exc:
-            raise IngestError(f"{path}: missing conv-ed parameter {exc}") from exc
-        if height is None or width is None:
-            raise InvalidInputError(
-                f"{path}: conv-ed checkpoint needs an image size to load against")
-        spec = ModelSpec("conv-ed", K, height, width, channels=channels)
-        expected = _conv_shapes(spec)
-        for name, shape in expected.items():
-            if name not in values or values[name].shape != shape:
-                raise IngestError(f"{path}: parameter {name!r} missing or mis-shaped")
-    for name, value in values.items():
-        if momentum[name].shape != value.shape:
-            raise IngestError(f"{path}: entry {MOMENTUM_PREFIX + name!r} has shape "
-                              f"{momentum[name].shape}, not its parameter's {value.shape}")
-    return ModelParams(spec, values, momentum)
+    ids = sorted(n[len("field."):] for n in values if n.startswith("field."))
+    try:
+        if ids:
+            name = f"field.{ids[0]}"
+            K, H, W = values[name].shape
+            spec = ModelSpec("logit-field", K, H, W, image_ids=tuple(ids))
+        else:
+            widths = []
+            for name in (f"{layer}.w" for layer in CONV_ED_LAYERS):
+                widths.append(values[name].shape[0])
+            if height is None or width is None:
+                raise InvalidInputError(
+                    f"{path}: conv-ed checkpoint needs an image size to load against")
+            spec = ModelSpec("conv-ed", widths[-1], height, width, channels=widths[:-1])
+    except KeyError as exc:
+        raise IngestError(f"{path}: entry {name!r} is missing") from exc
+    except (IndexError, ValueError, InvalidConfigError) as exc:  # name: the entry last read
+        raise IngestError(f"{path}: entry {name!r} of shape {values[name].shape} "
+                          f"gives no valid model: {exc}") from exc
+    expected = _param_shapes(spec)
+    expected.update({MOMENTUM_PREFIX + n: shape for n, shape in expected.items()})
+    for name in sorted(expected.keys() | entries.keys()):
+        if name not in expected or name not in entries:
+            problem = "missing" if name in expected else "unexpected"
+            raise IngestError(f"{path}: entry {name!r} is {problem}")
+        if entries[name].shape != expected[name]:
+            raise IngestError(f"{path}: entry {name!r} has shape {entries[name].shape}, "
+                              f"not {expected[name]}")
+    return ModelParams(spec, values, {n: entries[MOMENTUM_PREFIX + n] for n in values})

@@ -9,6 +9,7 @@ import sys
 
 import numpy as np
 import pytest
+from conftest import MALFORMED_CHECKPOINTS, write_malformed_checkpoint
 
 import pointseg
 import pointseg.data
@@ -387,6 +388,34 @@ def test_eval_mixed_logit_field_shapes_exits_2_naming_the_entry(dataset, tmp_pat
     assert not out.exists()
 
 
+@pytest.mark.parametrize("case", MALFORMED_CHECKPOINTS)
+def test_eval_malformed_checkpoint_exits_2_naming_the_file_and_entry(dataset, tmp_path, capsys, case):
+    ids = tuple(json.loads((dataset / "manifest.json").read_text())["train"])
+    kind = MALFORMED_CHECKPOINTS[case][0]
+    spec = pointseg.ModelSpec(kind, 2, 16, 16, channels=(2, 2, 3, 2), image_ids=ids)
+    bad = tmp_path / "bad.bin"
+    entry = write_malformed_checkpoint(bad, case, pointseg.init_params(spec, 0))
+    out = tmp_path / "out"
+    assert main(["eval", "--checkpoint", str(bad), "--data", str(dataset),
+                 "--out", str(out), "--split", "train"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "bad.bin" in err and f"'{entry}'" in err
+    assert not out.exists()
+
+
+def test_eval_logit_field_on_another_grid_exits_2(dataset, tmp_path, capsys):
+    ids = tuple(json.loads((dataset / "manifest.json").read_text())["train"])
+    small = tmp_path / "small.bin"
+    pointseg.save_checkpoint(small, pointseg.init_params(
+        pointseg.ModelSpec("logit-field", 2, 8, 8, image_ids=ids), 0))
+    out = tmp_path / "out"
+    assert main(["eval", "--checkpoint", str(small), "--data", str(dataset),
+                 "--out", str(out), "--split", "train"]) == 2
+    assert capsys.readouterr().err == "error: checkpoint grid 8x8 does not match dataset 16x16\n"
+    assert not out.exists()
+
+
 def test_gradcheck_passes(capsys):
     assert main(["gradcheck", "--trials", "2", "--end-to-end-trials", "1"]) == 0
     out = capsys.readouterr().out
@@ -412,7 +441,7 @@ def test_gradcheck_fails_a_non_finite_gradient(monkeypatch, capsys):
     assert main(["gradcheck", "--trials", "2", "--end-to-end-trials", "1"]) == 1
     captured = capsys.readouterr()
     assert "overall: FAIL" in captured.out
-    assert captured.err == "FAIL upsample2x2: seed 0, coordinate 0, rel err inf\n"
+    assert captured.err == "FAIL upsample2x2: trial 0, coordinate 0, rel err inf\n"
 
 
 def test_gradcheck_fails_a_non_finite_objective_value(monkeypatch, capsys):

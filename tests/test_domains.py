@@ -13,10 +13,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pointseg import LossSettings, SynthSpec, TrainConfig
+from pointseg import LossSettings, ModelSpec, SynthSpec, TrainConfig
 from pointseg.cli import main
 
-CONFIG_CLASSES = (LossSettings, TrainConfig, SynthSpec)
+CONFIG_CLASSES = (LossSettings, TrainConfig, SynthSpec, ModelSpec)
 
 # Small valid bases: one bad field on top of either fails before any work.
 BASE = {

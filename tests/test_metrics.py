@@ -183,6 +183,11 @@ def test_evaluate_validation():
         evaluate([all_bg], [all_bg])  # no foreground anywhere
 
 
+def test_evaluate_nothing_is_an_input_error():
+    with pytest.raises(InvalidInputError, match="nothing to evaluate"):
+        evaluate([], [])
+
+
 def test_evaluate_report_serialization():
     rng = np.random.default_rng(1)
     gts = [mask(rng.integers(0, 3, size=(5, 5)), 3) for _ in range(2)]

@@ -1,10 +1,11 @@
 import os
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from conftest import blas_core
+from conftest import MALFORMED_CHECKPOINTS, blas_core, write_malformed_checkpoint
 from oracles import (
     bit_equal,
     conv2d_backward_per_tap,
@@ -476,7 +477,7 @@ def test_checkpoint_rejects_corruption(tmp_path):
     # a (2, H, W) field beside field.a's (3, H, W): the class count is ambiguous
     params.values["field.b"] = params.momentum["field.b"] = np.zeros((2, 4, 5))
     save_checkpoint(bad, params)
-    with pytest.raises(IngestError, match=r"bad\.bin: logit field 'field\.b' has shape \(2, 4, 5\)"):
+    with pytest.raises(IngestError, match=r"bad\.bin: entry 'field\.b' has shape \(2, 4, 5\)"):
         load_checkpoint(bad)
 
     params = init_params(spec, 0)
@@ -484,6 +485,55 @@ def test_checkpoint_rejects_corruption(tmp_path):
     save_checkpoint(bad, params)
     with pytest.raises(IngestError, match=r"bad\.bin: entry 'momentum:field\.b' has shape \(3, 4, 6\)"):
         load_checkpoint(bad)
+
+
+@pytest.mark.parametrize("case", MALFORMED_CHECKPOINTS)
+def test_checkpoint_rejects_malformed_entries(tmp_path, case):
+    # Each is an IngestError naming the file and the entry: not an IndexError,
+    # a spec error that names no file, or a silent load.
+    spec = conv_spec() if MALFORMED_CHECKPOINTS[case][0] == "conv-ed" else field_spec()
+    bad = tmp_path / "bad.bin"
+    entry = write_malformed_checkpoint(bad, case, init_params(spec, 0))
+    with pytest.raises(IngestError, match=rf"bad\.bin: .*'{re.escape(entry)}'"):
+        load_checkpoint(bad, height=8, width=8)
+
+
+STRAY_NAMES = ("bogus.w", "enc1.w", "head.b", "field.c", "x", "momentum:x")
+
+
+@st.composite
+def edited_params(draw):
+    """A small model's parameters, about half the time with one to three entries
+    dropped, added or replaced by an array of any small shape and one value,
+    NaN and Inf included."""
+    params = init_params(draw(st.sampled_from([conv_spec(), field_spec()])), 0)
+    for _ in range(draw(st.just(0) | st.integers(1, 3))):
+        table = draw(st.sampled_from([params.values, params.momentum]))
+        name = draw(st.sampled_from(sorted(table) + list(STRAY_NAMES)))
+        if name in table and draw(st.booleans()):
+            del table[name]
+        else:
+            shape = tuple(draw(st.lists(st.integers(0, 4), max_size=4)))
+            table[name] = np.full(shape, draw(st.floats()))
+    return params
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@given(params=edited_params(), grid=st.sampled_from([(None, None), (8, 8), (7, 8)]))
+def test_saved_checkpoint_loads_bit_equal_or_raises_a_pointseg_error(fuzz_dir, params, grid):
+    path = fuzz_dir / "m.bin"
+    save_checkpoint(path, params)
+    try:
+        loaded = load_checkpoint(path, *grid)
+    except (IngestError, InvalidInputError):
+        return
+    for written, read in ((params.values, loaded.values), (params.momentum, loaded.momentum)):
+        assert written.keys() == read.keys()
+        assert all(bit_equal(written[n], read[n]) for n in written)
 
 
 def test_conv_checkpoint_needs_grid_size(tmp_path):
