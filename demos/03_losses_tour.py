@@ -16,7 +16,6 @@ from pointseg.grids import LogitField, SoftPrediction, softmax
 from pointseg.losses import (
     LossSettings,
     PairingPlan,
-    class_means,
     cv_loss,
     ms_data_term,
     partial_cross_entropy,
@@ -44,8 +43,7 @@ half = SoftPrediction(np.full((2, 2, 2), 0.5))
 ms_value, _ = ms_data_term(image, half)
 print(f"data term for the maximally ambiguous split: {ms_value:.6f}")
 
-means = class_means(image, half)
-zmap = variance_map(image, half, means, 0)
+zmap = variance_map(image, half, 0)
 print("variance map of class 0:\n", zmap)
 
 # Total variation counts prediction jumps between neighboring pixels.

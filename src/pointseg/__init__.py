@@ -20,8 +20,6 @@ from .losses import (
     LossSettings,
     PairingPlan,
     PointAnnotation,
-    class_means,
-    cosine_similarity,
     cv_loss,
     ms_data_term,
     partial_cross_entropy,

@@ -132,7 +132,10 @@ def _pce_value(preds, anns):
 
 
 def _mean_stats(image: Image, pred: SoftPrediction):
-    """Per-class weighted sums behind the soft means: intensity mass, total mass, mean."""
+    """Per-class weighted sums behind the soft means: intensity mass, total mass,
+    and mean, the prediction-weighted mean intensity of each class region. A
+    class with vanishing predicted mass gets mean 0 through the epsilon in the
+    denominator."""
     I = image.intensities
     P = pred.probabilities
     if I.shape != P.shape[1:]:
@@ -141,23 +144,6 @@ def _mean_stats(image: Image, pred: SoftPrediction):
     mass = P.sum(axis=(1, 2))
     means = intensity_mass / (mass + MEAN_DENOM_EPS)
     return intensity_mass, mass, means
-
-
-def class_means(image: Image, pred: SoftPrediction) -> np.ndarray:
-    """Prediction-weighted mean intensity of each class region, shape (K,).
-
-    A class with vanishing predicted mass gets mean 0 through the epsilon
-    in the denominator.
-    """
-    return _mean_stats(image, pred)[2]
-
-
-def variance_map(image: Image, pred: SoftPrediction, means: np.ndarray, k: int) -> np.ndarray:
-    """Elementwise (I - c_k)^2 * P_k, shape (H, W): the appearance representation
-    contrasted across images."""
-    if not 0 <= k < pred.num_classes:
-        raise InvalidInputError(f"class {k} outside [0, {pred.num_classes})")
-    return (image.intensities - means[k]) ** 2 * pred.probabilities[k]
 
 
 def _variance_map_backward(dev, probs_k, mass_k, grad_wrt_map, freeze_means):
@@ -188,6 +174,14 @@ def _variance_rows(image: Image, pred: SoftPrediction, classes, out=None):
     for z, dev, k in zip(out.reshape(len(devs), *I.shape), devs, classes):
         np.multiply(np.square(dev, out=z), P[k], out=z)
     return stats, out, devs
+
+
+def variance_map(image: Image, pred: SoftPrediction, k: int) -> np.ndarray:
+    """Class k's variance map (I - c_k)^2 P_k, shape (H, W): the appearance
+    representation contrasted across images, as _variance_rows writes it."""
+    if not 0 <= k < pred.num_classes:
+        raise InvalidInputError(f"class {k} outside [0, {pred.num_classes})")
+    return _variance_rows(image, pred, (k,))[1].reshape(image.intensities.shape)
 
 
 def _ms_value(image: Image, pred: SoftPrediction):
@@ -253,16 +247,6 @@ def tv_term(pred: SoftPrediction):
     grad[:, 1:, :] += uv
     grad[:, :-1, :] -= uv
     return float(np.abs(dh[:, :, :-1]).sum() + np.abs(dv).sum()), grad
-
-
-def cosine_similarity(a, b) -> float:
-    """Cosine similarity of two maps flattened to vectors, zero-vector safe."""
-    av = np.asarray(a, dtype=np.float64).reshape(-1)
-    bv = np.asarray(b, dtype=np.float64).reshape(-1)
-    if av.shape != bv.shape:
-        raise InvalidInputError(f"cosine inputs disagree in size: {av.shape} vs {bv.shape}")
-    denom = np.linalg.norm(av) * np.linalg.norm(bv) + COSINE_EPS
-    return float(av @ bv / denom)
 
 
 @dataclass(frozen=True)

@@ -435,8 +435,6 @@ def _read_entries(path):
             entries[name] = arr.reshape(dims).astype(np.float64)
     except (struct.error, ValueError) as exc:
         raise IngestError(f"{path}: truncated or corrupt checkpoint ({exc})") from exc
-    if offset != len(blob):
-        raise IngestError(f"{path}: trailing bytes after last checkpoint entry")
     return entries
 
 

@@ -80,7 +80,8 @@ def poly_lr(lr0: float, iteration: int, total: int, power: float) -> float:
 
 def sgd_step(params: ModelParams, grads: dict, lr: float, momentum: float,
              weight_decay: float) -> ModelParams:
-    """In-place SGD with momentum; decay only touches convolution kernels."""
+    """In-place SGD with momentum; decay only touches convolution kernels, the
+    rank-4 entries, as init_params tells them apart."""
     for name in sorted(grads):
         if name not in params.values:
             raise InvalidInputError(f"gradient for unknown parameter {name!r}")
@@ -90,8 +91,7 @@ def sgd_step(params: ModelParams, grads: dict, lr: float, momentum: float,
         p = params.values[name]
         if g.shape != p.shape:
             raise InvalidInputError(f"gradient shape mismatch for {name!r}")
-        decays = name.endswith(".w") and not name.startswith("field.")
-        if weight_decay and decays:
+        if weight_decay and p.ndim == 4:
             g = g + weight_decay * p
         v = params.momentum[name]
         v *= momentum

@@ -30,8 +30,6 @@ from pointseg import (
     PairingPlan,
     PointAnnotation,
     SoftPrediction,
-    class_means,
-    cosine_similarity,
     cv_loss,
     dsc,
     hd95,
@@ -42,10 +40,10 @@ from pointseg import (
     softmax,
     total_loss,
     tv_term,
-    variance_map,
 )
 from pointseg.cli import _evaluate_params, main
 from pointseg.gradcheck import run_all
+from pointseg.losses import _cv_batch, _cv_index, _variance_rows
 from pointseg.train import TrainConfig, poly_lr, sgd_step, train_loop
 
 # Shared training profile for the ablation and sweep criteria. One profile
@@ -323,23 +321,17 @@ def test_criterion_6_invariance_suite():
         Image(im.intensities + d) for im, d in zip(images, shifts)
     ]
 
-    def all_sims(ims):
-        maps = []
-        for im, pred in zip(ims, preds):
-            means = class_means(im, pred)
-            maps.append(
-                [variance_map(im, pred, means, k) for k in range(3)]
-            )
-        return [
-            cosine_similarity(maps[i][j], maps[m][n])
-            for i in range(3)
-            for j in range(3)
-            for m in range(3)
-            for n in range(3)
-        ]
+    def cosine_matrix(ims):
+        # the 9x9 matrix S that cv_loss contrasts, over the batch's variance rows
+        Z = np.concatenate([
+            _variance_rows(im, pred, classes)[1]
+            for im, pred, classes in zip(ims, preds, present)
+        ])
+        return _cv_batch(Z, _cv_index(present, plan), settings.tau)[1][2]
 
-    base, shifted = all_sims(images), all_sims(s_images)
-    worst["shift"] = max(abs(a - b) for a, b in zip(base, shifted))
+    worst["shift"] = float(
+        np.max(np.abs(cosine_matrix(images) - cosine_matrix(s_images)))
+    )
 
     # batch permutation with the pairing plan carried along
     order = [2, 0, 1]

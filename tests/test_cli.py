@@ -404,6 +404,100 @@ def test_eval_malformed_checkpoint_exits_2_naming_the_file_and_entry(dataset, tm
     assert not out.exists()
 
 
+@pytest.mark.parametrize("tail", [b"\x00", b"\x05\x00\x00\x00x", b"\x01\x00\x00\x00x\x00\x00\x00\x00"],
+                         ids=["short-name-length", "name-past-the-end", "value-past-the-end"])
+def test_eval_checkpoint_with_bytes_appended_exits_2(dataset, trained, tmp_path, capsys, tail):
+    # Appended bytes read as one more entry, cut off inside its length, name or value.
+    bad = tmp_path / "appended.bin"
+    bad.write_bytes((trained / "checkpoint_final.bin").read_bytes() + tail)
+    with pytest.raises(pointseg.IngestError, match="appended.bin: truncated or corrupt"):
+        load_checkpoint(bad, height=16, width=16)
+    out = tmp_path / "out"
+    assert main(["eval", "--checkpoint", str(bad), "--data", str(dataset),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1 and "appended.bin" in err
+    assert not out.exists()
+
+
+def _spec_for_three_classes(**fields):
+    def damage(data):
+        (data.parent / "spec.json").write_text(json.dumps({"num_classes": 3, **fields}))
+    return damage
+
+
+def _rewrite_json(name, edit):
+    def damage(data):
+        path = data / name
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    return damage
+
+
+def _swap_train000_classes(annotations):
+    # Both points keep their pixels and trade classes, so each disagrees with the mask.
+    first, second = annotations["train000"]
+    first["class"], second["class"] = second["class"], first["class"]
+    return annotations
+
+
+def _first_point_off_mask(data):
+    first, second = json.loads((data / "annotations.json").read_text())["train000"]
+    return (f"{data}: sample 'train000' inconsistent (sample train000: point "
+            f"({first['row']}, {first['col']}) labeled {first['class']} but mask says {second['class']})")
+
+
+# Each case: the command, the damage done to a copy of the dataset (or the
+# synth spec written beside it), and the error it must print, given the copy.
+INGEST_ERRORS = {
+    "spec-one-anchor": ("synth", _spec_for_three_classes(anchors=[[0.5, 0.5]]),
+                        lambda data: "need 2 anchors for 3 classes, got 1"),
+    "spec-two-means": ("synth", _spec_for_three_classes(intensity_means=[0.2, 0.8]),
+                       lambda data: "need 3 intensity means, got (0.2, 0.8)"),
+    "spec-radius-range-reversed": ("synth", _spec_for_three_classes(radius_range=[0.3, 0.2]),
+                                   lambda data: "radius range (0.3, 0.2) must be (lo, hi)"),
+    "manifest-not-json": ("train", lambda data: (data / "manifest.json").write_text("{"),
+                          lambda data: f"{data / 'manifest.json'}: invalid JSON"),
+    "train-image-shape": ("train", lambda data: pointseg.data.write_pgm(
+                              data / "images" / "train000.pgm", np.zeros((8, 8), dtype=int)),
+                          lambda data: f"{data / 'images' / 'train000.pgm'}: shape (8, 8) "
+                                       "does not match manifest 16x16"),
+    "test-mask-shape": ("eval", lambda data: pointseg.data.write_pgm(
+                            data / "masks" / "test000.pgm", np.zeros((8, 8), dtype=int)),
+                        lambda data: f"{data / 'masks' / 'test000.pgm'}: shape differs from image shape"),
+    "train-image-missing": ("train", lambda data: (data / "images" / "train000.pgm").unlink(),
+                            lambda data: f"{data / 'images' / 'train000.pgm'}: cannot read"),
+    "train-image-header-cut": ("train", lambda data: (data / "images" / "train000.pgm").write_bytes(b"P5\n16"),
+                               lambda data: f"{data / 'images' / 'train000.pgm'}: truncated PGM header"),
+    "points-not-a-list": ("train", _rewrite_json("annotations.json", lambda a: {**a, "train000": 5}),
+                          lambda data: f"{data / 'annotations.json'}: sample 'train000': "
+                                       "points must be a list"),
+    "point-class-off-mask": ("train", _rewrite_json("annotations.json", _swap_train000_classes),
+                             _first_point_off_mask),
+}
+
+
+@pytest.mark.parametrize("case", INGEST_ERRORS)
+def test_bad_dataset_or_spec_file_exits_2_and_writes_nothing(dataset, trained, tmp_path, capsys,
+                                                            case):
+    command, damage, message = INGEST_ERRORS[case]
+    data = tmp_path / "data"
+    shutil.copytree(dataset, data)
+    damage(data)
+    out = tmp_path / "out"
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(TINY_TRAIN))
+    argv = {
+        "synth": ["synth", "--spec", str(tmp_path / "spec.json")],
+        "train": ["train", "--config", str(cfg), "--data", str(data)],
+        "eval": ["eval", "--checkpoint", str(trained / "checkpoint_final.bin"), "--data", str(data)],
+    }[command]
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert message(data) in err
+    assert not out.exists()
+
+
 def test_eval_logit_field_on_another_grid_exits_2(dataset, tmp_path, capsys):
     ids = tuple(json.loads((dataset / "manifest.json").read_text())["train"])
     small = tmp_path / "small.bin"

@@ -30,3 +30,13 @@ def test_readme_names_only_private_names_the_package_defines():
     stale = sorted(f"{module}.{name}" if module else name for module, name in named
                    if name not in (defined.get(module, set()) if module else anywhere))
     assert not stale, f"README.md names what src/pointseg/ no longer defines: {stale}"
+
+
+def test_readme_python_blocks_run():
+    # Each block runs in a fresh namespace against the package under test, so
+    # a README that imports a name the package no longer exports fails here.
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.S | re.M)
+    assert blocks, "README.md holds no python block: the pattern has drifted"
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})

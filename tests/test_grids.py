@@ -98,3 +98,22 @@ def test_finite_diff_grad_on_quadratic():
     x = np.array([1.0, -2.0, 3.0])
     g = finite_diff_grad(lambda v: float((v**2).sum()), x)
     assert np.abs(g - 2 * x).max() <= 1e-6
+
+
+CONTAINER_CHECKS = {
+    "prediction-not-rank-3": (lambda: SoftPrediction(np.full((2, 2), 0.5)), "must be \\[K, H, W\\]"),
+    "prediction-outside-unit": (lambda: SoftPrediction(np.array([[[1.5]], [[-0.5]]])), "lie in \\[0, 1\\]"),
+    "prediction-not-summing-to-1": (lambda: SoftPrediction(np.full((2, 2, 2), 0.4)), "sum to 1"),
+    "image-outside-unit": (lambda: Image(np.full((2, 2), 1.5)), "lie in \\[0, 1\\]"),
+    "one-class-logit-field": (lambda: LogitField(np.zeros((1, 3, 3))), "at least 2 classes"),
+    "backward-gradient-shape": (
+        lambda: softmax_backward(softmax(LogitField(np.zeros((3, 3, 3)))), np.zeros((2, 3, 3))),
+        "gradient shape \\(2, 3, 3\\) != probabilities shape \\(3, 3, 3\\)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONTAINER_CHECKS))
+def test_container_checks_raise_invalid_input(case):
+    build, message = CONTAINER_CHECKS[case]
+    with pytest.raises(InvalidInputError, match=message):
+        build()

@@ -14,8 +14,6 @@ from pointseg import (
     PairingPlan,
     PointAnnotation,
     SoftPrediction,
-    class_means,
-    cosine_similarity,
     cv_loss,
     finite_diff_grad,
     ms_data_term,
@@ -32,6 +30,7 @@ from pointseg.losses import (
     MODES,
     _cv_batch,
     _cv_index,
+    _mean_stats,
     _ms_value,
     _pce_value,
     _smooth_tv,
@@ -132,7 +131,7 @@ def test_point_annotation_validation():
 def test_class_means_hard_assignment():
     image = Image(np.array([[0.0, 1.0]]))
     pred = SoftPrediction(np.array([[[1.0, 0.0]], [[0.0, 1.0]]]))
-    means = class_means(image, pred)
+    means = _mean_stats(image, pred)[2]
     assert means[0] == pytest.approx(0.0, abs=1e-7)
     assert means[1] == pytest.approx(1.0, abs=1e-7)
 
@@ -140,18 +139,19 @@ def test_class_means_hard_assignment():
 def test_class_means_zero_mass_class():
     image = Image(np.array([[0.3, 0.7]]))
     pred = SoftPrediction(np.array([[[1.0, 1.0]], [[0.0, 0.0]]]))
-    assert class_means(image, pred)[1] == 0.0
+    assert _mean_stats(image, pred)[2][1] == 0.0
 
 
 def test_variance_map_values():
     image = Image(np.array([[1.0, 0.5]]))
     pred = SoftPrediction(np.array([[[1.0, 0.0]], [[0.0, 1.0]]]))
-    means = class_means(image, pred)
-    z = variance_map(image, pred, means, 0)
+    means = _mean_stats(image, pred)[2]
+    z = variance_map(image, pred, 0)
+    assert z.shape == (1, 2)
     assert z[0, 0] == pytest.approx((1.0 - means[0]) ** 2, abs=1e-9)
     assert z[0, 1] == 0.0
     with pytest.raises(InvalidInputError):
-        variance_map(image, pred, means, 5)
+        variance_map(image, pred, 5)
 
 
 # Mumford-Shah data term
@@ -269,15 +269,16 @@ def test_ms_data_term_equals_afresh_reference_bit_for_bit(shape):
 
 
 def test_cosine_conventions():
-    a = np.zeros((2, 2))
-    a[0, 0] = 0.5
-    b = np.zeros((2, 2))
-    b[1, 1] = 0.3
-    assert cosine_similarity(a, a) == pytest.approx(1.0, abs=1e-9)
-    assert cosine_similarity(a, b) == 0.0
-    assert cosine_similarity(np.zeros((2, 2)), b) == 0.0
-    with pytest.raises(InvalidInputError):
-        cosine_similarity(np.zeros(3), np.zeros(4))
+    # Rows a, b and a zero row, one class each of three images: S is the
+    # cosine matrix cv_loss contrasts.
+    Z = np.zeros((3, 4))
+    Z[0, 0] = 0.5
+    Z[1, 3] = 0.3
+    S = _cv_batch(Z, _cv_index([(0,), (0,), (0,)], PairingPlan({(0, 0): 1})), tau=1.0)[1][2]
+    assert S[0, 0] == pytest.approx(1.0, abs=1e-9)
+    assert S[0, 1] == 0.0
+    assert S[2, 1] == 0.0
+    assert S[2, 2] == 0.0
 
 
 @pytest.mark.parametrize("seed", range(4))
