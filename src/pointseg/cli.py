@@ -59,51 +59,61 @@ _PALETTE = (
 )
 
 
-def _parse_channels(text: str) -> tuple:
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"channels must be comma-separated integers: {text!r}") from exc
-
-
-def _parse_values(text: str) -> tuple:
-    try:
-        return tuple(float(part) for part in text.split(","))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"values must be comma-separated numbers: {text!r}") from exc
+def _comma_separated(kind, rule: str):
+    """An argparse type reading a tuple of `kind`; `rule` leads its error."""
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(kind(part) for part in text.split(","))
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"{rule}: {text!r}") from exc
+    return parse
 
 
 def _tuples(value):
     return tuple(_tuples(v) for v in value) if isinstance(value, list) else value
 
 
-def _from_json(cls, raw: dict, overrides: dict, what: str):
-    """`cls` from a JSON object's fields, command-line overrides on top.
+def _from_json(cls, raw: dict, overrides: dict, what: str, path=None):
+    """`cls` from the fields of a JSON object read from `path`, flags on top.
 
     JSON arrays become the tuples the frozen dataclasses hold. Unknown keys
     are config errors, and so is a value of the wrong type, which the class's
     domain check raises as a TypeError; null stands for a default of None.
+    An error that the keys no flag overrides make alone starts with the
+    file's path; any other keeps the message it gets without a file.
     """
+    def build(values):
+        try:
+            return cls(**{key: _tuples(value) for key, value in values.items()})
+        except TypeError as exc:
+            raise InvalidConfigError(f"bad {what} value: {exc}") from exc
+
+    where = f"{path}: " if path else ""
     unknown = sorted(set(raw) - {f.name for f in dataclasses.fields(cls)})
     if unknown:
-        raise InvalidConfigError(f"unknown {what} keys: {', '.join(unknown)}")
+        raise InvalidConfigError(f"{where}unknown {what} keys: {', '.join(unknown)}")
     try:
-        return cls(**{key: _tuples(value) for key, value in {**raw, **overrides}.items()})
-    except TypeError as exc:
-        raise InvalidConfigError(f"bad {what} value: {exc}") from exc
+        return build({**raw, **overrides})
+    except InvalidConfigError:
+        try:
+            build({key: value for key, value in raw.items() if key not in overrides})
+        except InvalidConfigError as exc:
+            raise InvalidConfigError(f"{where}{exc}") from exc
+        raise
 
 
 def _resolve_train_config(args) -> TrainConfig:
-    raw = read_json_object(args.config) if getattr(args, "config", None) else {}
+    raw = read_json_object(args.config) if args.config else {}
     if isinstance(raw.get("config"), dict):  # a run manifest reruns its config
         raw = raw["config"]
     overrides = {f.name: getattr(args, f.name) for f in dataclasses.fields(TrainConfig)
                  if getattr(args, f.name, None) is not None}
-    return _from_json(TrainConfig, raw, overrides, "config")
+    return _from_json(TrainConfig, raw, overrides, "config", args.config)
 
 
 # argparse types per declared field type; bools become --x/--no-x pairs.
-_FLAG_TYPES = {"float": float, "int": int, "str": str, "tuple": _parse_channels}
+_FLAG_TYPES = {"float": float, "int": int, "str": str,
+               "tuple": _comma_separated(int, "channels must be comma-separated integers")}
 
 
 def _add_config_flags(sub):
@@ -218,7 +228,7 @@ def _write_predictions(out_dir, samples, preds, composite: bool) -> None:
 def cmd_synth(args) -> int:
     raw = read_json_object(args.spec) if args.spec else {}
     overrides = {} if args.seed is None else {"seed": args.seed}
-    spec = _from_json(SynthSpec, raw, overrides, "spec")
+    spec = _from_json(SynthSpec, raw, overrides, "spec", args.spec)
     train, test, _ = synth_generate(spec)
     save_dataset(args.out, train, test, spec.num_classes)
     print(f"wrote {len(train)} train + {len(test)} test images "
@@ -379,7 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="dataset root")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--parameter", required=True, choices=_SWEEP_PARAMETERS)
-    p.add_argument("--values", required=True, type=_parse_values,
+    p.add_argument("--values", required=True,
+                   type=_comma_separated(float, "values must be comma-separated numbers"),
                    help="comma-separated values, swept in order")
     _add_config_flags(p)
     p.set_defaults(func=cmd_sweep)

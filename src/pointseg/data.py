@@ -248,12 +248,16 @@ def load_manifest(root) -> dict:
     for key in ("K", "H", "W"):
         if not _is_int(manifest[key]) or manifest[key] < 1:
             raise IngestError(f"{path}: {key} must be a positive integer, got {manifest[key]!r}")
+    listed = set()
     for key in ("train", "test"):
         if not isinstance(manifest[key], list) or not all(isinstance(i, str) for i in manifest[key]):
             raise IngestError(f"{path}: {key} must be a list of sample ids")
         for i in manifest[key]:
             if i in ("", ".", "..") or any(c in i for c in ("/", os.sep, "\0")):
                 raise IngestError(f"{path}: sample id {i!r} is not a plain file name")
+            if i in listed:
+                raise IngestError(f"{path}: sample id {i!r} is listed more than once")
+            listed.add(i)
     return manifest
 
 

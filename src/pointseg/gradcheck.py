@@ -10,8 +10,8 @@ which the two cannot be told apart. There are two oracles:
   Loss terms are isolated by differentiating them with respect to logits
   through the softmax chain (itself checked on its own), so perturbed
   inputs never leave the simplex; layers are weighted by a random probe of
-  their output. The contrastive suite checks cv_loss together with smoothed
-  TV, the regularizer training adds beside it. A loss term's probes evaluate
+  their output. The contrastive suite checks cv_loss with smoothed TV, the
+  objective's value with no annotated points. A loss term's probes evaluate
   the private value step the full term is built on, so its gradient is built
   once a trial. A probe recomputes only the moved input's softmax and part
   of that value, and cv's plan index is built once a trial.
@@ -30,14 +30,15 @@ which the two cannot be told apart. There are two oracles:
   the objective's part for the one image it reaches, a conv-ed step every
   image's part; both reuse the trial's plan index.
 
-Every value either oracle differentiates comes from `losses`; TV's is the
-smoothed surrogate `_smooth_tv`, whose exact derivative tv_term returns.
+Every value either oracle differentiates comes from `losses`, the objective's
+from `_objective_part` and `_objective_value`; TV's is the smoothed surrogate
+`_smooth_tv`, whose exact derivative tv_term returns.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import itemgetter
 
 import numpy as np
@@ -50,12 +51,12 @@ from .losses import (
     LossSettings,
     PairingPlan,
     PointAnnotation,
-    _cv_batch,
     _cv_index,
     _ms_value,
+    _objective_part,
+    _objective_value,
     _pce_value,
     _smooth_tv,
-    _variance_rows,
     cv_loss,
     ms_data_term,
     partial_cross_entropy,
@@ -81,6 +82,7 @@ GRAD_FLOOR = 1e-7
 SOFTMAX_FLOOR = 1e-8
 COMPLEX_STEP = 1e-20
 EPS64 = float(np.finfo(np.float64).eps)
+OBJECTIVE = LossSettings("pce+cv", lambda_cv=0.3, lambda_ms=0.3, mu=1e-2, tau=0.07)
 
 
 def fd_noise_floor(value: float) -> float:
@@ -106,11 +108,10 @@ class ComponentReport:
     worst_rel_err: float
     worst_seed: int    # the worst trial's index (-1 if none differed), not a --seed value
     worst_coordinate: int
-    tolerance: float
 
     @property
     def passed(self) -> bool:
-        return self.worst_rel_err <= self.tolerance
+        return self.worst_rel_err <= REL_TOL
 
 
 @dataclass(frozen=True)
@@ -130,7 +131,7 @@ class GradCheckReport:
         for c in self.components:
             lines.append(
                 f"{c.name:32s} {c.instances:9d} {c.compared:9d} "
-                f"{c.worst_rel_err:14.3e} {c.tolerance:10.0e} "
+                f"{c.worst_rel_err:14.3e} {REL_TOL:10.0e} "
                 f"{'PASS' if c.passed else 'FAIL':>7s}"
             )
         lines.append(f"overall: {'PASS' if self.passed else 'FAIL'} ({self.seconds:.1f}s)")
@@ -169,7 +170,7 @@ def _check(name, trials, seed, draw, floor=GRAD_FLOOR, key=None) -> ComponentRep
                 if worst > err:
                     err, worst_trial = worst, t
                     coordinate = int(np.flatnonzero(mask)[int(rel.argmax())])
-    return ComponentReport(name, trials, compared, err, worst_trial, coordinate, REL_TOL)
+    return ComponentReport(name, trials, compared, err, worst_trial, coordinate)
 
 
 def _differenced(draw):
@@ -199,9 +200,8 @@ def _through_softmax(draw_term):
     scalar, and grads(predictions) its gradient w.r.t. each prediction's
     probabilities. The finite differences evaluate the value alone, and an
     objective input that is still the drawn array (the probe moves one input
-    at a time) reuses the drawn input's part. Differentiating against logits
-    keeps finite-difference probes on the simplex. A probe moves one entry
-    of a finite grid by the step, so it is wrapped with _trusted.
+    at a time) reuses the drawn input's part. A probe moves one entry of a
+    finite grid by the step, so it is wrapped with _trusted.
     """
     def draw(rng, probe):
         logits, part, combine, grads = draw_term(rng)
@@ -284,7 +284,7 @@ def check_tv(trials: int = 50, seed: int = 0) -> ComponentReport:
 
 def check_cv(trials: int = 50, seed: int = 0) -> ComponentReport:
     """Full contrastive-variance chain (means, variance maps, cosines, anchors),
-    checked as 0.3 * cv_loss + 1e-2 * smoothed TV over the batch."""
+    checked as OBJECTIVE's value, 0.3 * cv_loss + 1e-2 * smoothed TV."""
     def draw(rng):
         K = int(rng.integers(2, 4))
         H, W = (int(rng.integers(2, 7)) for _ in range(2))
@@ -299,20 +299,13 @@ def check_cv(trials: int = 50, seed: int = 0) -> ComponentReport:
 
         index = _cv_index(present, plan)
 
-        def part(n, pred):
-            return _variance_rows(images[n], pred, present[n]), _smooth_tv(pred.probabilities)
-
-        def combine(parts):
-            cv_parts, tvs = zip(*parts)
-            Z = np.concatenate([rows for _, rows, _ in cv_parts])
-            return 0.3 * _cv_batch(Z, index, tau=0.07)[0] + 1e-2 * sum(tvs)
-
         def grads(preds):
-            cv = cv_loss(images, preds, present, plan, tau=0.07, lambda_cv=0.3)
-            return [1e-2 * tv_term(pred)[1] + cv_grad
+            cv = cv_loss(images, preds, present, plan, OBJECTIVE.tau, OBJECTIVE.lambda_cv)
+            return [OBJECTIVE.mu * tv_term(pred)[1] + cv_grad
                     for pred, cv_grad in zip(preds, cv.grad_wrt_probs)]
 
-        return logits, part, combine, grads
+        return (logits, lambda n, pred: _objective_part(pred, images[n], present[n], OBJECTIVE),
+                lambda parts: _objective_value(parts, (), index, OBJECTIVE), grads)
 
     return _check("cv_loss", trials, seed, _through_softmax(draw))
 
@@ -371,33 +364,6 @@ def check_upsample(trials: int = 50, seed: int = 0) -> ComponentReport:
     return _check("upsample2x2", trials, seed, _differenced(draw))
 
 
-def _cx_part(logits, image, ann, settings):
-    """One image's part of the complex-step objective: its production softmax
-    and, beyond pce, its ms value or _variance_rows and its smoothed TV."""
-    pred = softmax(_trusted(LogitField, logits))
-    if settings.mode == "pce":
-        return pred, None, None
-    ms = settings.mode == "pce+ms"
-    term = _ms_value(image, pred)[0] if ms else _variance_rows(image, pred, ann.classes)
-    return pred, term, _smooth_tv(pred.probabilities)
-
-
-def _cx_combine(parts, anns, index, settings):
-    """total_loss's value on complex logits, with TV's smoothed surrogate, from
-    every image's _cx_part and, in pce+cv, the plan's _cv_index, in its order."""
-    preds, terms, tvs = zip(*parts)
-    total = _pce_value(preds, anns)
-    if settings.mode == "pce":
-        return total
-    if settings.mode == "pce+ms":
-        term = settings.lambda_ms * sum(terms)
-    else:
-        term = 0.0 if index is None else _cv_batch(
-            np.concatenate([rows for _, rows, _ in terms]), index, settings.tau)[0]
-        term = settings.lambda_cv * term
-    return total + term + settings.mu * sum(tvs)
-
-
 def check_end_to_end(kind: str, mode: str, trials: int = 4, seed: int = 0) -> ComponentReport:
     """Whole model+loss composition against the complex-step oracle."""
     def draw(rng, probe):
@@ -419,9 +385,12 @@ def check_end_to_end(kind: str, mode: str, trials: int = 4, seed: int = 0) -> Co
             anns.append(PointAnnotation(
                 tuple((int(p // W), int(p % W), k) for k, p in enumerate(pixels)), K))
         plan = PairingPlan({(n, k): (n + 1) % batch for n in range(batch) for k in range(K)})
-        settings = LossSettings(mode, lambda_cv=0.3, lambda_ms=0.3, mu=1e-2, tau=0.07)
+        settings = replace(OBJECTIVE, mode=mode)
         samples = [Sample(iid, im, annotation=ann) for iid, im, ann in zip(ids, images, anns)]
         _, analytic = train.batch_gradients(params, samples, plan, settings)
+
+        def part(logits, image, ann):
+            return _objective_part(softmax(_trusted(LogitField, logits)), image, ann.classes, settings)
 
         cvalues = {n: v.astype(complex) for n, v in params.values.items()}
         index = _cv_index([ann.classes for ann in anns], plan)
@@ -429,7 +398,7 @@ def check_end_to_end(kind: str, mode: str, trials: int = 4, seed: int = 0) -> Co
             unperturbed = [walk_layers(cvalues, {"x": im.intensities[None].astype(complex)})
                            for im in images]
         else:
-            unperturbed = [_cx_part(cvalues[f"field.{iid}"], im, ann, settings)
+            unperturbed = [part(cvalues[f"field.{iid}"], im, ann)
                            for iid, im, ann in zip(ids, images, anns)]
         for name in sorted(analytic):
             base = params.values[name]
@@ -440,13 +409,13 @@ def check_end_to_end(kind: str, mode: str, trials: int = 4, seed: int = 0) -> Co
                 saved = flat[i]
                 flat[i] = saved + 1j * COMPLEX_STEP
                 if kind == "conv-ed":
-                    parts = [_cx_part(walk_layers(cvalues, acts, layer)["head"], im, ann, settings)
+                    parts = [part(walk_layers(cvalues, acts, layer)["head"], im, ann)
                              for acts, im, ann in zip(unperturbed, images, anns)]
                 else:
                     # A field parameter reaches its own image alone.
-                    parts = [_cx_part(cvalues[name], im, ann, settings) if name == f"field.{iid}"
-                             else part for iid, im, ann, part in zip(ids, images, anns, unperturbed)]
-                value = _cx_combine(parts, anns, index, settings)
+                    parts = [part(cvalues[name], im, ann) if name == f"field.{iid}"
+                             else kept for iid, im, ann, kept in zip(ids, images, anns, unperturbed)]
+                value = _objective_value(parts, anns, index, settings)
                 grad[i] = value.imag / COMPLEX_STEP
                 flat[i] = saved
             yield analytic[name], grad.reshape(base.shape), 0.0
@@ -455,8 +424,9 @@ def check_end_to_end(kind: str, mode: str, trials: int = 4, seed: int = 0) -> Co
                   key=("end_to_end", kind, mode))
 
 
-def run_components(seed: int = 0, trials: int = 50) -> list:
-    return [
+def run_all(seed: int = 0, trials: int = 50, end_to_end_trials: int = 4) -> GradCheckReport:
+    start = time.perf_counter()
+    components = [
         check_softmax(max(trials, 100), seed),
         check_pce(trials, seed),
         check_ms(trials, seed),
@@ -467,18 +437,6 @@ def run_components(seed: int = 0, trials: int = 50) -> list:
         check_relu(trials, seed),
         check_maxpool(trials, seed),
         check_upsample(trials, seed),
+        *(check_end_to_end(kind, mode, end_to_end_trials, seed) for kind in KINDS for mode in MODES),
     ]
-
-
-def run_end_to_end(seed: int = 0, trials: int = 4) -> list:
-    return [
-        check_end_to_end(kind, mode, trials, seed)
-        for kind in KINDS
-        for mode in MODES
-    ]
-
-
-def run_all(seed: int = 0, trials: int = 50, end_to_end_trials: int = 4) -> GradCheckReport:
-    start = time.perf_counter()
-    components = run_components(seed, trials) + run_end_to_end(seed, end_to_end_trials)
     return GradCheckReport(tuple(components), time.perf_counter() - start)

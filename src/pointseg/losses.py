@@ -475,3 +475,31 @@ def total_loss(images, logit_fields, annotations, plan: PairingPlan,
 
     grad_logits = [softmax_backward(pred, g) for pred, g in zip(preds, grads_probs)]
     return LossBreakdown(pce_sum, ms_sum, cv_sum, tv_sum, total, grad_logits)
+
+
+def _objective_part(pred: SoftPrediction, image: Image, classes, settings: LossSettings):
+    """One image's part of total_loss's value, on real or complex probabilities:
+    its prediction and, beyond pce, its ms value or the variance rows of
+    `classes`, and its smoothed TV. Both gradient oracles evaluate it."""
+    if settings.mode == "pce":
+        return pred, None, None
+    term = (_ms_value(image, pred)[0] if settings.mode == "pce+ms"
+            else _variance_rows(image, pred, classes))
+    return pred, term, _smooth_tv(pred.probabilities)
+
+
+def _objective_value(parts, anns, index, settings: LossSettings):
+    """total_loss's value, TV taken as its smoothed surrogate, from every
+    image's _objective_part and, in pce+cv, the plan's _cv_index, added in
+    total_loss's order. With no annotations pce contributes exactly 0.0."""
+    preds, terms, tvs = zip(*parts)
+    total = _pce_value(preds, anns)
+    if settings.mode == "pce":
+        return total
+    if settings.mode == "pce+ms":
+        term = settings.lambda_ms * sum(terms)
+    else:
+        term = 0.0 if index is None else _cv_batch(
+            np.concatenate([rows for _, rows, _ in terms]), index, settings.tau)[0]
+        term = settings.lambda_cv * term
+    return total + term + settings.mu * sum(tvs)

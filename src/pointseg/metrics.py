@@ -107,19 +107,17 @@ class EvalReport:
     per_image: tuple       # per image: {"dsc": {k: v}, "hd95": {k: v}}
 
     def to_json(self) -> str:
+        def by_class(scores):  # JSON keys are strings
+            return {str(k): v for k, v in sorted(scores.items())}
+
         payload = {
             "num_classes": self.num_classes,
-            "per_class_dsc": {str(k): v for k, v in sorted(self.per_class_dsc.items())},
-            "per_class_hd95": {str(k): v for k, v in sorted(self.per_class_hd95.items())},
+            "per_class_dsc": by_class(self.per_class_dsc),
+            "per_class_hd95": by_class(self.per_class_hd95),
             "dsc_average": self.dsc_average,
             "hd95_average": self.hd95_average,
-            "per_image": [
-                {
-                    "dsc": {str(k): v for k, v in sorted(entry["dsc"].items())},
-                    "hd95": {str(k): v for k, v in sorted(entry["hd95"].items())},
-                }
-                for entry in self.per_image
-            ],
+            "per_image": [{"dsc": by_class(entry["dsc"]), "hd95": by_class(entry["hd95"])}
+                          for entry in self.per_image],
         }
         return json.dumps(payload, indent=2, sort_keys=True)
 

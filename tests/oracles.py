@@ -26,6 +26,10 @@ values the in-place probe buffer of finite_diff_grad must equal bit for bit.
 The pairwise HD95 is one too: it takes every boundary distance as a float
 sqrt of an (n, m, 2) difference tensor, the arithmetic the library's
 nearest-square HD95 must equal exactly.
+The contrastive suite's objective is one too: it adds the library's own
+contrastive value and smoothed TV as 0.3 * cv + 1e-2 * TV, the expression
+the suite wrote before it evaluated the shared objective steps, which must
+equal it bit for bit with no annotated points.
 The whole-array loss terms are the last exceptions. The TV term forms each
 difference array on the (K, H, W) grid and adds its gradient from zeros; the
 data and contrastive terms take each variance map and its deviation I - c_k
@@ -45,7 +49,15 @@ import math
 import numpy as np
 
 from pointseg.grids import FD_STEP, softmax_backward
-from pointseg.losses import COSINE_EPS, MEAN_DENOM_EPS, TV_SMOOTH_EPS, partial_cross_entropy
+from pointseg.losses import (
+    COSINE_EPS,
+    MEAN_DENOM_EPS,
+    TV_SMOOTH_EPS,
+    _cv_batch,
+    _smooth_tv,
+    _variance_rows,
+    partial_cross_entropy,
+)
 from pointseg.models import _conv2d, _maxpool2, _relu, _upsample2
 from pointseg.seeding import keyed_rng
 
@@ -387,6 +399,14 @@ def total_loss_grads_oracle(images, preds, annotations, plan, settings):
             grad = grad + reg
         grads.append(softmax_backward(pred, grad))
     return grads
+
+
+def cv_suite_objective(images, preds, present, index):
+    """The contrastive suite's objective over a batch and its plan index:
+    0.3 * cv_loss's value plus 1e-2 * each prediction's smoothed TV."""
+    Z = np.concatenate([_variance_rows(im, p, c)[1] for im, p, c in zip(images, preds, present)])
+    tvs = [_smooth_tv(p.probabilities) for p in preds]
+    return 0.3 * _cv_batch(Z, index, 0.07)[0] + 1e-2 * sum(tvs)
 
 
 def assemble_batch_oracle(samples, iteration, seed, batch_size):

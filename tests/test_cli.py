@@ -111,7 +111,7 @@ def test_synth_malformed_anchor_exits_2(tmp_path, capsys):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps({"num_classes": 2, "anchors": [1], "intensity_means": [0.2, 0.8]}))
     assert main(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "x")]) == 2
-    assert "error: anchor 1 must be a (row, col) pair" in capsys.readouterr().err
+    assert f"error: {spec_path}: anchor 1 must be a (row, col) pair" in capsys.readouterr().err
 
 
 def test_annotate_is_deterministic(tmp_path):
@@ -250,12 +250,29 @@ def test_config_value_of_wrong_type_exits_2(dataset, tmp_path, capsys, command, 
         argv = ["train", "--config", str(path), "--data", str(dataset), "--out", str(tmp_path / "x")]
         what = "config"
     assert main(argv) == 2
-    assert f"error: bad {what} value: {key} must be " in capsys.readouterr().err
+    assert f"error: {path}: bad {what} value: {key} must be " in capsys.readouterr().err
 
 
 def test_config_takes_null_only_where_default_is_none_and_ints_as_floats():
     config = _from_json(TrainConfig, {"lr0": None, "mu": 0, "channels": [2, 2, 3, 2]}, {}, "config")
     assert (config.lr0, config.mu, config.channels) == (0.001, 0, (2, 2, 3, 2))
+
+
+def test_config_file_error_names_the_file_and_a_flag_error_does_not(dataset, tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({**TINY_TRAIN, "lr0": -1}))
+    out = tmp_path / "out"
+    argv = ["train", "--config", str(cfg), "--data", str(dataset), "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {cfg}: lr0 must be positive, got -1\n"
+    # A flag's bad value is the flag's error, whether or not it overrides a
+    # bad file value; a good flag value overrides the bad file value.
+    assert main(argv + ["--lr0", "-2"]) == 2
+    assert capsys.readouterr().err == "error: lr0 must be positive, got -2.0\n"
+    assert main(argv + ["--lr0", "0.001", "--mu", "-1"]) == 2
+    assert capsys.readouterr().err == "error: mu must be nonnegative, got -1.0\n"
+    assert not out.exists()
+    assert main(argv + ["--lr0", "0.001", "--total-iterations", "0"]) == 0
 
 
 def test_train_divergence_exits_3(dataset, tmp_path, capsys):
@@ -447,14 +464,19 @@ def _first_point_off_mask(data):
 
 
 # Each case: the command, the damage done to a copy of the dataset (or the
-# synth spec written beside it), and the error it must print, given the copy.
+# synth spec or train config written beside it), and the error it must print,
+# given the copy.
 INGEST_ERRORS = {
     "spec-one-anchor": ("synth", _spec_for_three_classes(anchors=[[0.5, 0.5]]),
-                        lambda data: "need 2 anchors for 3 classes, got 1"),
+                        lambda data: f"{data.parent / 'spec.json'}: need 2 anchors for 3 classes, got 1"),
     "spec-two-means": ("synth", _spec_for_three_classes(intensity_means=[0.2, 0.8]),
-                       lambda data: "need 3 intensity means, got (0.2, 0.8)"),
+                       lambda data: f"{data.parent / 'spec.json'}: need 3 intensity means, got (0.2, 0.8)"),
     "spec-radius-range-reversed": ("synth", _spec_for_three_classes(radius_range=[0.3, 0.2]),
-                                   lambda data: "radius range (0.3, 0.2) must be (lo, hi)"),
+                                   lambda data: f"{data.parent / 'spec.json'}: radius range (0.3, 0.2) "
+                                                "must be (lo, hi)"),
+    "config-negative-lr0": ("train", lambda data: (data.parent / "config.json").write_text(
+                                json.dumps({**TINY_TRAIN, "lr0": -1})),
+                            lambda data: f"{data.parent / 'config.json'}: lr0 must be positive, got -1"),
     "manifest-not-json": ("train", lambda data: (data / "manifest.json").write_text("{"),
                           lambda data: f"{data / 'manifest.json'}: invalid JSON"),
     "train-image-shape": ("train", lambda data: pointseg.data.write_pgm(
@@ -482,10 +504,10 @@ def test_bad_dataset_or_spec_file_exits_2_and_writes_nothing(dataset, trained, t
     command, damage, message = INGEST_ERRORS[case]
     data = tmp_path / "data"
     shutil.copytree(dataset, data)
-    damage(data)
-    out = tmp_path / "out"
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(TINY_TRAIN))
+    damage(data)
+    out = tmp_path / "out"
     argv = {
         "synth": ["synth", "--spec", str(tmp_path / "spec.json")],
         "train": ["train", "--config", str(cfg), "--data", str(data)],
@@ -624,12 +646,13 @@ def test_bad_model_config_exits_2_before_any_file_is_written(dataset, tmp_path, 
 @pytest.mark.parametrize("command, kind, message", [
     ("train", "conv-ed", "conv-ed needs even height and width, got 9x9"),
     ("sweep", "conv-ed", "conv-ed needs even height and width, got 9x9"),
-    ("train", "logit-field", "logit-field needs a non-empty set of unique image ids"),
+    ("train", "logit-field", "{root}/manifest.json: sample id 'train000' is listed more than once"),
 ], ids=["train-odd-grid", "sweep-odd-grid", "train-duplicate-id"])
 def test_model_spec_rejection_exits_2_before_any_file_is_written(tmp_path, capsys,
                                                                  command, kind, message):
     # The model spec is built from the training set before --out is made: a
-    # 9x9 grid fails conv-ed, and a train id listed twice fails a logit field.
+    # 9x9 grid fails conv-ed. A train id listed twice, which would give a
+    # logit field two fields of one name, fails the manifest before that.
     spec, root = tmp_path / "spec.json", tmp_path / "data"
     spec.write_text(json.dumps({**TINY_SPEC, "height": 9, "width": 9}))
     assert main(["synth", "--spec", str(spec), "--out", str(root)]) == 0
@@ -646,7 +669,7 @@ def test_model_spec_rejection_exits_2_before_any_file_is_written(tmp_path, capsy
         argv += ["--parameter", "lambda_cv", "--values", "0.0,0.3"]
     capsys.readouterr()
     assert main(argv) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: {message.format(root=root)}\n"
     assert not out.exists()
 
 
@@ -782,6 +805,40 @@ def test_manifest_id_that_leaves_the_dataset_exits_2_and_writes_nothing(dataset,
     err = capsys.readouterr().err
     assert "manifest.json" in err and repr(escape) in err
     assert not (tmp_path / "ev").exists()
+
+
+# Each case: the split an id is appended to, and the train id appended.
+REPEATED_IDS = {"within-train": ("train", 1), "across-splits": ("test", 0)}
+
+
+@pytest.mark.parametrize("command", ["annotate", "train", "eval", "sweep"])
+@pytest.mark.parametrize("case", sorted(REPEATED_IDS))
+def test_repeated_manifest_id_exits_2_and_writes_nothing(dataset, trained, tmp_path, capsys,
+                                                        case, command):
+    # An id listed twice would train on one image twice an epoch, or let eval
+    # score a train image as a test image.
+    data = tmp_path / "data"
+    shutil.copytree(dataset, data)
+    path = data / "manifest.json"
+    manifest = json.loads(path.read_text())
+    split, n = REPEATED_IDS[case]
+    repeated = manifest["train"][n]
+    path.write_text(json.dumps({**manifest, split: manifest[split] + [repeated]}))
+    before = tree_digest(data)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(TINY_TRAIN))
+    out = tmp_path / "out"
+    argv = {
+        "annotate": ["annotate", "--seed", "0"],
+        "train": ["train", "--config", str(cfg), "--out", str(out)],
+        "eval": ["eval", "--checkpoint", str(trained / "checkpoint_final.bin"), "--out", str(out)],
+        "sweep": ["sweep", "--config", str(cfg), "--out", str(out),
+                  "--parameter", "lambda_cv", "--values", "0.0"],
+    }[command]
+    assert main(argv + ["--data", str(data)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: sample id {repeated!r} is listed more than once\n"
+    assert tree_digest(data) == before
+    assert not out.exists()
 
 
 NEGATIVE_SEEDS = {

@@ -40,3 +40,27 @@ def test_readme_python_blocks_run():
     assert blocks, "README.md holds no python block: the pattern has drifted"
     for block in blocks:
         exec(compile(block, "README.md", "exec"), {})
+
+
+def imported_names(tree):
+    """Each name an import binds in a module, `from __future__` aside."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.partition(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name
+
+
+def test_package_modules_use_every_name_they_import():
+    # The unused-import check, on the stdlib alone. __init__.py imports names
+    # to re-export them, so it is exempt.
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}: {name}" for name in imported_names(tree) if name not in used]
+    assert not unused, f"src/pointseg/ imports names it never uses: {unused}"

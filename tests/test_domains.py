@@ -1,5 +1,6 @@
 """Every config field declares its domain, and the CLI rejects any value
-outside it with exit 2, one `error:` line naming the field and no --out."""
+outside it with exit 2, one `error:` line naming the file and the field, and
+no --out."""
 
 import contextlib
 import dataclasses
@@ -97,10 +98,11 @@ def test_out_of_domain_value_exits_2_naming_the_field(scratch, command, f, data)
     errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert code == 2 and not wrote
     assert len(errors) == 1, errors
-    assert re.match(rf"error: (bad (config|spec) value: )?{f.name} must ", errors[0]), errors
+    where = f"error: {scratch / 'in.json'}: "
+    assert re.match(rf"{re.escape(where)}(bad (config|spec) value: )?{f.name} must ", errors[0]), errors
     if f.type in ("float", "tuple") and any(
             isinstance(x, float) and not math.isfinite(x) for x in _leaves(value)):
-        assert errors[0].startswith(f"error: {f.name} must be finite"), errors
+        assert errors[0].startswith(f"{where}{f.name} must be finite"), errors
 
 
 @pytest.mark.parametrize("key, value", [
@@ -115,7 +117,7 @@ def test_synth_spec_out_of_domain_exits_2(tmp_path, capsys, key, value):
     out = tmp_path / "out"
     assert main(["synth", "--spec", str(path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {key} must ") and len(err.splitlines()) == 1
+    assert err.startswith(f"error: {path}: {key} must ") and len(err.splitlines()) == 1
     assert not out.exists()
 
 

@@ -7,21 +7,25 @@ import pointseg.gradcheck as gc
 import pointseg.grids
 import pointseg.models
 from pointseg import Image, ModelSpec, init_params
+from pointseg.grids import LogitField, _trusted
+from pointseg.losses import _objective_part, _objective_value
 from pointseg.models import walk_layers
 
 from conftest import blas_core
-from oracles import bit_equal, cx_forward_uncached
+from oracles import bit_equal, cv_suite_objective, cx_forward_uncached
 
 
 def test_component_suites_pass_at_reduced_trials():
-    for report in gc.run_components(seed=0, trials=5):
+    components = gc.run_all(seed=0, trials=5, end_to_end_trials=1).components
+    for report in (c for c in components if not c.name.startswith("end_to_end")):
         assert report.passed, f"{report.name}: {report.worst_rel_err:.3e}"
         assert report.instances >= 5
         assert report.compared > 0
 
 
 def test_end_to_end_suites_pass_single_trial():
-    reports = gc.run_end_to_end(seed=0, trials=1)
+    reports = [gc.check_end_to_end(kind, mode, trials=1, seed=0)
+               for kind in gc.KINDS for mode in gc.MODES]
     names = {r.name for r in reports}
     assert names == {
         "end_to_end[logit-field,pce]",
@@ -142,7 +146,7 @@ def test_check_cv_probes_recompute_only_the_moved_image(monkeypatch):
             return real(*args)
         return wrapper
 
-    monkeypatch.setattr(gc, "_smooth_tv", counting("tv", gc._smooth_tv))
+    monkeypatch.setattr(pointseg.losses, "_smooth_tv", counting("tv", pointseg.losses._smooth_tv))
     monkeypatch.setattr(pointseg.losses, "_mean_stats",
                         counting("stats", pointseg.losses._mean_stats))
     index = counting("index", pointseg.losses._cv_index)
@@ -150,6 +154,29 @@ def test_check_cv_probes_recompute_only_the_moved_image(monkeypatch):
     monkeypatch.setattr(pointseg.losses, "_cv_index", index)
     assert gc.check_cv(trials=2, seed=0).passed
     assert calls == {"tv": 2 * 96 + 4, "stats": 2 * 96 + 8, "index": 4}
+
+
+def test_check_cv_objective_is_the_expression_it_replaced(monkeypatch):
+    # Every value the contrastive suite differentiates, its drawn instances'
+    # and every probe's, is the objective with no annotated points. Its pce is
+    # exactly 0.0, so the value is 0.3 * cv + 1e-2 * TV to the last bit.
+    inputs, same = {}, []
+    part, value = gc._objective_part, gc._objective_value
+
+    def recording(pred, image, classes, settings):
+        out = part(pred, image, classes, settings)
+        inputs[id(out)] = (image, pred, classes)
+        return out
+
+    def comparing(parts, anns, index, settings):
+        got = value(parts, anns, index, settings)
+        images, preds, present = zip(*(inputs[id(p)] for p in parts))
+        same.append(got.hex() == cv_suite_objective(images, preds, present, index).hex())
+        return got
+    monkeypatch.setattr(gc, "_objective_part", recording)
+    monkeypatch.setattr(gc, "_objective_value", comparing)
+    assert gc.check_cv(trials=15, seed=0).passed
+    assert len(same) > 15 and all(same)
 
 
 @pytest.mark.parametrize("mode", ["pce", "pce+ms", "pce+cv"])
@@ -244,9 +271,13 @@ def test_non_finite_objective_value_fails_its_suites(monkeypatch):
     # A NaN value on the real (finite-difference) path reaches the difference
     # quotient and fails the two suites that difference it; the complex-step
     # suites still see the real surrogate and pass.
+    import pointseg.losses
     real = gc._smooth_tv
-    monkeypatch.setattr(gc, "_smooth_tv",
-                        lambda P: real(P) if np.iscomplexobj(P) else float("nan"))
+
+    def nan_on_real(P):
+        return real(P) if np.iscomplexobj(P) else float("nan")
+    monkeypatch.setattr(gc, "_smooth_tv", nan_on_real)
+    monkeypatch.setattr(pointseg.losses, "_smooth_tv", nan_on_real)
     report = gc.run_all(0, 2, 1)
     failed = {c.name: c.worst_rel_err for c in report.components if not c.passed}
     assert failed == {"tv_term": np.inf, "cv_loss": np.inf}
@@ -269,10 +300,16 @@ def test_reports_carry_worst_location():
     assert isinstance(report.worst_coordinate, int)
 
 
+def cx_part(logits, image, ann, settings):
+    # One image's part of the complex-step objective, as check_end_to_end takes it.
+    pred = gc.softmax(_trusted(LogitField, logits))
+    return _objective_part(pred, image, ann.classes, settings)
+
+
 def cx_total(logits, images, anns, plan, settings):
     # The complex-step objective as check_end_to_end composes it, every image afresh.
-    parts = [gc._cx_part(z, im, ann, settings) for z, im, ann in zip(logits, images, anns)]
-    return gc._cx_combine(parts, anns, gc._cv_index([ann.classes for ann in anns], plan), settings)
+    parts = [cx_part(z, im, ann, settings) for z, im, ann in zip(logits, images, anns)]
+    return _objective_value(parts, anns, gc._cv_index([ann.classes for ann in anns], plan), settings)
 
 
 @pytest.mark.parametrize("mode", gc.MODES)
@@ -280,7 +317,6 @@ def test_complex_step_matches_real_forward(mode):
     # The complex-step oracle must agree with the real-path loss when fed
     # real inputs, otherwise its derivatives verify a different function.
     rng = np.random.default_rng(0)
-    from pointseg.grids import LogitField
     from pointseg.losses import LossSettings, PairingPlan, PointAnnotation, total_loss
 
     K, H, W = 2, 4, 4
@@ -312,15 +348,15 @@ def test_complex_step_matches_real_forward(mode):
         # part, kept from before image 1's logits moved in place, combined
         # with image 1's part afresh and the index built once, is the moved
         # objective.
-        parts = [gc._cx_part(z, im, ann, settings) for z, im, ann in zip(logits, images, anns)]
+        parts = [cx_part(z, im, ann, settings) for z, im, ann in zip(logits, images, anns)]
         if kind == "conv-ed":
             values["head.w"].reshape(-1)[1] += 1j * gc.COMPLEX_STEP
             logits[1] = walk_layers(values, acts[1], "head")["head"]
         else:
             logits[1].reshape(-1)[10] += 1j * gc.COMPLEX_STEP  # class 0 at (2, 2), annotated
-        parts[1] = gc._cx_part(logits[1], images[1], anns[1], settings)
+        parts[1] = cx_part(logits[1], images[1], anns[1], settings)
         index = gc._cv_index([ann.classes for ann in anns], plan)
-        got = gc._cx_combine(parts, anns, index, settings)
+        got = _objective_value(parts, anns, index, settings)
         want = cx_total(logits, images, anns, plan, settings)
         assert want.imag != 0.0, kind
         assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex()), kind

@@ -61,6 +61,8 @@ def test_spec_validation():
     with pytest.raises(InvalidConfigError):
         ModelSpec("logit-field", 2, 4, 4, image_ids=())
     with pytest.raises(InvalidConfigError):
+        ModelSpec("logit-field", 2, 4, 4, image_ids=("a", "a"))
+    with pytest.raises(InvalidConfigError):
         ModelSpec("mlp", 2, 4, 4)
     assert ModelSpec("conv-ed", 2, 8, 8).channels == DEFAULT_CHANNELS
 
