@@ -13,8 +13,9 @@ which the two cannot be told apart. There are two oracles:
   their output. The contrastive suite checks cv_loss with smoothed TV, the
   objective's value with no annotated points. A loss term's probes evaluate
   the private value step the full term is built on, so its gradient is built
-  once a trial. A probe recomputes only the moved input's softmax and part
-  of that value, and cv's plan index is built once a trial.
+  once a trial. Each chunk of a moved input's stacked probes goes through
+  its softmax and part of that value once, and cv's plan index is built once
+  a trial. The conv suites evaluate one probe at a time.
 * End-to-end suites differentiate whole model+loss compositions with a
   complex-step oracle: an imaginary perturbation of one parameter propagates
   through the forward training runs (conv-ed's `walk_layers` on complex
@@ -176,16 +177,16 @@ def _check(name, trials, seed, draw, floor=GRAD_FLOOR, key=None) -> ComponentRep
 def _differenced(draw):
     """Adapt to `_check` a draw that returns (inputs, objective, analytic):
     a list of float64 arrays, the scalar function of such a list and its
-    gradient w.r.t. each input. Each input is central-differenced alone, and
-    the noise is the rounding floor of the objective's value."""
+    gradient w.r.t. each input. Each input is central-differenced alone: the
+    objective gets the other inputs as drawn and, in its place, a stack of
+    probes, and returns one value per probe. The noise is the rounding floor
+    of the objective's value."""
     def differenced(rng, probe):
         inputs, objective, analytic = draw(rng, probe)
         noise = fd_noise_floor(objective(inputs))
         for i, (x, grad) in enumerate(zip(inputs, analytic)):
-            def f(moved, i=i):
-                probed = list(inputs)
-                probed[i] = moved
-                return objective(probed)
+            def f(stack, i=i):
+                return objective([*inputs[:i], stack, *inputs[i + 1:]])
 
             yield grad, finite_diff_grad(f, x), noise
 
@@ -198,10 +199,12 @@ def _through_softmax(draw_term):
     `draw_term(rng)` returns (logit arrays, part, combine, grads): part(n,
     prediction) is input n's share of the term, combine(parts) the term's
     scalar, and grads(predictions) its gradient w.r.t. each prediction's
-    probabilities. The finite differences evaluate the value alone, and an
-    objective input that is still the drawn array (the probe moves one input
-    at a time) reuses the drawn input's part. A probe moves one entry of a
-    finite grid by the step, so it is wrapped with _trusted.
+    probabilities. The finite differences evaluate the value alone. An
+    objective input that is still the drawn array (the probes move one input
+    at a time) reuses the drawn input's part; the moved input's stack of
+    probes goes through softmax and part once, giving one value per probe.
+    A probe moves one entry of a finite grid by the step, so the stack is
+    wrapped with _trusted.
     """
     def draw(rng, probe):
         logits, part, combine, grads = draw_term(rng)
@@ -219,8 +222,23 @@ def _through_softmax(draw_term):
 
 
 def _probed(layer, g):
-    """The layer checks' objective: sum(g * layer(*inputs))."""
-    return lambda inputs: float((g * layer(*inputs)).sum())
+    """The layer checks' objective: sum(g * layer(*inputs)), one value per probe
+    of a stacked input."""
+    return lambda inputs: (g * layer(*inputs)).sum(axis=(-3, -2, -1))
+
+
+def _one_probe_at_a_time(objective, drawn):
+    """`objective` lifted to a stack of probes in whichever input is not the
+    drawn array, evaluated one probe at a time. The conv suites take this
+    path: a convolution's bits depend on the shape of its BLAS calls."""
+    def lifted(inputs):
+        moved = [n for n, (x, d) in enumerate(zip(inputs, drawn)) if x is not d]
+        if not moved:
+            return objective(inputs)
+        n, = moved
+        return np.array([objective([*inputs[:n], row, *inputs[n + 1:]]) for row in inputs[n]])
+
+    return lifted
 
 
 def check_softmax(trials: int = 100, seed: int = 0) -> ComponentReport:
@@ -230,8 +248,8 @@ def check_softmax(trials: int = 100, seed: int = 0) -> ComponentReport:
         H, W = (int(rng.integers(1, 9)) for _ in range(2))
         logits = rng.normal(size=(K, H, W))
         g = rng.normal(size=(K, H, W))
-        return ([logits], lambda n, pred: float((g * pred.probabilities).sum()), itemgetter(0),
-                lambda preds: [g])
+        return ([logits], lambda n, pred: (g * pred.probabilities).sum(axis=(-3, -2, -1)),
+                itemgetter(0), lambda preds: [g])
 
     return _check("softmax_backward", trials, seed, _through_softmax(draw),
                   floor=SOFTMAX_FLOOR, key=("softmax",))
@@ -318,7 +336,8 @@ def check_conv(kernel: int, trials: int = 50, seed: int = 0) -> ComponentReport:
         w = rng.normal(size=(cout, cin, kernel, kernel))
         b = rng.normal(size=(cout,))
         g = probe((cout, H, W))
-        return [x, w, b], _probed(_conv2d, g), _conv2d_backward(x, w, g)
+        inputs = [x, w, b]
+        return inputs, _one_probe_at_a_time(_probed(_conv2d, g), inputs), _conv2d_backward(x, w, g)
 
     return _check(f"conv{kernel}x{kernel}", trials, seed, _differenced(draw))
 

@@ -22,6 +22,7 @@ from .errors import InvalidInputError
 
 SIMPLEX_ATOL = 1e-9  # per-pixel probability sums must match 1 this closely
 FD_STEP = 1e-5       # central-difference step of finite_diff_grad
+FD_CHUNK_BYTES = 256 * 1024  # caps each probe stack finite_diff_grad passes its function
 
 
 def as_grid(values) -> np.ndarray:
@@ -90,24 +91,26 @@ class SoftPrediction:
 
     @property
     def num_classes(self) -> int:
-        return self.probabilities.shape[0]
+        return self.probabilities.shape[-3]
 
     @property
     def spatial_shape(self) -> tuple[int, int]:
-        return self.probabilities.shape[1], self.probabilities.shape[2]
+        return self.probabilities.shape[-2], self.probabilities.shape[-1]
 
 
 def softmax(field: LogitField) -> SoftPrediction:
-    """Class-wise softmax over the leading axis, stabilized per pixel.
+    """Class-wise softmax over the class axis, stabilized per pixel.
 
     The per-pixel maximum logit is subtracted before exponentiation, so the
     result is exact up to rounding for logit magnitudes far beyond float64's
     naive exp range. Finite logits give exps in [0, 1], one of them 1 per pixel.
+    The class axis is the third from last, so a stack of (K, H, W) fields (a
+    trusted one) gives each field's bits.
     """
     logits = field.logits
-    shifted = logits - logits.max(axis=0, keepdims=True)
+    shifted = logits - logits.max(axis=-3, keepdims=True)
     e = np.exp(shifted)
-    probs = e / e.sum(axis=0, keepdims=True)
+    probs = e / e.sum(axis=-3, keepdims=True)
     return _trusted(SoftPrediction, probs)
 
 
@@ -129,21 +132,28 @@ def softmax_backward(pred: SoftPrediction, grad_wrt_probs: np.ndarray) -> np.nda
 def finite_diff_grad(f, x: np.ndarray) -> np.ndarray:
     """Central-difference gradient estimate of a scalar function of a grid.
 
-    Perturbs one coordinate at a time: (f(x + h e_i) - f(x + h e_i - 2h e_i)) / 2h,
-    with h = FD_STEP, in one probe buffer moved in place and restored, so `f`
-    must not keep its argument. This is the reference oracle every analytic
-    backward pass in the package is checked against; it deliberately knows
-    nothing about the function. A non-finite value passes through.
+    Coordinate i's quotient is (f(x + h e_i) - f(x + h e_i - 2h e_i)) / 2h,
+    with h = FD_STEP. `f` takes a stack of probes, shape (m, *x.shape), and
+    returns their m values. The probes come in pairs, in coordinate order:
+    x with x_i moved to x_i + h, then that probe with x_i moved again by -2h,
+    i.e. (x_i + h) - 2h. Each call gets as many whole pairs as fit in
+    FD_CHUNK_BYTES (one pair at least). `x` is not modified. This is the
+    reference oracle every analytic backward pass in the package is checked
+    against; it deliberately knows nothing about the function. A non-finite
+    value passes through.
     """
     x = np.asarray(x, dtype=np.float64)
-    probe, grad = x.copy(), np.zeros_like(x)
-    moved, flat = probe.reshape(-1), grad.reshape(-1)
-    for i in range(x.size):
-        saved = moved[i]
-        moved[i] += FD_STEP
-        hi = float(f(probe))
-        moved[i] -= 2.0 * FD_STEP
-        lo = float(f(probe))
-        moved[i] = saved
-        flat[i] = (hi - lo) / (2.0 * FD_STEP)
-    return grad
+    flat = x.reshape(-1)
+    grad = np.empty(x.size)
+    pairs = max(1, FD_CHUNK_BYTES // (2 * max(x.nbytes, 1)))
+    for start in range(0, x.size, pairs):
+        coords = np.arange(start, min(start + pairs, x.size))
+        rows = np.arange(len(coords))
+        stack = np.tile(flat, (len(coords), 2, 1))
+        up = flat[coords] + FD_STEP
+        stack[rows, 0, coords] = up
+        stack[rows, 1, coords] = up - 2.0 * FD_STEP
+        values = np.asarray(f(stack.reshape(-1, *x.shape)), dtype=np.float64)
+        hi, lo = values.reshape(len(coords), 2).T
+        grad[coords] = (hi - lo) / (2.0 * FD_STEP)
+    return grad.reshape(x.shape)

@@ -118,16 +118,20 @@ def partial_cross_entropy(pred: SoftPrediction, ann: PointAnnotation):
 
 
 def _pce_value(preds, anns):
-    """partial_cross_entropy's value summed over a batch, unchecked. Real
-    probabilities take math.log, whose last bits history.csv records (np.log's
-    differ for some inputs); complex ones take np.log, which keeps the
-    imaginary part the complex-step oracle reads."""
+    """partial_cross_entropy's value summed over a batch, unchecked, one value
+    per probe of a stacked prediction. Each real probability takes math.log,
+    whose last bits history.csv records (np.log's differ for some inputs); a
+    complex one, never stacked, takes np.log, which keeps the imaginary part
+    the complex-step oracle reads."""
     value = 0.0
     for pred, ann in zip(preds, anns):
-        log = np.log if np.iscomplexobj(pred.probabilities) else math.log
         for r, c, k in ann.points:
-            p = pred.probabilities[k, r, c]
-            value -= log(p if p.real > LOG_CLAMP else LOG_CLAMP)
+            p = pred.probabilities[..., k, r, c]
+            if np.iscomplexobj(p):
+                value -= np.log(p if p.real > LOG_CLAMP else LOG_CLAMP)
+            else:
+                logs = [math.log(q if q > LOG_CLAMP else LOG_CLAMP) for q in p.reshape(-1).tolist()]
+                value = value - (np.array(logs) if p.ndim else logs[0])
     return value
 
 
@@ -135,13 +139,13 @@ def _mean_stats(image: Image, pred: SoftPrediction):
     """Per-class weighted sums behind the soft means: intensity mass, total mass,
     and mean, the prediction-weighted mean intensity of each class region. A
     class with vanishing predicted mass gets mean 0 through the epsilon in the
-    denominator."""
+    denominator. A stacked prediction gives them per probe, shape (..., K)."""
     I = image.intensities
     P = pred.probabilities
-    if I.shape != P.shape[1:]:
-        raise InvalidInputError(f"image shape {I.shape} != prediction shape {P.shape[1:]}")
-    intensity_mass = (P * I[None, :, :]).sum(axis=(1, 2))
-    mass = P.sum(axis=(1, 2))
+    if I.shape != P.shape[-2:]:
+        raise InvalidInputError(f"image shape {I.shape} != prediction shape {P.shape[-2:]}")
+    intensity_mass = (P * I).sum(axis=(-2, -1))
+    mass = P.sum(axis=(-2, -1))
     means = intensity_mass / (mass + MEAN_DENOM_EPS)
     return intensity_mass, mass, means
 
@@ -165,14 +169,17 @@ def _variance_rows(image: Image, pred: SoftPrediction, classes, out=None):
     """The mean statistics, one flattened variance-map row (I - c_k)^2 P_k per
     class k in `classes`, in its order, and each row's deviation I - c_k: the
     MS term's summands and cv's per-image step. The rows go into `out` (cv's
-    block of its batch matrix Z) or a new (len(classes), H*W) array."""
+    block of its batch matrix Z) or a new (len(classes), H*W) array, with the
+    leading axes of a stacked prediction before those."""
     stats = _mean_stats(image, pred)
     I, P, means = image.intensities, pred.probabilities, stats[2]
-    devs = [I - means[k] for k in classes]
+    devs = [I - means[..., k, None, None] for k in classes]
     if out is None:
-        out = np.empty((len(devs), I.size), dtype=P.dtype)
-    for z, dev, k in zip(out.reshape(len(devs), *I.shape), devs, classes):
-        np.multiply(np.square(dev, out=z), P[k], out=z)
+        out = np.empty((*P.shape[:-3], len(devs), I.size), dtype=P.dtype)
+    maps = out.reshape(*out.shape[:-1], *I.shape)
+    for j, (dev, k) in enumerate(zip(devs, classes)):
+        z = maps[..., j, :, :]
+        np.multiply(np.square(dev, out=z), P[..., k, :, :], out=z)
     return stats, out, devs
 
 
@@ -186,11 +193,12 @@ def variance_map(image: Image, pred: SoftPrediction, k: int) -> np.ndarray:
 
 def _ms_value(image: Image, pred: SoftPrediction):
     """ms_data_term's value, the sum of its variance rows, with the class masses
-    and deviations its gradient reuses. Complex probabilities give a complex value."""
+    and deviations its gradient reuses. Complex probabilities give a complex
+    value, a stacked prediction one value per probe."""
     (_, mass, _), rows, devs = _variance_rows(image, pred, range(pred.num_classes))
     value = 0.0
-    for row in rows:
-        value += row.sum()
+    for k in range(rows.shape[-2]):
+        value = value + rows[..., k, :].sum(axis=-1)
     return value, mass, devs
 
 
@@ -210,10 +218,13 @@ def ms_data_term(image: Image, pred: SoftPrediction, freeze_means: bool = False)
 
 def _smooth_tv(P):
     """tv_term's smoothed surrogate sum sqrt(d^2 + eps) on real or complex
-    probabilities: the value both gradient oracles differentiate."""
-    dh = P[:, :, 1:] - P[:, :, :-1]
-    dv = P[:, 1:, :] - P[:, :-1, :]
-    return np.sqrt(dh * dh + TV_SMOOTH_EPS).sum() + np.sqrt(dv * dv + TV_SMOOTH_EPS).sum()
+    probabilities, one value per (K, H, W) probe of a stack: the value both
+    gradient oracles differentiate."""
+    dh = P[..., :, 1:] - P[..., :, :-1]
+    dv = P[..., 1:, :] - P[..., :-1, :]
+    grid = (-3, -2, -1)
+    return (np.sqrt(dh * dh + TV_SMOOTH_EPS).sum(axis=grid)
+            + np.sqrt(dv * dv + TV_SMOOTH_EPS).sum(axis=grid))
 
 
 def tv_term(pred: SoftPrediction):
@@ -281,20 +292,30 @@ def _cv_batch(Z, index, tau: float):
     _variance_rows, one row per image and present class in _cv_index's key
     order), and the plan's _cv_index, with what its gradient reuses: Z's row
     norms, D, the cosine matrix S, and each anchor's shifted exponentials e and
-    their sum. Complex rows give a complex value."""
+    their sum. Complex rows give a complex value, a stack of Z one value per
+    probe.
+
+    Each probe's Z @ Z.T is its own 2-D product, the BLAS call (syrk) an
+    unstacked Z makes, whatever numpy does with a stacked product. Each
+    probe's anchor terms are summed as one contiguous row, the order of the
+    unstacked sum; a sum over the strided stack adds them in another order."""
     _, _, a_rows, pos, mask = index
-    norms = np.sqrt((Z * Z).sum(axis=1))
-    D = np.outer(norms, norms) + COSINE_EPS
-    S = (Z @ Z.T) / D
+    norms = np.sqrt((Z * Z).sum(axis=-1))
+    D = norms[..., :, None] * norms[..., None, :] + COSINE_EPS
+    G = np.empty(D.shape, dtype=Z.dtype)
+    for g, z in zip(G.reshape(-1, *D.shape[-2:]), Z.reshape(-1, *Z.shape[-2:])):
+        np.matmul(z, z.T, out=g)
+    S = G / D
 
     # -log(pos / (pos + neg)) is a log-sum-exp shifted by the row max, so
     # small temperatures stay finite. Non-candidates get -inf only after the
     # division by tau: a complex -inf divided by tau is an invalid operation.
-    sims = S[a_rows]
-    shift = np.where(mask, sims, -np.inf).max(axis=1)
-    e = np.exp(np.where(mask, (sims - shift[:, None]) / tau, -np.inf))
-    e_sum = e.sum(axis=1)
-    contrastive = (shift / tau + np.log(e_sum) - S[a_rows, pos] / tau).sum()
+    sims = S[..., a_rows, :]
+    shift = np.where(mask, sims, -np.inf).max(axis=-1)
+    e = np.exp(np.where(mask, (sims - shift[..., None]) / tau, -np.inf))
+    e_sum = e.sum(axis=-1)
+    terms = shift / tau + np.log(e_sum) - S[..., a_rows, pos] / tau
+    contrastive = np.ascontiguousarray(terms).sum(axis=-1)
     return contrastive, (norms, D, S, e, e_sum)
 
 
@@ -491,7 +512,9 @@ def _objective_part(pred: SoftPrediction, image: Image, classes, settings: LossS
 def _objective_value(parts, anns, index, settings: LossSettings):
     """total_loss's value, TV taken as its smoothed surrogate, from every
     image's _objective_part and, in pce+cv, the plan's _cv_index, added in
-    total_loss's order. With no annotations pce contributes exactly 0.0."""
+    total_loss's order. With no annotations pce contributes exactly 0.0. Parts
+    of stacked predictions give one value per probe; the parts of unstacked
+    ones broadcast against them."""
     preds, terms, tvs = zip(*parts)
     total = _pce_value(preds, anns)
     if settings.mode == "pce":
@@ -499,7 +522,11 @@ def _objective_value(parts, anns, index, settings: LossSettings):
     if settings.mode == "pce+ms":
         term = settings.lambda_ms * sum(terms)
     else:
-        term = 0.0 if index is None else _cv_batch(
-            np.concatenate([rows for _, rows, _ in terms]), index, settings.tau)[0]
+        # The rows of images a probe did not move broadcast against its stack.
+        blocks = [rows for _, rows, _ in terms]
+        lead = np.broadcast_shapes(*(rows.shape[:-2] for rows in blocks))
+        term = 0.0 if index is None else _cv_batch(np.concatenate(
+            [np.broadcast_to(rows, lead + rows.shape[-2:]) for rows in blocks], axis=-2),
+            index, settings.tau)[0]
         term = settings.lambda_cv * term
     return total + term + settings.mu * sum(tvs)

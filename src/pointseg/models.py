@@ -226,8 +226,8 @@ def _conv2d_backward(x, w, grad_out, need_input=True):
 
 
 def _taps2(x):
-    """The four strided (C, H/2, W/2) taps of 2x2 windows, in row-major window order."""
-    return x[:, 0::2, 0::2], x[:, 0::2, 1::2], x[:, 1::2, 0::2], x[:, 1::2, 1::2]
+    """The four strided (..., C, H/2, W/2) taps of 2x2 windows, in row-major window order."""
+    return x[..., 0::2, 0::2], x[..., 0::2, 1::2], x[..., 1::2, 0::2], x[..., 1::2, 1::2]
 
 
 def _relu(z):
@@ -259,11 +259,11 @@ def _maxpool2_backward(idx, grad_out, shape):
 
 
 def _upsample2(x, out=None):
-    """Nearest-neighbor x2 upsampling of x (C, h, w), written into out (C, 2h, 2w),
-    any strided view, when given."""
-    C, h, w = x.shape
+    """Nearest-neighbor x2 upsampling of x (..., C, h, w), written into out
+    (..., C, 2h, 2w), any strided view, when given."""
+    *lead, h, w = x.shape
     if out is None:
-        out = np.empty((C, 2 * h, 2 * w), dtype=x.dtype)
+        out = np.empty((*lead, 2 * h, 2 * w), dtype=x.dtype)
     for tap in _taps2(out):
         tap[...] = x
     return out

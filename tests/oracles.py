@@ -22,7 +22,7 @@ helpers with no layer table and no prefix cache, the reference a walk from
 cached activations must equal bit for bit.
 The copy-per-coordinate central difference is one too: a fresh copy of the
 input per coordinate, moved up by the step and then down by twice it, the
-values the in-place probe buffer of finite_diff_grad must equal bit for bit.
+values finite_diff_grad's stacked probes must equal bit for bit.
 The pairwise HD95 is one too: it takes every boundary distance as a float
 sqrt of an (n, m, 2) difference tensor, the arithmetic the library's
 nearest-square HD95 must equal exactly.
@@ -431,10 +431,17 @@ def assemble_batch_oracle(samples, iteration, seed, batch_size):
     return [s.id for s in batch], partners
 
 
+def per_probe(f):
+    """A scalar function of one grid lifted to finite_diff_grad's contract: it
+    takes a stack of probes and returns their values, calling f once per probe."""
+    return lambda stack: np.array([f(probe) for probe in stack])
+
+
 def finite_diff_copying(f, x):
-    """Central differences with a fresh copy of x for every coordinate."""
+    """Central differences of a scalar function with a fresh copy of x for
+    every coordinate."""
     x = np.asarray(x, dtype=np.float64)
-    grad = np.zeros_like(x)
+    grad = np.zeros(x.shape)  # C order, so flat is a view of it
     flat = grad.reshape(-1)
     for i in range(x.size):
         probe = x.copy().reshape(-1)

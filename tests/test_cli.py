@@ -563,7 +563,7 @@ def test_gradcheck_fails_a_non_finite_gradient(monkeypatch, capsys):
 def test_gradcheck_fails_a_non_finite_objective_value(monkeypatch, capsys):
     real = pointseg.gradcheck._smooth_tv
     monkeypatch.setattr(pointseg.gradcheck, "_smooth_tv",
-                        lambda P: real(P) if np.iscomplexobj(P) else float("nan"))
+                        lambda P: real(P) if np.iscomplexobj(P) else np.full(P.shape[:-3], np.nan))
     assert main(["gradcheck", "--trials", "2", "--end-to-end-trials", "1"]) == 1
     captured = capsys.readouterr()
     assert "overall: FAIL" in captured.out

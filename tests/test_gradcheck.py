@@ -7,9 +7,19 @@ import pointseg.gradcheck as gc
 import pointseg.grids
 import pointseg.models
 from pointseg import Image, ModelSpec, init_params
-from pointseg.grids import LogitField, _trusted
-from pointseg.losses import _objective_part, _objective_value
-from pointseg.models import walk_layers
+from pointseg.grids import LogitField, SoftPrediction, _trusted
+from pointseg.losses import (
+    PairingPlan,
+    PointAnnotation,
+    _cv_index,
+    _ms_value,
+    _objective_part,
+    _objective_value,
+    _pce_value,
+    _smooth_tv,
+    _variance_rows,
+)
+from pointseg.models import _maxpool2, _upsample2, walk_layers
 
 from conftest import blas_core
 from oracles import bit_equal, cv_suite_objective, cx_forward_uncached
@@ -117,6 +127,118 @@ def test_complex_step_detects_a_corrupted_parameter_gradient(monkeypatch, kind):
     assert report.worst_coordinate >= 0
 
 
+def _probability_field(rng, K, H, W):
+    return gc.softmax(_trusted(LogitField, 2.0 * rng.normal(size=(K, H, W)))).probabilities
+
+
+def _cv_objective_step(rng):
+    # A 3-image, K = 3, 6x6 contrastive batch with every anchor paired, as
+    # check_cv draws it: 9 anchors, enough for a sum over a strided stack of
+    # anchor terms to add in another order than each probe's own sum. Image
+    # 1's logits move.
+    K, H, W, batch = 3, 6, 6, 3
+    images = [Image(rng.random((H, W))) for _ in range(batch)]
+    logits = [rng.normal(size=(K, H, W)) for _ in range(batch)]
+    present = [tuple(range(K))] * batch
+    plan = PairingPlan({(n, k): int(rng.choice([m for m in range(batch) if m != n]))
+                        for n in range(batch) for k in range(K)})
+    index = _cv_index(present, plan)
+    parts = [_objective_part(gc.softmax(_trusted(LogitField, z)), im, c, gc.OBJECTIVE)
+             for z, im, c in zip(logits, images, present)]
+
+    def step(v):
+        moved = _objective_part(gc.softmax(_trusted(LogitField, v)), images[1], present[1], gc.OBJECTIVE)
+        return [_objective_value([parts[0], moved, parts[2]], (), index, gc.OBJECTIVE)]
+
+    return logits[1], step
+
+
+def _signed_zeros(rng, shape):
+    # Normal values with about a third of them +0.0 or -0.0, ties included.
+    x = rng.normal(size=shape)
+    x[rng.random(shape) < 0.3] = 0.0
+    return np.where(rng.random(shape) < 0.5, x, -x)
+
+
+def _pce_step(rng):
+    P = _probability_field(rng, 3, 4, 5)
+    P[0, 0, 0], P[1, 2, 3] = 0.0, 1e-13  # below the log clamp
+    ann = PointAnnotation(((0, 0, 0), (2, 3, 1), (1, 1, 2)), 3)
+    return P, lambda P: [_pce_value([_trusted(SoftPrediction, P)], [ann])]
+
+
+def _rows_step(rng):
+    image = Image(rng.random((5, 4)))
+
+    def step(P):
+        stats, rows, devs = _variance_rows(image, _trusted(SoftPrediction, P), (0, 2))
+        return [*stats, rows, *devs]
+
+    return _probability_field(rng, 3, 5, 4), step
+
+
+def _ms_step(rng):
+    image = Image(rng.random((4, 6)))
+
+    def step(P):
+        value, mass, devs = _ms_value(image, _trusted(SoftPrediction, P))
+        return [value, mass, *devs]
+
+    return _probability_field(rng, 3, 4, 6), step
+
+
+# Each case draws an input and a value step returning a list of arrays, each
+# with the probe axis first when the step is given a stack of probes.
+STACKED_STEPS = {
+    "softmax": lambda rng: (rng.normal(size=(4, 3, 5)),
+                            lambda v: [gc.softmax(_trusted(LogitField, v)).probabilities]),
+    "pce": _pce_step,
+    "smooth-tv": lambda rng: (_probability_field(rng, 3, 5, 4), lambda P: [_smooth_tv(P)]),
+    "ms-value": _ms_step,
+    "variance-rows": _rows_step,
+    "cv-objective": _cv_objective_step,
+    "maxpool": lambda rng: (_signed_zeros(rng, (3, 4, 6)), lambda v: list(_maxpool2(v))),
+    "upsample": lambda rng: (_signed_zeros(rng, (3, 3, 2)), lambda v: [_upsample2(v)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STACKED_STEPS))
+@pytest.mark.parametrize("seed", range(4))
+def test_stacked_value_step_equals_its_per_probe_calls(case, seed):
+    # Every stack finite_diff_grad passes gives, probe by probe, the bits the
+    # step gives that probe alone, signs of zero included.
+    x, step = STACKED_STEPS[case](np.random.default_rng(seed))
+    stacks = []
+
+    def f(stack):
+        stacks.append(stack.copy())
+        return np.zeros(len(stack))
+
+    gc.finite_diff_grad(f, x)
+    for stack in stacks:
+        got = step(stack)
+        for p, probe in enumerate(stack):
+            for a, b in zip(got, step(probe), strict=True):
+                assert np.shape(a)[1:] == np.shape(b)
+                assert [float(v).hex() for v in np.ravel(a[p])] == [float(v).hex() for v in np.ravel(b)]
+
+
+def test_run_all_draws_each_trial_once_through_the_module_keyed_rng(monkeypatch):
+    # The benchmark's gradcheck steps start at each trial's draw: a call of
+    # gradcheck.keyed_rng(seed, "gradcheck", *key, trial), looked up through the
+    # module global, not keyed "probe" last. Each trial makes exactly one.
+    draws = []
+    real = gc.keyed_rng
+
+    def counting(*args):
+        if args[1:2] == ("gradcheck",) and args[-1] != "probe":
+            draws.append(args[2:])
+        return real(*args)
+    monkeypatch.setattr(gc, "keyed_rng", counting)
+    report = gc.run_all(0, 15, 1)
+    assert len(draws) == len(set(draws)) == sum(c.instances for c in report.components) == 241
+
+
 def test_check_cv_calls_the_full_cv_loss_once_per_trial(monkeypatch):
     calls = []
     real = gc.cv_loss
@@ -130,19 +252,21 @@ def test_check_cv_calls_the_full_cv_loss_once_per_trial(monkeypatch):
 
 
 def test_check_cv_probes_recompute_only_the_moved_image(monkeypatch):
-    # Trial 0 draws K 2, 6x3 and 2 images (72 coordinates), trial 1 K 2, 3x2
-    # and 2 images (24). A probe moves one image, so it reruns that image's
-    # smoothed TV and mean statistics alone: 2 * 96 probes, plus the drawn
-    # images' parts (2 a trial) and, for _mean_stats, cv_loss's analytic side
-    # (2 a trial). The plan index is built once a trial by the suite and once
-    # by cv_loss. Recomputing every image per probe made 388 _smooth_tv and
-    # 392 _mean_stats calls, and rebuilt the index in all 196 value calls.
+    # Trial 0 draws K 2, 6x3 and 2 images (36 coordinates each), trial 1 K 2,
+    # 3x2 and 2 images (12 each); each image's probes fit one chunk. A probe
+    # stack moves one image, so it reruns that image's smoothed TV and mean
+    # statistics alone, once: 2 stacked calls a trial. The drawn images' parts
+    # take 2 unstacked calls a trial and, for _mean_stats, cv_loss's analytic
+    # side 2 more. The plan index is built once a trial by the suite and once
+    # by cv_loss. One probe at a time made 196 _smooth_tv and 200 _mean_stats
+    # calls; recomputing every image per probe made 388 and 392.
     import pointseg.losses
-    calls = {"tv": 0, "stats": 0, "index": 0}
+    calls = {"tv": 0, "stacked tv": 0, "stats": 0, "stacked stats": 0, "index": 0}
 
     def counting(key, real):
         def wrapper(*args):
-            calls[key] += 1
+            P = args[-1].probabilities if key == "stats" else args[0]
+            calls[f"stacked {key}" if getattr(P, "ndim", 3) == 4 else key] += 1
             return real(*args)
         return wrapper
 
@@ -153,13 +277,14 @@ def test_check_cv_probes_recompute_only_the_moved_image(monkeypatch):
     monkeypatch.setattr(gc, "_cv_index", index)
     monkeypatch.setattr(pointseg.losses, "_cv_index", index)
     assert gc.check_cv(trials=2, seed=0).passed
-    assert calls == {"tv": 2 * 96 + 4, "stats": 2 * 96 + 8, "index": 4}
+    assert calls == {"tv": 4, "stacked tv": 4, "stats": 8, "stacked stats": 4, "index": 4}
 
 
 def test_check_cv_objective_is_the_expression_it_replaced(monkeypatch):
     # Every value the contrastive suite differentiates, its drawn instances'
     # and every probe's, is the objective with no annotated points. Its pce is
-    # exactly 0.0, so the value is 0.3 * cv + 1e-2 * TV to the last bit.
+    # exactly 0.0, so the value is 0.3 * cv + 1e-2 * TV to the last bit. A
+    # stacked prediction's values are compared one probe at a time.
     inputs, same = {}, []
     part, value = gc._objective_part, gc._objective_value
 
@@ -171,7 +296,10 @@ def test_check_cv_objective_is_the_expression_it_replaced(monkeypatch):
     def comparing(parts, anns, index, settings):
         got = value(parts, anns, index, settings)
         images, preds, present = zip(*(inputs[id(p)] for p in parts))
-        same.append(got.hex() == cv_suite_objective(images, preds, present, index).hex())
+        for probe, v in enumerate(np.ravel(got).tolist()):
+            moved = [p if p.probabilities.ndim == 3 else _trusted(SoftPrediction, p.probabilities[probe])
+                     for p in preds]
+            same.append(v.hex() == cv_suite_objective(images, moved, present, index).hex())
         return got
     monkeypatch.setattr(gc, "_objective_part", recording)
     monkeypatch.setattr(gc, "_objective_value", comparing)
@@ -275,7 +403,7 @@ def test_non_finite_objective_value_fails_its_suites(monkeypatch):
     real = gc._smooth_tv
 
     def nan_on_real(P):
-        return real(P) if np.iscomplexobj(P) else float("nan")
+        return real(P) if np.iscomplexobj(P) else np.full(P.shape[:-3], np.nan)
     monkeypatch.setattr(gc, "_smooth_tv", nan_on_real)
     monkeypatch.setattr(pointseg.losses, "_smooth_tv", nan_on_real)
     report = gc.run_all(0, 2, 1)

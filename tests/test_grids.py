@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import pointseg.grids
 from pointseg import (
     Image,
     InvalidInputError,
@@ -13,7 +14,7 @@ from pointseg import (
     softmax_backward,
 )
 
-from oracles import bit_equal, finite_diff_copying
+from oracles import bit_equal, finite_diff_copying, per_probe
 
 fields = st.integers(0, 10_000).map(
     lambda s: np.random.default_rng(s).normal(scale=3.0, size=(3, 4, 5))
@@ -70,14 +71,14 @@ def test_softmax_backward_matches_finite_differences(seed):
     def f(flat):
         return float((probe * softmax(LogitField(flat.reshape(2, 3, 3))).probabilities).sum())
 
-    fd = finite_diff_grad(f, logits.reshape(-1)).reshape(2, 3, 3)
+    fd = finite_diff_grad(per_probe(f), logits.reshape(-1)).reshape(2, 3, 3)
     assert np.abs(analytic - fd).max() <= 1e-6
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_finite_diff_grad_equals_a_copy_per_coordinate_bit_for_bit(seed):
-    # One probe buffer, moved in place and restored, must give the values a
-    # fresh copy per coordinate gives, and leave x as it was.
+    # Stacked probes, built a chunk at a time, must give the values a fresh
+    # copy per coordinate gives, and leave x as it was.
     rng = np.random.default_rng(seed)
     shape = tuple(int(n) for n in rng.integers(1, 5, size=3))
     x = rng.normal(scale=10.0 ** rng.integers(-3, 4), size=shape)
@@ -89,14 +90,47 @@ def test_finite_diff_grad_equals_a_copy_per_coordinate_bit_for_bit(seed):
         return float(np.sin(v).sum() * (v**3).sum() + np.exp(-v * v).sum())
 
     before = x.copy()
-    got = finite_diff_grad(f, x)
+    got = finite_diff_grad(per_probe(f), x)
     assert bit_equal(got, finite_diff_copying(f, x))
     assert bit_equal(x, before)
 
 
+@pytest.mark.parametrize("shape, cap", [((3, 4), None), ((3, 20, 20), None), ((3, 4), 64)])
+def test_finite_diff_grad_passes_probe_pairs_in_order_within_the_cap(monkeypatch, shape, cap):
+    # Row 2j of the probes is x with coordinate i moved up by the step, row
+    # 2j + 1 that row with coordinate i moved down by twice the step, for
+    # i = 0, 1, ... in C order across calls. A call takes as many whole pairs
+    # as fit in the cap, and one pair when none fits (the last case).
+    if cap is not None:
+        monkeypatch.setattr(pointseg.grids, "FD_CHUNK_BYTES", cap)
+    cap = pointseg.grids.FD_CHUNK_BYTES
+    x = np.random.default_rng(0).normal(size=shape).transpose()
+    flat = x.reshape(-1)
+    calls = []
+
+    def f(stack):
+        assert stack.shape[1:] == x.shape and stack.nbytes <= max(cap, 2 * x.nbytes)
+        base = sum(calls) // 2
+        calls.append(len(stack))
+        for j, (hi, lo) in enumerate(zip(stack[0::2], stack[1::2], strict=True)):
+            want = flat.copy()
+            want[base + j] = up = flat[base + j] + pointseg.grids.FD_STEP
+            assert bit_equal(hi.reshape(-1), want)
+            want[base + j] = up - 2.0 * pointseg.grids.FD_STEP
+            assert bit_equal(lo.reshape(-1), want)
+        stack[...] = 0.0  # the probes are f's own: x must not change
+        return np.zeros(len(stack))
+
+    before = x.copy()
+    assert not finite_diff_grad(f, x).any()
+    assert bit_equal(x, before)
+    pairs = max(1, cap // (2 * x.nbytes))
+    assert calls == [2 * min(pairs, x.size - start) for start in range(0, x.size, pairs)]
+
+
 def test_finite_diff_grad_on_quadratic():
     x = np.array([1.0, -2.0, 3.0])
-    g = finite_diff_grad(lambda v: float((v**2).sum()), x)
+    g = finite_diff_grad(lambda stack: (stack**2).sum(axis=1), x)
     assert np.abs(g - 2 * x).max() <= 1e-6
 
 

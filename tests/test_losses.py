@@ -43,6 +43,7 @@ from oracles import (
     cv_oracle,
     ms_data_term_afresh,
     pce_oracle,
+    per_probe,
     total_loss_grads_oracle,
     tv_term_whole,
 )
@@ -461,7 +462,7 @@ def test_cv_gradient_matches_finite_differences_on_partial_batches(batch):
             return _cv_batch(_stacked(moved), index, tau)[0]
 
         analytic = res.grad_wrt_probs[n]
-        fd = finite_diff_grad(value, pred.probabilities)
+        fd = finite_diff_grad(per_probe(value), pred.probabilities)
         absent = [k for k in range(pred.num_classes) if k not in present[n]]
         assert not analytic[absent].any() and not fd[absent].any()
         scale = np.maximum(np.abs(analytic), np.abs(fd))
@@ -603,7 +604,7 @@ def test_total_loss_gradient_matches_finite_differences(mode):
         return b.total + settings.mu * (smooth_tv - b.tv)
 
     flat0 = np.concatenate([f.logits.reshape(-1) for f in fields])
-    fd = finite_diff_grad(objective, flat0)
+    fd = finite_diff_grad(per_probe(objective), flat0)
     breakdown = total_loss(images, fields, anns, plan, settings)
     analytic = np.concatenate([g.reshape(-1) for g in breakdown.grad_wrt_logits])
     scale = np.maximum(np.abs(analytic), np.abs(fd))

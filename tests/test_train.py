@@ -444,6 +444,77 @@ def test_training_and_gradcheck_share_one_batch_step(kind, monkeypatch):
     assert len(calls) == 2
 
 
+# Per iteration, the hex of each history value after the iteration number
+# (lr, pce, ms_data, cv_contrastive, tv, total); per parameter tensor, in the
+# model's order, the sha256 of its bytes. With them a digest failure names the
+# first iteration and the first tensor that differ.
+DEFAULT_MODEL_PINS = (
+    [
+        ('0x1.0624dd2f1a9fcp-10', '0x1.adead26d45e8ep+4', '0x0.0p+0', '0x1.515b8c8bc1614p+7', '0x1.3ddabc214a834p+11', '0x1.35fedf9ff72c3p+6'),
+        ('0x1.18f57fe19a025p-11', '0x1.7e9adf3dbde66p+4', '0x0.0p+0', '0x1.c85203aa32146p+6', '0x1.1e1429fde74a6p+11', '0x1.d1471da1f2162p+5'),
+    ],
+    {
+        "enc1.w": "c4d374d35a713ab90e330c0496162a0c16e429e12a9cd66cc23a1e267634aa3e",
+        "enc1.b": "23760c5e245ba67bdbcb47f59b8751a77a2e22d020a30d981bf4a360908b9fa0",
+        "enc2.w": "168ccb9768592ede35c80de37bf07d6ce7f4cbb16bda6589f6dbbcf02ec7bb87",
+        "enc2.b": "727c8d1cd4db81be642f17eaefb5049021a2d6ec48cd7400c994585132464347",
+        "enc3.w": "cb2e68a163a29b5ec285fd784ba33cc660c4e5fae2964802280aeeef1769af47",
+        "enc3.b": "1fe878f4b3f047fb99e558222ceef6f5cb18fe69a5fe8b3e76a5f6dd631e4bfa",
+        "dec1.w": "65e78dfdf520bb9eaae908c50c6be0a9a6a62f3e390354e5fdb1a2c9b16fe8c2",
+        "dec1.b": "2b9bbc04210b269f9fd2d3a4e8640c7aed17716a2c6c50a66ab7089d24722682",
+        "head.w": "f8ac22b59b47bc92fe8ea0d49ba2cbcb1296338019b29432d7d4e0932253f92b",
+        "head.b": "f37da66337d0bf0012fdcf848ce3f3160f12bf07326ec004d7bd7bbb6c755760",
+    },
+)
+LOGIT_FIELD_PINS = {
+    "pce+cv": (
+        [
+            ('0x1.999999999999ap-5', '0x1.a5ddfb8038490p+4', '0x0.0p+0', '0x1.5d1da63e535e2p+7', '0x0.0p+0', '0x1.3aefaf6bd9b12p+6'),
+            ('0x1.b6ff97d080a3ap-6', '0x1.a2b2e9a20908cp+4', '0x0.0p+0', '0x1.d25a92061d45bp+6', '0x1.68aaf3dc643dep+1', '0x1.e92974cdc316fp+5'),
+        ],
+        {
+            "field.train000": "48b64abfca8097c8df6c2b5e2d9d2dac58717949ac344ab731f79b7dab153d5a",
+            "field.train001": "2e667e209854c7a20236df7f1010c83f75107f448c49edbe1434f7f98afbea32",
+            "field.train002": "27fc0ba2907f6fb7820dedd17dcd4a293642c724d1bdb759a877a487bb81a60f",
+            "field.train003": "85be441f9daa0025155661c72faeb28e5bee6fe97cdf61798754a706aea65445",
+            "field.train004": "1d5c7330f9140ad24e82a7863af26b8ece765a6cf09cffa037a597f051ffe1f5",
+            "field.train005": "1db1f6cb97dd82ec1c9842d1f649374ffa12e531c4f586bfcf847baa6b920c78",
+            "field.train006": "0fa37dc9d5b736514cd7892c6e8e2b506da0ad63622e6ac48665126e99f20d2b",
+            "field.train007": "5b965ed9d7f02ea9018e1275385d95a42acb588311f81c193074e5a707b3bf4a",
+        },
+    ),
+    "pce+ms": (
+        [
+            ('0x1.999999999999ap-5', '0x1.a5ddfb8038490p+4', '0x1.6dc8306c98c4ep+9', '0x0.0p+0', '0x0.0p+0', '0x1.ebabf98bf18efp+7'),
+            ('0x1.b6ff97d080a3ap-6', '0x1.a2b1a5836019cp+4', '0x1.6dc8306b81b9cp+9', '0x0.0p+0', '0x1.106f8e4e88c60p+1', '0x1.eb467195343afp+7'),
+        ],
+        {
+            "field.train000": "43d14578020ae06fe813eaa303c4899b5881710659de9d30558661ef370d9021",
+            "field.train001": "a78ff7322860f86dc42a2faeebeb3fdb5024b2c06c7274334d5c35b7bc4534d1",
+            "field.train002": "8195f76ec626133ce89c489a55edaaa60fd57df606d7f51609dbd5daa26d40da",
+            "field.train003": "9734735659f32a03db7ce5f22a3cb51bf178a40058805463523310162cf584c7",
+            "field.train004": "9ecbed45d353b134dc949560003ff6ca9746fc30e2278fc180456819418271a3",
+            "field.train005": "af6b1f6e43d77aba84bd1c184dc96730e24eb46507971047bae3c90cc27d4a1c",
+            "field.train006": "d3de9f7d617b40614d6e606ba63266865811eed0b9132b1352cc8f7a8deb066b",
+            "field.train007": "f7e6b0d6f2628e80318f70fb0ffe3ac50a855c803d47156016d0cc42c2c93da9",
+        },
+    ),
+}
+
+
+def assert_run_pinned(state, pins):
+    history_hex, tensor_sha256 = pins
+    rows = [tuple(float(v).hex() for v in row[1:]) for row in state.history]
+    tensors = {name: hashlib.sha256(v.tobytes()).hexdigest() for name, v in state.params.values.items()}
+    assert (len(rows), list(tensors)) == (len(history_hex), list(tensor_sha256))
+    iteration = next((int(row[0]) for row, got, want in zip(state.history, rows, history_hex)
+                      if got != want), None)
+    tensor = next((name for name, want in tensor_sha256.items() if tensors[name] != want), None)
+    assert (iteration, tensor) == (None, None), \
+        f"first differing iteration {iteration}, first differing tensor {tensor}; " \
+        f"pinned on SkylakeX; this process runs {blas_core()}"
+
+
 def test_default_model_bytes_pinned(tmp_path):
     # The default shape (conv-ed, 64x64, channels (16, 16, 32, 16), batch 8,
     # pce+cv, augmentation on) for two iterations on a small synthetic set.
@@ -454,6 +525,7 @@ def test_default_model_bytes_pinned(tmp_path):
     assert (config.model_kind, config.mode, config.batch_size, config.augment,
             config.channels) == ("conv-ed", "pce+cv", 8, True, DEFAULT_CHANNELS)
     state = train_loop(generate_annotations(train, seed=0), config, checkpoint_dir=tmp_path)
+    assert_run_pinned(state, DEFAULT_MODEL_PINS)
     digests = (hashlib.sha256((tmp_path / "checkpoint_final.bin").read_bytes()).hexdigest(),
                hashlib.sha256(history_to_csv(state.history).encode()).hexdigest())
     assert digests == ("156600dbc1b9106aefa87824bb5913f0feb4cd91fe0c01aecd469df3d05d9c28",
@@ -477,6 +549,7 @@ def test_logit_field_bytes_pinned(tmp_path, mode, digests):
     config = TrainConfig(model_kind="logit-field", mode=mode, total_iterations=2)
     assert (config.batch_size, config.augment) == (8, True)
     state = train_loop(generate_annotations(train, seed=0), config, checkpoint_dir=tmp_path)
+    assert_run_pinned(state, LOGIT_FIELD_PINS[mode])
     assert (hashlib.sha256((tmp_path / "checkpoint_final.bin").read_bytes()).hexdigest(),
             hashlib.sha256(history_to_csv(state.history).encode()).hexdigest()) == digests, \
         f"pinned on SkylakeX; this process runs {blas_core()}"
