@@ -409,7 +409,7 @@ def main(argv=None) -> int:
     except TrainingDivergenceError as exc:
         print(f"divergence: {exc}", file=sys.stderr)
         return 3
-    except PointsegError as exc:
+    except (PointsegError, OSError) as exc:  # an OSError's message names its path
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -25,9 +25,10 @@ which the two cannot be told apart. There are two oracles:
   composition's gradient entries span many orders of magnitude. Branch
   choices (ReLU, pooling argmax, log clamp) follow the real parts, so the
   oracle differentiates exactly the branch the production code takes.
-  A step at a parameter of layer L leaves every activation before L
-  unchanged, so conv-ed's unperturbed activations are computed once a trial
-  and each step walks the layers from L on. A logit-field step recomputes
+  A trial forwards once, in `train.batch_gradients` (`models.backward_batch`
+  sums its gradients in batch order). A step at a parameter of layer L leaves
+  every activation before L unchanged, so a conv-ed step walks the layers from
+  L on, from that forward's caches cast to complex once. A logit-field step recomputes
   the objective's part for the one image it reaches, a conv-ed step every
   image's part; both reuse the trial's plan index.
 
@@ -386,8 +387,7 @@ def check_upsample(trials: int = 50, seed: int = 0) -> ComponentReport:
 def check_end_to_end(kind: str, mode: str, trials: int = 4, seed: int = 0) -> ComponentReport:
     """Whole model+loss composition against the complex-step oracle."""
     def draw(rng, probe):
-        K, H, W = 2, 8, 8
-        batch = 2
+        K, H, W, batch = 2, 8, 8, 2
         ids = [f"img{n}" for n in range(batch)]
         if kind == "conv-ed":
             spec = ModelSpec(kind, K, H, W, channels=(2, 3, 3, 2))
@@ -406,16 +406,15 @@ def check_end_to_end(kind: str, mode: str, trials: int = 4, seed: int = 0) -> Co
         plan = PairingPlan({(n, k): (n + 1) % batch for n in range(batch) for k in range(K)})
         settings = replace(OBJECTIVE, mode=mode)
         samples = [Sample(iid, im, annotation=ann) for iid, im, ann in zip(ids, images, anns)]
-        _, analytic = train.batch_gradients(params, samples, plan, settings)
+        _, analytic, caches = train.batch_gradients(params, samples, plan, settings)
 
         def part(logits, image, ann):
             return _objective_part(softmax(_trusted(LogitField, logits)), image, ann.classes, settings)
 
         cvalues = {n: v.astype(complex) for n, v in params.values.items()}
         index = _cv_index([ann.classes for ann in anns], plan)
-        if kind == "conv-ed":
-            unperturbed = [walk_layers(cvalues, {"x": im.intensities[None].astype(complex)})
-                           for im in images]
+        if kind == "conv-ed":  # cast once, so no walk's first layer casts its input
+            unperturbed = [{n: v.astype(complex) for n, v in c.items() if n != "kind"} for c in caches]
         else:
             unperturbed = [part(cvalues[f"field.{iid}"], im, ann)
                            for iid, im, ann in zip(ids, images, anns)]

@@ -384,6 +384,19 @@ def backward(params: ModelParams, spec: ModelSpec, cache: dict, grad_wrt_logits:
     return grads
 
 
+def backward_batch(params: ModelParams, caches, grad_logits) -> dict:
+    """A batch's parameter gradients: each image's `backward`, added left to
+    right in batch order. Checkpoint bytes depend on that order."""
+    grads = {}
+    for cache, g in zip(caches, grad_logits):
+        for name, arr in backward(params, params.spec, cache, g).items():
+            if name in grads:
+                grads[name] += arr
+            else:
+                grads[name] = arr  # backward returns fresh arrays
+    return grads
+
+
 def save_checkpoint(path, params: ModelParams) -> None:
     """Serialize parameters then momentum to the PSCV1 flat binary, atomically."""
     buf = bytearray(CHECKPOINT_MAGIC)

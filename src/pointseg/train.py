@@ -3,9 +3,10 @@ batch assembly and the loop.
 
 `TrainConfig` extends the objective's `LossSettings` with the optimizer,
 schedule, batching and model fields, so the loop hands its config to the loss
-as it is. `batch_gradients` is the one forward, loss and backward step; the
-loop and the end-to-end gradient check both run it. Gradients accumulate over
-the batch in fixed image order. Every source of randomness (epoch
+as it is. `batch_gradients` is the one step, in three phases: `forward` per
+image, `total_loss`, then `models.backward_batch`, the batch-order gradient sum.
+The loop and each end-to-end check trial run it, and a trial's complex-step
+walks start from the caches of its one forward. Every source of randomness (epoch
 permutations, positive-pair draws, augmentation) is a keyed stream, so two
 runs with the same config and dataset produce bit-identical parameter
 trajectories and checkpoints. The loop runs each step and its update under one floating-point
@@ -27,8 +28,8 @@ import numpy as np
 from .data import augment as augment_sample
 from .errors import InvalidInputError, TrainingDivergenceError
 from .losses import LossSettings, PairingPlan, domain, total_loss
-from .models import (KINDS, DEFAULT_CHANNELS, ModelParams, ModelSpec, _checked_channels, backward,
-                     forward, init_params, save_checkpoint)
+from .models import (KINDS, DEFAULT_CHANNELS, ModelParams, ModelSpec, _checked_channels,
+                     backward_batch, forward, init_params, save_checkpoint)
 from .seeding import keyed_rng
 
 
@@ -132,27 +133,13 @@ def assemble_batch(samples, iteration: int, seed: int, batch_size: int):
 
 
 def batch_gradients(params: ModelParams, batch, plan: PairingPlan, settings: LossSettings):
-    """One batch's loss and parameter gradients: (LossBreakdown, grads).
-
-    Forwards each sample, evaluates the settings' objective over the batch and
-    pulls each image's logit gradient back through the network. Per-image
-    gradients are added in batch order; checkpoint bytes depend on it.
-    """
-    logits, caches = [], []
-    for s in batch:
-        lf, cache = forward(params, params.spec, s.image, s.id)
-        logits.append(lf)
-        caches.append(cache)
-    breakdown = total_loss([s.image for s in batch], logits,
+    """One batch's step in three phases: forward each sample, the settings'
+    objective over the batch, then `backward_batch`. Returns (LossBreakdown,
+    grads, caches), the forward caches for the end-to-end oracle to start from."""
+    logits, caches = zip(*(forward(params, params.spec, s.image, s.id) for s in batch))
+    breakdown = total_loss([s.image for s in batch], list(logits),
                            [s.annotation for s in batch], plan, settings)
-    grads = {}
-    for cache, g in zip(caches, breakdown.grad_wrt_logits):
-        for name, arr in backward(params, params.spec, cache, g).items():
-            if name in grads:
-                grads[name] += arr
-            else:
-                grads[name] = arr  # backward returns fresh arrays
-    return breakdown, grads
+    return breakdown, backward_batch(params, caches, breakdown.grad_wrt_logits), caches
 
 
 def history_to_csv(history) -> str:
@@ -209,7 +196,8 @@ def train_loop(samples, config: TrainConfig, checkpoint_dir=None) -> TrainState:
         ids = ", ".join(s.id for s in batch)
         try:
             with np.errstate(over="raise", invalid="raise"):
-                breakdown, grads = batch_gradients(params, batch, plan, config)
+                # The caches are not bound, so they are freed before the next forward.
+                breakdown, grads = batch_gradients(params, batch, plan, config)[:2]
                 if not math.isfinite(breakdown.total):
                     raise TrainingDivergenceError(
                         f"non-finite loss at iteration {it} on batch [{ids}]"

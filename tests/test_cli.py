@@ -587,6 +587,32 @@ def test_sweep_orders_rows_and_writes_tables(dataset, tmp_path):
     assert (out / "run_001_lambda_cv_0" / "eval.json").exists()
 
 
+@pytest.mark.parametrize("at_file", [False, True], ids=["under-a-file", "at-a-file"])
+@pytest.mark.parametrize("command", ["synth", "train", "eval", "sweep"])
+def test_out_path_that_cannot_be_made_exits_2_naming_it(dataset, trained, tmp_path, capsys,
+                                                         command, at_file):
+    # Exit 1 is reserved for a verification failure; an unmakeable output
+    # directory is a usage error.
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker if at_file else blocker / "out"
+    spec, cfg = tmp_path / "spec.json", tmp_path / "config.json"
+    spec.write_text(json.dumps(TINY_SPEC))
+    cfg.write_text(json.dumps(TINY_TRAIN))
+    argv = {
+        "synth": ["synth", "--spec", str(spec)],
+        "train": ["train", "--config", str(cfg), "--data", str(dataset)],
+        "eval": ["eval", "--checkpoint", str(trained / "checkpoint_final.bin"),
+                 "--data", str(dataset)],
+        "sweep": ["sweep", "--config", str(cfg), "--data", str(dataset),
+                  "--parameter", "lambda_cv", "--values", "0.1"],
+    }[command]
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err
+    assert blocker.read_text() == ""
+
+
 def test_sweep_rejects_unknown_parameter(dataset, tmp_path):
     assert main(["sweep", "--data", str(dataset), "--out", str(tmp_path / "s"),
                  "--parameter", "power", "--values", "1,2"]) == 2

@@ -116,15 +116,30 @@ def test_complex_step_detects_a_corrupted_parameter_gradient(monkeypatch, kind):
     real = gc.train.batch_gradients
 
     def broken(*args, **kwargs):
-        breakdown, grads = real(*args, **kwargs)
+        breakdown, grads, caches = real(*args, **kwargs)
         name = max(grads)  # head.w or field.img1
-        return breakdown, {**grads, name: grads[name] * 1.01}
+        return breakdown, {**grads, name: grads[name] * 1.01}, caches
     monkeypatch.setattr(gc.train, "batch_gradients", broken)
     report = gc.check_end_to_end(kind, "pce", trials=1)
     assert not report.passed
     assert report.worst_rel_err > 1e-3
     assert report.worst_seed == 0
     assert report.worst_coordinate >= 0
+
+
+@pytest.mark.parametrize("kind", ["conv-ed", "logit-field"])
+def test_end_to_end_trial_forwards_each_batch_image_once(monkeypatch, kind):
+    # The training step's forward is the trial's only one: the complex-step
+    # walks start from its caches.
+    calls = []
+    real = gc.train.forward
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(gc.train, "forward", counting)
+    assert gc.check_end_to_end(kind, "pce+cv", trials=3).passed
+    assert len(calls) == 3 * 2  # three trials of two images
 
 
 def _probability_field(rng, K, H, W):
@@ -328,9 +343,10 @@ def test_logit_field_steps_rerun_only_the_stepped_image(monkeypatch, mode):
 def test_complex_step_reruns_only_the_layers_from_the_perturbed_one(monkeypatch, mode):
     # The trial's conv-ed has 277 parameters: enc1 20, enc2 57, enc3 84,
     # dec1 110 and head 6. A step at layer L reruns L and the layers after
-    # it, for both images: 2 * (20*5 + 57*4 + 84*3 + 110*2 + 6*1) = 1612,
-    # plus 10 for the unperturbed pass. Rerunning every layer took 2770.
-    # The oracle's walks are the only convolutions on complex input.
+    # it, for both images: 2 * (20*5 + 57*4 + 84*3 + 110*2 + 6*1) = 1612.
+    # The walks start from the training forward's caches, cast to complex,
+    # so the oracle runs no unperturbed pass of its own; rerunning every
+    # layer took 2770. The walks are the only convolutions on complex input.
     calls = []
     real = pointseg.models._conv2d
 
@@ -340,7 +356,7 @@ def test_complex_step_reruns_only_the_layers_from_the_perturbed_one(monkeypatch,
         return real(x, *args)
     monkeypatch.setattr(pointseg.models, "_conv2d", counting)
     assert gc.check_end_to_end("conv-ed", mode, trials=1).passed
-    assert len(calls) == 1622
+    assert len(calls) == 1612
 
 
 def test_prefix_cached_complex_forward_matches_uncached():

@@ -40,6 +40,7 @@ from pointseg.models import (
     _relu,
     _upsample2,
     _upsample2_backward,
+    backward_batch,
 )
 
 
@@ -113,6 +114,24 @@ def test_forward_shapes_and_determinism():
     assert set(grads) == set(params.values)
     for name, g in grads.items():
         assert g.shape == params.values[name].shape
+
+
+def test_backward_batch_adds_each_images_gradients_left_to_right():
+    # Checkpoint bytes depend on the order: (image 0 + image 1) + image 2.
+    spec = conv_spec()
+    params = init_params(spec, 3)
+    rng = np.random.default_rng(4)
+    for name in params.values:
+        params.values[name] += 0.1 * rng.normal(size=params.values[name].shape)
+    caches = [forward(params, spec, Image(rng.random((8, 8))))[1] for _ in range(3)]
+    grad_logits = [rng.normal(size=(2, 8, 8)) for _ in range(3)]
+    per_image = [backward(params, spec, c, g) for c, g in zip(caches, grad_logits)]
+    got = backward_batch(params, caches, grad_logits)
+    assert set(got) == set(params.values)
+    for name, arr in got.items():
+        want = (per_image[0][name] + per_image[1][name]) + per_image[2][name]
+        assert arr.shape == want.shape, name
+        assert [float(v).hex() for v in arr.ravel()] == [float(v).hex() for v in want.ravel()], name
 
 
 def test_default_conv_ed_cache_holds_each_array_once():

@@ -1,6 +1,10 @@
 import dataclasses
 import hashlib
+import importlib.util
 import math
+import weakref
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -442,6 +446,49 @@ def test_training_and_gradcheck_share_one_batch_step(kind, monkeypatch):
     calls.clear()
     assert pointseg.gradcheck.check_end_to_end(kind, "pce+cv", trials=2).passed
     assert len(calls) == 2
+
+
+def test_train_loop_frees_each_steps_caches_before_the_next_forward(monkeypatch):
+    # A step's forward caches (16 MB at the default config) kept bound through
+    # the next step's forward would add to the peak memory of every run.
+    class Cache(dict):  # a dict subclass takes weak references
+        pass
+
+    B, steps, refs = 2, 3, []
+    real = pointseg.train.forward
+
+    def tracking(*args, **kwargs):
+        if refs and len(refs) % B == 0:
+            alive = [r for r in refs[-B:] if r() is not None]
+            assert not alive, f"step {len(refs) // B - 1}'s caches outlive it"
+        logits, cache = real(*args, **kwargs)
+        cache = Cache(cache)
+        refs.append(weakref.ref(cache))
+        return logits, cache
+
+    monkeypatch.setattr(pointseg.train, "forward", tracking)
+    train_loop(tiny_dataset(4), TrainConfig(model_kind="conv-ed", channels=(2, 2, 3, 2),
+                                            total_iterations=steps, batch_size=B))
+    assert len(refs) == B * steps
+
+
+def test_benchmark_spans_see_every_per_image_call_of_training():
+    # bench/spans.py hooks models.forward, models.backward and
+    # losses.total_loss by name; a step routed around them would empty the
+    # benchmark's per-layer figures while its smoke test still passed.
+    path = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+    module_spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(spans)
+    B, N = 3, 2
+    with spans.Tracer().installed(pointseg) as tracer:
+        train_loop(tiny_dataset(6), TrainConfig(model_kind="conv-ed", channels=(2, 2, 3, 2),
+                                                total_iterations=N, batch_size=B))
+    counts = Counter(tracer.names[i] for i in tracer.name_id)
+    assert counts["models.forward"] == B * N
+    assert counts["models.backward"] == B * N
+    assert counts["losses.total_loss"] == N
+    assert counts["train.sgd_step"] == N
 
 
 # Per iteration, the hex of each history value after the iteration number
