@@ -19,7 +19,6 @@ import argparse
 import ctypes
 import dataclasses
 import glob
-import json
 import os
 import sys
 from datetime import datetime, timezone
@@ -30,6 +29,7 @@ from . import __version__
 from .data import (
     SynthSpec,
     _load_splits,
+    dump_json,
     load_split,
     read_json_object,
     save_dataset,
@@ -169,8 +169,7 @@ def _write_run_manifest(out_dir, config: TrainConfig, dataset_root) -> None:
         },
         "created": datetime.now(timezone.utc).isoformat(),
     }
-    with open(os.path.join(out_dir, "run_manifest.json"), "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    dump_json(manifest, os.path.join(out_dir, "run_manifest.json"))
 
 
 def _train_once(samples, config: TrainConfig, out_dir, dataset_root):
@@ -197,13 +196,6 @@ def _evaluate_params(params, samples, central_bias_width: int):
     return preds, report
 
 
-def _write_ppm(path, rgb: np.ndarray) -> None:
-    H, W, _ = rgb.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P6\n{W} {H}\n255\n".encode("ascii"))
-        fh.write(rgb.astype(np.uint8).tobytes())
-
-
 def _composite(image, mask) -> np.ndarray:
     gray = np.rint(np.clip(image.intensities, 0.0, 1.0) * 255.0)
     rgb = np.repeat(gray[:, :, None], 3, axis=2)
@@ -221,8 +213,10 @@ def _write_predictions(out_dir, samples, preds, composite: bool) -> None:
     for s, mask in zip(samples, preds):
         write_pgm(os.path.join(pred_dir, f"{s.id}.pgm"), mask.classes)
         if composite:
-            _write_ppm(os.path.join(pred_dir, f"{s.id}_overlay.ppm"),
-                       _composite(s.image, mask))
+            H, W = mask.classes.shape
+            with open(os.path.join(pred_dir, f"{s.id}_overlay.ppm"), "wb") as fh:
+                fh.write(f"P6\n{W} {H}\n255\n".encode("ascii"))
+                fh.write(_composite(s.image, mask).tobytes())
 
 
 def cmd_synth(args) -> int:
@@ -327,14 +321,10 @@ def cmd_sweep(args) -> int:
         rows.append((value, report.dsc_average, report.hd95_average))
         print(f"{args.parameter}={value:g}: DSC {report.dsc_average:.4f}, "
               f"HD95 {report.hd95_average:.4f}")
-    with open(os.path.join(args.out, "sweep.csv"), "w", encoding="utf-8") as fh:
-        fh.write("value,dsc_avg,hd95_avg\n")
-        for value, dsc, hd in rows:
-            fh.write(f"{value!r},{dsc!r},{hd!r}\n")
-    with open(os.path.join(args.out, "sweep.dat"), "w", encoding="utf-8") as fh:
-        fh.write(f"# {args.parameter} dsc_avg hd95_avg\n")
-        for value, dsc, hd in rows:
-            fh.write(f"{value!r} {dsc!r} {hd!r}\n")
+    for name, header, sep in (("sweep.csv", "value,dsc_avg,hd95_avg", ","),
+                              ("sweep.dat", f"# {args.parameter} dsc_avg hd95_avg", " ")):
+        with open(os.path.join(args.out, name), "w", encoding="utf-8") as fh:
+            fh.write(header + "\n" + "".join(sep.join(map(repr, row)) + "\n" for row in rows))
     print(f"sweep artifacts in {args.out}")
     return 0
 

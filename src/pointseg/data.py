@@ -120,17 +120,15 @@ def _numbers(values, n: int) -> bool:
 
 # NetPBM P5 reading and writing, from scratch for bit-exact round trips.
 
-def write_pgm(path, values: np.ndarray, maxval: int = 255) -> None:
-    """Write a 2-d integer grid as binary PGM."""
+def write_pgm(path, values: np.ndarray) -> None:
+    """Write a 2-d integer grid as binary PGM with maxval 255."""
     arr = np.asarray(values)
     if arr.ndim != 2:
         raise InvalidInputError("PGM payload must be 2-d")
-    if not 1 <= maxval <= 255:
-        raise InvalidInputError(f"unsupported maxval {maxval}")
-    if arr.min() < 0 or arr.max() > maxval:
-        raise InvalidInputError(f"pixel values exceed [0, {maxval}]")
+    if arr.min() < 0 or arr.max() > 255:
+        raise InvalidInputError("pixel values exceed [0, 255]")
     H, W = arr.shape
-    header = f"P5\n{W} {H}\n{maxval}\n".encode("ascii")
+    header = f"P5\n{W} {H}\n255\n".encode("ascii")
     with open(path, "wb") as fh:
         fh.write(header + arr.astype(np.uint8).tobytes())
 
@@ -192,13 +190,17 @@ def write_annotations(root, samples) -> None:
         s.id: [{"row": r, "col": c, "class": k} for r, c, k in s.annotation.points]
         for s in samples if s.annotation is not None
     }
-    with open(os.path.join(root, "annotations.json"), "w", encoding="utf-8") as fh:
-        json.dump(annotations, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    dump_json(annotations, os.path.join(root, "annotations.json"))
+
+
+def _manifest(K: int, H: int, W: int, train, test) -> dict:
+    """manifest.json's object for these splits on a K-class H x W grid."""
+    return {"K": K, "H": H, "W": W, "train": [s.id for s in train], "test": [s.id for s in test]}
 
 
 def save_dataset(root, train, test, num_classes: int) -> None:
-    """Write samples and metadata in the documented layout."""
+    """Write samples and metadata in the documented layout, removing the mask
+    of a sample without one, and annotations.json when no sample has one."""
     samples = list(train) + list(test)
     if not samples:
         raise InvalidInputError("nothing to save")
@@ -208,17 +210,26 @@ def save_dataset(root, train, test, num_classes: int) -> None:
     for s in samples:
         quantized = np.rint(np.clip(s.image.intensities, 0.0, 1.0) * 255).astype(np.uint8)
         write_pgm(os.path.join(root, "images", f"{s.id}.pgm"), quantized)
+        mask_path = os.path.join(root, "masks", f"{s.id}.pgm")
         if s.mask is not None:
-            write_pgm(os.path.join(root, "masks", f"{s.id}.pgm"), s.mask.classes)
+            write_pgm(mask_path, s.mask.classes)
+        elif os.path.exists(mask_path):
+            os.remove(mask_path)
     if any(s.annotation is not None for s in samples):
         write_annotations(root, samples)
-    manifest = {
-        "K": num_classes, "H": H, "W": W,
-        "train": [s.id for s in train], "test": [s.id for s in test],
-    }
-    with open(os.path.join(root, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    elif os.path.exists(os.path.join(root, "annotations.json")):
+        os.remove(os.path.join(root, "annotations.json"))
+    dump_json(_manifest(num_classes, H, W, train, test), os.path.join(root, "manifest.json"))
+
+
+def dump_json(value, path) -> str:
+    """The text of `value` in every JSON artifact's format (two-space indent,
+    sorted keys), also written to `path` with one final newline unless None."""
+    text = json.dumps(value, indent=2, sort_keys=True)
+    if path is not None:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    return text
 
 
 def read_json_object(path) -> dict:
@@ -422,8 +433,4 @@ def synth_generate(spec: SynthSpec):
 
     train = [build("train", i) for i in range(spec.train_count)]
     test = [build("test", i) for i in range(spec.test_count)]
-    manifest = {
-        "K": K, "H": H, "W": W,
-        "train": [s.id for s in train], "test": [s.id for s in test],
-    }
-    return train, test, manifest
+    return train, test, _manifest(K, H, W, train, test)

@@ -19,12 +19,11 @@ predictions far from the centered subject.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LabelMask
+from .data import LabelMask, dump_json
 from .errors import InvalidInputError
 from .grids import SoftPrediction
 
@@ -119,7 +118,7 @@ class EvalReport:
             "per_image": [{"dsc": by_class(entry["dsc"]), "hd95": by_class(entry["hd95"])}
                           for entry in self.per_image],
         }
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return dump_json(payload, None)
 
     def format_table(self) -> str:
         classes = sorted(self.per_class_dsc)
@@ -158,26 +157,18 @@ def evaluate(pred_masks, gt_masks, central_bias_width: int = 0) -> EvalReport:
 
     filtered = [central_bias_filter(pm, central_bias_width) for pm in pred_masks]
     per_image = []
-    sums_dsc = {k: [] for k in range(1, K)}
-    sums_hd = {k: [] for k in range(1, K)}
     for pm, gm in zip(filtered, gt_masks):
-        image_dsc, image_hd = {}, {}
-        present = set(int(v) for v in np.unique(gm.classes))
-        for k in range(1, K):
-            if k not in present:
-                continue
-            d = dsc(pm, gm, k)
-            h = hd95(pm, gm, k)
-            image_dsc[k] = d
-            image_hd[k] = h
-            sums_dsc[k].append(d)
-            sums_hd[k].append(h)
-        per_image.append({"dsc": image_dsc, "hd95": image_hd})
+        classes = [int(k) for k in np.unique(gm.classes) if k > 0]
+        per_image.append({"dsc": {k: dsc(pm, gm, k) for k in classes},
+                          "hd95": {k: hd95(pm, gm, k) for k in classes}})
 
-    per_class_dsc = {k: float(np.mean(v)) for k, v in sums_dsc.items() if v}
-    per_class_hd95 = {k: float(np.mean(v)) for k, v in sums_hd.items() if v}
-    if not per_class_dsc:
-        raise InvalidInputError("no foreground class appears in any ground truth")
-    dsc_avg = float(np.mean(list(per_class_dsc.values())))
-    hd_avg = float(np.mean(list(per_class_hd95.values())))
+    def scores(metric):
+        """Per-class means over the images holding each class, and their mean."""
+        means = {k: float(np.mean([e[metric][k] for e in per_image if k in e[metric]]))
+                 for k in range(1, K) if any(k in e[metric] for e in per_image)}
+        if not means:
+            raise InvalidInputError("no foreground class appears in any ground truth")
+        return means, float(np.mean(list(means.values())))
+
+    (per_class_dsc, dsc_avg), (per_class_hd95, hd_avg) = scores("dsc"), scores("hd95")
     return EvalReport(K, per_class_dsc, per_class_hd95, dsc_avg, hd_avg, tuple(per_image))

@@ -587,6 +587,55 @@ def test_sweep_orders_rows_and_writes_tables(dataset, tmp_path):
     assert (out / "run_001_lambda_cv_0" / "eval.json").exists()
 
 
+# tree_digest of TINY_SPEC's dataset annotated with seed 0. Synthesis and
+# annotation call no BLAS kernel, so these bytes hold on every machine.
+TINY_DATASET_SHA256 = "b0af4b02dbf942a59bfd5e821379dea92fee4ce6bffdb7d6c711347b7f1b14fb"
+
+
+def test_artifacts_keep_their_json_format_and_dataset_bytes(tmp_path):
+    def formatted(path):
+        return json.dumps(json.loads(path.read_bytes()), indent=2, sort_keys=True)
+
+    data, run, ev, sweep = (tmp_path / name for name in ("data", "run", "eval", "sweep"))
+    spec, cfg = tmp_path / "spec.json", tmp_path / "config.json"
+    spec.write_text(json.dumps(TINY_SPEC))
+    cfg.write_text(json.dumps(TINY_TRAIN))
+    assert main(["synth", "--spec", str(spec), "--out", str(data)]) == 0
+    assert main(["annotate", "--data", str(data), "--seed", "0"]) == 0
+    assert tree_digest(data) == TINY_DATASET_SHA256
+    assert main(["train", "--config", str(cfg), "--data", str(data), "--out", str(run)]) == 0
+    assert main(["eval", "--checkpoint", str(run / "checkpoint_final.bin"),
+                 "--data", str(data), "--out", str(ev)]) == 0
+    assert main(["sweep", "--config", str(cfg), "--data", str(data), "--out", str(sweep),
+                 "--parameter", "lambda_cv", "--values", "3.0,0.0"]) == 0
+    runs = [run, *sorted(sweep.glob("run_*"))]
+    assert len(runs) == 3
+    for path in [data / "manifest.json", data / "annotations.json",
+                 *(r / "run_manifest.json" for r in runs)]:
+        assert path.read_text(encoding="utf-8") == formatted(path) + "\n", path
+    for path in [ev / "eval.json", *(r / "eval.json" for r in runs[1:])]:
+        assert path.read_text(encoding="utf-8") == formatted(path), path
+    csv_rows = (sweep / "sweep.csv").read_text().split("\n")[1:]
+    dat_rows = (sweep / "sweep.dat").read_text().split("\n")[1:]
+    assert len(csv_rows) == 3 and csv_rows[-1] == ""
+    assert dat_rows == [row.replace(",", " ") for row in csv_rows]
+
+
+def test_resynth_leaves_no_stale_annotations_or_masks(tmp_path, capsys):
+    # A re-synthesized dataset carries no supervision drawn for the old images.
+    data, spec, cfg = tmp_path / "data", tmp_path / "spec.json", tmp_path / "config.json"
+    spec.write_text(json.dumps(TINY_SPEC))
+    cfg.write_text(json.dumps(TINY_TRAIN))
+    assert main(["synth", "--spec", str(spec), "--out", str(data)]) == 0
+    assert main(["annotate", "--data", str(data), "--seed", "0"]) == 0
+    assert main(["synth", "--spec", str(spec), "--seed", "7", "--out", str(data)]) == 0
+    assert not (data / "annotations.json").exists()
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg), "--data", str(data),
+                 "--out", str(tmp_path / "run")]) == 2
+    assert "training needs point annotations" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("at_file", [False, True], ids=["under-a-file", "at-a-file"])
 @pytest.mark.parametrize("command", ["synth", "train", "eval", "sweep"])
 def test_out_path_that_cannot_be_made_exits_2_naming_it(dataset, trained, tmp_path, capsys,

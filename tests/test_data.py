@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import tempfile
@@ -302,6 +303,19 @@ def test_dataset_roundtrip_bit_identity(tmp_path):
     save_dataset(tmp_path / "ds2", back_train, back_test, spec.num_classes)
     for name in ("manifest.json", "annotations.json"):
         assert (tmp_path / "ds" / name).read_bytes() == (tmp_path / "ds2" / name).read_bytes()
+
+
+def test_save_dataset_removes_supervision_it_does_not_write(tmp_path):
+    spec = small_spec()
+    train, test, _ = synth_generate(spec)
+    root = tmp_path / "ds"
+    save_dataset(root, generate_annotations(train, seed=1), test, spec.num_classes)
+    assert (root / "annotations.json").exists()
+    bare = [dataclasses.replace(s, mask=None) for s in train]
+    save_dataset(root, bare, test, spec.num_classes)
+    assert not (root / "annotations.json").exists()
+    assert sorted(p.stem for p in (root / "masks").iterdir()) == [s.id for s in test]
+    assert all(s.mask is None and s.annotation is None for s in load_split(root, "train"))
 
 
 def test_load_dataset_images_without_manifest(tmp_path):

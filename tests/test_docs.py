@@ -1,4 +1,5 @@
 import ast
+import collections
 import pathlib
 import re
 
@@ -64,3 +65,36 @@ def test_package_modules_use_every_name_they_import():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}: {name}" for name in imported_names(tree) if name not in used]
     assert not unused, f"src/pointseg/ imports names it never uses: {unused}"
+
+
+def mentioned_names(tree):
+    """Each name a tree's code mentions: a variable, an attribute, an imported name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.rpartition(".")[2]
+
+
+def test_every_package_function_and_class_is_named_outside_its_def():
+    # The orphan guard: a module-level function or class of src/pointseg/ must
+    # be named beyond its own def in src/, tests/, demos/ or README.md's code
+    # (a recursive call is not a use, nor is a re-export in __init__.py).
+    mentions, defined = collections.Counter(), []
+    for path in sorted(p for top in ("src", "tests", "demos") for p in (ROOT / top).rglob("*.py")):
+        if path == PACKAGE / "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        mentions.update(mentioned_names(tree))
+        if path.parent == PACKAGE:
+            defined += [(path.name, node) for node in tree.body if isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+    assert len(defined) > 100, "src/pointseg/ defines few functions: the walk has drifted"
+    code = re.findall(r"`+([^`]+)`+", (ROOT / "README.md").read_text(encoding="utf-8"))
+    readme = {word for span in code for word in re.findall(r"\w+", span)}
+    orphans = [f"{module}: {node.name}" for module, node in defined
+               if mentions[node.name] == list(mentioned_names(node)).count(node.name)
+               and node.name not in readme]
+    assert not orphans, f"src/pointseg/ defines what nothing names: {orphans}"

@@ -6,7 +6,7 @@ import pytest
 import pointseg.gradcheck as gc
 import pointseg.grids
 import pointseg.models
-from pointseg import Image, ModelSpec, init_params
+from pointseg import Image, ModelSpec, Sample, init_params, train
 from pointseg.grids import LogitField, SoftPrediction, _trusted
 from pointseg.losses import (
     PairingPlan,
@@ -360,8 +360,9 @@ def test_complex_step_reruns_only_the_layers_from_the_perturbed_one(monkeypatch,
 
 
 def test_prefix_cached_complex_forward_matches_uncached():
-    # One unperturbed pass serves every layer's perturbations, as in the
-    # end-to-end oracle, so a cached call that changed it would show too.
+    # One unperturbed complex walk serves every layer's perturbations, so a
+    # cached call that changed it would show too. The end-to-end oracle starts
+    # from forward's real caches instead; the next test pins that start.
     rng = np.random.default_rng(11)
     spec = ModelSpec("conv-ed", 2, 8, 8, channels=(2, 3, 3, 2))
     values = {n: v.astype(complex) for n, v in init_params(spec, 5).values.items()}
@@ -388,6 +389,48 @@ def test_prefix_cached_complex_forward_matches_uncached():
                 break
         else:
             pytest.fail(f"no {layer} coordinate reaches the logits")
+
+
+def test_real_caches_cast_to_complex_walk_like_the_uncached_forward():
+    # check_end_to_end's start: train.batch_gradients' real caches, cast to
+    # complex once, seed the walk from each layer. A kernel whose zgemm rounds
+    # the real parts otherwise than dgemm would break the pinned verdicts.
+    K, H, W = 2, 8, 8
+    rng = np.random.default_rng(12)
+    spec = ModelSpec("conv-ed", K, H, W, channels=(2, 3, 3, 2))
+    params = init_params(spec, 6)
+    for name in params.values:
+        if name.endswith(".b"):
+            params.values[name] += 0.1 * rng.normal(size=params.values[name].shape)
+    samples = []
+    for n in range(2):
+        pixels = rng.choice(H * W, size=K, replace=False)
+        points = tuple((int(p // W), int(p % W), k) for k, p in enumerate(pixels))
+        samples.append(Sample(f"img{n}", Image(rng.random((H, W))),
+                              annotation=PointAnnotation(points, K)))
+    plan = PairingPlan({(n, k): 1 - n for n in range(2) for k in range(K)})
+    _, _, caches = train.batch_gradients(params, samples, plan, gc.OBJECTIVE)
+    values = {n: v.astype(complex) for n, v in params.values.items()}
+    where = f"pinned on SkylakeX; this process runs {blas_core()}"
+    for cache, s in zip(caches, samples):
+        acts = {n: v.astype(complex) for n, v in cache.items() if n != "kind"}
+        want = cx_forward_uncached(values, s.image)
+        got = walk_layers(values, acts)["head"]
+        assert bit_equal(got.real, want.real) and bit_equal(got.imag, want.imag), where
+        for layer in ("enc1", "enc2", "enc3", "dec1", "head"):
+            flat = values[f"{layer}.w"].reshape(-1)
+            for i in rng.permutation(flat.size):
+                saved = flat[i]
+                flat[i] = saved + 1j * gc.COMPLEX_STEP
+                got = walk_layers(values, acts, layer)["head"]
+                want = cx_forward_uncached(values, s.image)
+                flat[i] = saved
+                assert bit_equal(got.real, want.real), (s.id, layer, i, where)
+                assert bit_equal(got.imag, want.imag), (s.id, layer, i, where)
+                if want.imag.any():
+                    break
+            else:
+                pytest.fail(f"{s.id}: no {layer} coordinate reaches the logits")
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
