@@ -11,7 +11,7 @@ has no differencing error at all.
 import numpy as np
 
 from pointseg import finite_diff_grad
-from pointseg.gradcheck import fd_noise_floor, run_all
+from pointseg.gradcheck import COMPLEX_STEP, fd_noise_floor, run_all
 
 # A reduced run for demo purposes; the shipped defaults use 50 instances
 # per component. Every component reports its worst relative error across
@@ -36,3 +36,14 @@ numeric = finite_diff_grad(lambda probes: np.log(np.exp(probes).sum(axis=(1, 2, 
 analytic = np.exp(x) / np.exp(x).sum()
 print(f"log-sum-exp: {x.size} coordinates, {2 * x.size} probes, "
       f"max |analytic - numeric| = {np.abs(analytic - numeric).max():.1e}")
+
+# The complex-step oracle moves a coordinate by an imaginary step instead and
+# reads the derivative off the imaginary part of the value: no difference of
+# nearby values, so no rounding floor. It too evaluates a stack of probes at
+# once, probe j moving coordinate j, and takes one complex value per probe.
+probes = np.repeat(x[None].astype(complex), x.size, axis=0)
+probes.reshape(x.size, -1)[range(x.size), range(x.size)] += 1j * COMPLEX_STEP
+values = np.log(np.exp(probes).sum(axis=(1, 2, 3)))
+complex_step = (values.imag / COMPLEX_STEP).reshape(x.shape)
+print(f"log-sum-exp: {x.size} complex probes, "
+      f"max |analytic - complex step| = {np.abs(analytic - complex_step).max():.1e}")

@@ -199,22 +199,23 @@ def _manifest(K: int, H: int, W: int, train, test) -> dict:
 
 
 def save_dataset(root, train, test, num_classes: int) -> None:
-    """Write samples and metadata in the documented layout, removing the mask
-    of a sample without one, and annotations.json when no sample has one."""
+    """Write samples and metadata in the documented layout, removing each image
+    and mask .pgm it does not write, and annotations.json if no sample has one."""
     samples = list(train) + list(test)
     if not samples:
         raise InvalidInputError("nothing to save")
     H, W = samples[0].image.intensities.shape
-    os.makedirs(os.path.join(root, "images"), exist_ok=True)
-    os.makedirs(os.path.join(root, "masks"), exist_ok=True)
+    for sub, kept in (("images", samples), ("masks", [s for s in samples if s.mask is not None])):
+        folder = os.path.join(root, sub)
+        os.makedirs(folder, exist_ok=True)
+        for name in set(os.listdir(folder)) - {f"{s.id}.pgm" for s in kept}:
+            if name.endswith(".pgm") and os.path.isfile(os.path.join(folder, name)):
+                os.remove(os.path.join(folder, name))
     for s in samples:
         quantized = np.rint(np.clip(s.image.intensities, 0.0, 1.0) * 255).astype(np.uint8)
         write_pgm(os.path.join(root, "images", f"{s.id}.pgm"), quantized)
-        mask_path = os.path.join(root, "masks", f"{s.id}.pgm")
         if s.mask is not None:
-            write_pgm(mask_path, s.mask.classes)
-        elif os.path.exists(mask_path):
-            os.remove(mask_path)
+            write_pgm(os.path.join(root, "masks", f"{s.id}.pgm"), s.mask.classes)
     if any(s.annotation is not None for s in samples):
         write_annotations(root, samples)
     elif os.path.exists(os.path.join(root, "annotations.json")):

@@ -12,10 +12,9 @@ which the two cannot be told apart. There are two oracles:
   inputs never leave the simplex; layers are weighted by a random probe of
   their output. The contrastive suite checks cv_loss with smoothed TV, the
   objective's value with no annotated points. A loss term's probes evaluate
-  the private value step the full term is built on, so its gradient is built
-  once a trial. Each chunk of a moved input's stacked probes goes through
-  its softmax and part of that value once, and cv's plan index is built once
-  a trial. The conv suites evaluate one probe at a time.
+  the private value step the full term is built on, so its gradient and cv's
+  plan index are built once a trial; the moved input's stacked probes go
+  through softmax and part once a chunk. The conv suites take one at a time.
 * End-to-end suites differentiate whole model+loss compositions with a
   complex-step oracle: an imaginary perturbation of one parameter propagates
   through the forward training runs (conv-ed's `walk_layers` on complex
@@ -25,12 +24,11 @@ which the two cannot be told apart. There are two oracles:
   composition's gradient entries span many orders of magnitude. Branch
   choices (ReLU, pooling argmax, log clamp) follow the real parts, so the
   oracle differentiates exactly the branch the production code takes.
-  A trial forwards once, in `train.batch_gradients` (`models.backward_batch`
-  sums its gradients in batch order). A step at a parameter of layer L leaves
-  every activation before L unchanged, so a conv-ed step walks the layers from
-  L on, from that forward's caches cast to complex once. A logit-field step recomputes
-  the objective's part for the one image it reaches, a conv-ed step every
-  image's part; both reuse the trial's plan index.
+  A trial forwards once, in `train.batch_gradients`. A tensor's coordinates
+  go in chunks, probe j moving coordinate j of its chunk: each image a chunk
+  reaches takes one stack of complex logits and one part, the chunk one value.
+  A conv-ed probe at layer L walks each image from L on by itself (a conv's
+  bits depend on its BLAS call shape), from the caches cast to complex once.
 
 Every value either oracle differentiates comes from `losses`, the objective's
 from `_objective_part` and `_objective_value`; TV's is the smoothed surrogate
@@ -83,6 +81,7 @@ REL_TOL = 1e-4
 GRAD_FLOOR = 1e-7
 SOFTMAX_FLOOR = 1e-8
 COMPLEX_STEP = 1e-20
+COMPLEX_CHUNK_BYTES = 32 * 1024  # caps each image's stack of complex logits
 EPS64 = float(np.finfo(np.float64).eps)
 OBJECTIVE = LossSettings("pce+cv", lambda_cv=0.3, lambda_ms=0.3, mu=1e-2, tau=0.07)
 
@@ -95,7 +94,7 @@ def fd_noise_floor(value: float) -> float:
     the difference quotient. Coordinates where analytic and numeric gradients
     agree to within this floor carry no information either way, so the fd
     suites do not count them as disagreement; the complex-step suites cover
-    those coordinates without any differencing error.
+    those coordinates.
     """
     return 8.0 * EPS64 * abs(value) / (2.0 * FD_STEP)
 
@@ -256,13 +255,18 @@ def check_softmax(trials: int = 100, seed: int = 0) -> ComponentReport:
                   floor=SOFTMAX_FLOOR, key=("softmax",))
 
 
+def _drawn_points(rng, K, H, W):
+    """One annotated pixel per class, all distinct."""
+    pixels = rng.choice(H * W, size=K, replace=False)
+    return PointAnnotation(tuple((int(p // W), int(p % W), k) for k, p in enumerate(pixels)), K)
+
+
 def check_pce(trials: int = 50, seed: int = 0) -> ComponentReport:
     def draw(rng):
         K = int(rng.integers(2, 4))
         H, W = (int(rng.integers(2, 9)) for _ in range(2))
         logits = rng.normal(size=(K, H, W))
-        pixels = rng.choice(H * W, size=K, replace=False)
-        ann = PointAnnotation(tuple((int(p // W), int(p % W), k) for k, p in enumerate(pixels)), K)
+        ann = _drawn_points(rng, K, H, W)
         return ([logits], lambda n, pred: _pce_value([pred], [ann]), itemgetter(0),
                 lambda preds: [partial_cross_entropy(preds[0], ann)[1]])
 
@@ -395,14 +399,10 @@ def check_end_to_end(kind: str, mode: str, trials: int = 4, seed: int = 0) -> Co
             spec = ModelSpec(kind, K, H, W, image_ids=tuple(ids))
         params = init_params(spec, int(rng.integers(1 << 30)))
         if kind == "logit-field":
-            for name in params.values:
-                params.values[name] += rng.normal(size=params.values[name].shape)
+            for v in params.values.values():
+                v += rng.normal(size=v.shape)
         images = [Image(rng.random((H, W))) for _ in range(batch)]
-        anns = []
-        for _ in range(batch):
-            pixels = rng.choice(H * W, size=K, replace=False)
-            anns.append(PointAnnotation(
-                tuple((int(p // W), int(p % W), k) for k, p in enumerate(pixels)), K))
+        anns = [_drawn_points(rng, K, H, W) for _ in range(batch)]
         plan = PairingPlan({(n, k): (n + 1) % batch for n in range(batch) for k in range(K)})
         settings = replace(OBJECTIVE, mode=mode)
         samples = [Sample(iid, im, annotation=ann) for iid, im, ann in zip(ids, images, anns)]
@@ -418,25 +418,23 @@ def check_end_to_end(kind: str, mode: str, trials: int = 4, seed: int = 0) -> Co
         else:
             unperturbed = [part(cvalues[f"field.{iid}"], im, ann)
                            for iid, im, ann in zip(ids, images, anns)]
+        probes = max(1, COMPLEX_CHUNK_BYTES // (16 * K * H * W))
         for name in sorted(analytic):
-            base = params.values[name]
-            grad = np.zeros(base.size)
-            flat = cvalues[name].reshape(-1)
-            layer = name.split(".")[0]
-            for i in range(base.size):
-                saved = flat[i]
-                flat[i] = saved + 1j * COMPLEX_STEP
+            x, layer = cvalues[name], name.split(".")[0]
+            grad = np.empty(x.shape)
+            for start in range(0, x.size, probes):
+                coords = range(start, min(start + probes, x.size))
+                stack = np.repeat(x[None], len(coords), 0)
+                stack.reshape(len(coords), -1)[range(len(coords)), coords] += 1j * COMPLEX_STEP
                 if kind == "conv-ed":
-                    parts = [part(walk_layers(cvalues, acts, layer)["head"], im, ann)
+                    parts = [part(np.stack([walk_layers({**cvalues, name: w}, acts, layer)["head"]
+                                            for w in stack]), im, ann)
                              for acts, im, ann in zip(unperturbed, images, anns)]
-                else:
-                    # A field parameter reaches its own image alone.
-                    parts = [part(cvalues[name], im, ann) if name == f"field.{iid}"
+                else:  # a field reaches its own image alone
+                    parts = [part(stack, im, ann) if name == f"field.{iid}"
                              else kept for iid, im, ann, kept in zip(ids, images, anns, unperturbed)]
-                value = _objective_value(parts, anns, index, settings)
-                grad[i] = value.imag / COMPLEX_STEP
-                flat[i] = saved
-            yield analytic[name], grad.reshape(base.shape), 0.0
+                grad.flat[coords] = _objective_value(parts, anns, index, settings).imag / COMPLEX_STEP
+            yield analytic[name], grad, 0.0
 
     return _check(f"end_to_end[{kind},{mode}]", trials, seed, draw,
                   key=("end_to_end", kind, mode))

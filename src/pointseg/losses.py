@@ -121,14 +121,14 @@ def _pce_value(preds, anns):
     """partial_cross_entropy's value summed over a batch, unchecked, one value
     per probe of a stacked prediction. Each real probability takes math.log,
     whose last bits history.csv records (np.log's differ for some inputs); a
-    complex one, never stacked, takes np.log, which keeps the imaginary part
-    the complex-step oracle reads."""
+    complex one takes np.log, which keeps the imaginary part the complex-step
+    oracle reads."""
     value = 0.0
     for pred, ann in zip(preds, anns):
         for r, c, k in ann.points:
             p = pred.probabilities[..., k, r, c]
             if np.iscomplexobj(p):
-                value -= np.log(p if p.real > LOG_CLAMP else LOG_CLAMP)
+                value -= np.log(np.where(p.real > LOG_CLAMP, p, LOG_CLAMP))
             else:
                 logs = [math.log(q if q > LOG_CLAMP else LOG_CLAMP) for q in p.reshape(-1).tolist()]
                 value = value - (np.array(logs) if p.ndim else logs[0])

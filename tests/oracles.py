@@ -23,6 +23,10 @@ cached activations must equal bit for bit.
 The copy-per-coordinate central difference is one too: a fresh copy of the
 input per coordinate, moved up by the step and then down by twice it, the
 values finite_diff_grad's stacked probes must equal bit for bit.
+The per-coordinate complex step is one too: it moves one parameter
+coordinate at a time and evaluates every image's part and the objective's
+value unstacked, through the library's own steps, the values the end-to-end
+oracle's stacked chunks must equal bit for bit.
 The pairwise HD95 is one too: it takes every boundary distance as a float
 sqrt of an (n, m, 2) difference tensor, the arithmetic the library's
 nearest-square HD95 must equal exactly.
@@ -48,17 +52,21 @@ import math
 
 import numpy as np
 
-from pointseg.grids import FD_STEP, softmax_backward
+from pointseg.gradcheck import COMPLEX_STEP
+from pointseg.grids import FD_STEP, LogitField, _trusted, softmax, softmax_backward
 from pointseg.losses import (
     COSINE_EPS,
     MEAN_DENOM_EPS,
     TV_SMOOTH_EPS,
     _cv_batch,
+    _cv_index,
+    _objective_part,
+    _objective_value,
     _smooth_tv,
     _variance_rows,
     partial_cross_entropy,
 )
-from pointseg.models import _conv2d, _maxpool2, _relu, _upsample2
+from pointseg.models import _conv2d, _maxpool2, _relu, _upsample2, walk_layers
 from pointseg.seeding import keyed_rng
 
 
@@ -463,3 +471,41 @@ def cx_forward_uncached(values, image):
     a3 = _relu(conv(_maxpool2(a2)[0], "enc3"))
     a4 = _relu(conv(np.concatenate([a2, _upsample2(a3)], axis=0), "dec1"))
     return conv(a4, "head")
+
+
+def complex_step_per_coordinate(params, samples, plan, settings, caches, names):
+    """The end-to-end oracle's gradient of each parameter in `names`, one
+    coordinate at a time: from train.batch_gradients' inputs and caches, each
+    coordinate is moved by 1j * COMPLEX_STEP alone and the objective's value
+    read from every image's unstacked part. A conv-ed step walks every image
+    from the moved layer on; a field step reruns its own image's part."""
+    images = [s.image for s in samples]
+    anns = [s.annotation for s in samples]
+
+    def part(logits, image, ann):
+        return _objective_part(softmax(_trusted(LogitField, logits)), image, ann.classes, settings)
+
+    cvalues = {n: v.astype(complex) for n, v in params.values.items()}
+    index = _cv_index([ann.classes for ann in anns], plan)
+    conv_ed = params.spec.kind == "conv-ed"
+    if conv_ed:
+        unperturbed = [{n: v.astype(complex) for n, v in c.items() if n != "kind"} for c in caches]
+    else:
+        unperturbed = [part(cvalues[f"field.{s.id}"], s.image, s.annotation) for s in samples]
+    grads = []
+    for name in names:
+        grad = np.zeros(params.values[name].size)
+        flat = cvalues[name].reshape(-1)
+        for i in range(grad.size):
+            saved = flat[i]
+            flat[i] = saved + 1j * COMPLEX_STEP
+            if conv_ed:
+                parts = [part(walk_layers(cvalues, acts, name.split(".")[0])["head"], im, ann)
+                         for acts, im, ann in zip(unperturbed, images, anns)]
+            else:
+                parts = [part(cvalues[name], s.image, s.annotation) if name == f"field.{s.id}"
+                         else kept for s, kept in zip(samples, unperturbed)]
+            grad[i] = _objective_value(parts, anns, index, settings).imag / COMPLEX_STEP
+            flat[i] = saved
+        grads.append(grad.reshape(params.values[name].shape))
+    return grads

@@ -318,6 +318,23 @@ def test_save_dataset_removes_supervision_it_does_not_write(tmp_path):
     assert all(s.mask is None and s.annotation is None for s in load_split(root, "train"))
 
 
+def test_save_dataset_removes_the_files_of_ids_it_no_longer_lists(tmp_path):
+    # Saving 4 train images and then 2 into the same root leaves exactly the
+    # second manifest's images and masks; files of other names stay.
+    root = tmp_path / "ds"
+    train, test, _ = synth_generate(small_spec())
+    save_dataset(root, train, test, 3)
+    for keep in ("images/notes.txt", "masks/README"):
+        (root / keep).write_text("kept")
+    fewer, _, _ = synth_generate(small_spec(train_count=2))
+    save_dataset(root, fewer, test, 3)
+    ids = sorted(s.id for s in fewer + test)
+    assert sorted(p.stem for p in (root / "images").glob("*.pgm")) == ids
+    assert sorted(p.stem for p in (root / "masks").glob("*.pgm")) == ids
+    assert (root / "images" / "notes.txt").read_text() == (root / "masks" / "README").read_text() == "kept"
+    assert [s.id for s in load_split(root, "train")] == [s.id for s in fewer]
+
+
 def test_load_dataset_images_without_manifest(tmp_path):
     os.makedirs(tmp_path / "orphan" / "images")
     with pytest.raises(IngestError, match="manifest.json"):

@@ -9,6 +9,7 @@ import pointseg.models
 from pointseg import Image, ModelSpec, Sample, init_params, train
 from pointseg.grids import LogitField, SoftPrediction, _trusted
 from pointseg.losses import (
+    LOG_CLAMP,
     PairingPlan,
     PointAnnotation,
     _cv_index,
@@ -22,7 +23,7 @@ from pointseg.losses import (
 from pointseg.models import _maxpool2, _upsample2, walk_layers
 
 from conftest import blas_core
-from oracles import bit_equal, cv_suite_objective, cx_forward_uncached
+from oracles import bit_equal, complex_step_per_coordinate, cv_suite_objective, cx_forward_uncached
 
 
 def test_component_suites_pass_at_reduced_trials():
@@ -238,6 +239,95 @@ def test_stacked_value_step_equals_its_per_probe_calls(case, seed):
                 assert [float(v).hex() for v in np.ravel(a[p])] == [float(v).hex() for v in np.ravel(b)]
 
 
+def _clamped_pce_step(rng):
+    # A point whose probability's real part is exactly LOG_CLAMP is clamped,
+    # stepped or not: a complex step moves the imaginary part alone.
+    P = _probability_field(rng, 3, 4, 5)
+    P[0, 0, 0], P[1, 2, 3] = 0.0, LOG_CLAMP
+    ann = PointAnnotation(((0, 0, 0), (2, 3, 1), (1, 1, 2)), 3)
+    return P, lambda P: [_pce_value([_trusted(SoftPrediction, P)], [ann])]
+
+
+def _objective_step(mode, rng):
+    # A 3-image, K = 3, 6x6 batch with one point per class and every anchor
+    # paired. Image 1's logits move; the other images' complex parts are
+    # unstacked and broadcast against its stack.
+    K, H, W, batch = 3, 6, 6, 3
+    settings = dataclasses.replace(gc.OBJECTIVE, mode=mode)
+    images = [Image(rng.random((H, W))) for _ in range(batch)]
+    logits = [rng.normal(size=(K, H, W)) for _ in range(batch)]
+    anns = [gc._drawn_points(rng, K, H, W) for _ in range(batch)]
+    index = _cv_index([a.classes for a in anns],
+                      PairingPlan({(n, k): (n + 1) % batch for n in range(batch) for k in range(K)}))
+
+    def part(v, n):
+        return _objective_part(gc.softmax(_trusted(LogitField, v)), images[n], anns[n].classes, settings)
+
+    parts = [part(z.astype(complex), n) for n, z in enumerate(logits)]
+    return logits[1], lambda v: [_objective_value([parts[0], part(v, 1), parts[2]], anns, index, settings)]
+
+
+# The value steps the complex-step oracle evaluates on stacks of complex probes.
+COMPLEX_STEPS = {
+    **{case: STACKED_STEPS[case] for case in ("softmax", "smooth-tv", "ms-value", "variance-rows")},
+    "pce": _clamped_pce_step,
+    **{f"objective[{mode}]": (lambda rng, mode=mode: _objective_step(mode, rng)) for mode in gc.MODES},
+}
+
+
+def _hexes(a):
+    return [(float(v.real).hex(), float(v.imag).hex()) for v in np.ravel(a)]
+
+
+@pytest.mark.parametrize("case", sorted(COMPLEX_STEPS))
+@pytest.mark.parametrize("seed", range(2))
+def test_complex_stacked_value_step_equals_its_per_probe_calls(case, seed):
+    # Stacks as the end-to-end oracle builds them: probe j moves coordinate
+    # j of its chunk by 1j * COMPLEX_STEP, COMPLEX_CHUNK_BYTES of complex
+    # values a stack. Each probe gets the bits of its own call, real and
+    # imaginary parts and signs of zero included.
+    x, step = COMPLEX_STEPS[case](np.random.default_rng(seed))
+    probes = max(1, gc.COMPLEX_CHUNK_BYTES // (16 * x.size))
+    for start in range(0, x.size, probes):
+        coords = range(start, min(start + probes, x.size))
+        stack = np.repeat(x[None].astype(complex), len(coords), 0)
+        stack.reshape(len(coords), -1)[range(len(coords)), coords] += 1j * gc.COMPLEX_STEP
+        got = step(stack)
+        for p, probe in enumerate(stack):
+            for a, b in zip(got, step(probe), strict=True):
+                assert np.asarray(a).dtype == complex
+                assert np.shape(a)[1:] == np.shape(b)
+                assert _hexes(a[p]) == _hexes(b)
+
+
+@pytest.mark.parametrize("kind", gc.KINDS)
+@pytest.mark.parametrize("mode", gc.MODES)
+def test_stacked_complex_steps_equal_the_per_coordinate_oracle(monkeypatch, kind, mode):
+    # Every oracle array check_end_to_end yields equals, bit for bit, the one
+    # oracles.complex_step_per_coordinate, the loop it replaced, computes
+    # from the same trial's inputs and caches.
+    got, want = [], []
+    batch_gradients, check = gc.train.batch_gradients, gc._check
+
+    def recording(params, samples, plan, settings):
+        out = batch_gradients(params, samples, plan, settings)
+        want.extend(complex_step_per_coordinate(params, samples, plan, settings, out[2], sorted(out[1])))
+        return out
+
+    def capturing(name, trials, seed, draw, **kwargs):
+        def recorded(rng, probe):
+            for analytic, oracle, noise in draw(rng, probe):
+                got.append(oracle)
+                yield analytic, oracle, noise
+        return check(name, trials, seed, recorded, **kwargs)
+    monkeypatch.setattr(gc.train, "batch_gradients", recording)
+    monkeypatch.setattr(gc, "_check", capturing)
+    for seed in range(3):
+        assert gc.check_end_to_end(kind, mode, trials=2, seed=seed).passed
+    assert len(got) == len(want) == 3 * 2 * (10 if kind == "conv-ed" else 2)
+    assert all(bit_equal(a, b) for a, b in zip(got, want, strict=True))
+
+
 def test_run_all_draws_each_trial_once_through_the_module_keyed_rng(monkeypatch):
     # The benchmark's gradcheck steps start at each trial's draw: a call of
     # gradcheck.keyed_rng(seed, "gradcheck", *key, trial), looked up through the
@@ -325,18 +415,25 @@ def test_check_cv_objective_is_the_expression_it_replaced(monkeypatch):
 @pytest.mark.parametrize("mode", ["pce", "pce+ms", "pce+cv"])
 def test_logit_field_steps_rerun_only_the_stepped_image(monkeypatch, mode):
     # Each of the 2 * (2 * 8 * 8) = 256 field parameters reaches its own
-    # image alone, so a step reruns one complex softmax, and the unperturbed
-    # images' parts take 2 more. Rerunning both images took 512.
-    calls = []
+    # image alone. Its probes go in chunks of COMPLEX_CHUNK_BYTES of complex
+    # logits, 16 at K = 2 and 8x8, and a chunk reruns one stacked complex
+    # softmax: 16 chunks, and the unperturbed images' parts take 2 more.
+    # One softmax per coordinate took 258; rerunning both images took 512.
+    calls, moved = [], []
     real = gc.softmax
 
     def counting(field):
-        if np.iscomplexobj(field.logits):
-            calls.append(1)
+        z = field.logits
+        if np.iscomplexobj(z):
+            calls.append(z.nbytes)
+            if z.ndim == 4:  # probe j's one moved coordinate
+                moved.extend(int(i) for probe in z for i in np.flatnonzero(probe.imag))
         return real(field)
     monkeypatch.setattr(gc, "softmax", counting)
     assert gc.check_end_to_end("logit-field", mode, trials=1).passed
-    assert len(calls) == 258
+    assert len(calls) == 18
+    assert max(calls) <= gc.COMPLEX_CHUNK_BYTES
+    assert moved == [*range(128), *range(128)]  # field.img0, then field.img1
 
 
 @pytest.mark.parametrize("mode", ["pce", "pce+ms", "pce+cv"])
