@@ -18,7 +18,6 @@ from .grids import (
 from .losses import (
     LossBreakdown,
     LossSettings,
-    PairingPlan,
     PointAnnotation,
     cv_loss,
     ms_data_term,

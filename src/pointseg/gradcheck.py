@@ -45,11 +45,11 @@ import numpy as np
 
 from . import train
 from .data import Sample
-from .grids import FD_STEP, Image, LogitField, _trusted, finite_diff_grad, softmax, softmax_backward
+from .grids import (FD_STEP, PROBE_CHUNK_BYTES, Image, LogitField, _trusted, finite_diff_grad,
+                    softmax, softmax_backward)
 from .losses import (
     MODES,
     LossSettings,
-    PairingPlan,
     PointAnnotation,
     _cv_index,
     _ms_value,
@@ -81,7 +81,6 @@ REL_TOL = 1e-4
 GRAD_FLOOR = 1e-7
 SOFTMAX_FLOOR = 1e-8
 COMPLEX_STEP = 1e-20
-COMPLEX_CHUNK_BYTES = 32 * 1024  # caps each image's stack of complex logits
 EPS64 = float(np.finfo(np.float64).eps)
 OBJECTIVE = LossSettings("pce+cv", lambda_cv=0.3, lambda_ms=0.3, mu=1e-2, tau=0.07)
 
@@ -315,10 +314,8 @@ def check_cv(trials: int = 50, seed: int = 0) -> ComponentReport:
         images = [Image(rng.random((H, W))) for _ in range(batch)]
         logits = [rng.normal(size=(K, H, W)) for _ in range(batch)]
         present = [tuple(range(K))] * batch
-        plan = PairingPlan({
-            (n, k): int(rng.choice([i for i in range(batch) if i != n]))
-            for n in range(batch) for k in range(K)
-        })
+        plan = {(n, k): int(rng.choice([i for i in range(batch) if i != n]))
+                for n in range(batch) for k in range(K)}
 
         index = _cv_index(present, plan)
 
@@ -403,7 +400,7 @@ def check_end_to_end(kind: str, mode: str, trials: int = 4, seed: int = 0) -> Co
                 v += rng.normal(size=v.shape)
         images = [Image(rng.random((H, W))) for _ in range(batch)]
         anns = [_drawn_points(rng, K, H, W) for _ in range(batch)]
-        plan = PairingPlan({(n, k): (n + 1) % batch for n in range(batch) for k in range(K)})
+        plan = {(n, k): (n + 1) % batch for n in range(batch) for k in range(K)}
         settings = replace(OBJECTIVE, mode=mode)
         samples = [Sample(iid, im, annotation=ann) for iid, im, ann in zip(ids, images, anns)]
         _, analytic, caches = train.batch_gradients(params, samples, plan, settings)
@@ -418,7 +415,7 @@ def check_end_to_end(kind: str, mode: str, trials: int = 4, seed: int = 0) -> Co
         else:
             unperturbed = [part(cvalues[f"field.{iid}"], im, ann)
                            for iid, im, ann in zip(ids, images, anns)]
-        probes = max(1, COMPLEX_CHUNK_BYTES // (16 * K * H * W))
+        probes = max(1, PROBE_CHUNK_BYTES // (16 * K * H * W))
         for name in sorted(analytic):
             x, layer = cvalues[name], name.split(".")[0]
             grad = np.empty(x.shape)

@@ -22,7 +22,7 @@ from .errors import InvalidInputError
 
 SIMPLEX_ATOL = 1e-9  # per-pixel probability sums must match 1 this closely
 FD_STEP = 1e-5       # central-difference step of finite_diff_grad
-FD_CHUNK_BYTES = 256 * 1024  # caps each probe stack finite_diff_grad passes its function
+PROBE_CHUNK_BYTES = 32 * 1024  # caps the probe stack a value step gets per call, in both oracles
 
 
 def as_grid(values) -> np.ndarray:
@@ -137,7 +137,7 @@ def finite_diff_grad(f, x: np.ndarray) -> np.ndarray:
     returns their m values. The probes come in pairs, in coordinate order:
     x with x_i moved to x_i + h, then that probe with x_i moved again by -2h,
     i.e. (x_i + h) - 2h. Each call gets as many whole pairs as fit in
-    FD_CHUNK_BYTES (one pair at least). `x` is not modified. This is the
+    PROBE_CHUNK_BYTES (one pair at least). `x` is not modified. This is the
     reference oracle every analytic backward pass in the package is checked
     against; it deliberately knows nothing about the function. A non-finite
     value passes through.
@@ -145,7 +145,7 @@ def finite_diff_grad(f, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     flat = x.reshape(-1)
     grad = np.empty(x.size)
-    pairs = max(1, FD_CHUNK_BYTES // (2 * max(x.nbytes, 1)))
+    pairs = max(1, PROBE_CHUNK_BYTES // (2 * max(x.nbytes, 1)))
     for start in range(0, x.size, pairs):
         coords = np.arange(start, min(start + pairs, x.size))
         rows = np.arange(len(coords))

@@ -70,20 +70,6 @@ class PointAnnotation:
 
 
 @dataclass(frozen=True)
-class PairingPlan:
-    """Positive-partner assignment for contrastive anchors.
-
-    Maps (batch index, class id) to the batch index of another image whose
-    annotation contains the same class. Anchors without an entry are skipped.
-    """
-
-    partners: dict = field(default_factory=dict)
-
-    def items(self):
-        return sorted(self.partners.items())
-
-
-@dataclass(frozen=True)
 class LossBreakdown:
     """Mode-selected objective with its components and per-image logit gradients."""
 
@@ -266,15 +252,15 @@ class ContrastiveVarianceResult:
 
     contrastive: float   # sum of anchor terms, unweighted
     grad_wrt_probs: list  # one (K, H, W) array per image, gradient of lambda_cv * contrastive
-    num_anchors: int
 
 
-def _cv_index(present, plan: PairingPlan):
-    """cv_loss's plan index, None without anchors: the anchors, the (image,
-    class) key of each row of Z, the anchor rows, their positive columns and
-    each anchor's candidate mask (the positive plus every other image's
-    other-class rows). It depends on the present sets and the plan alone."""
-    anchors = plan.items()
+def _cv_index(present, plan):
+    """cv_loss's plan index, None without anchors: the (image, class) key of
+    each row of Z, the anchor rows in sorted key order, their positive columns
+    and each anchor's candidate mask (the positive plus every other image's
+    other-class rows). It depends on the present sets and the plan alone, not
+    on the order the plan's entries were inserted in."""
+    anchors = sorted(plan.items())
     if not anchors:
         return None
     keys = [(n, k) for n, classes in enumerate(present) for k in classes]
@@ -284,7 +270,7 @@ def _cv_index(present, plan: PairingPlan):
     pos = np.array([row[(m, k)] for (_, k), m in anchors])
     mask = (img != img[a_rows, None]) & (cls != cls[a_rows, None])
     mask[np.arange(len(anchors)), pos] = True
-    return anchors, keys, a_rows, pos, mask
+    return keys, a_rows, pos, mask
 
 
 def _cv_batch(Z, index, tau: float):
@@ -299,7 +285,7 @@ def _cv_batch(Z, index, tau: float):
     unstacked Z makes, whatever numpy does with a stacked product. Each
     probe's anchor terms are summed as one contiguous row, the order of the
     unstacked sum; a sum over the strided stack adds them in another order."""
-    _, _, a_rows, pos, mask = index
+    _, a_rows, pos, mask = index
     norms = np.sqrt((Z * Z).sum(axis=-1))
     D = norms[..., :, None] * norms[..., None, :] + COSINE_EPS
     G = np.empty(D.shape, dtype=Z.dtype)
@@ -319,18 +305,28 @@ def _cv_batch(Z, index, tau: float):
     return contrastive, (norms, D, S, e, e_sum)
 
 
-def cv_loss(images, preds, present, plan: PairingPlan, tau: float,
+def cv_loss(images, preds, present, plan: dict, tau: float,
             lambda_cv: float, *, freeze_means: bool = False) -> ContrastiveVarianceResult:
     """Contrastive variance loss over a batch, with full gradients.
 
-    For each anchor (image n, class k) that has a positive partner in `plan`,
-    adds -log(pos / (pos + neg)), where pos compares the anchor's variance map
-    with the partner's same-class map and neg compares it against every other
-    image's maps of other classes (restricted to classes present there). All
-    similarities come from one cosine matrix over the batch's variance maps,
-    as in supervised contrastive learning. Gradients flow through the variance
-    maps, the class means, and the predictions; classes not in `present` get
-    zero gradient. TV is not part of this term: total_loss adds it.
+    `plan` maps (batch index n, class id k) to the batch index of another
+    image where k is present: the anchor (n, k) and its positive partner.
+    Anchors without an entry are skipped. Each anchor adds -log(pos / (pos +
+    neg)), where pos compares the anchor's variance map with the partner's
+    same-class map and neg compares it against every other image's maps of
+    other classes (restricted to classes present there). The anchor terms are
+    summed in sorted key order, so a plan's insertion order never moves a bit.
+    Gradients flow through the variance maps, the class means, and the
+    predictions; classes not in `present` get zero gradient. TV is not part of
+    this term: total_loss adds it.
+
+    These are choices of this code, not a definition taken from the paper:
+    cosine similarity, from one matrix over the batch's variance maps as in
+    supervised contrastive learning, which drops each map's magnitude; the
+    candidate set, the positive plus other images' other-class maps, with the
+    anchor's own image left out; the sum over anchors, not a mean; the
+    temperature, `tau` (0.07 in LossSettings); and `freeze_means`, off by
+    default, which stops the gradient through the class means.
 
     Each image's _variance_rows go straight into its block of the batch
     matrix Z; the backward completes each row's dZ in its loop and pulls it
@@ -357,8 +353,8 @@ def cv_loss(images, preds, present, plan: PairingPlan, tau: float,
     grads = [np.zeros_like(pred.probabilities) for pred in preds]
     index = _cv_index(present, plan)
     if index is None:
-        return ContrastiveVarianceResult(0.0, grads, 0)
-    anchors, keys, a_rows, pos, _ = index
+        return ContrastiveVarianceResult(0.0, grads)
+    keys, a_rows, pos, _ = index
     Z = np.empty((len(keys), shape[0] * shape[1]))
     masses, devs = [], []  # per image; per row of Z
     for image, pred, classes in zip(images, preds, present):
@@ -385,7 +381,7 @@ def cv_loss(images, preds, present, plan: PairingPlan, tau: float,
         grads[n][k] += _variance_map_backward(
             devs[r], preds[n].probabilities[k], masses[n][k], dZ[r].reshape(shape), freeze_means)
         devs[r] = None
-    return ContrastiveVarianceResult(contrastive, grads, len(anchors))
+    return ContrastiveVarianceResult(contrastive, grads)
 
 
 # The values each annotated field type takes; a bool is no number.
@@ -445,7 +441,7 @@ class LossSettings:
         check_domains(self)
 
 
-def total_loss(images, logit_fields, annotations, plan: PairingPlan,
+def total_loss(images, logit_fields, annotations, plan: dict,
                settings: LossSettings) -> LossBreakdown:
     """The objective settings.mode selects over a batch, differentiated to logits.
 

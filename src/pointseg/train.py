@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import augment as augment_sample
-from .errors import InvalidInputError, TrainingDivergenceError
-from .losses import LossSettings, PairingPlan, domain, total_loss
+from .errors import InvalidConfigError, InvalidInputError, TrainingDivergenceError
+from .losses import LossSettings, domain, total_loss
 from .models import (KINDS, DEFAULT_CHANNELS, ModelParams, ModelSpec, _checked_channels,
                      backward_batch, forward, init_params, save_checkpoint)
 from .seeding import keyed_rng
@@ -48,14 +48,20 @@ class TrainConfig(LossSettings):
     model_kind: str = domain("conv-ed", choices=KINDS)
     channels: tuple = domain(DEFAULT_CHANNELS, "[1, inf)")
     central_bias_width: int = domain(0, "[0, inf)")
-    augment: bool = domain(True)
+    augment: bool = domain(None)  # per-kind default: on for conv-ed, off for a logit field
     checkpoint_every: int = domain(0, "[0, inf)")  # 0 writes only the final checkpoint
 
     def __post_init__(self):
+        field_kind = self.model_kind == "logit-field"
         if self.lr0 is None:
             # The transductive field tolerates hot steps; the conv stack
             # needs gentle ones or early momentum kicks kill its ReLUs.
-            object.__setattr__(self, "lr0", 0.05 if self.model_kind == "logit-field" else 0.001)
+            object.__setattr__(self, "lr0", 0.05 if field_kind else 0.001)
+        if self.augment is None:
+            object.__setattr__(self, "augment", not field_kind)
+        elif self.augment is True and field_kind:
+            raise InvalidConfigError("augment must be off for a logit field: "
+                                     "augmentation turns an image, not its field")
         super().__post_init__()
         object.__setattr__(self, "channels", _checked_channels(self.channels))
 
@@ -129,10 +135,10 @@ def assemble_batch(samples, iteration: int, seed: int, batch_size: int):
             candidates = [m for m, other in enumerate(classes) if m != local and k in other]
             if candidates:
                 partners[(local, k)] = candidates[int(pair_rng.integers(len(candidates)))]
-    return batch, PairingPlan(partners)
+    return batch, partners
 
 
-def batch_gradients(params: ModelParams, batch, plan: PairingPlan, settings: LossSettings):
+def batch_gradients(params: ModelParams, batch, plan: dict, settings: LossSettings):
     """One batch's step in three phases: forward each sample, the settings'
     objective over the batch, then `backward_batch`. Returns (LossBreakdown,
     grads, caches), the forward caches for the end-to-end oracle to start from."""

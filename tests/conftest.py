@@ -1,4 +1,5 @@
 import os
+import pathlib
 
 import numpy as np
 import pytest
@@ -17,8 +18,10 @@ settings.register_profile(
 settings.load_profile("ci")
 
 # Acceptance tests record one verdict line each; the terminal summary prints
-# them after the run so they are visible even with output capture on.
+# them after the run so they are visible even with output capture on, then
+# the size of the package, as `cat src/pointseg/*.py | wc -l` counts it.
 _CRITERION_LINES = []
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "pointseg"
 
 
 def record_criterion(number: int, passed: bool, detail: str) -> bool:
@@ -33,6 +36,9 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for _, line in sorted(_CRITERION_LINES):
             terminalreporter.write_line(line)
+    modules = sorted(SRC.glob("*.py"))
+    lines = sum(m.read_bytes().count(b"\n") for m in modules)
+    terminalreporter.write_line(f"src/pointseg: {lines} lines in {len(modules)} modules")
 
 
 @pytest.fixture

@@ -159,7 +159,7 @@ def _cosine(a, b) -> float:
 
 
 def cv_oracle(intensities, probs, present, partners, tau: float):
-    """Contrastive sum and anchor count, evaluated one anchor at a time.
+    """Contrastive sum, evaluated one anchor at a time.
 
     intensities holds one (H, W) array per image, probs one (K, H, W) array,
     present one set of class ids, and partners maps (n, k) to the positive
@@ -185,7 +185,7 @@ def cv_oracle(intensities, probs, present, partners, tau: float):
         top = max(sims)
         log_sum = top / tau + math.log(sum(math.exp((s - top) / tau) for s in sims))
         total += log_sum - positive / tau
-    return total, len(partners)
+    return total
 
 
 def conv2d_per_tap(x, w, b):
@@ -390,7 +390,7 @@ def total_loss_grads_oracle(images, preds, annotations, plan, settings):
     if mode == "pce+cv":
         _, cv_grads = cv_loss_stacked(
             [im.intensities for im in images], [p.probabilities for p in preds],
-            [a.classes for a in annotations], plan.partners, settings.tau, settings.lambda_cv,
+            [a.classes for a in annotations], plan, settings.tau, settings.lambda_cv,
             settings.freeze_means)
     grads = []
     for n, (image, pred, ann) in enumerate(zip(images, preds, annotations)):

@@ -27,7 +27,6 @@ from pointseg import (
     LogitField,
     LossSettings,
     ModelSpec,
-    PairingPlan,
     PointAnnotation,
     SoftPrediction,
     cv_loss,
@@ -150,7 +149,7 @@ def test_criterion_3_hand_values():
     image = Image(np.array([[0.0, 1.0], [0.1, 0.9]]))
     top = np.array([[1.0, 1.0], [0.0, 0.0]])
     pred = SoftPrediction(np.stack([top, 1.0 - top]))
-    plan = PairingPlan({(0, 0): 1, (0, 1): 1, (1, 0): 0, (1, 1): 0})
+    plan = {(0, 0): 1, (0, 1): 1, (1, 0): 0, (1, 1): 0}
     res = cv_loss(
         [image, image], [pred, pred], [(0, 1), (0, 1)], plan,
         tau=1.0, lambda_cv=1.0,
@@ -272,9 +271,7 @@ def _invariance_batch(rng, n=3, num_classes=3, h=16, w=16):
                 num_classes,
             )
         )
-    plan = PairingPlan(
-        {(n_, k): (n_ + 1) % n for n_ in range(n) for k in range(num_classes)}
-    )
+    plan = {(n_, k): (n_ + 1) % n for n_ in range(n) for k in range(num_classes)}
     present = [tuple(range(num_classes))] * n
     return images, logits, anns, present, plan
 
@@ -336,9 +333,7 @@ def test_criterion_6_invariance_suite():
     # batch permutation with the pairing plan carried along
     order = [2, 0, 1]
     inverse = {old: new for new, old in enumerate(order)}
-    p_plan = PairingPlan(
-        {(inverse[n], k): inverse[m] for (n, k), m in plan.partners.items()}
-    )
+    p_plan = {(inverse[n], k): inverse[m] for (n, k), m in plan.items()}
     base_total = total_loss(images, logits, anns, plan, settings).total
     perm_total = total_loss(
         [images[i] for i in order],

@@ -695,6 +695,8 @@ BAD_MODEL_CONFIGS = [
     ("train", ["--channels", "0,1,1,1"], {}, "channels must lie in [1, inf), got 0"),
     ("train", [], {"channels": [2.5, 3, 3, True]}, "channels must be 4 positive integers"),
     ("train", ["--central-bias-width", "-1"], {}, "central_bias_width"),
+    ("train", ["--model-kind", "logit-field", "--augment"], {}, "augment must be off for a logit field"),
+    ("train", [], {"model_kind": "logit-field", "augment": True}, "augment must be off for a logit field"),
     ("sweep", ["--channels", "1,1"], {}, "channels must be 4 positive integers"),
     ("sweep", ["--central-bias-width", "-1"], {}, "central_bias_width"),
 ]
@@ -1047,3 +1049,12 @@ def test_checkpoint_bytes_do_not_depend_on_blas_threads(tmp_path):
 
 def test_version_flag():
     assert main(["--version"]) == 0
+
+
+def test_annotate_on_a_dataset_of_no_samples_exits_2_and_writes_nothing(tmp_path, capsys):
+    root = tmp_path / "data"
+    root.mkdir()
+    (root / "manifest.json").write_text(json.dumps({"K": 2, "H": 2, "W": 2, "train": [], "test": []}))
+    assert main(["annotate", "--data", str(root)]) == 2
+    assert capsys.readouterr().err == f"error: {root}: no dataset found\n"
+    assert [p.name for p in root.iterdir()] == ["manifest.json"]

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -408,3 +409,37 @@ def test_manifest_rejects_malformed_values(tmp_path, key, value):
     _rewrite_json(root / "manifest.json", lambda manifest: dict(manifest, **{key: value}))
     with pytest.raises(IngestError, match="manifest.json"):
         load_manifest(root)
+
+
+def _manifest_only(root):
+    (root / "manifest.json").write_text(json.dumps({"K": 2, "H": 2, "W": 2, "train": [], "test": []}))
+
+
+BAD_DATA_INPUTS = {
+    # case: (set-up of the directory, the call on it, the message)
+    "mask-float": (None, lambda root: LabelMask(np.zeros((2, 2)), 2),
+                   "mask must be a 2-d integer grid"),
+    "mask-1d": (None, lambda root: LabelMask(np.zeros(4, dtype=np.int64), 2),
+                "mask must be a 2-d integer grid"),
+    "sample-mask-shape": (
+        None, lambda root: Sample("s", Image(np.zeros((2, 2))),
+                                  mask=LabelMask(np.zeros((3, 2), dtype=np.int64), 2)),
+        "sample s: mask shape differs from image"),
+    "pgm-1d": (None, lambda root: write_pgm(root / "x.pgm", np.zeros(4, dtype=np.int64)),
+               "PGM payload must be 2-d"),
+    "pgm-out-of-range": (None, lambda root: write_pgm(root / "x.pgm", np.full((2, 2), 256)),
+                         "pixel values exceed [0, 255]"),
+    "save-nothing": (None, lambda root: save_dataset(root / "data", [], [], 2), "nothing to save"),
+    "unknown-split": (_manifest_only, lambda root: load_split(root, "val"), "unknown split 'val'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_DATA_INPUTS))
+def test_bad_data_input_raises_naming_what_is_wrong_and_writes_nothing(tmp_path, case):
+    setup, call, message = BAD_DATA_INPUTS[case]
+    if setup is not None:
+        setup(tmp_path)
+    before = sorted(tmp_path.rglob("*"))
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+        call(tmp_path)
+    assert sorted(tmp_path.rglob("*")) == before

@@ -10,7 +10,6 @@ from pointseg import Image, ModelSpec, Sample, init_params, train
 from pointseg.grids import LogitField, SoftPrediction, _trusted
 from pointseg.losses import (
     LOG_CLAMP,
-    PairingPlan,
     PointAnnotation,
     _cv_index,
     _ms_value,
@@ -156,8 +155,8 @@ def _cv_objective_step(rng):
     images = [Image(rng.random((H, W))) for _ in range(batch)]
     logits = [rng.normal(size=(K, H, W)) for _ in range(batch)]
     present = [tuple(range(K))] * batch
-    plan = PairingPlan({(n, k): int(rng.choice([m for m in range(batch) if m != n]))
-                        for n in range(batch) for k in range(K)})
+    plan = {(n, k): int(rng.choice([m for m in range(batch) if m != n]))
+            for n in range(batch) for k in range(K)}
     index = _cv_index(present, plan)
     parts = [_objective_part(gc.softmax(_trusted(LogitField, z)), im, c, gc.OBJECTIVE)
              for z, im, c in zip(logits, images, present)]
@@ -258,7 +257,7 @@ def _objective_step(mode, rng):
     logits = [rng.normal(size=(K, H, W)) for _ in range(batch)]
     anns = [gc._drawn_points(rng, K, H, W) for _ in range(batch)]
     index = _cv_index([a.classes for a in anns],
-                      PairingPlan({(n, k): (n + 1) % batch for n in range(batch) for k in range(K)}))
+                      {(n, k): (n + 1) % batch for n in range(batch) for k in range(K)})
 
     def part(v, n):
         return _objective_part(gc.softmax(_trusted(LogitField, v)), images[n], anns[n].classes, settings)
@@ -283,11 +282,11 @@ def _hexes(a):
 @pytest.mark.parametrize("seed", range(2))
 def test_complex_stacked_value_step_equals_its_per_probe_calls(case, seed):
     # Stacks as the end-to-end oracle builds them: probe j moves coordinate
-    # j of its chunk by 1j * COMPLEX_STEP, COMPLEX_CHUNK_BYTES of complex
+    # j of its chunk by 1j * COMPLEX_STEP, PROBE_CHUNK_BYTES of complex
     # values a stack. Each probe gets the bits of its own call, real and
     # imaginary parts and signs of zero included.
     x, step = COMPLEX_STEPS[case](np.random.default_rng(seed))
-    probes = max(1, gc.COMPLEX_CHUNK_BYTES // (16 * x.size))
+    probes = max(1, pointseg.grids.PROBE_CHUNK_BYTES // (16 * x.size))
     for start in range(0, x.size, probes):
         coords = range(start, min(start + probes, x.size))
         stack = np.repeat(x[None].astype(complex), len(coords), 0)
@@ -415,7 +414,7 @@ def test_check_cv_objective_is_the_expression_it_replaced(monkeypatch):
 @pytest.mark.parametrize("mode", ["pce", "pce+ms", "pce+cv"])
 def test_logit_field_steps_rerun_only_the_stepped_image(monkeypatch, mode):
     # Each of the 2 * (2 * 8 * 8) = 256 field parameters reaches its own
-    # image alone. Its probes go in chunks of COMPLEX_CHUNK_BYTES of complex
+    # image alone. Its probes go in chunks of PROBE_CHUNK_BYTES of complex
     # logits, 16 at K = 2 and 8x8, and a chunk reruns one stacked complex
     # softmax: 16 chunks, and the unperturbed images' parts take 2 more.
     # One softmax per coordinate took 258; rerunning both images took 512.
@@ -432,7 +431,7 @@ def test_logit_field_steps_rerun_only_the_stepped_image(monkeypatch, mode):
     monkeypatch.setattr(gc, "softmax", counting)
     assert gc.check_end_to_end("logit-field", mode, trials=1).passed
     assert len(calls) == 18
-    assert max(calls) <= gc.COMPLEX_CHUNK_BYTES
+    assert max(calls) <= pointseg.grids.PROBE_CHUNK_BYTES
     assert moved == [*range(128), *range(128)]  # field.img0, then field.img1
 
 
@@ -505,7 +504,7 @@ def test_real_caches_cast_to_complex_walk_like_the_uncached_forward():
         points = tuple((int(p // W), int(p % W), k) for k, p in enumerate(pixels))
         samples.append(Sample(f"img{n}", Image(rng.random((H, W))),
                               annotation=PointAnnotation(points, K)))
-    plan = PairingPlan({(n, k): 1 - n for n in range(2) for k in range(K)})
+    plan = {(n, k): 1 - n for n in range(2) for k in range(K)}
     _, _, caches = train.batch_gradients(params, samples, plan, gc.OBJECTIVE)
     values = {n: v.astype(complex) for n, v in params.values.items()}
     where = f"pinned on SkylakeX; this process runs {blas_core()}"
@@ -601,7 +600,7 @@ def test_complex_step_matches_real_forward(mode):
     # The complex-step oracle must agree with the real-path loss when fed
     # real inputs, otherwise its derivatives verify a different function.
     rng = np.random.default_rng(0)
-    from pointseg.losses import LossSettings, PairingPlan, PointAnnotation, total_loss
+    from pointseg.losses import LossSettings, PointAnnotation, total_loss
 
     K, H, W = 2, 4, 4
     fields = [rng.normal(size=(K, H, W)).astype(complex) for _ in range(2)]
@@ -610,7 +609,7 @@ def test_complex_step_matches_real_forward(mode):
         PointAnnotation(((0, 0, 0), (1, 1, 1)), K),
         PointAnnotation(((2, 2, 0), (3, 3, 1)), K),
     ]
-    plan = PairingPlan({(0, 0): 1, (0, 1): 1, (1, 0): 0, (1, 1): 0})
+    plan = {(0, 0): 1, (0, 1): 1, (1, 0): 0, (1, 1): 0}
     settings = LossSettings(mode, tau=1.0)
     for kind in gc.KINDS:
         if kind == "conv-ed":

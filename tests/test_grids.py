@@ -102,8 +102,8 @@ def test_finite_diff_grad_passes_probe_pairs_in_order_within_the_cap(monkeypatch
     # i = 0, 1, ... in C order across calls. A call takes as many whole pairs
     # as fit in the cap, and one pair when none fits (the last case).
     if cap is not None:
-        monkeypatch.setattr(pointseg.grids, "FD_CHUNK_BYTES", cap)
-    cap = pointseg.grids.FD_CHUNK_BYTES
+        monkeypatch.setattr(pointseg.grids, "PROBE_CHUNK_BYTES", cap)
+    cap = pointseg.grids.PROBE_CHUNK_BYTES
     x = np.random.default_rng(0).normal(size=shape).transpose()
     flat = x.reshape(-1)
     calls = []

@@ -7,7 +7,6 @@ from pointseg import Image, PointAnnotation, SoftPrediction
 from pointseg.grids import LogitField, softmax
 from pointseg.losses import (
     LossSettings,
-    PairingPlan,
     _cv_batch,
     _cv_index,
     _variance_rows,
@@ -36,7 +35,7 @@ def _full_plan(anns):
     for i, ann in enumerate(anns):
         for k in ann.classes:
             partners[(i, k)] = (i + 1) % n
-    return PairingPlan(partners)
+    return partners
 
 
 def _flip(arr):
@@ -139,7 +138,6 @@ def test_contrastive_invariant_to_per_image_intensity_shift(rng):
     assert abs(base.contrastive - shifted.contrastive) <= 1e-9 * max(
         1.0, abs(base.contrastive)
     )
-    assert base.num_anchors == shifted.num_anchors
 
 
 def test_total_loss_invariant_to_batch_permutation(rng):
@@ -147,9 +145,7 @@ def test_total_loss_invariant_to_batch_permutation(rng):
     plan = _full_plan(anns)
     order = [2, 0, 3, 1]
     inverse = {old: new for new, old in enumerate(order)}
-    permuted_plan = PairingPlan({
-        (inverse[n], k): inverse[m] for (n, k), m in plan.items()
-    })
+    permuted_plan = {(inverse[n], k): inverse[m] for (n, k), m in plan.items()}
     for mode in ("pce", "pce+ms", "pce+cv"):
         settings = LossSettings(mode, tau=0.5)
         a = total_loss(images, logits, anns, plan, settings)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from pointseg import (
     InvalidInputError,
     LogitField,
     LossSettings,
-    PairingPlan,
     PointAnnotation,
     SoftPrediction,
     cv_loss,
@@ -275,7 +275,7 @@ def test_cosine_conventions():
     Z = np.zeros((3, 4))
     Z[0, 0] = 0.5
     Z[1, 3] = 0.3
-    S = _cv_batch(Z, _cv_index([(0,), (0,), (0,)], PairingPlan({(0, 0): 1})), tau=1.0)[1][2]
+    S = _cv_batch(Z, _cv_index([(0,), (0,), (0,)], {(0, 0): 1}), tau=1.0)[1][2]
     assert S[0, 0] == pytest.approx(1.0, abs=1e-9)
     assert S[0, 1] == 0.0
     assert S[2, 1] == 0.0
@@ -301,7 +301,7 @@ def test_value_steps_equal_full_values_bit_for_bit(seed):
     # cv_loss sorts and dedupes each present set before its value step runs.
     images = [image, Image(rng.random((H, W)))]
     preds = [pred, softmax(LogitField(3.0 * rng.normal(size=(K, H, W))))]
-    plan = PairingPlan({(0, 0): 1, (0, 2): 1, (1, 2): 0})
+    plan = {(0, 0): 1, (0, 2): 1, (1, 2): 0}
     cv = cv_loss(images, preds, [(2, 0, 0), (1, 2, 0)], plan, 0.07, 0.3)
     assert _cv_steps(images, preds, [(0, 2), (0, 1, 2)], plan, 0.07).hex() == cv.contrastive.hex()
 
@@ -329,7 +329,7 @@ def _orthogonal_batch():
     image = Image(np.array([[0.0, 1.0], [0.1, 0.9]]))
     top = np.array([[1.0, 1.0], [0.0, 0.0]])
     pred = SoftPrediction(np.stack([top, 1.0 - top]))
-    plan = PairingPlan({(0, 0): 1, (0, 1): 1, (1, 0): 0, (1, 1): 0})
+    plan = {(0, 0): 1, (0, 1): 1, (1, 0): 0, (1, 1): 0}
     return [image, image], [pred, pred], [(0, 1), (0, 1)], plan
 
 
@@ -338,14 +338,13 @@ def test_cv_hand_value_four_anchors():
     res = cv_loss(images, preds, present, plan, tau=1.0, lambda_cv=1.0)
     # each anchor: -log(e / (e + 1)); the sum is 4 * ln(1 + 1/e) = 1.25304...
     assert abs(res.contrastive - 4.0 * math.log(1.0 + math.exp(-1.0))) <= 1e-9
-    assert res.num_anchors == 4
+    assert len(plan) == 4
 
 
 def test_cv_empty_plan_contributes_nothing():
     images, preds, present, _ = _orthogonal_batch()
-    res = cv_loss(images, preds, present, PairingPlan({}), tau=0.07, lambda_cv=0.3)
+    res = cv_loss(images, preds, present, {}, tau=0.07, lambda_cv=0.3)
     assert res.contrastive == 0.0
-    assert res.num_anchors == 0
     assert all(not g.any() for g in res.grad_wrt_probs)
 
 
@@ -353,7 +352,7 @@ def test_cv_two_images_one_shared_class_no_negatives():
     rng = np.random.default_rng(5)
     images = [Image(rng.random((3, 3))) for _ in range(2)]
     preds = [softmax(LogitField(rng.normal(size=(2, 3, 3)))) for _ in range(2)]
-    plan = PairingPlan({(0, 1): 1, (1, 1): 0})
+    plan = {(0, 1): 1, (1, 1): 0}
     res = cv_loss(images, preds, [(1,), (1,)], plan, tau=1.0, lambda_cv=1.0)
     assert abs(res.contrastive) <= 1e-9
 
@@ -361,27 +360,27 @@ def test_cv_two_images_one_shared_class_no_negatives():
 def test_cv_plan_validation():
     images, preds, present, _ = _orthogonal_batch()
     with pytest.raises(InvalidInputError):
-        cv_loss(images, preds, present, PairingPlan({(0, 0): 0}), 1.0, 1.0)
+        cv_loss(images, preds, present, {(0, 0): 0}, 1.0, 1.0)
     with pytest.raises(InvalidInputError):
-        cv_loss(images, preds, [(0,), (0,)], PairingPlan({(0, 1): 1}), 1.0, 1.0)
+        cv_loss(images, preds, [(0,), (0,)], {(0, 1): 1}, 1.0, 1.0)
     with pytest.raises(InvalidInputError, match="must align"):
-        cv_loss(images, preds[:1], present, PairingPlan({}), 1.0, 1.0)
+        cv_loss(images, preds[:1], present, {}, 1.0, 1.0)
     wide = softmax(LogitField(np.zeros((2, 2, 3))))
     with pytest.raises(InvalidInputError, match="share one H x W"):
-        cv_loss(images, [preds[0], wide], present, PairingPlan({}), 1.0, 1.0)
+        cv_loss(images, [preds[0], wide], present, {}, 1.0, 1.0)
     with pytest.raises(InvalidInputError, match="present class 2 outside range for image 1"):
-        cv_loss(images, preds, [(0, 1), (0, 2)], PairingPlan({}), 1.0, 1.0)
+        cv_loss(images, preds, [(0, 1), (0, 2)], {}, 1.0, 1.0)
     with pytest.raises(InvalidConfigError):
-        cv_loss(images, preds, present, PairingPlan({}), -1.0, 1.0)
+        cv_loss(images, preds, present, {}, -1.0, 1.0)
     with pytest.raises(InvalidConfigError):
-        cv_loss(images, preds, present, PairingPlan({}), 0.0, 1.0)
+        cv_loss(images, preds, present, {}, 0.0, 1.0)
 
 
 def test_cv_tiny_temperature_stays_finite():
     rng = np.random.default_rng(3)
     images = [Image(rng.random((4, 4))) for _ in range(3)]
     preds = [softmax(LogitField(rng.normal(size=(2, 4, 4)))) for _ in range(3)]
-    plan = PairingPlan({(0, 0): 1, (0, 1): 2, (1, 0): 2, (1, 1): 0, (2, 0): 0, (2, 1): 1})
+    plan = {(0, 0): 1, (0, 1): 2, (1, 0): 2, (1, 1): 0, (2, 0): 0, (2, 1): 1}
     with np.errstate(over="raise", invalid="raise"):
         res = cv_loss(images, preds, [(0, 1)] * 3, plan, 1e-4, 1.0)
     assert math.isfinite(res.contrastive)
@@ -422,33 +421,31 @@ PARTIAL_CV_BATCHES = [
 def test_cv_matches_per_anchor_oracle(seed, present, tau):
     rng, images, preds, partners = _drawn_cv_batch(seed, present)
     K, H, W = preds[0].probabilities.shape
-    res = cv_loss(images, preds, present, PairingPlan(partners), tau, 0.3)
-    value, anchors = cv_oracle([im.intensities for im in images],
-                               [p.probabilities for p in preds], present, partners, tau)
-    assert res.num_anchors == anchors
+    res = cv_loss(images, preds, present, partners, tau, 0.3)
+    value = cv_oracle([im.intensities for im in images],
+                      [p.probabilities for p in preds], present, partners, tau)
     assert res.contrastive == pytest.approx(value, rel=1e-9, abs=1e-9)
     # The value step the finite-difference checks evaluate is cv_loss's own value.
     # It is the batch step over each image's variance rows and the plan's
     # index; with one image moved, the other images' kept rows and the same
     # index give the moved batch's value.
     sorted_present = [tuple(sorted(classes)) for classes in present]
-    index = _cv_index(sorted_present, PairingPlan(partners))
+    index = _cv_index(sorted_present, partners)
     assert (index is None) == (not partners)
     if index is not None:
         parts = [_variance_rows(im, p, c) for im, p, c in zip(images, preds, sorted_present)]
         assert _cv_batch(_stacked(parts), index, tau)[0].hex() == res.contrastive.hex()
         preds[0] = softmax(LogitField(2.0 * rng.normal(size=(K, H, W))))
         parts[0] = _variance_rows(images[0], preds[0], sorted_present[0])
-        moved = cv_loss(images, preds, present, PairingPlan(partners), tau, 0.3).contrastive
-        assert _cv_steps(images, preds, sorted_present, PairingPlan(partners), tau).hex() == moved.hex()
+        moved = cv_loss(images, preds, present, partners, tau, 0.3).contrastive
+        assert _cv_steps(images, preds, sorted_present, partners, tau).hex() == moved.hex()
         assert _cv_batch(_stacked(parts), index, tau)[0].hex() == moved.hex()
 
 
 @pytest.mark.parametrize("batch", PARTIAL_CV_BATCHES, ids=["no-class", "no-negatives", "partial"])
 def test_cv_gradient_matches_finite_differences_on_partial_batches(batch):
     seed, present, tau = batch["seed"], batch["present"], batch["tau"]
-    _, images, preds, partners = _drawn_cv_batch(seed, present)
-    plan = PairingPlan(partners)
+    _, images, preds, plan = _drawn_cv_batch(seed, present)
     res = cv_loss(images, preds, present, plan, tau, 1.0)
     sorted_present = [tuple(sorted(classes)) for classes in present]
     index = _cv_index(sorted_present, plan)
@@ -476,7 +473,7 @@ def test_cv_gradient_matches_finite_differences_on_partial_batches(batch):
 def _assert_cv_equals_stacked_reference(images, preds, present, partners, tau):
     sorted_present = [tuple(sorted(set(classes))) for classes in present]
     for freeze in (False, True):
-        res = cv_loss(images, preds, present, PairingPlan(partners), tau, 0.3, freeze_means=freeze)
+        res = cv_loss(images, preds, present, partners, tau, 0.3, freeze_means=freeze)
         value, grads = cv_loss_stacked([im.intensities for im in images],
                                        [p.probabilities for p in preds], sorted_present,
                                        partners, tau, 0.3, freeze)
@@ -506,6 +503,25 @@ def test_cv_loss_equals_stacked_reference_bit_for_bit_on_flat_and_thin_grids(sha
     _assert_cv_equals_stacked_reference(images, preds, present, partners, 0.07)
 
 
+@pytest.mark.parametrize("seed", [2, 5])
+def test_cv_loss_is_independent_of_the_plans_insertion_order(seed):
+    # Four 3-class images, every anchor paired. Summed in insertion order,
+    # these plans' reversed copies moved the contrastive value's last bit.
+    rng = np.random.default_rng(seed)
+    K, H, W, N = 3, 4, 5, 4
+    images = [Image(rng.random((H, W))) for _ in range(N)]
+    preds = [softmax(LogitField(2.0 * rng.normal(size=(K, H, W)))) for _ in range(N)]
+    plan = {(n, k): int(rng.choice([m for m in range(N) if m != n]))
+            for n in range(N) for k in range(K)}
+    reversed_plan = dict(reversed(plan.items()))
+    assert reversed_plan == plan and list(reversed_plan) != list(plan)
+    present = [tuple(range(K))] * N
+    a = cv_loss(images, preds, present, plan, 0.07, 0.3)
+    b = cv_loss(images, preds, present, reversed_plan, 0.07, 0.3)
+    assert a.contrastive.hex() == b.contrastive.hex()
+    assert all(bit_equal(x, y) for x, y in zip(a.grad_wrt_probs, b.grad_wrt_probs))
+
+
 def test_cv_loss_freeze_means_is_keyword_only():
     # A call written for the older signature passed mu where freeze_means is.
     images, preds, present, plan = _orthogonal_batch()
@@ -517,7 +533,7 @@ def test_cv_freeze_means_changes_gradient_substantially():
     rng = np.random.default_rng(9)
     images = [Image(rng.random((4, 4))) for _ in range(2)]
     preds = [softmax(LogitField(rng.normal(size=(2, 4, 4)))) for _ in range(2)]
-    plan = PairingPlan({(0, 0): 1, (0, 1): 1, (1, 0): 0, (1, 1): 0})
+    plan = {(0, 0): 1, (0, 1): 1, (1, 0): 0, (1, 1): 0}
     full = cv_loss(images, preds, [(0, 1)] * 2, plan, 0.07, 1.0)
     frozen = cv_loss(images, preds, [(0, 1)] * 2, plan, 0.07, 1.0, freeze_means=True)
     diff = max(np.abs(a - b).max() for a, b in zip(full.grad_wrt_probs, frozen.grad_wrt_probs))
@@ -532,7 +548,7 @@ def _random_batch(seed, K=3, H=5, W=4, n=2):
     images = [Image(rng.random((H, W))) for _ in range(n)]
     fields = [LogitField(rng.normal(size=(K, H, W))) for _ in range(n)]
     anns = [PointAnnotation(_distinct_points(rng, K, H, W), K) for _ in range(n)]
-    plan = PairingPlan({(n_, k): 1 - n_ for n_ in range(2) for k in range(K)})
+    plan = {(n_, k): 1 - n_ for n_ in range(2) for k in range(K)}
     return images, fields, anns, plan
 
 
@@ -618,3 +634,25 @@ def test_total_loss_gradient_matches_finite_differences(mode):
 def test_loss_settings_defaults():
     s = LossSettings()
     assert (s.mode, s.lambda_cv, s.lambda_ms, s.mu, s.tau) == ("pce+cv", 0.3, 0.3, 1e-5, 0.07)
+
+
+_HALF = SoftPrediction(np.full((2, 2, 2), 0.5))
+BAD_TERM_INPUTS = {
+    "pce-class-count": (lambda: partial_cross_entropy(_HALF, PointAnnotation(((0, 0, 2),), 3)),
+                        "annotation has 3 classes, prediction has 2"),
+    "pce-pixel-outside": (lambda: partial_cross_entropy(_HALF, PointAnnotation(((2, 0, 1),), 2)),
+                          "annotated pixel (2, 0) outside 2x2 image"),
+    "ms-image-shape": (lambda: ms_data_term(Image(np.zeros((3, 2))), _HALF),
+                       "image shape (3, 2) != prediction shape (2, 2)"),
+    "total-loss-misaligned": (
+        lambda: total_loss([Image(np.zeros((2, 2)))] * 2, [LogitField(np.zeros((2, 2, 2)))],
+                           [PointAnnotation((), 2)] * 2, {}, LossSettings()),
+        "images, logits and annotations must align"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_TERM_INPUTS))
+def test_bad_loss_input_raises_naming_what_is_wrong(case):
+    call, message = BAD_TERM_INPUTS[case]
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+        call()

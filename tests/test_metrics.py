@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -208,3 +209,16 @@ def test_evaluate_applies_bias_filter_before_scoring():
     filtered = evaluate([mask(p)], [mask(g)], central_bias_width=2)
     assert filtered.dsc_average == 1.0
     assert unfiltered.dsc_average < 1.0
+
+
+BAD_METRIC_INPUTS = {
+    "hd95-shapes": (lambda: hd95(mask([[0, 1]]), mask([[0], [1]]), 1),
+                    "prediction and ground truth shapes differ"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_METRIC_INPUTS))
+def test_bad_metric_input_raises_naming_what_is_wrong(case):
+    call, message = BAD_METRIC_INPUTS[case]
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+        call()

@@ -565,3 +565,30 @@ def test_conv_checkpoint_needs_grid_size(tmp_path):
         load_checkpoint(path)
     loaded = load_checkpoint(path, height=8, width=8)
     assert loaded.spec.channels == spec.channels
+
+
+def _tiny_conv_ed():
+    spec = ModelSpec("conv-ed", 2, 4, 4, channels=(2, 2, 3, 2))
+    return init_params(spec, 0), spec
+
+
+BAD_MODEL_INPUTS = {
+    "forward-image-shape": (lambda params, spec: forward(params, spec, Image(np.zeros((6, 4)))),
+                            "image shape (6, 4) does not match spec 4x4"),
+    "backward-foreign-cache": (
+        lambda params, spec: backward(params, spec, {"kind": "logit-field"}, np.zeros((2, 4, 4))),
+        "cache does not come from a matching forward pass"),
+    "backward-no-cache": (lambda params, spec: backward(params, spec, None, np.zeros((2, 4, 4))),
+                          "cache does not come from a matching forward pass"),
+    "backward-gradient-shape": (
+        lambda params, spec: backward(params, spec, forward(params, spec, Image(np.zeros((4, 4))))[1],
+                                      np.zeros((2, 4, 2))),
+        "logit gradient shape (2, 4, 2) does not match spec"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_MODEL_INPUTS))
+def test_bad_model_input_raises_naming_what_is_wrong(case):
+    call, message = BAD_MODEL_INPUTS[case]
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+        call(*_tiny_conv_ed())

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import importlib.util
 import math
+import re
 import weakref
 from collections import Counter
 from pathlib import Path
@@ -157,15 +158,15 @@ def test_assemble_batch_size_one_has_empty_plan():
     for it in range(5):
         batch, plan = assemble_batch(samples, it, seed=3, batch_size=1)
         assert len(batch) == 1
-        assert plan.partners == {}
+        assert plan == {}
 
 
 def test_assemble_batch_forced_mutual_partners():
     samples = tiny_dataset(2)
     batch, plan = assemble_batch(samples, 0, seed=0, batch_size=2)
     for k in (0, 1):
-        assert plan.partners[(0, k)] == 1
-        assert plan.partners[(1, k)] == 0
+        assert plan[(0, k)] == 1
+        assert plan[(1, k)] == 0
 
 
 def test_assemble_batch_deterministic():
@@ -173,7 +174,7 @@ def test_assemble_batch_deterministic():
     a_batch, a_plan = assemble_batch(samples, 4, seed=11, batch_size=3)
     b_batch, b_plan = assemble_batch(samples, 4, seed=11, batch_size=3)
     assert [s.id for s in a_batch] == [s.id for s in b_batch]
-    assert a_plan.partners == b_plan.partners
+    assert a_plan == b_plan
 
 
 def test_assemble_batch_epoch_covers_dataset_without_replacement():
@@ -205,9 +206,9 @@ def test_assemble_batch_absent_when_no_candidate():
                annotation=PointAnnotation(((2, 2, 0),), 2))
     batch, plan = assemble_batch([a, b], 0, seed=0, batch_size=2)
     local = {s.id: i for i, s in enumerate(batch)}
-    assert plan.partners[(local["a"], 0)] == local["b"]
-    assert plan.partners[(local["b"], 0)] == local["a"]
-    assert (local["a"], 1) not in plan.partners
+    assert plan[(local["a"], 0)] == local["b"]
+    assert plan[(local["b"], 0)] == local["a"]
+    assert (local["a"], 1) not in plan
 
 
 @pytest.mark.parametrize("batch_size", [2, 5, 16])
@@ -229,7 +230,7 @@ def test_assemble_batch_matches_oracle(batch_size):
             batch, plan = assemble_batch(samples, it, seed=seed, batch_size=batch_size)
             ids, partners = assemble_batch_oracle(samples, it, seed, batch_size)
             assert [s.id for s in batch] == ids
-            assert plan.partners == partners
+            assert plan == partners
 
 
 def test_assemble_batch_empty_dataset_rejected():
@@ -244,6 +245,17 @@ def test_config_learning_rate_defaults_per_kind():
     assert TrainConfig(model_kind="logit-field").lr0 == 0.05
     assert TrainConfig(model_kind="conv-ed").lr0 == 0.001
     assert TrainConfig(model_kind="conv-ed", lr0=0.2).lr0 == 0.2
+
+
+def test_config_augment_defaults_per_kind_and_a_logit_field_refuses_it():
+    # data.augment turns a sample's image and points, not its logit field, so
+    # an augmented field would be supervised in a frame that moves every step.
+    assert TrainConfig(model_kind="conv-ed").augment is True
+    assert TrainConfig(model_kind="conv-ed", augment=False).augment is False
+    assert TrainConfig(model_kind="logit-field").augment is False
+    assert TrainConfig(model_kind="logit-field", augment=False).augment is False
+    with pytest.raises(InvalidConfigError, match="^augment must be off for a logit field"):
+        TrainConfig(model_kind="logit-field", augment=True)
 
 
 def test_config_rejects_bad_values():
@@ -367,9 +379,9 @@ def test_train_deterministic_across_runs():
 
 @pytest.mark.parametrize("kind", ["conv-ed", "logit-field"])
 def test_train_step_checks_each_image_once(kind, monkeypatch):
-    # Augmented samples, softmax outputs and loss gradients derive from
-    # validated values and skip the grid checks; only the LogitField that
-    # forward builds is checked, once per batch image.
+    # Augmented samples (conv-ed's default), softmax outputs and loss
+    # gradients derive from validated values and skip the grid checks; only
+    # the LogitField that forward builds is checked, once per batch image.
     samples = tiny_dataset(2)
     calls = []
     as_grid = pointseg.grids.as_grid
@@ -381,7 +393,7 @@ def test_train_step_checks_each_image_once(kind, monkeypatch):
     monkeypatch.setattr(pointseg.grids, "as_grid", counting)
     extra = {"channels": (2, 2, 3, 2)} if kind == "conv-ed" else {}
     cfg = TrainConfig(mode="pce+cv", model_kind=kind, total_iterations=1,
-                      batch_size=2, augment=True, seed=0, **extra)
+                      batch_size=2, seed=0, **extra)
     train_loop(samples, cfg)
     assert len(calls) == 2
 
@@ -412,6 +424,27 @@ def test_train_rejects_mixed_shapes():
                  annotation=PointAnnotation(((0, 0, 0), (1, 1, 1)), 2))
     with pytest.raises(InvalidInputError):
         train_loop([a, odd], TrainConfig(total_iterations=1))
+
+
+def _three_class_sample():
+    return Sample("three", Image(np.zeros((8, 8))), annotation=PointAnnotation(((0, 0, 2),), 3))
+
+
+BAD_TRAINING_INPUTS = {
+    "batch-size-zero": (lambda: assemble_batch(tiny_dataset(2), 0, 0, 0),
+                        "batch_size must be at least 1"),
+    "class-counts-differ": (
+        lambda: train_loop(tiny_dataset(1) + [_three_class_sample()],
+                           TrainConfig(model_kind="logit-field", total_iterations=1)),
+        "all annotations must share one class count"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_TRAINING_INPUTS))
+def test_bad_training_input_raises_naming_what_is_wrong(case):
+    call, message = BAD_TRAINING_INPUTS[case]
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_train_overflowing_update_reports_its_iteration(monkeypatch):
@@ -516,34 +549,34 @@ DEFAULT_MODEL_PINS = (
 LOGIT_FIELD_PINS = {
     "pce+cv": (
         [
-            ('0x1.999999999999ap-5', '0x1.a5ddfb8038490p+4', '0x0.0p+0', '0x1.5d1da63e535e2p+7', '0x0.0p+0', '0x1.3aefaf6bd9b12p+6'),
-            ('0x1.b6ff97d080a3ap-6', '0x1.a2b2e9a20908cp+4', '0x0.0p+0', '0x1.d25a92061d45bp+6', '0x1.68aaf3dc643dep+1', '0x1.e92974cdc316fp+5'),
+            ('0x1.999999999999ap-5', '0x1.a5ddfb8038490p+4', '0x0.0p+0', '0x1.d503f777d29c2p+6', '0x0.0p+0', '0x1.ec57c56e674efp+5'),
+            ('0x1.b6ff97d080a3ap-6', '0x1.9931ec4a6d9b4p+4', '0x0.0p+0', '0x1.07fac2c1d7d73p+7', '0x1.8573eb4274453p+1', '0x1.04afc4b3f79dfp+6'),
         ],
         {
-            "field.train000": "48b64abfca8097c8df6c2b5e2d9d2dac58717949ac344ab731f79b7dab153d5a",
-            "field.train001": "2e667e209854c7a20236df7f1010c83f75107f448c49edbe1434f7f98afbea32",
-            "field.train002": "27fc0ba2907f6fb7820dedd17dcd4a293642c724d1bdb759a877a487bb81a60f",
-            "field.train003": "85be441f9daa0025155661c72faeb28e5bee6fe97cdf61798754a706aea65445",
-            "field.train004": "1d5c7330f9140ad24e82a7863af26b8ece765a6cf09cffa037a597f051ffe1f5",
-            "field.train005": "1db1f6cb97dd82ec1c9842d1f649374ffa12e531c4f586bfcf847baa6b920c78",
-            "field.train006": "0fa37dc9d5b736514cd7892c6e8e2b506da0ad63622e6ac48665126e99f20d2b",
-            "field.train007": "5b965ed9d7f02ea9018e1275385d95a42acb588311f81c193074e5a707b3bf4a",
+            "field.train000": "6ce13784f43ede65e1165f6dd7433e8b69204f449c602823bf4bfebcc8384737",
+            "field.train001": "cb5b3a5c960328ce3dee090da8721d72f962015d1e1e7ca7905edda5424ccf89",
+            "field.train002": "e92ed6858e8ad356b8fec07309a83cc18d44a79e481492f8a695377721f46730",
+            "field.train003": "db93ad58797ea01a1acc553ac7cfd0dc38e6f9e82d12d60fdc62ee5e1d210238",
+            "field.train004": "9ecc2aab3a960f920266facf2db518c3387f8b7b9e0e68b55d5a5ad8703bd58a",
+            "field.train005": "f8db9ce819b8bd31b82c299a7ccfc78328ab46329b7e72d6dab53bdc1d426035",
+            "field.train006": "6aeee3ef227e7568bcdbaf3dc30639b06eb3b7a29295d02f070eaa5e01582af8",
+            "field.train007": "8aa42cd3ca2890010c95adca1222d7b579abb59b6e015e307481bbbecff030dc",
         },
     ),
     "pce+ms": (
         [
             ('0x1.999999999999ap-5', '0x1.a5ddfb8038490p+4', '0x1.6dc8306c98c4ep+9', '0x0.0p+0', '0x0.0p+0', '0x1.ebabf98bf18efp+7'),
-            ('0x1.b6ff97d080a3ap-6', '0x1.a2b1a5836019cp+4', '0x1.6dc8306b81b9cp+9', '0x0.0p+0', '0x1.106f8e4e88c60p+1', '0x1.eb467195343afp+7'),
+            ('0x1.b6ff97d080a3ap-6', '0x1.992ca38cd78c0p+4', '0x1.6dc8306a297dfp+9', '0x0.0p+0', '0x1.106f8e4e88c60p+1', '0x1.ea15d154c614bp+7'),
         ],
         {
-            "field.train000": "43d14578020ae06fe813eaa303c4899b5881710659de9d30558661ef370d9021",
-            "field.train001": "a78ff7322860f86dc42a2faeebeb3fdb5024b2c06c7274334d5c35b7bc4534d1",
-            "field.train002": "8195f76ec626133ce89c489a55edaaa60fd57df606d7f51609dbd5daa26d40da",
-            "field.train003": "9734735659f32a03db7ce5f22a3cb51bf178a40058805463523310162cf584c7",
-            "field.train004": "9ecbed45d353b134dc949560003ff6ca9746fc30e2278fc180456819418271a3",
-            "field.train005": "af6b1f6e43d77aba84bd1c184dc96730e24eb46507971047bae3c90cc27d4a1c",
-            "field.train006": "d3de9f7d617b40614d6e606ba63266865811eed0b9132b1352cc8f7a8deb066b",
-            "field.train007": "f7e6b0d6f2628e80318f70fb0ffe3ac50a855c803d47156016d0cc42c2c93da9",
+            "field.train000": "50e2578a631a7efc1c3d6cd0f6739f5f63aa6ebde14281d1e4ca070a9f109ceb",
+            "field.train001": "650287c5db2a38f8ac1327d0dca24875d285256861dd60fdd9a934495767678d",
+            "field.train002": "ed96f5eef64a67171b3ba6a2674f5c6d47dfa2da606e9f6868c5e13cb4ac85e1",
+            "field.train003": "34ee271f7c4a9376c5f3b5b5dbfa134399cb5b810b04c75251551dd88fe194bd",
+            "field.train004": "53f6e26810116245ab1945cf1765211666eef819f67e9c16512229db1992f674",
+            "field.train005": "53a653a5e658f032c1ddd1d76d90dda3c86aba8b160bd9a0e0e0ed51065572be",
+            "field.train006": "bf6464cd5be693f613e037a2e5628d7fbf2f622f027e3e30d911f9daddc94df9",
+            "field.train007": "283b306bded5d64d1e33892370fe1a96ab44b1b17432b6a58a9706e2ae319afb",
         },
     ),
 }
@@ -581,20 +614,19 @@ def test_default_model_bytes_pinned(tmp_path):
 
 
 @pytest.mark.parametrize("mode, digests", [
-    ("pce+cv", ("c6d29f08d9c177ece3208094b576880d5b83a0735320870b9a3c01bf9acfcd6e",
-                "1fea6aa3192c5c3dcabaecc6d7d670449e97c58c82c2951eef3db5af0e1ad77e")),
-    ("pce+ms", ("bbc5de03d70f349c8fadede1e4c2f3bdfd02476a8e627ef1a9c5592ab08e9dcc",
-                "84059e81128a065b253ebc46ca0f165433361bd5805f03960e5cc4692b587e3f")),
+    ("pce+cv", ("1f7db94218c4a550594ff6a81fbae65a44a1ec253b23f08a1dac5f12034aed91",
+                "e051a17743a5bfa674ac042b91f56b5890c372223bef4c0c577e07e5788f0cc3")),
+    ("pce+ms", ("dd53bfe9573e9391da7632c7f7ef06547007463468535adc354bb065d82c5295",
+                "424d5d966878fef8b3a23a921c96985f2cf7d981353e3d4090fe0d01bd0eae2c")),
 ])
 def test_logit_field_bytes_pinned(tmp_path, mode, digests):
-    # A logit field (64x64, batch 8, augmentation on) for two iterations. Its
-    # forward is a copy, so nearly all of its arithmetic is the loss side: a
-    # change to the bits of the ms, cv or TV terms, or to the order their
-    # gradients meet in, moves these. The digests were taken before those
-    # terms wrote their rows and gradients in place.
+    # A logit field (64x64, batch 8, augmentation off by default) for two
+    # iterations. Its forward is a copy, so nearly all of its arithmetic is the
+    # loss side: a change to the bits of the ms, cv or TV terms, or to the
+    # order their gradients meet in, moves these.
     train, _, _ = synth_generate(SynthSpec(train_count=8, test_count=0))
     config = TrainConfig(model_kind="logit-field", mode=mode, total_iterations=2)
-    assert (config.batch_size, config.augment) == (8, True)
+    assert (config.batch_size, config.augment) == (8, False)
     state = train_loop(generate_annotations(train, seed=0), config, checkpoint_dir=tmp_path)
     assert_run_pinned(state, LOGIT_FIELD_PINS[mode])
     assert (hashlib.sha256((tmp_path / "checkpoint_final.bin").read_bytes()).hexdigest(),
