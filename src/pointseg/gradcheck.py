@@ -14,7 +14,8 @@ which the two cannot be told apart. There are two oracles:
   objective's value with no annotated points. A loss term's probes evaluate
   the private value step the full term is built on, so its gradient and cv's
   plan index are built once a trial; the moved input's stacked probes go
-  through softmax and part once a chunk. The conv suites take one at a time.
+  through softmax and part once a chunk. A layer's go through the layer once
+  a chunk, the convolution's too.
 * End-to-end suites differentiate whole model+loss compositions with a
   complex-step oracle: an imaginary perturbation of one parameter propagates
   through the forward training runs (conv-ed's `walk_layers` on complex
@@ -27,8 +28,9 @@ which the two cannot be told apart. There are two oracles:
   A trial forwards once, in `train.batch_gradients`. A tensor's coordinates
   go in chunks, probe j moving coordinate j of its chunk: each image a chunk
   reaches takes one stack of complex logits and one part, the chunk one value.
-  A conv-ed probe at layer L walks each image from L on by itself (a conv's
-  bits depend on its BLAS call shape), from the caches cast to complex once.
+  A conv-ed chunk at layer L walks each image from L on once, its stack in
+  place of the moved tensor, from the caches cast to complex once; each
+  probe's logits are the bits of its own walk.
 
 Every value either oracle differentiates comes from `losses`, the objective's
 from `_objective_part` and `_objective_value`; TV's is the smoothed surrogate
@@ -226,20 +228,6 @@ def _probed(layer, g):
     return lambda inputs: (g * layer(*inputs)).sum(axis=(-3, -2, -1))
 
 
-def _one_probe_at_a_time(objective, drawn):
-    """`objective` lifted to a stack of probes in whichever input is not the
-    drawn array, evaluated one probe at a time. The conv suites take this
-    path: a convolution's bits depend on the shape of its BLAS calls."""
-    def lifted(inputs):
-        moved = [n for n, (x, d) in enumerate(zip(inputs, drawn)) if x is not d]
-        if not moved:
-            return objective(inputs)
-        n, = moved
-        return np.array([objective([*inputs[:n], row, *inputs[n + 1:]]) for row in inputs[n]])
-
-    return lifted
-
-
 def check_softmax(trials: int = 100, seed: int = 0) -> ComponentReport:
     """softmax_backward against finite differences of a fixed linear probe."""
     def draw(rng):
@@ -338,8 +326,7 @@ def check_conv(kernel: int, trials: int = 50, seed: int = 0) -> ComponentReport:
         w = rng.normal(size=(cout, cin, kernel, kernel))
         b = rng.normal(size=(cout,))
         g = probe((cout, H, W))
-        inputs = [x, w, b]
-        return inputs, _one_probe_at_a_time(_probed(_conv2d, g), inputs), _conv2d_backward(x, w, g)
+        return [x, w, b], _probed(_conv2d, g), _conv2d_backward(x, w, g)
 
     return _check(f"conv{kernel}x{kernel}", trials, seed, _differenced(draw))
 
@@ -424,8 +411,7 @@ def check_end_to_end(kind: str, mode: str, trials: int = 4, seed: int = 0) -> Co
                 stack = np.repeat(x[None], len(coords), 0)
                 stack.reshape(len(coords), -1)[range(len(coords)), coords] += 1j * COMPLEX_STEP
                 if kind == "conv-ed":
-                    parts = [part(np.stack([walk_layers({**cvalues, name: w}, acts, layer)["head"]
-                                            for w in stack]), im, ann)
+                    parts = [part(walk_layers({**cvalues, name: stack}, acts, layer)["head"], im, ann)
                              for acts, im, ann in zip(unperturbed, images, anns)]
                 else:  # a field reaches its own image alone
                     parts = [part(stack, im, ann) if name == f"field.{iid}"

@@ -121,24 +121,29 @@ def init_params(spec: ModelSpec, seed: int) -> ModelParams:
 
 
 def _pad_flat(x, ph, pw):
-    """x (C, H, W) zero-padded by (ph, pw) into a flat (C, Hp*Wp + 2*pw) buffer.
+    """x (..., C, H, W) zero-padded by (ph, pw) into a flat (..., C, Hp*Wp + 2*pw)
+    buffer, any leading probe axes kept.
 
     Tap (i, j)'s window is the H*Wp columns from i*Wp + j on, a strided matrix
     BLAS reads with no copy; the 2*pw trailing zeros keep the last in bounds.
     """
-    C, H, W = x.shape
+    *lead, C, H, W = x.shape
     if not (ph or pw):
-        return x.reshape(C, H * W)
+        return x.reshape(*lead, C, H * W)
     Hp, Wp = H + 2 * ph, W + 2 * pw
-    xf = np.zeros((C, Hp * Wp + 2 * pw), dtype=x.dtype)
-    xf[:, : Hp * Wp].reshape(C, Hp, Wp)[:, ph : ph + H, pw : pw + W] = x
+    xf = np.zeros((*lead, C, Hp * Wp + 2 * pw), dtype=x.dtype)
+    xf[..., : Hp * Wp].reshape(*lead, C, Hp, Wp)[..., ph : ph + H, pw : pw + W] = x
     return xf
 
 
 def _conv2d(x, w, b=None):
-    """Zero-padded 2-d convolution, x (Cin, H, W) -> (Cout, H, W); every input
+    """Zero-padded 2-d convolution, x (..., Cin, H, W) -> (..., Cout, H, W); every input
     gradient is one too (see _conv2d_backward), so the narrower side is chosen here.
     Without a bias b the sums start from zeros.
+
+    Leading probe axes on x, w (..., Cout, Cin, kh, kw) and b (..., Cout)
+    broadcast: each probe's slice gets the bits of its own call, since a
+    stacked matmul makes, slice by slice, the BLAS call an unstacked one makes.
 
     The input is padded into one flat buffer, where each tap's window is a
     strided view; output rows are Wp wide until the pad columns are dropped.
@@ -153,32 +158,36 @@ def _conv2d(x, w, b=None):
     bias in row-major tap order: the bits of one tensordot per tap over the
     whole kernel.
     """
-    cout, cin, kh, kw = w.shape
-    H, W = x.shape[1:]
+    cout, cin, kh, kw = w.shape[-4:]
+    H, W = x.shape[-2:]
+    lead = x.shape[:-3]
+    if w.ndim > 4 or b is not None and b.ndim > 1:  # only a stacked w or b needs the broadcast
+        lead = np.broadcast_shapes(lead, w.shape[:-4], np.shape(b)[:-1])
     ph, pw = kh // 2, kw // 2
     Wp = W + 2 * pw
     N = H * Wp
     xf = _pad_flat(x, ph, pw)
-    out = np.empty((cout, N), dtype=x.dtype if b is None else b.dtype)
-    out[:] = 0.0 if b is None else b[:, None]
+    out = np.empty((*lead, cout, N), dtype=x.dtype if b is None else b.dtype)
+    out[:] = 0.0 if b is None else b[..., None]
     taps = [(i, j, i * Wp + j) for i in range(kh) for j in range(kw)]
     if 1 < cout < cin:
-        planes = (w.transpose(2, 3, 0, 1).reshape(-1, cin) @ xf).reshape(kh, kw, cout, -1)
+        planes = w.transpose(*range(w.ndim - 4), -2, -1, -4, -3).reshape(*w.shape[:-4], -1, cin) @ xf
+        planes = planes.reshape(*planes.shape[:-2], kh, kw, cout, -1)
         for i, j, s in taps:
-            out += planes[i, j, :, s : s + N]
+            out += planes[..., i, j, :, s : s + N]
     else:
         # No block holds a lone row unless Cout == 1: matmul sends one row to
         # gemv, whose sums can differ from gemm's in the last bit.
         rows = max(2, TAP_PRODUCT_BYTES // (N * out.itemsize))
         ends = [*range(rows, cout - 1, rows), cout]
         for c0, c1 in zip([0] + ends[:-1], ends):
-            block, wb = out[c0:c1], w[c0:c1]
+            block, wb = out[..., c0:c1, :], w[..., c0:c1, :, :, :]
             for i, j, s in taps:
                 if cin == 1:
-                    block += wb[:, :, i, j] * xf[:, s : s + N]
+                    block += wb[..., i, j] * xf[..., s : s + N]
                 else:
-                    block += wb[:, :, i, j] @ xf[:, s : s + N]
-    return out.reshape(cout, H, Wp)[:, :, :W]
+                    block += wb[..., i, j] @ xf[..., s : s + N]
+    return out.reshape(*lead, cout, H, Wp)[..., :W]
 
 
 def _conv2d_backward(x, w, grad_out, need_input=True):
@@ -290,15 +299,17 @@ def _pool(acts):
 
 
 def _skip_concat(acts, out=None):
-    """enc2 and the upsampled enc3 written into out (C, H, W), any strided view,
-    or into a new buffer, with no temporaries. Nothing keeps it: backward
-    writes it again, straight into dec1's kernel-gradient operand."""
+    """enc2 and the upsampled enc3 written into out (..., C, H, W), any strided
+    view, or into a new buffer with the longer of their leading probe axes
+    (the other is unstacked or the same), with no temporaries. Nothing keeps
+    it: backward writes it again, straight into dec1's kernel-gradient operand."""
     a2, a3 = acts["enc2"], acts["enc3"]
-    c2 = a2.shape[0]
+    c2 = a2.shape[-3]
     if out is None:
-        out = np.empty((c2 + a3.shape[0],) + a2.shape[1:], dtype=np.result_type(a2, a3))
-    out[:c2] = a2
-    _upsample2(a3, out=out[c2:])
+        lead = max(a2.shape[:-3], a3.shape[:-3], key=len)
+        out = np.empty((*lead, c2 + a3.shape[-3], *a2.shape[-2:]), dtype=np.result_type(a2, a3))
+    out[..., :c2, :, :] = a2
+    _upsample2(a3, out=out[..., c2:, :, :])
     return out
 
 
@@ -319,7 +330,9 @@ def walk_layers(values, acts, start="enc1"):
     """Run conv-ed from layer `start` on. acts holds the image ("x") and, for a
     later start, what the layers before it made from these values; the result
     is a copy with the remaining layers added ("head" holds the logits), so one
-    walk's activations serve every walk that starts at a later layer."""
+    walk's activations serve every walk that starts at a later layer. An array
+    of values or acts may carry leading probe axes, (m, *shape): every layer
+    broadcasts them, and each probe's activations are the bits of its own walk."""
     acts = dict(acts)
     names = list(CONV_ED_LAYERS)
     for name in names[names.index(start):]:

@@ -1,4 +1,8 @@
 import dataclasses
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -19,7 +23,7 @@ from pointseg.losses import (
     _smooth_tv,
     _variance_rows,
 )
-from pointseg.models import _maxpool2, _upsample2, walk_layers
+from pointseg.models import CONV_ED_LAYERS, _conv2d, _maxpool2, _upsample2, walk_layers
 
 from conftest import blas_core
 from oracles import bit_equal, complex_step_per_coordinate, cv_suite_objective, cx_forward_uncached
@@ -202,6 +206,65 @@ def _ms_step(rng):
     return _probability_field(rng, 3, 4, 6), step
 
 
+def _conv_case(shape, moved, dtype=float):
+    # A _conv2d instance, shape (Cin, Cout, kernel, H, W), whose `moved`
+    # operands ("x", "w", "b" or several) take the probe stacks, packed end to
+    # end into one vector, so several move together; the rest stay unstacked.
+    cin, cout, k, H, W = shape
+    shapes = {"x": (cin, H, W), "w": (cout, cin, k, k), "b": (cout,)}
+
+    def draw(rng):
+        ops = {n: rng.normal(size=s).astype(dtype) for n, s in shapes.items()}
+
+        def step(v):
+            args, at = dict(ops), 0
+            for n in moved:
+                size = int(np.prod(shapes[n]))
+                args[n] = v[..., at : at + size].reshape(*v.shape[:-1], *shapes[n])
+                at += size
+            return [_conv2d(args["x"], args["w"], args["b"])]
+
+        return np.concatenate([ops[n].ravel() for n in moved]), step
+
+    return draw
+
+
+def _walk_case(name, dtype=float):
+    # conv-ed at the end-to-end suites' size, walked from the layer of `name`
+    # (a weight or a bias), which takes the probe stacks, from one walk's
+    # activations; the step gives each layer's output from there on.
+    layers = list(CONV_ED_LAYERS)
+    start = name.split(".")[0]
+
+    def draw(rng):
+        spec = ModelSpec("conv-ed", 2, 8, 8, channels=(2, 3, 3, 2))
+        values = init_params(spec, int(rng.integers(1 << 30))).values
+        values = {n: (v + 0.1 * rng.normal(size=v.shape)).astype(dtype) for n, v in values.items()}
+        acts = walk_layers(values, {"x": rng.random((1, 8, 8)).astype(dtype)})
+
+        def step(v):
+            walked = walk_layers({**values, name: v}, acts, start)
+            return [walked[n] for n in layers[layers.index(start):]]
+
+        return values[name], step
+
+    return draw
+
+
+# _conv2d's paths: a plane per tap (1 < Cout < Cin, with a 3x3 and a 1x1
+# kernel), channel blocks (Cout >= Cin), a broadcast multiply (Cin = 1) and
+# gemv (Cout = 1). On a 96x121 grid TAP_PRODUCT_BYTES splits 4 output
+# channels into blocks of 2, real or complex; a probe's output is 46k values
+# there, each compared by .hex(), so only the 4 kernel entries move.
+CONV_SHAPES = {"plane": (3, 2, 3, 5, 6), "plane-1x1": (3, 2, 1, 4, 5), "blocks": (2, 3, 3, 4, 6),
+               "cin1": (1, 3, 3, 6, 5), "gemv": (3, 1, 3, 5, 4), "split": (1, 4, 1, 96, 121)}
+CONV_CASES = {f"conv-{shape}[{moved}]": (CONV_SHAPES[shape], moved)
+              for shape in CONV_SHAPES for moved in ("x", "w", "b", "xwb")
+              if shape != "split" or moved == "w"}
+WALK_CASES = [f"{layer}.{p}" for layer in CONV_ED_LAYERS for p in "wb"]
+STACKED_CONVS = [*CONV_CASES, *(f"walk[{name}]" for name in WALK_CASES)]
+
+
 # Each case draws an input and a value step returning a list of arrays, each
 # with the probe axis first when the step is given a stack of probes.
 STACKED_STEPS = {
@@ -214,6 +277,8 @@ STACKED_STEPS = {
     "cv-objective": _cv_objective_step,
     "maxpool": lambda rng: (_signed_zeros(rng, (3, 4, 6)), lambda v: list(_maxpool2(v))),
     "upsample": lambda rng: (_signed_zeros(rng, (3, 3, 2)), lambda v: [_upsample2(v)]),
+    **{case: _conv_case(*args) for case, args in CONV_CASES.items()},
+    **{f"walk[{name}]": _walk_case(name) for name in WALK_CASES},
 }
 
 
@@ -271,6 +336,8 @@ COMPLEX_STEPS = {
     **{case: STACKED_STEPS[case] for case in ("softmax", "smooth-tv", "ms-value", "variance-rows")},
     "pce": _clamped_pce_step,
     **{f"objective[{mode}]": (lambda rng, mode=mode: _objective_step(mode, rng)) for mode in gc.MODES},
+    **{case: _conv_case(*args, complex) for case, args in CONV_CASES.items()},
+    **{f"walk[{name}]": _walk_case(name, complex) for name in WALK_CASES},
 }
 
 
@@ -297,6 +364,27 @@ def test_complex_stacked_value_step_equals_its_per_probe_calls(case, seed):
                 assert np.asarray(a).dtype == complex
                 assert np.shape(a)[1:] == np.shape(b)
                 assert _hexes(a[p]) == _hexes(b)
+
+
+def test_stacked_convolutions_equal_their_per_probe_calls_on_haswell():
+    # A stacked matmul makes each slice's BLAS call, so the conv and walk
+    # cases above should hold on every OpenBLAS kernel. This runs them at seed
+    # 0, real and complex, in one child process on the Haswell kernel (numpy
+    # picks its kernel when it loads).
+    tests = pathlib.Path(__file__).resolve().parent
+    script = (
+        f"import sys; sys.path.insert(0, {str(tests)!r}); import test_gradcheck as t\n"
+        "print(t.blas_core())\n"
+        "for case in t.STACKED_CONVS:\n"
+        "    t.test_stacked_value_step_equals_its_per_probe_calls(case, 0)\n"
+        "    t.test_complex_stacked_value_step_equals_its_per_probe_calls(case, 0)\n"
+        "print(len(t.STACKED_CONVS))\n")
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell", "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": str(tests.parent / "src")}
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                         timeout=120)
+    assert run.returncode == 0, run.stderr[-2000:]
+    assert run.stdout.split() == ["Haswell", str(len(STACKED_CONVS))]
 
 
 @pytest.mark.parametrize("kind", gc.KINDS)
@@ -439,20 +527,26 @@ def test_logit_field_steps_rerun_only_the_stepped_image(monkeypatch, mode):
 def test_complex_step_reruns_only_the_layers_from_the_perturbed_one(monkeypatch, mode):
     # The trial's conv-ed has 277 parameters: enc1 20, enc2 57, enc3 84,
     # dec1 110 and head 6. A step at layer L reruns L and the layers after
-    # it, for both images: 2 * (20*5 + 57*4 + 84*3 + 110*2 + 6*1) = 1612.
+    # it, for both images: 2 * (20*5 + 57*4 + 84*3 + 110*2 + 6*1) = 1612
+    # probe convolutions, each call's count the product of its leading axes.
     # The walks start from the training forward's caches, cast to complex,
     # so the oracle runs no unperturbed pass of its own; rerunning every
     # layer took 2770. The walks are the only convolutions on complex input.
-    calls = []
+    # A chunk of at most 16 probes (PROBE_CHUNK_BYTES of complex logits)
+    # walks each image once: the 10 tensors take 3, 5, 7, 8 and 2 chunks per
+    # layer, so 2 * (3*5 + 5*4 + 7*3 + 8*2 + 2*1) = 148 calls. One walk per
+    # probe made 1612.
+    probes = []
     real = pointseg.models._conv2d
 
-    def counting(x, *args):
+    def counting(x, w, b=None):
         if np.iscomplexobj(x):
-            calls.append(1)
-        return real(x, *args)
+            probes.append(int(np.prod(np.broadcast_shapes(x.shape[:-3], w.shape[:-4], b.shape[:-1]))))
+        return real(x, w, b)
     monkeypatch.setattr(pointseg.models, "_conv2d", counting)
     assert gc.check_end_to_end("conv-ed", mode, trials=1).passed
-    assert len(calls) == 1612
+    assert sum(probes) == 1612
+    assert len(probes) == 148
 
 
 def test_prefix_cached_complex_forward_matches_uncached():
