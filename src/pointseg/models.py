@@ -10,7 +10,9 @@ Two kinds share one interface:
   nearest-neighbor upsample x2 -> channel concat with the pre-pool
   activation -> conv3x3 + ReLU -> conv1x1 to K logits. All 3x3 convolutions
   use zero padding, so the output is exactly (K, H, W). `CONV_ED_LAYERS` holds
-  this wiring; `walk_layers` runs it, on complex values too (gradcheck's oracle).
+  this wiring, input builders beside adjoints, and both directions read it:
+  `walk_layers` forward, on complex values too (gradcheck's oracle), and
+  `backward` in reverse, from enc3's cached pooled input and a rebuilt skip concat.
 
 Checkpoints are a flat binary format: the magic string ``PSCV1``, then for
 each entry a little-endian u32 name length, the UTF-8 name, a u32 rank,
@@ -301,8 +303,7 @@ def _pool(acts):
 def _skip_concat(acts, out=None):
     """enc2 and the upsampled enc3 written into out (..., C, H, W), any strided
     view, or into a new buffer with the longer of their leading probe axes
-    (the other is unstacked or the same), with no temporaries. Nothing keeps
-    it: backward writes it again, straight into dec1's kernel-gradient operand."""
+    (the other is unstacked or the same), with no temporaries."""
     a2, a3 = acts["enc2"], acts["enc3"]
     c2 = a2.shape[-3]
     if out is None:
@@ -313,16 +314,18 @@ def _skip_concat(acts, out=None):
     return out
 
 
-# conv-ed's layers in order, each with its input built from the activations
-# before it ("x" is the image, a layer's name its output after the ReLU).
-# enc3's builder keeps the pooled input and its routing for backward; dec1's
-# skip concat is a copy of enc2 and the upsampled enc3, so backward rebuilds it.
+# conv-ed's layers in order, each as (builder, adjoint): the builder makes its
+# input from the activations before it ("x" is the image, a layer's name its
+# output after the ReLU; enc3's also keeps "pooled" and "idx"), the adjoint
+# takes that input's gradient to their shares.
 CONV_ED_LAYERS = {
-    "enc1": lambda acts: acts["x"],
-    "enc2": lambda acts: acts["enc1"],
-    "enc3": _pool,
-    "dec1": _skip_concat,
-    "head": lambda acts: acts["dec1"],
+    "enc1": (lambda acts: acts["x"], None),
+    "enc2": (lambda acts: acts["enc1"], lambda acts, grad: {"enc1": grad}),
+    "enc3": (_pool, lambda acts, grad: {
+        "enc2": _maxpool2_backward(acts["idx"], grad, acts["enc2"].shape)}),
+    "dec1": (_skip_concat, lambda acts, grad: {  # the concat split at enc2's width
+        "enc2": grad[:len(acts["enc2"])], "enc3": _upsample2_backward(grad[len(acts["enc2"]):])}),
+    "head": (lambda acts: acts["dec1"], lambda acts, grad: {"dec1": grad}),
 }
 
 
@@ -338,7 +341,7 @@ def walk_layers(values, acts, start="enc1"):
     for name in names[names.index(start):]:
         # The pre-activation is replaced, not kept, so it is freed before the
         # next layer allocates.
-        acts[name] = _conv2d(CONV_ED_LAYERS[name](acts), values[f"{name}.w"], values[f"{name}.b"])
+        acts[name] = _conv2d(CONV_ED_LAYERS[name][0](acts), values[f"{name}.w"], values[f"{name}.b"])
         if name != "head":
             acts[name] = _relu(acts[name])
     return acts
@@ -364,7 +367,11 @@ def forward(params: ModelParams, spec: ModelSpec, image: Image, image_id=None):
 
 
 def backward(params: ModelParams, spec: ModelSpec, cache: dict, grad_wrt_logits: np.ndarray) -> dict:
-    """Pull a logit gradient back to parameter gradients for one image."""
+    """Pull a logit gradient back to parameter gradients for one image. conv-ed
+    walks CONV_ED_LAYERS in reverse: each layer's ReLU-masked output gradient
+    through its conv backward, then its input's adjoint (enc2 takes dec1's skip
+    share, then enc3's pool share). Builders make the inputs but two: enc3 reads
+    the cached "pooled", and dec1's skip concat is written into its kernel-gradient operand."""
     if not isinstance(cache, dict) or cache.get("kind") != spec.kind:
         raise InvalidInputError("cache does not come from a matching forward pass")
     g = np.asarray(grad_wrt_logits, dtype=np.float64)
@@ -374,26 +381,18 @@ def backward(params: ModelParams, spec: ModelSpec, cache: dict, grad_wrt_logits:
     if spec.kind == "logit-field":
         return {cache["name"]: g.copy()}
 
-    grads = {}
-
-    def back(name, x, grad_out, need_input=True):
-        """Layer `name`'s input gradient; its kernel and bias gradients go to grads."""
+    inputs = {"enc3": cache["pooled"], "dec1": lambda out: _skip_concat(cache, out)}
+    grads, act_grads = {}, {}  # an activation's gradient is whole once the layers after it ran
+    for name in reversed(CONV_ED_LAYERS):
+        build, adjoint = CONV_ED_LAYERS[name]
+        # No adjoint reaches the head, whose output is the logits, with no ReLU.
+        grad_out = act_grads.pop(name) * (cache[name] > 0) if name in act_grads else g
         grad_x, grads[f"{name}.w"], grads[f"{name}.b"] = _conv2d_backward(
-            x, params.values[f"{name}.w"], grad_out, need_input)
-        return grad_x
-
-    c2 = spec.channels[1]
-    # Masks apply in place (g * mask's -0.0 kept), except on enc2's strided crop.
-    grad_a4 = back("head", cache["dec1"], g)
-    grad_a4 *= cache["dec1"] > 0
-    grad_cat = back("dec1", lambda out: CONV_ED_LAYERS["dec1"](cache, out), grad_a4)
-    grad_a3 = _upsample2_backward(grad_cat[c2:])
-    grad_a3 *= cache["enc3"] > 0
-    grad_pooled = back("enc3", cache["pooled"], grad_a3)
-    grad_a2 = grad_cat[:c2] + _maxpool2_backward(cache["idx"], grad_pooled, cache["enc2"].shape)
-    grad_a2 *= cache["enc2"] > 0
-    grad_a1 = back("enc2", cache["enc1"], grad_a2)
-    back("enc1", cache["x"], grad_a1 * (cache["enc1"] > 0), need_input=False)
+            inputs[name] if name in inputs else build(cache), params.values[f"{name}.w"],
+            grad_out, need_input=adjoint is not None)
+        if adjoint:
+            for act, share in adjoint(cache, grad_x).items():
+                act_grads[act] = act_grads[act] + share if act in act_grads else share
     return grads
 
 

@@ -1,5 +1,8 @@
 import os
+import pathlib
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -31,6 +34,7 @@ from pointseg import (
     softmax,
 )
 from pointseg.models import (
+    CONV_ED_LAYERS,
     DEFAULT_CHANNELS,
     TAP_PRODUCT_BYTES,
     _conv2d,
@@ -381,6 +385,71 @@ def test_conv_ed_bit_identical_to_layer_oracles(spec):
     assert sorted(grads) == sorted(want_grads)
     for name, grad in grads.items():
         assert bit_equal(grad, want_grads[name]), f"{name}: {kernel}"
+
+
+# The default widths, and narrow ones where enc2 and enc3 differ in width, so
+# an adjoint that split dec1's skip concat at enc3's width would fail.
+ADJOINT_SPECS = [ModelSpec("conv-ed", 3, 64, 64),
+                 ModelSpec("conv-ed", 2, 16, 24, channels=(3, 5, 7, 2))]
+
+
+@pytest.mark.parametrize("spec", ADJOINT_SPECS, ids=["default", "3-5-7-2"])
+@pytest.mark.parametrize("layer", list(CONV_ED_LAYERS))
+def test_layer_adjoint_is_the_transpose_of_its_input_builder(layer, spec):
+    # backward pulls each layer's input gradient back through the adjoint
+    # beside the builder that made that input. On small-integer arrays every
+    # sum is exact, so the dot-product identity
+    # <adjoint(acts, g), d> = <g, build(acts + d) - build(acts)> holds exactly.
+    build, adjoint = CONV_ED_LAYERS[layer]
+    if layer == "enc1":
+        assert adjoint is None  # its input is the image: nothing to pull back to
+        return
+    rng = np.random.default_rng(11)
+    H, W = spec.height, spec.width
+    c1, c2, c3, c4 = spec.channels
+    shapes = {"x": (1, H, W), "enc1": (c1, H, W), "enc2": (c2, H, W),
+              "enc3": (c3, H // 2, W // 2), "dec1": (c4, H, W)}
+    acts = {name: rng.integers(-5, 6, size=shape).astype(float) for name, shape in shapes.items()}
+    # One clear maximum per pooling window, so a move d of at most 5 keeps
+    # the routing that enc3's builder records in "idx".
+    tops = rng.integers(0, 4, size=(c2, H // 2, W // 2))
+    for t in range(4):
+        acts["enc2"][:, t // 2 :: 2, t % 2 :: 2] += 100.0 * (tops == t)
+    d = {name: rng.integers(-5, 6, size=a.shape).astype(float) for name, a in acts.items()}
+    at, moved = dict(acts), {name: a + d[name] for name, a in acts.items()}
+    built = build(at)
+    change = build(moved) - built
+    if layer == "enc3":
+        assert np.array_equal(moved["idx"], at["idx"])
+    g = rng.integers(-5, 6, size=built.shape).astype(float)
+    shares = adjoint(at, g)
+    assert shares and set(shares) <= set(shapes)
+    for name, share in shares.items():
+        assert share.shape == shapes[name], name
+    assert sum(np.vdot(share, d[name]) for name, share in shares.items()) == np.vdot(g, change)
+
+
+def test_conv_ed_backward_keeps_its_bits_on_haswell():
+    # The whole-model oracle test (all its specs) and the adjoint test, in one
+    # child process on the Haswell kernel (numpy picks its kernel when it
+    # loads), so the table-driven backward is checked on a second kernel.
+    tests = pathlib.Path(__file__).resolve().parent
+    script = (
+        f"import sys; sys.path.insert(0, {str(tests)!r}); import test_models as t\n"
+        "print(t.blas_core())\n"
+        "[mark] = t.test_conv_ed_bit_identical_to_layer_oracles.pytestmark\n"
+        "for spec in mark.args[1]:\n"
+        "    t.test_conv_ed_bit_identical_to_layer_oracles(spec)\n"
+        "for spec in t.ADJOINT_SPECS:\n"
+        "    for layer in t.CONV_ED_LAYERS:\n"
+        "        t.test_layer_adjoint_is_the_transpose_of_its_input_builder(layer, spec)\n"
+        "print(len(mark.args[1]))\n")
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell", "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": str(tests.parent / "src")}
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                         timeout=120)
+    assert run.returncode == 0, run.stderr[-2000:]
+    assert run.stdout.split() == ["Haswell", "4"]
 
 
 # The complex-step oracle runs these layers on complex128 values.
