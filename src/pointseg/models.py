@@ -12,7 +12,7 @@ Two kinds share one interface:
   use zero padding, so the output is exactly (K, H, W). `CONV_ED_LAYERS` holds
   this wiring, input builders beside adjoints, and both directions read it:
   `walk_layers` forward, on complex values too (gradcheck's oracle), and
-  `backward` in reverse, from enc3's cached pooled input and a rebuilt skip concat.
+  `backward` in reverse; both write dec1's skip concat into its padded operand.
 
 Checkpoints are a flat binary format: the magic string ``PSCV1``, then for
 each entry a little-endian u32 name length, the UTF-8 name, a u32 rank,
@@ -122,9 +122,19 @@ def init_params(spec: ModelSpec, seed: int) -> ModelParams:
     return ModelParams(spec, values, momentum)
 
 
+def _padded(shape, dtype, ph=1, pw=1, xf=None):
+    """The (..., C, H, W) interior of xf, or of a new zeroed buffer, as _pad_flat
+    pads an input of `shape`: an input written there is read in place."""
+    *lead, C, H, W = shape
+    Hp, Wp = H + 2 * ph, W + 2 * pw
+    xf = np.zeros((*lead, C, Hp * Wp + 2 * pw), dtype) if xf is None else xf
+    return xf[..., : Hp * Wp].reshape(*lead, C, Hp, Wp)[..., ph : ph + H, pw : pw + W]
+
+
 def _pad_flat(x, ph, pw):
     """x (..., C, H, W) zero-padded by (ph, pw) into a flat (..., C, Hp*Wp + 2*pw)
-    buffer, any leading probe axes kept.
+    buffer, any leading probe axes kept. An x that is the interior view of
+    such a buffer (from _padded) gives that buffer back, with no copy.
 
     Tap (i, j)'s window is the H*Wp columns from i*Wp + j on, a strided matrix
     BLAS reads with no copy; the 2*pw trailing zeros keep the last in bounds.
@@ -132,10 +142,13 @@ def _pad_flat(x, ph, pw):
     *lead, C, H, W = x.shape
     if not (ph or pw):
         return x.reshape(*lead, C, H * W)
-    Hp, Wp = H + 2 * ph, W + 2 * pw
-    xf = np.zeros((*lead, C, Hp * Wp + 2 * pw), dtype=x.dtype)
-    xf[..., : Hp * Wp].reshape(*lead, C, Hp, Wp)[..., ph : ph + H, pw : pw + W] = x
-    return xf
+    xf = x.base
+    if isinstance(xf, np.ndarray) and xf.shape == (*lead, C, (H + 2 * ph) * (W + 2 * pw) + 2 * pw):
+        inner = _padded(x.shape, x.dtype, ph, pw, xf)
+        if (inner.dtype, inner.strides, inner.ctypes.data) == (x.dtype, x.strides, x.ctypes.data):
+            return xf
+    np.copyto(inner := _padded(x.shape, x.dtype, ph, pw), x)
+    return inner.base
 
 
 def _conv2d(x, w, b=None):
@@ -147,8 +160,9 @@ def _conv2d(x, w, b=None):
     broadcast: each probe's slice gets the bits of its own call, since a
     stacked matmul makes, slice by slice, the BLAS call an unstacked one makes.
 
-    The input is padded into one flat buffer, where each tap's window is a
-    strided view; output rows are Wp wide until the pad columns are dropped.
+    The input is padded into one flat buffer (or read in place, see _padded),
+    where each tap's window is a strided view; output rows are Wp wide until
+    the pad columns are dropped.
     With 1 < Cout < Cin one matmul maps the input to each tap's Cout-channel
     plane and the shifted planes are added (a single output row, stacked,
     would go to gemv). Otherwise the output is built in blocks of channels
@@ -208,18 +222,16 @@ def _conv2d_backward(x, w, grad_out, need_input=True):
 
     With a kernel wider than 1x1, x may also be a function that writes the
     input into the (Cin, H, W) view it is given, the padded copy's interior,
-    so an input built for this call alone needs no buffer of its own.
+    so an input built for this call alone needs no buffer of its own. Each
+    copy is freed once read, before the next allocation.
     """
     cout, cin, kh, kw = w.shape
     H, W = grad_out.shape[1:]
     ph, pw = kh // 2, kw // 2
     if ph or pw:
         xl = np.zeros((H + 2 * ph, W + 2 * pw, cin))
-        inner = xl[ph : ph + H, pw : pw + W].transpose(2, 0, 1)
-        if callable(x):
-            x(inner)
-        else:
-            inner[...] = x
+        write = x if callable(x) else lambda inner: np.copyto(inner, x)
+        write(xl[ph : ph + H, pw : pw + W].transpose(2, 0, 1))
     else:
         xl = x.transpose(1, 2, 0)
     g2 = np.ascontiguousarray(grad_out).reshape(cout, H * W)
@@ -228,6 +240,8 @@ def _conv2d_backward(x, w, grad_out, need_input=True):
         xs = xl[:, j : j + W].copy() if pw else xl
         for i in range(kh):
             grad_w[:, :, i, j] = np.dot(g2, xs[i : i + H].reshape(H * W, cin))
+        del xs  # each column copy is freed before the next is made
+    del xl  # and the padded copy before the input gradient is built
     grad_b = grad_out.sum(axis=(1, 2))
     if not need_input:
         return None, grad_w, grad_b
@@ -241,12 +255,16 @@ def _taps2(x):
     return x[..., 0::2, 0::2], x[..., 0::2, 1::2], x[..., 1::2, 0::2], x[..., 1::2, 1::2]
 
 
-def _relu(z):
-    """max(z, 0) by the real part: np.maximum on float64, but a complex z with
-    real part 0 maps to 0 (np.maximum would keep it), as backward's mask a > 0 does."""
-    if np.iscomplexobj(z):
+def _relu(z, out=None):
+    """max(z, 0) by the real part, written into out (zero-filled, any strided
+    view) when given: np.maximum on float64, but a complex z with real part 0
+    maps to 0 (np.maximum would keep it), as backward's mask a > 0 does."""
+    if not np.iscomplexobj(z):
+        return np.maximum(z, 0.0, out=out)
+    if out is None:
         return np.where(z.real > 0, z, 0)
-    return np.maximum(z, 0.0)
+    np.copyto(out, z, where=z.real > 0)
+    return out
 
 
 def _maxpool2(x):
@@ -302,13 +320,13 @@ def _pool(acts):
 
 def _skip_concat(acts, out=None):
     """enc2 and the upsampled enc3 written into out (..., C, H, W), any strided
-    view, or into a new buffer with the longer of their leading probe axes
-    (the other is unstacked or the same), with no temporaries."""
+    view, with no temporaries; by default into the interior of dec1's padded
+    operand (see _padded), their leading probe axes broadcast."""
     a2, a3 = acts["enc2"], acts["enc3"]
     c2 = a2.shape[-3]
     if out is None:
-        lead = max(a2.shape[:-3], a3.shape[:-3], key=len)
-        out = np.empty((*lead, c2 + a3.shape[-3], *a2.shape[-2:]), dtype=np.result_type(a2, a3))
+        lead = np.broadcast_shapes(a2.shape[:-3], a3.shape[:-3])
+        out = _padded((*lead, c2 + a3.shape[-3], *a2.shape[-2:]), np.result_type(a2, a3))
     out[..., :c2, :, :] = a2
     _upsample2(a3, out=out[..., c2:, :, :])
     return out
@@ -339,11 +357,11 @@ def walk_layers(values, acts, start="enc1"):
     acts = dict(acts)
     names = list(CONV_ED_LAYERS)
     for name in names[names.index(start):]:
-        # The pre-activation is replaced, not kept, so it is freed before the
-        # next layer allocates.
-        acts[name] = _conv2d(CONV_ED_LAYERS[name][0](acts), values[f"{name}.w"], values[f"{name}.b"])
-        if name != "head":
-            acts[name] = _relu(acts[name])
+        # enc1's ReLU writes straight into enc2's padded operand, as dec1's builder
+        # does; the pre-activation is freed before the next layer allocates.
+        z = _conv2d(CONV_ED_LAYERS[name][0](acts), values[f"{name}.w"], values[f"{name}.b"])
+        acts[name] = z if name == "head" else _relu(z, _padded(z.shape, z.dtype) if name == "enc1" else None)
+        del z
     return acts
 
 

@@ -204,10 +204,6 @@ def train_loop(samples, config: TrainConfig, checkpoint_dir=None) -> TrainState:
             with np.errstate(over="raise", invalid="raise"):
                 # The caches are not bound, so they are freed before the next forward.
                 breakdown, grads = batch_gradients(params, batch, plan, config)[:2]
-                if not math.isfinite(breakdown.total):
-                    raise TrainingDivergenceError(
-                        f"non-finite loss at iteration {it} on batch [{ids}]"
-                    )
                 sgd_step(params, grads, lr, config.momentum, config.weight_decay)
         except FloatingPointError as exc:
             raise TrainingDivergenceError(

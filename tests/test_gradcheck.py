@@ -23,7 +23,7 @@ from pointseg.losses import (
     _smooth_tv,
     _variance_rows,
 )
-from pointseg.models import CONV_ED_LAYERS, _conv2d, _maxpool2, _upsample2, walk_layers
+from pointseg.models import CONV_ED_LAYERS, _conv2d, _maxpool2, _skip_concat, _upsample2, walk_layers
 
 from conftest import blas_core
 from oracles import bit_equal, complex_step_per_coordinate, cv_suite_objective, cx_forward_uncached
@@ -251,6 +251,19 @@ def _walk_case(name, dtype=float):
     return draw
 
 
+def _skip_concat_case(moved):
+    # dec1's input from enc2 (1, 3, 4, 6) beside enc3 (3, 2, 2, 3), either
+    # taking the probe stacks: the leading axes broadcast to (3,), after the
+    # probe axis.
+    shapes = {"enc2": (1, 3, 4, 6), "enc3": (3, 2, 2, 3)}
+
+    def draw(rng):
+        acts = {n: rng.normal(size=s) for n, s in shapes.items()}
+        return acts[moved], lambda v: [_skip_concat({**acts, moved: v})]
+
+    return draw
+
+
 # _conv2d's paths: a plane per tap (1 < Cout < Cin, with a 3x3 and a 1x1
 # kernel), channel blocks (Cout >= Cin), a broadcast multiply (Cin = 1) and
 # gemv (Cout = 1). On a 96x121 grid TAP_PRODUCT_BYTES splits 4 output
@@ -279,6 +292,7 @@ STACKED_STEPS = {
     "upsample": lambda rng: (_signed_zeros(rng, (3, 3, 2)), lambda v: [_upsample2(v)]),
     **{case: _conv_case(*args) for case, args in CONV_CASES.items()},
     **{f"walk[{name}]": _walk_case(name) for name in WALK_CASES},
+    **{f"skip-concat[{moved}]": _skip_concat_case(moved) for moved in ("enc2", "enc3")},
 }
 
 

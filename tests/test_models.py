@@ -41,6 +41,8 @@ from pointseg.models import (
     _conv2d_backward,
     _maxpool2,
     _maxpool2_backward,
+    _pad_flat,
+    _padded,
     _relu,
     _upsample2,
     _upsample2_backward,
@@ -147,6 +149,40 @@ def test_default_conv_ed_cache_holds_each_array_once():
     assert set(cache) == {"kind", "x", "enc1", "enc2", "pooled", "idx", "enc3", "dec1"}
     assert cache["idx"].dtype == np.uint8
     assert sum(v.nbytes for v in cache.values() if isinstance(v, np.ndarray)) == 2_015_232
+
+
+def test_default_conv_ed_forward_pads_only_the_image_and_the_pooled_enc2(monkeypatch):
+    # enc1's ReLU output and dec1's skip concat are written straight into the
+    # padded operands that enc2's and dec1's convolutions read, and the head's
+    # 1x1 kernel reads dec1's output as it is: only two inputs are copied.
+    import pointseg.models
+    real, copied = pointseg.models._pad_flat, []
+
+    def counting(x, ph, pw):
+        xf = real(x, ph, pw)
+        if not np.shares_memory(xf, x):
+            copied.append(x.shape)
+        return xf
+    monkeypatch.setattr(pointseg.models, "_pad_flat", counting)
+    spec = ModelSpec("conv-ed", 3, 64, 64)
+    forward(init_params(spec, 1), spec, Image(np.random.default_rng(0).random((64, 64))))
+    assert copied == [(1, 64, 64), (16, 32, 32)]
+
+
+def test_pad_flat_reads_a_padded_interior_in_place():
+    # Only the exact interior view of a buffer with the same padding is read
+    # in place; any other view is copied, with the same padded values.
+    rng = np.random.default_rng(3)
+    inner = _padded((2, 3, 5, 4), complex)
+    inner[...] = rng.normal(size=inner.shape) + 1j * rng.normal(size=inner.shape)
+    assert _pad_flat(inner, 1, 1) is inner.base
+    corner = inner.base[..., : 7 * 6].reshape(2, 3, 7, 6)[..., :5, :4]  # same strides, no pad above
+    on_bytes = np.frombuffer(inner.real.tobytes(), dtype=float).reshape(inner.shape)  # base: bytes
+    for other, pad in [(inner, (2, 1)), (inner, (1, 2)), (inner.real, (1, 1)), (inner.imag, (1, 1)),
+                       (corner, (1, 1)), (inner[:1], (1, 1)), (on_bytes, (1, 1))]:
+        got = _pad_flat(other, *pad)
+        assert not np.shares_memory(got, other)
+        assert np.array_equal(got, _pad_flat(other.copy(), *pad))
 
 
 # (cout, cin, kernel): both sides of the cout < cin branch, cout == cin,
