@@ -93,13 +93,10 @@ def _from_json(cls, raw: dict, overrides: dict, what: str, path=None):
     if unknown:
         raise InvalidConfigError(f"{where}unknown {what} keys: {', '.join(unknown)}")
     try:
-        return build({**raw, **overrides})
-    except InvalidConfigError:
-        try:
-            build({key: value for key, value in raw.items() if key not in overrides})
-        except InvalidConfigError as exc:
-            raise InvalidConfigError(f"{where}{exc}") from exc
-        raise
+        build({key: value for key, value in raw.items() if key not in overrides})
+    except InvalidConfigError as exc:
+        raise InvalidConfigError(f"{where}{exc}") from exc
+    return build({**raw, **overrides})
 
 
 def _resolve_train_config(args) -> TrainConfig:

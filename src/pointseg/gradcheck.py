@@ -11,7 +11,7 @@ which the two cannot be told apart. There are two oracles:
   through the softmax chain (itself checked on its own), so perturbed
   inputs never leave the simplex; layers are weighted by a random probe of
   their output. The contrastive suite checks cv_loss with smoothed TV, the
-  objective's value with no annotated points. A loss term's probes evaluate
+  objective with no annotated points. A loss term's probes evaluate
   the private value step the full term is built on, so its gradient and cv's
   plan index are built once a trial; the moved input's stacked probes go
   through softmax and part once a chunk. A layer's go through the layer once
@@ -33,8 +33,8 @@ which the two cannot be told apart. There are two oracles:
   probe's logits are the bits of its own walk.
 
 Every value either oracle differentiates comes from `losses`, the objective's
-from `_objective_part` and `_objective_value`; TV's is the smoothed surrogate
-`_smooth_tv`, whose exact derivative tv_term returns.
+from `_objective_part` and `_objective_value` and its gradient from `_objective_grads`;
+TV's is the smoothed surrogate `_smooth_tv`, whose exact derivative tv_term returns.
 """
 
 from __future__ import annotations
@@ -55,11 +55,11 @@ from .losses import (
     PointAnnotation,
     _cv_index,
     _ms_value,
+    _objective_grads,
     _objective_part,
     _objective_value,
     _pce_value,
     _smooth_tv,
-    cv_loss,
     ms_data_term,
     partial_cross_entropy,
     tv_term,
@@ -306,14 +306,10 @@ def check_cv(trials: int = 50, seed: int = 0) -> ComponentReport:
                 for n in range(batch) for k in range(K)}
 
         index = _cv_index(present, plan)
-
-        def grads(preds):
-            cv = cv_loss(images, preds, present, plan, OBJECTIVE.tau, OBJECTIVE.lambda_cv)
-            return [OBJECTIVE.mu * tv_term(pred)[1] + cv_grad
-                    for pred, cv_grad in zip(preds, cv.grad_wrt_probs)]
-
+        unannotated = [PointAnnotation((), K)] * batch
         return (logits, lambda n, pred: _objective_part(pred, images[n], present[n], OBJECTIVE),
-                lambda parts: _objective_value(parts, (), index, OBJECTIVE), grads)
+                lambda parts: _objective_value(parts, (), index, OBJECTIVE),
+                lambda preds: _objective_grads(images, preds, unannotated, present, plan, OBJECTIVE)[-1])
 
     return _check("cv_loss", trials, seed, _through_softmax(draw))
 

@@ -125,7 +125,7 @@ def softmax_backward(pred: SoftPrediction, grad_wrt_probs: np.ndarray) -> np.nda
     p = pred.probabilities
     if g.shape != p.shape:
         raise InvalidInputError(f"gradient shape {g.shape} != probabilities shape {p.shape}")
-    inner = (g * p).sum(axis=0, keepdims=True)
+    inner = (g * p).sum(axis=-3, keepdims=True)
     return p * (g - inner)
 
 

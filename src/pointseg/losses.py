@@ -12,11 +12,11 @@ back through :func:`pointseg.grids.softmax_backward` into logits. The terms:
   from different images together and pushing different-class maps apart,
   with temperature-scaled cosine similarities.
 
-:func:`total_loss` composes them in the mode a :class:`LossSettings` names:
-partial cross-entropy, plus either the data term or the contrastive term, plus
-TV as a regularizer in both of those modes. LossSettings is the one validated
-description of that objective; the training config extends it. Each config
-field declares its domain with `domain`, which `check_domains` enforces.
+:func:`total_loss` composes them, in its step `_objective_grads`, in the mode
+a :class:`LossSettings` names: partial cross-entropy, plus either the data term
+or the contrastive term, plus TV as a regularizer in both. LossSettings is the
+one validated description of that objective; the training config extends it.
+Each config field declares its domain with `domain`, which `check_domains` enforces.
 
 Integrals over the pixel domain are discretized as plain sums, unnormalized
 by pixel count, so loss weights are calibrated to a fixed resolution.
@@ -447,14 +447,24 @@ def total_loss(images, logit_fields, annotations, plan: dict,
 
     Modes: "pce" is the supervised term alone; "pce+ms" adds the weighted
     piecewise-constant data term and "pce+cv" the weighted contrastive-variance
-    term, each with mu times the TV of every prediction. This is the one place
-    TV joins the objective. Components a mode does not use are reported as 0.
+    term, each with mu times the TV of every prediction, which joins the objective
+    only in _objective_grads. Components a mode does not use are reported as 0.
     """
     n_images = len(images)
     if len(logit_fields) != n_images or len(annotations) != n_images:
         raise InvalidInputError("images, logits and annotations must align")
 
     preds = [softmax(lf) for lf in logit_fields]
+    *values, grads_probs = _objective_grads(
+        images, preds, annotations, [ann.classes for ann in annotations], plan, settings)
+    grad_logits = [softmax_backward(pred, g) for pred, g in zip(preds, grads_probs)]
+    return LossBreakdown(*values, grad_logits)
+
+
+def _objective_grads(images, preds, annotations, present, plan: dict, settings: LossSettings):
+    """total_loss's components, total and gradients w.r.t. each image's
+    probabilities, cv taking the classes in `present`: the objective's one
+    composition, which the contrastive suite runs with no annotated points."""
     pce_sum = 0.0
     grads_probs = []
     for pred, ann in zip(preds, annotations):
@@ -474,8 +484,8 @@ def total_loss(images, logit_fields, annotations, plan: dict,
                 term_grads.append(ms_grad)
             term = settings.lambda_ms * ms_sum
         else:
-            cv = cv_loss(images, preds, [ann.classes for ann in annotations], plan,
-                         settings.tau, settings.lambda_cv, freeze_means=settings.freeze_means)
+            cv = cv_loss(images, preds, present, plan, settings.tau, settings.lambda_cv,
+                         freeze_means=settings.freeze_means)
             cv_sum = cv.contrastive
             term_grads = cv.grad_wrt_probs
             term = settings.lambda_cv * cv_sum
@@ -489,9 +499,7 @@ def total_loss(images, logit_fields, annotations, plan: dict,
             grad += grads_probs[n]
             grads_probs[n] = grad
         total = pce_sum + term + settings.mu * tv_sum
-
-    grad_logits = [softmax_backward(pred, g) for pred, g in zip(preds, grads_probs)]
-    return LossBreakdown(pce_sum, ms_sum, cv_sum, tv_sum, total, grad_logits)
+    return pce_sum, ms_sum, cv_sum, tv_sum, total, grads_probs
 
 
 def _objective_part(pred: SoftPrediction, image: Image, classes, settings: LossSettings):

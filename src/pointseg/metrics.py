@@ -33,12 +33,16 @@ def hard_mask(pred: SoftPrediction) -> LabelMask:
     return LabelMask(np.argmax(pred.probabilities, axis=0), pred.num_classes)
 
 
-def dsc(pred_mask: LabelMask, gt: LabelMask, k: int) -> float:
-    """Dice similarity of class-k regions; empty-vs-empty scores 1.0."""
+def _class_regions(pred_mask: LabelMask, gt: LabelMask, k: int):
+    """The class-k regions of a prediction and its ground truth, of one shape."""
     if pred_mask.classes.shape != gt.classes.shape:
         raise InvalidInputError("prediction and ground truth shapes differ")
-    p = pred_mask.classes == k
-    g = gt.classes == k
+    return pred_mask.classes == k, gt.classes == k
+
+
+def dsc(pred_mask: LabelMask, gt: LabelMask, k: int) -> float:
+    """Dice similarity of class-k regions; empty-vs-empty scores 1.0."""
+    p, g = _class_regions(pred_mask, gt, k)
     denom = int(p.sum()) + int(g.sum())
     if denom == 0:
         return 1.0
@@ -56,10 +60,7 @@ def _boundary(region: np.ndarray) -> np.ndarray:
 
 def hd95(pred_mask: LabelMask, gt: LabelMask, k: int) -> float:
     """95th percentile of pooled symmetric boundary distances, in pixels."""
-    if pred_mask.classes.shape != gt.classes.shape:
-        raise InvalidInputError("prediction and ground truth shapes differ")
-    p = pred_mask.classes == k
-    g = gt.classes == k
+    p, g = _class_regions(pred_mask, gt, k)
     H, W = p.shape
     if not p.any() and not g.any():
         return 0.0

@@ -256,15 +256,12 @@ def _taps2(x):
 
 
 def _relu(z, out=None):
-    """max(z, 0) by the real part, written into out (zero-filled, any strided
-    view) when given: np.maximum on float64, but a complex z with real part 0
-    maps to 0 (np.maximum would keep it), as backward's mask a > 0 does."""
-    if not np.iscomplexobj(z):
-        return np.maximum(z, 0.0, out=out)
-    if out is None:
+    """max(z, 0) by the real part: np.maximum on float64, into out (any strided
+    view) when given; a complex z takes no out, and real part 0 maps to 0
+    (np.maximum would keep it), as backward's mask a > 0 does."""
+    if np.iscomplexobj(z):
         return np.where(z.real > 0, z, 0)
-    np.copyto(out, z, where=z.real > 0)
-    return out
+    return np.maximum(z, 0.0, out=out)
 
 
 def _maxpool2(x):
@@ -304,7 +301,7 @@ def _upsample2_backward(grad_out):
     # zero start is the +0.0 added last: a zero sum is never -0.0.
     g00, g01, g10, g11 = _taps2(grad_out)
     out = g00 + g01
-    if grad_out.shape[2] == 2:
+    if grad_out.shape[-1] == 2:
         out += g10
         out += g11
     else:
@@ -357,10 +354,11 @@ def walk_layers(values, acts, start="enc1"):
     acts = dict(acts)
     names = list(CONV_ED_LAYERS)
     for name in names[names.index(start):]:
-        # enc1's ReLU writes straight into enc2's padded operand, as dec1's builder
-        # does; the pre-activation is freed before the next layer allocates.
+        # A real walk writes enc1's ReLU into enc2's padded operand, as dec1's builder
+        # does, a complex one a new array; z is freed before the next layer allocates.
         z = _conv2d(CONV_ED_LAYERS[name][0](acts), values[f"{name}.w"], values[f"{name}.b"])
-        acts[name] = z if name == "head" else _relu(z, _padded(z.shape, z.dtype) if name == "enc1" else None)
+        into = name == "enc1" and not np.iscomplexobj(z)
+        acts[name] = z if name == "head" else _relu(z, _padded(z.shape, z.dtype) if into else None)
         del z
     return acts
 

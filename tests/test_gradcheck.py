@@ -9,6 +9,7 @@ import pytest
 
 import pointseg.gradcheck as gc
 import pointseg.grids
+import pointseg.losses
 import pointseg.models
 from pointseg import Image, ModelSpec, Sample, init_params, train
 from pointseg.grids import LogitField, SoftPrediction, _trusted
@@ -23,7 +24,8 @@ from pointseg.losses import (
     _smooth_tv,
     _variance_rows,
 )
-from pointseg.models import CONV_ED_LAYERS, _conv2d, _maxpool2, _skip_concat, _upsample2, walk_layers
+from pointseg.models import (CONV_ED_LAYERS, _conv2d, _maxpool2, _skip_concat, _upsample2,
+                             _upsample2_backward, walk_layers)
 
 from conftest import blas_core
 from oracles import bit_equal, complex_step_per_coordinate, cv_suite_objective, cx_forward_uncached
@@ -104,15 +106,30 @@ def test_detects_a_corrupted_gradient(monkeypatch):
 def test_detects_a_corrupted_cv_gradient(monkeypatch):
     # The finite differences evaluate cv's value step, so a gradient that
     # cv_loss alone gets wrong must still show.
-    real = gc.cv_loss
+    real = pointseg.losses.cv_loss
 
     def broken(*args, **kwargs):
         res = real(*args, **kwargs)
         return dataclasses.replace(res, grad_wrt_probs=[g * 1.01 for g in res.grad_wrt_probs])
-    monkeypatch.setattr(gc, "cv_loss", broken)
+    monkeypatch.setattr(pointseg.losses, "cv_loss", broken)
     report = gc.check_cv(trials=3, seed=0)
     assert not report.passed
     assert report.worst_rel_err > 1e-3
+
+
+def test_check_cv_takes_tv_from_the_objective_step(monkeypatch):
+    # The contrastive suite's analytic side is total_loss's step, so a TV
+    # gradient that step gets wrong fails it; check_tv holds its own tv_term.
+    real = pointseg.losses.tv_term
+
+    def broken(pred):
+        value, grad = real(pred)
+        return value, grad * 1.01
+    monkeypatch.setattr(pointseg.losses, "tv_term", broken)
+    report = gc.check_cv(trials=3, seed=0)
+    assert not report.passed
+    assert report.worst_rel_err > 1e-3
+    assert gc.check_tv(trials=3, seed=0).passed
 
 
 @pytest.mark.parametrize("kind", ["conv-ed", "logit-field"])
@@ -278,11 +295,27 @@ WALK_CASES = [f"{layer}.{p}" for layer in CONV_ED_LAYERS for p in "wb"]
 STACKED_CONVS = [*CONV_CASES, *(f"walk[{name}]" for name in WALK_CASES)]
 
 
-# Each case draws an input and a value step returning a list of arrays, each
-# with the probe axis first when the step is given a stack of probes.
+def _softmax_backward_step(rng):
+    # The logits move; a fixed probability-space gradient meets each probe.
+    g = rng.normal(size=(3, 5, 6))
+    return rng.normal(size=(3, 5, 6)), lambda v: [
+        gc.softmax_backward(gc.softmax(_trusted(LogitField, v)), np.broadcast_to(g, v.shape))]
+
+
+def _upsample_backward_case(h, w):
+    # A (2, h, w) output gradient: a stack of them is (m, 2, h, w), whose
+    # third axis is a probe's height, not its width.
+    return lambda rng: (_signed_zeros(rng, (2, h, w)), lambda v: [_upsample2_backward(v)])
+
+
+# Each case draws an input and a step returning a list of arrays, each with
+# the probe axis first when the step is given a stack of probes. The backward
+# steps count their axes from the back: a stack's height is not a probe's width.
 STACKED_STEPS = {
     "softmax": lambda rng: (rng.normal(size=(4, 3, 5)),
                             lambda v: [gc.softmax(_trusted(LogitField, v)).probabilities]),
+    "softmax-backward": _softmax_backward_step,
+    **{f"upsample-backward[{h}x{w}]": _upsample_backward_case(h, w) for h, w in ((2, 6), (4, 2))},
     "pce": _pce_step,
     "smooth-tv": lambda rng: (_probability_field(rng, 3, 5, 4), lambda P: [_smooth_tv(P)]),
     "ms-value": _ms_step,
@@ -447,12 +480,12 @@ def test_run_all_draws_each_trial_once_through_the_module_keyed_rng(monkeypatch)
 
 def test_check_cv_calls_the_full_cv_loss_once_per_trial(monkeypatch):
     calls = []
-    real = gc.cv_loss
+    real = pointseg.losses.cv_loss
 
     def counting(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
-    monkeypatch.setattr(gc, "cv_loss", counting)
+    monkeypatch.setattr(pointseg.losses, "cv_loss", counting)
     assert gc.check_cv(trials=2, seed=0).passed
     assert len(calls) == 2
 
@@ -466,7 +499,6 @@ def test_check_cv_probes_recompute_only_the_moved_image(monkeypatch):
     # side 2 more. The plan index is built once a trial by the suite and once
     # by cv_loss. One probe at a time made 196 _smooth_tv and 200 _mean_stats
     # calls; recomputing every image per probe made 388 and 392.
-    import pointseg.losses
     calls = {"tv": 0, "stacked tv": 0, "stats": 0, "stacked stats": 0, "index": 0}
 
     def counting(key, real):
@@ -662,7 +694,6 @@ def test_non_finite_objective_value_fails_its_suites(monkeypatch):
     # A NaN value on the real (finite-difference) path reaches the difference
     # quotient and fails the two suites that difference it; the complex-step
     # suites still see the real surrogate and pass.
-    import pointseg.losses
     real = gc._smooth_tv
 
     def nan_on_real(P):
