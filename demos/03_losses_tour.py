@@ -63,9 +63,9 @@ images = [Image(rng.random((6, 6)) * 0.5 + 0.25) for _ in range(2)]
 logits = [LogitField(rng.normal(size=(2, 6, 6))) for _ in range(2)]
 preds = [softmax(lf) for lf in logits]
 plan = {(0, 0): 1, (0, 1): 1, (1, 0): 0, (1, 1): 0}
-result = cv_loss(images, preds, [(0, 1), (0, 1)], plan, tau=0.07,
-                 lambda_cv=1.0)
-print(f"contrastive sum over {len(plan)} anchors: {result.contrastive:.4f}")
+cv_value, _ = cv_loss(images, preds, [(0, 1), (0, 1)], plan, tau=0.07,
+                      lambda_cv=1.0)
+print(f"contrastive sum over {len(plan)} anchors: {cv_value:.4f}")
 
 # total_loss wires the pieces together in the mode its settings name and
 # differentiates the whole thing back to the logits.
@@ -95,6 +95,6 @@ labelings = {
 }
 print(f"cv per anchor over {len(plan)} anchors of a fixed 8-image batch:")
 for name, probs in labelings.items():
-    result = cv_loss([s.image for s in batch], [SoftPrediction(p) for p in probs],
-                     [s.annotation.classes for s in batch], plan, tau=0.07, lambda_cv=1.0)
-    print(f"  {name:20s} {result.contrastive / len(plan):.4f}")
+    cv_value, _ = cv_loss([s.image for s in batch], [SoftPrediction(p) for p in probs],
+                          [s.annotation.classes for s in batch], plan, tau=0.07, lambda_cv=1.0)
+    print(f"  {name:20s} {cv_value / len(plan):.4f}")

@@ -11,6 +11,7 @@ drives straight there.
 from pointseg import SynthSpec, TrainConfig, forward, generate_annotations, synth_generate, train_loop
 from pointseg.grids import softmax
 from pointseg.losses import partial_cross_entropy
+from pointseg.train import HISTORY_COLUMNS
 
 spec = SynthSpec(num_classes=3, height=24, width=24, train_count=2,
                  test_count=1, seed=3)
@@ -31,8 +32,8 @@ config = TrainConfig(
 state = train_loop(train, config)
 
 for it in (0, 24, 49, 99, 199):
-    row = state.history[it]
-    print(f"iteration {row[0]:3d}  lr {row[1]:.4f}  pce {row[2]:.6f}")
+    row = dict(zip(HISTORY_COLUMNS, state.history[it]))
+    print(f"iteration {row['iteration']:3d}  lr {row['lr']:.4f}  pce {row['pce']:.6f}")
 
 # The annotated points are now fit essentially perfectly.
 total = 0.0

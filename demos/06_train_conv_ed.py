@@ -22,6 +22,7 @@ from pointseg import (
     train_loop,
 )
 from pointseg.grids import softmax
+from pointseg.train import HISTORY_COLUMNS
 
 spec = SynthSpec(num_classes=3, height=48, width=48, train_count=10,
                  test_count=4, seed=1)
@@ -46,9 +47,10 @@ with tempfile.TemporaryDirectory(prefix="pointseg_demo_") as tmp:
     params = load_checkpoint(out / "checkpoint_final.bin", height=48, width=48)
 
 print("loss history, every 40 iterations:")
-for row in state.history[::40]:
-    print(f"  it {row[0]:3d}  pce {row[2]:7.4f}  cv {row[4]:8.4f}  "
-          f"tv {row[5]:9.1f}  total {row[6]:8.4f}")
+for values in state.history[::40]:
+    row = dict(zip(HISTORY_COLUMNS, values))
+    print(f"  it {row['iteration']:3d}  pce {row['pce']:7.4f}  cv {row['cv_contrastive']:8.4f}  "
+          f"tv {row['tv']:9.1f}  total {row['total']:8.4f}")
 
 preds = []
 for sample in test:

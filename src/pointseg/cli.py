@@ -48,7 +48,7 @@ from .gradcheck import run_all
 from .grids import softmax
 from .metrics import check_central_bias_width, evaluate, hard_mask
 from .models import forward, load_checkpoint
-from .train import TrainConfig, check_training_samples, history_to_csv, train_loop
+from .train import HISTORY_COLUMNS, TrainConfig, check_training_samples, history_to_csv, train_loop
 
 _SWEEP_PARAMETERS = ("lambda_cv", "tau", "mu", "lr0")
 
@@ -244,8 +244,8 @@ def cmd_train(args) -> int:
     check_training_samples(samples, config)
     state = _train_once(samples, config, args.out, args.data)
     if state.history:
-        last = state.history[-1]
-        print(f"finished {len(state.history)} iterations; final total loss {last[6]:.6f}")
+        total = state.history[-1][HISTORY_COLUMNS.index("total")]
+        print(f"finished {len(state.history)} iterations; final total loss {total:.6f}")
     else:
         print("finished 0 iterations; checkpoint equals initialization")
     print(f"artifacts in {args.out}")

@@ -72,6 +72,7 @@ from .models import (
     _maxpool2,
     _maxpool2_backward,
     _relu,
+    _relu_backward,
     _upsample2,
     _upsample2_backward,
     init_params,
@@ -334,7 +335,7 @@ def check_relu(trials: int = 50, seed: int = 0) -> ComponentReport:
         C, H, W = int(rng.integers(1, 4)), int(rng.integers(2, 9)), int(rng.integers(2, 9))
         x = rng.uniform(0.2, 1.5, size=(C, H, W)) * rng.choice([-1.0, 1.0], size=(C, H, W))
         g = probe(x.shape)
-        return [x], _probed(_relu, g), [g * (x > 0)]
+        return [x], _probed(_relu, g), [_relu_backward(_relu(x), g)]
 
     return _check("relu", trials, seed, _differenced(draw))
 

@@ -1,8 +1,9 @@
 """Loss terms for point-supervised segmentation, with analytic gradients.
 
-Every term returns its scalar value together with the exact gradient with
-respect to the prediction probabilities, so the whole objective can be pulled
-back through :func:`pointseg.grids.softmax_backward` into logits. The terms:
+Every term returns (value, gradient): its scalar value and the exact gradient
+with respect to the prediction probabilities, shaped like them (one per image
+for the batch-wide contrastive term), so the whole objective can be pulled back
+through :func:`pointseg.grids.softmax_backward` into logits. The terms:
 
 * partial cross-entropy over the handful of annotated pixels;
 * the piecewise-constant (Mumford-Shah style) data term, with the full
@@ -246,14 +247,6 @@ def tv_term(pred: SoftPrediction):
     return float(np.abs(dh[:, :, :-1]).sum() + np.abs(dv).sum()), grad
 
 
-@dataclass(frozen=True)
-class ContrastiveVarianceResult:
-    """Value and gradients of the contrastive-variance term over a batch."""
-
-    contrastive: float   # sum of anchor terms, unweighted
-    grad_wrt_probs: list  # one (K, H, W) array per image, gradient of lambda_cv * contrastive
-
-
 def _cv_index(present, plan):
     """cv_loss's plan index, None without anchors: the (image, class) key of
     each row of Z, the anchor rows in sorted key order, their positive columns
@@ -306,8 +299,9 @@ def _cv_batch(Z, index, tau: float):
 
 
 def cv_loss(images, preds, present, plan: dict, tau: float,
-            lambda_cv: float, *, freeze_means: bool = False) -> ContrastiveVarianceResult:
-    """Contrastive variance loss over a batch, with full gradients.
+            lambda_cv: float, *, freeze_means: bool = False):
+    """Contrastive variance loss over a batch, returned as (contrastive, grads): the unweighted
+    sum of the anchor terms and, per image, the (K, H, W) gradient of lambda_cv times that sum.
 
     `plan` maps (batch index n, class id k) to the batch index of another
     image where k is present: the anchor (n, k) and its positive partner.
@@ -353,7 +347,7 @@ def cv_loss(images, preds, present, plan: dict, tau: float,
     grads = [np.zeros_like(pred.probabilities) for pred in preds]
     index = _cv_index(present, plan)
     if index is None:
-        return ContrastiveVarianceResult(0.0, grads)
+        return 0.0, grads
     keys, a_rows, pos, _ = index
     Z = np.empty((len(keys), shape[0] * shape[1]))
     masses, devs = [], []  # per image; per row of Z
@@ -381,7 +375,7 @@ def cv_loss(images, preds, present, plan: dict, tau: float,
         grads[n][k] += _variance_map_backward(
             devs[r], preds[n].probabilities[k], masses[n][k], dZ[r].reshape(shape), freeze_means)
         devs[r] = None
-    return ContrastiveVarianceResult(contrastive, grads)
+    return contrastive, grads
 
 
 # The values each annotated field type takes; a bool is no number.
@@ -484,10 +478,8 @@ def _objective_grads(images, preds, annotations, present, plan: dict, settings: 
                 term_grads.append(ms_grad)
             term = settings.lambda_ms * ms_sum
         else:
-            cv = cv_loss(images, preds, present, plan, settings.tau, settings.lambda_cv,
-                         freeze_means=settings.freeze_means)
-            cv_sum = cv.contrastive
-            term_grads = cv.grad_wrt_probs
+            cv_sum, term_grads = cv_loss(images, preds, present, plan, settings.tau,
+                                         settings.lambda_cv, freeze_means=settings.freeze_means)
             term = settings.lambda_cv * cv_sum
         # TV regularizes both modes. Its gradient meets the term's before the
         # pce gradient: checkpoint bytes depend on that order.

@@ -258,10 +258,15 @@ def _taps2(x):
 def _relu(z, out=None):
     """max(z, 0) by the real part: np.maximum on float64, into out (any strided
     view) when given; a complex z takes no out, and real part 0 maps to 0
-    (np.maximum would keep it), as backward's mask a > 0 does."""
+    (np.maximum would keep it), as _relu_backward's mask a > 0 does."""
     if np.iscomplexobj(z):
         return np.where(z.real > 0, z, 0)
     return np.maximum(z, 0.0, out=out)
+
+
+def _relu_backward(a, grad):
+    """ReLU's gradient rule, from its output a: grad where a > 0, else 0."""
+    return grad * (a > 0)
 
 
 def _maxpool2(x):
@@ -402,7 +407,7 @@ def backward(params: ModelParams, spec: ModelSpec, cache: dict, grad_wrt_logits:
     for name in reversed(CONV_ED_LAYERS):
         build, adjoint = CONV_ED_LAYERS[name]
         # No adjoint reaches the head, whose output is the logits, with no ReLU.
-        grad_out = act_grads.pop(name) * (cache[name] > 0) if name in act_grads else g
+        grad_out = _relu_backward(cache[name], act_grads.pop(name)) if name in act_grads else g
         grad_x, grads[f"{name}.w"], grads[f"{name}.b"] = _conv2d_backward(
             inputs[name] if name in inputs else build(cache), params.values[f"{name}.w"],
             grad_out, need_input=adjoint is not None)

@@ -74,6 +74,7 @@ class TrainState:
     history: list = field(default_factory=list)  # rows per HISTORY_COLUMNS
 
 
+# The tail, from "pce" on, names LossBreakdown fields: train_loop reads each row's values by them.
 HISTORY_COLUMNS = ("iteration", "lr", "pce", "ms_data", "cv_contrastive", "tv", "total")
 
 
@@ -210,10 +211,7 @@ def train_loop(samples, config: TrainConfig, checkpoint_dir=None) -> TrainState:
                 f"non-finite values at iteration {it} on batch [{ids}]: {exc}"
             ) from exc
 
-        state.history.append((
-            it, lr, breakdown.pce, breakdown.ms_data,
-            breakdown.cv_contrastive, breakdown.tv, breakdown.total,
-        ))
+        state.history.append((it, lr, *(getattr(breakdown, c) for c in HISTORY_COLUMNS[2:])))
         if (checkpoint_dir is not None and config.checkpoint_every
                 and (it + 1) % config.checkpoint_every == 0):
             save_checkpoint(

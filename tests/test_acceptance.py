@@ -154,7 +154,7 @@ def test_criterion_3_hand_values():
         [image, image], [pred, pred], [(0, 1), (0, 1)], plan,
         tau=1.0, lambda_cv=1.0,
     )
-    residuals["cv"] = abs(res.contrastive - 4.0 * math.log(1.0 + math.exp(-1.0)))
+    residuals["cv"] = abs(res[0] - 4.0 * math.log(1.0 + math.exp(-1.0)))
 
     worst = max(residuals.values())
     detail = ", ".join(f"{k} {v:.1e}" for k, v in residuals.items())
@@ -306,8 +306,8 @@ def test_criterion_6_invariance_suite():
             sum(tv_term(p)[0] for p in f_preds),
         ),
         "cv": (
-            cv_loss(images, preds, present, plan, 0.07, 0.3).contrastive,
-            cv_loss(f_images, f_preds, present, plan, 0.07, 0.3).contrastive,
+            cv_loss(images, preds, present, plan, 0.07, 0.3)[0],
+            cv_loss(f_images, f_preds, present, plan, 0.07, 0.3)[0],
         ),
     }
     worst["flip"] = max(abs(a - b) for a, b in pairs.values())

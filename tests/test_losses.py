@@ -303,7 +303,7 @@ def test_value_steps_equal_full_values_bit_for_bit(seed):
     preds = [pred, softmax(LogitField(3.0 * rng.normal(size=(K, H, W))))]
     plan = {(0, 0): 1, (0, 2): 1, (1, 2): 0}
     cv = cv_loss(images, preds, [(2, 0, 0), (1, 2, 0)], plan, 0.07, 0.3)
-    assert _cv_steps(images, preds, [(0, 2), (0, 1, 2)], plan, 0.07).hex() == cv.contrastive.hex()
+    assert _cv_steps(images, preds, [(0, 2), (0, 1, 2)], plan, 0.07).hex() == cv[0].hex()
 
 
 def _cv_steps(images, preds, present, plan, tau):
@@ -337,15 +337,15 @@ def test_cv_hand_value_four_anchors():
     images, preds, present, plan = _orthogonal_batch()
     res = cv_loss(images, preds, present, plan, tau=1.0, lambda_cv=1.0)
     # each anchor: -log(e / (e + 1)); the sum is 4 * ln(1 + 1/e) = 1.25304...
-    assert abs(res.contrastive - 4.0 * math.log(1.0 + math.exp(-1.0))) <= 1e-9
+    assert abs(res[0] - 4.0 * math.log(1.0 + math.exp(-1.0))) <= 1e-9
     assert len(plan) == 4
 
 
 def test_cv_empty_plan_contributes_nothing():
     images, preds, present, _ = _orthogonal_batch()
     res = cv_loss(images, preds, present, {}, tau=0.07, lambda_cv=0.3)
-    assert res.contrastive == 0.0
-    assert all(not g.any() for g in res.grad_wrt_probs)
+    assert res[0] == 0.0
+    assert all(not g.any() for g in res[1])
 
 
 def test_cv_two_images_one_shared_class_no_negatives():
@@ -354,7 +354,7 @@ def test_cv_two_images_one_shared_class_no_negatives():
     preds = [softmax(LogitField(rng.normal(size=(2, 3, 3)))) for _ in range(2)]
     plan = {(0, 1): 1, (1, 1): 0}
     res = cv_loss(images, preds, [(1,), (1,)], plan, tau=1.0, lambda_cv=1.0)
-    assert abs(res.contrastive) <= 1e-9
+    assert abs(res[0]) <= 1e-9
 
 
 def test_cv_plan_validation():
@@ -383,8 +383,8 @@ def test_cv_tiny_temperature_stays_finite():
     plan = {(0, 0): 1, (0, 1): 2, (1, 0): 2, (1, 1): 0, (2, 0): 0, (2, 1): 1}
     with np.errstate(over="raise", invalid="raise"):
         res = cv_loss(images, preds, [(0, 1)] * 3, plan, 1e-4, 1.0)
-    assert math.isfinite(res.contrastive)
-    assert all(np.all(np.isfinite(g)) for g in res.grad_wrt_probs)
+    assert math.isfinite(res[0])
+    assert all(np.all(np.isfinite(g)) for g in res[1])
 
 
 def _drawn_cv_batch(seed, present):
@@ -424,7 +424,7 @@ def test_cv_matches_per_anchor_oracle(seed, present, tau):
     res = cv_loss(images, preds, present, partners, tau, 0.3)
     value = cv_oracle([im.intensities for im in images],
                       [p.probabilities for p in preds], present, partners, tau)
-    assert res.contrastive == pytest.approx(value, rel=1e-9, abs=1e-9)
+    assert res[0] == pytest.approx(value, rel=1e-9, abs=1e-9)
     # The value step the finite-difference checks evaluate is cv_loss's own value.
     # It is the batch step over each image's variance rows and the plan's
     # index; with one image moved, the other images' kept rows and the same
@@ -434,10 +434,10 @@ def test_cv_matches_per_anchor_oracle(seed, present, tau):
     assert (index is None) == (not partners)
     if index is not None:
         parts = [_variance_rows(im, p, c) for im, p, c in zip(images, preds, sorted_present)]
-        assert _cv_batch(_stacked(parts), index, tau)[0].hex() == res.contrastive.hex()
+        assert _cv_batch(_stacked(parts), index, tau)[0].hex() == res[0].hex()
         preds[0] = softmax(LogitField(2.0 * rng.normal(size=(K, H, W))))
         parts[0] = _variance_rows(images[0], preds[0], sorted_present[0])
-        moved = cv_loss(images, preds, present, partners, tau, 0.3).contrastive
+        moved = cv_loss(images, preds, present, partners, tau, 0.3)[0]
         assert _cv_steps(images, preds, sorted_present, partners, tau).hex() == moved.hex()
         assert _cv_batch(_stacked(parts), index, tau)[0].hex() == moved.hex()
 
@@ -458,7 +458,7 @@ def test_cv_gradient_matches_finite_differences_on_partial_batches(batch):
             moved[n] = _variance_rows(images[n], _trusted(SoftPrediction, probs), sorted_present[n])
             return _cv_batch(_stacked(moved), index, tau)[0]
 
-        analytic = res.grad_wrt_probs[n]
+        analytic = res[1][n]
         fd = finite_diff_grad(per_probe(value), pred.probabilities)
         absent = [k for k in range(pred.num_classes) if k not in present[n]]
         assert not analytic[absent].any() and not fd[absent].any()
@@ -477,8 +477,8 @@ def _assert_cv_equals_stacked_reference(images, preds, present, partners, tau):
         value, grads = cv_loss_stacked([im.intensities for im in images],
                                        [p.probabilities for p in preds], sorted_present,
                                        partners, tau, 0.3, freeze)
-        assert float(res.contrastive).hex() == float(value).hex()
-        assert all(bit_equal(got, want) for got, want in zip(res.grad_wrt_probs, grads))
+        assert float(res[0]).hex() == float(value).hex()
+        assert all(bit_equal(got, want) for got, want in zip(res[1], grads))
 
 
 @pytest.mark.parametrize("batch", PARTIAL_CV_BATCHES, ids=["no-class", "no-negatives", "partial"])
@@ -518,8 +518,8 @@ def test_cv_loss_is_independent_of_the_plans_insertion_order(seed):
     present = [tuple(range(K))] * N
     a = cv_loss(images, preds, present, plan, 0.07, 0.3)
     b = cv_loss(images, preds, present, reversed_plan, 0.07, 0.3)
-    assert a.contrastive.hex() == b.contrastive.hex()
-    assert all(bit_equal(x, y) for x, y in zip(a.grad_wrt_probs, b.grad_wrt_probs))
+    assert a[0].hex() == b[0].hex()
+    assert all(bit_equal(x, y) for x, y in zip(a[1], b[1]))
 
 
 def test_cv_loss_freeze_means_is_keyword_only():
@@ -536,7 +536,7 @@ def test_cv_freeze_means_changes_gradient_substantially():
     plan = {(0, 0): 1, (0, 1): 1, (1, 0): 0, (1, 1): 0}
     full = cv_loss(images, preds, [(0, 1)] * 2, plan, 0.07, 1.0)
     frozen = cv_loss(images, preds, [(0, 1)] * 2, plan, 0.07, 1.0, freeze_means=True)
-    diff = max(np.abs(a - b).max() for a, b in zip(full.grad_wrt_probs, frozen.grad_wrt_probs))
+    diff = max(np.abs(a - b).max() for a, b in zip(full[1], frozen[1]))
     assert diff > 1e-4  # the chain through the class means carries real signal
 
 
@@ -656,3 +656,30 @@ def test_bad_loss_input_raises_naming_what_is_wrong(case):
     call, message = BAD_TERM_INPUTS[case]
     with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
         call()
+
+
+# Every term returns one shape: (finite scalar value, gradient shaped like the
+# probabilities), with one gradient per image for the batch-wide cv_loss.
+TERM_CALLS = {
+    "partial_cross_entropy": lambda images, preds: partial_cross_entropy(
+        preds[0], PointAnnotation(((0, 0, 0), (3, 4, 2)), 3)),
+    "ms_data_term": lambda images, preds: ms_data_term(images[0], preds[0]),
+    "tv_term": lambda images, preds: tv_term(preds[0]),
+    "cv_loss": lambda images, preds: cv_loss(
+        images, preds, [(0, 2), (0, 2)], {(0, 0): 1, (1, 2): 0}, tau=0.07, lambda_cv=0.3),
+}
+
+
+@pytest.mark.parametrize("term", sorted(TERM_CALLS))
+def test_each_term_returns_its_value_and_gradient_as_a_pair(term):
+    rng = np.random.default_rng(7)
+    images = [Image(rng.random((4, 5))) for _ in range(2)]
+    preds = [softmax(LogitField(rng.normal(size=(3, 4, 5)))) for _ in range(2)]
+    result = TERM_CALLS[term](images, preds)
+    assert type(result) is tuple and len(result) == 2
+    value, grad = result
+    assert np.ndim(value) == 0 and math.isfinite(value)
+    grads = grad if term == "cv_loss" else [grad]
+    assert len(grads) == (len(preds) if term == "cv_loss" else 1)
+    for g, pred in zip(grads, preds):
+        assert g.shape == pred.probabilities.shape and np.all(np.isfinite(g))
