@@ -143,11 +143,34 @@ def blas_core() -> str:
     return "unknown" if core is None else core.decode()
 
 
+def _host_cpu():
+    """This host's CPU model name and cpu0's cache sizes by level ("L1d",
+    "L1i", "L2", ... to sysfs's size text, "2048K"), each None where
+    /proc/cpuinfo or /sys/devices/system/cpu cannot be read. OpenBLAS sizes
+    its gemm blocks from the caches it detects, so the bits can follow them."""
+    def read(path):
+        try:
+            with open(path, encoding="utf-8") as fh:
+                return fh.read().strip()
+        except OSError:
+            return None
+    models = [line.split(":", 1)[1].strip() for line in (read("/proc/cpuinfo") or "").splitlines()
+              if line.startswith("model name")]
+    caches = {}
+    for index in glob.glob("/sys/devices/system/cpu/cpu0/cache/index*"):
+        level, kind, size = (read(os.path.join(index, name)) for name in ("level", "type", "size"))
+        if level and kind and size:
+            caches[f"L{level}" + {"Data": "d", "Instruction": "i"}.get(kind, "")] = size
+    return (models[0] if models else None), caches or None
+
+
 def _write_run_manifest(out_dir, config: TrainConfig, dataset_root) -> None:
     """The reproducibility record, written before a training run starts. Its
     "numerics" entry names what the artifacts' bytes depend on beyond the
     config: numpy's version, its OpenBLAS kernel and that library's thread
-    count (None where the library cannot be queried)."""
+    count (None where the library cannot be queried), and the host's CPU
+    model and cache sizes (`_host_cpu`)."""
+    cpu_model, cpu_caches = _host_cpu()
     manifest = {
         "config": dataclasses.asdict(config),
         "dataset_root": str(dataset_root),
@@ -163,6 +186,8 @@ def _write_run_manifest(out_dir, config: TrainConfig, dataset_root) -> None:
             "numpy": np.__version__,
             "openblas_core": blas_core(),
             "blas_threads": _openblas_call("scipy_openblas_get_num_threads64_", ctypes.c_int),
+            "cpu_model": cpu_model,
+            "cpu_caches": cpu_caches,
         },
         "created": datetime.now(timezone.utc).isoformat(),
     }

@@ -21,12 +21,18 @@ Each config field declares its domain with `domain`, which `check_domains` enfor
 
 Integrals over the pixel domain are discretized as plain sums, unnormalized
 by pixel count, so loss weights are calibrated to a fixed resolution.
+
+`cv_loss` keeps its batch-sized work arrays (the variance rows Z, their
+deviations and dZ) in one block per thread, held as long as the thread lives
+and reused by every call, so a training step does not hand them back to the
+OS and fault them in again. Everything a term returns is a new array.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import threading
 from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
@@ -152,20 +158,24 @@ def _variance_map_backward(dev, probs_k, mass_k, grad_wrt_map, freeze_means):
     return grad
 
 
-def _variance_rows(image: Image, pred: SoftPrediction, classes, out=None):
+def _variance_rows(image: Image, pred: SoftPrediction, classes, out=None, devs=None):
     """The mean statistics, one flattened variance-map row (I - c_k)^2 P_k per
     class k in `classes`, in its order, and each row's deviation I - c_k: the
     MS term's summands and cv's per-image step. The rows go into `out` (cv's
     block of its batch matrix Z) or a new (len(classes), H*W) array, with the
-    leading axes of a stacked prediction before those."""
+    leading axes of a stacked prediction before those. The deviations go into
+    `devs` (cv's block of its held deviations) or a new array, class first:
+    devs[j] is the deviation of classes[j], shape (..., H, W)."""
     stats = _mean_stats(image, pred)
     I, P, means = image.intensities, pred.probabilities, stats[2]
-    devs = [I - means[..., k, None, None] for k in classes]
     if out is None:
-        out = np.empty((*P.shape[:-3], len(devs), I.size), dtype=P.dtype)
+        out = np.empty((*P.shape[:-3], len(classes), I.size), dtype=P.dtype)
+    if devs is None:
+        devs = np.empty((len(classes), *means.shape[:-1], *I.shape), dtype=means.dtype)
     maps = out.reshape(*out.shape[:-1], *I.shape)
     for j, (dev, k) in enumerate(zip(devs, classes)):
         z = maps[..., j, :, :]
+        np.subtract(I, means[..., k, None, None], out=dev)
         np.multiply(np.square(dev, out=z), P[..., k, :, :], out=z)
     return stats, out, devs
 
@@ -298,6 +308,21 @@ def _cv_batch(Z, index, tau: float):
     return contrastive, (norms, D, S, e, e_sum)
 
 
+# Per thread: cv_loss's Z, deviations and dZ, one (3, rows, H, W) block kept between calls.
+_CV_SCRATCH = threading.local()
+
+
+def _cv_scratch(rows: int, shape):
+    """This thread's cv_loss scratch as Z and dZ, each (rows, H*W), and the
+    deviations, (rows, H, W): prefix views of the held block, which is
+    reallocated only for more rows or another grid."""
+    block = getattr(_CV_SCRATCH, "block", None)
+    if block is None or block.shape[1] < rows or block.shape[2:] != shape:
+        block = _CV_SCRATCH.block = np.empty((3, rows, *shape))
+    Z, devs, dZ = block[:, :rows]
+    return Z.reshape(rows, -1), devs, dZ.reshape(rows, -1)
+
+
 def cv_loss(images, preds, present, plan: dict, tau: float,
             lambda_cv: float, *, freeze_means: bool = False):
     """Contrastive variance loss over a batch, returned as (contrastive, grads): the unweighted
@@ -323,8 +348,13 @@ def cv_loss(images, preds, present, plan: dict, tau: float,
     default, which stops the gradient through the class means.
 
     Each image's _variance_rows go straight into its block of the batch
-    matrix Z; the backward completes each row's dZ in its loop and pulls it
-    back through the deviation the value step kept, which it then drops.
+    matrix Z, and its deviations into theirs; the backward completes each
+    row's dZ in its loop and pulls it back through the deviation the value
+    step kept. Z, the deviations and dZ are views of this thread's
+    _cv_scratch, which the next call overwrites: a call with fewer rows takes
+    a prefix, and one with more rows or another grid allocates a new block.
+    The value and the gradients returned are new arrays, so nothing a caller
+    holds is overwritten.
     """
     if tau <= 0:
         raise InvalidConfigError(f"temperature must be positive, got {tau}")
@@ -349,13 +379,13 @@ def cv_loss(images, preds, present, plan: dict, tau: float,
     if index is None:
         return 0.0, grads
     keys, a_rows, pos, _ = index
-    Z = np.empty((len(keys), shape[0] * shape[1]))
-    masses, devs = [], []  # per image; per row of Z
+    Z, devs, dZ = _cv_scratch(len(keys), shape)
+    masses, start = [], 0
     for image, pred, classes in zip(images, preds, present):
-        block = Z[len(devs):len(devs) + len(classes)]
-        (_, mass, _), _, image_devs = _variance_rows(image, pred, classes, block)
+        end = start + len(classes)
+        (_, mass, _), _, _ = _variance_rows(image, pred, classes, Z[start:end], devs[start:end])
         masses.append(mass)
-        devs += image_devs
+        start = end
     contrastive, (norms, D, S, e, e_sum) = _cv_batch(Z, index, tau)
     # dS: softmax weight of each candidate, minus one at the positive.
     dS = np.zeros_like(S)
@@ -368,13 +398,12 @@ def cv_loss(images, preds, present, plan: dict, tau: float,
     dD = -dS * S / D
     dn = (dD + dD.T) @ norms
     safe = np.where(norms > 0.0, norms, 1.0)
-    dZ = (dG + dG.T) @ Z
+    np.matmul(dG + dG.T, Z, out=dZ)
     scale = dn / safe
     for r, (n, k) in enumerate(keys):
         dZ[r] += scale[r] * Z[r]
         grads[n][k] += _variance_map_backward(
             devs[r], preds[n].probabilities[k], masses[n][k], dZ[r].reshape(shape), freeze_means)
-        devs[r] = None
     return contrastive, grads
 
 

@@ -3,9 +3,11 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -158,9 +160,24 @@ def test_train_writes_artifacts(trained):
 def test_train_manifest_records_what_the_bytes_depend_on(trained):
     numerics = json.loads((trained / "run_manifest.json").read_text())["numerics"]
     assert numerics == {"numpy": np.__version__, "openblas_core": blas_core(),
-                        "blas_threads": numerics["blas_threads"]}
+                        "blas_threads": numerics["blas_threads"],
+                        "cpu_model": numerics["cpu_model"], "cpu_caches": numerics["cpu_caches"]}
     # None only where numpy bundles no OpenBLAS that answers the query.
     assert numerics["blas_threads"] is None or numerics["blas_threads"] >= 1
+    # The host's CPU, None where the kernel's files cannot be read.
+    cpuinfo = Path("/proc/cpuinfo")
+    models = [line.split(":", 1)[1].strip() for line in
+              (cpuinfo.read_text().splitlines() if cpuinfo.exists() else [])
+              if line.startswith("model name")]
+    assert numerics["cpu_model"] == (models[0] if models else None)
+    caches = numerics["cpu_caches"]
+    cache_dir = Path("/sys/devices/system/cpu/cpu0/cache")
+    if not cache_dir.is_dir():
+        assert caches is None
+    else:
+        sizes = sorted((d / "size").read_text().strip() for d in cache_dir.glob("index*"))
+        assert sorted(caches.values()) == sizes
+        assert all(re.fullmatch(r"L\d[di]?", level) for level in caches)
 
 
 def test_train_rerun_from_manifest_reproduces_checkpoint(dataset, trained, tmp_path):

@@ -1,11 +1,18 @@
 import math
+import os
+import pathlib
+import platform
 import re
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import pointseg.losses
 from pointseg import (
     Image,
     InvalidConfigError,
@@ -387,11 +394,11 @@ def test_cv_tiny_temperature_stays_finite():
     assert all(np.all(np.isfinite(g)) for g in res[1])
 
 
-def _drawn_cv_batch(seed, present):
-    # 3-class 3x4 images and predictions, and a plan pairing about 80% of the
+def _drawn_cv_batch(seed, present, H=3, W=4):
+    # 3-class H x W images and predictions, and a plan pairing about 80% of the
     # anchors that have a partner; the rng goes on for further draws.
     rng = np.random.default_rng(seed)
-    K, H, W = 3, 3, 4
+    K = 3
     images = [Image(rng.random((H, W))) for _ in present]
     preds = [softmax(LogitField(2.0 * rng.normal(size=(K, H, W)))) for _ in present]
     partners = {}
@@ -520,6 +527,95 @@ def test_cv_loss_is_independent_of_the_plans_insertion_order(seed):
     b = cv_loss(images, preds, present, reversed_plan, 0.07, 0.3)
     assert a[0].hex() == b[0].hex()
     assert all(bit_equal(x, y) for x, y in zip(a[1], b[1]))
+
+
+def _cv_scratch_batch(seed, present, H, W):
+    # A _drawn_cv_batch as cv_loss's positional arguments before tau, image 0's
+    # prediction one-hot with negative zeros.
+    _, images, preds, partners = _drawn_cv_batch(seed, present, H, W)
+    preds[0] = _hard_with_negative_zeros(3, H, W, seed)
+    return images, preds, present, partners
+
+
+def _assert_cv_equals_reference(got, batch):
+    images, preds, present, partners = batch
+    want = cv_loss_stacked([im.intensities for im in images], [p.probabilities for p in preds],
+                           [tuple(sorted(c)) for c in present], partners, 0.07, 0.3, False)
+    assert float(got[0]).hex() == float(want[0]).hex()
+    assert len(got[1]) == len(want[1])
+    assert all(bit_equal(g, w) for g, w in zip(got[1], want[1]))
+
+
+def test_cv_loss_reused_scratch_cannot_be_seen_in_its_results():
+    # cv_loss keeps Z, the deviations and dZ between calls: a call with fewer
+    # rows takes a prefix of the held block, one on another grid a new block.
+    # Each result equals the stacked reference, signs of zero included, and a
+    # gradient it returned is the caller's to overwrite.
+    a = _cv_scratch_batch(3, [{0, 1, 2}] * 4, 6, 5)
+    fewer = _cv_scratch_batch(4, [{0, 2}, {2}, {0, 1}], 6, 5)
+    other_grid = _cv_scratch_batch(5, [{0, 1, 2}] * 5, 4, 7)
+    blocks = []
+    for batch in (a, fewer, other_grid, a):
+        got = cv_loss(*batch, 0.07, 0.3)
+        _assert_cv_equals_reference(got, batch)
+        blocks.append(pointseg.losses._CV_SCRATCH.block)
+        for grad in got[1]:
+            grad.fill(np.nan)
+    assert blocks[1] is blocks[0] and blocks[2] is not blocks[1] and blocks[3] is not blocks[2]
+
+
+def test_cv_loss_in_threads_at_once_gives_each_its_serial_bits():
+    # Every batch fills a block of one shape, so a scratch shared across
+    # threads would hand a call another thread's rows; a short switch interval
+    # makes the four threads interleave inside the calls.
+    batches = [_cv_scratch_batch(seed, [{0, 1, 2}] * 4, 24, 24) for seed in (6, 7, 8, 9)]
+
+    def calls(batch):
+        return [cv_loss(*batch, 0.07, 0.3) for _ in range(8)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(len(batches)) as pool:
+            runs = list(pool.map(calls, batches, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    for batch, results in zip(batches, runs):
+        for got in results:
+            _assert_cv_equals_reference(got, batch)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+                    reason="counts minor page faults under glibc's allocator")
+def test_field_cv_steps_take_no_page_faults_once_warm():
+    # A field-cv-like run (logit field, pce+cv, 32 images at 64x64, batch 16)
+    # in a fresh process, counting minor page faults per iteration between
+    # calls of assemble_batch. Batch-sized arrays made afresh in every step
+    # would be handed back to the OS by glibc and faulted in again in the next
+    # one, over a thousand faults an iteration: cv_loss holds its batch
+    # matrices so that they are not.
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    script = (
+        "import resource\n"
+        "import pointseg.train as train\n"
+        "from pointseg import SynthSpec, TrainConfig, generate_annotations, synth_generate, train_loop\n"
+        "samples = generate_annotations(synth_generate(SynthSpec(train_count=32, test_count=0))[0], 0)\n"
+        "faults, assemble = [], train.assemble_batch\n"
+        "def counting(*args):\n"
+        "    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)\n"
+        "    return assemble(*args)\n"
+        "train.assemble_batch = counting\n"
+        "train_loop(samples, TrainConfig(model_kind='logit-field', mode='pce+cv', batch_size=16,\n"
+        "                                total_iterations=8))\n"
+        "faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)\n"
+        "print(*(b - a for a, b in zip(faults, faults[1:])))\n")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": str(src)}
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                         timeout=120)
+    assert run.returncode == 0, run.stderr[-2000:]
+    per_iteration = [int(n) for n in run.stdout.split()]
+    assert len(per_iteration) == 8
+    assert np.median(per_iteration[2:]) <= 50, per_iteration
 
 
 def test_cv_loss_freeze_means_is_keyword_only():
