@@ -108,25 +108,28 @@ def softmax(field: LogitField) -> SoftPrediction:
     trusted one) gives each field's bits.
     """
     logits = field.logits
-    shifted = logits - logits.max(axis=-3, keepdims=True)
-    e = np.exp(shifted)
-    probs = e / e.sum(axis=-3, keepdims=True)
-    return _trusted(SoftPrediction, probs)
+    e = logits - logits.max(axis=-3, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-3, keepdims=True)
+    return _trusted(SoftPrediction, e)
 
 
-def softmax_backward(pred: SoftPrediction, grad_wrt_probs: np.ndarray) -> np.ndarray:
+def softmax_backward(pred: SoftPrediction, grad_wrt_probs: np.ndarray, out=None) -> np.ndarray:
     """Pull a gradient w.r.t. softmax probabilities back to the logits.
 
     `pred` is the :func:`softmax` output of the forward pass. Applies the
     per-pixel softmax Jacobian: with p the probability column at a pixel and
     g the incoming gradient, d/dlogits = p * (g - <g, p>). g is not NaN-scanned.
+    The result goes into `out`, a float64 array of g's shape that may be g
+    itself, or into a new array when `out` is None; either is returned.
     """
     g = np.asarray(grad_wrt_probs, dtype=np.float64)
     p = pred.probabilities
     if g.shape != p.shape:
         raise InvalidInputError(f"gradient shape {g.shape} != probabilities shape {p.shape}")
     inner = (g * p).sum(axis=-3, keepdims=True)
-    return p * (g - inner)
+    out = np.subtract(g, inner, out=out)
+    return np.multiply(p, out, out=out)
 
 
 def finite_diff_grad(f, x: np.ndarray) -> np.ndarray:

@@ -25,7 +25,11 @@ by pixel count, so loss weights are calibrated to a fixed resolution.
 `cv_loss` keeps its batch-sized work arrays (the variance rows Z, their
 deviations and dZ) in one block per thread, held as long as the thread lives
 and reused by every call, so a training step does not hand them back to the
-OS and fault them in again. Everything a term returns is a new array.
+OS and fault them in again. Everything a term returns is a new array, save
+what `cv_loss` adds into the per-image arrays a caller passes as `out`:
+_objective_grads passes each image's mu-scaled TV gradient, adds the pce
+entries into the same array, and total_loss turns it into the logit gradient
+in place, so a step writes one gradient array per image.
 """
 
 from __future__ import annotations
@@ -96,18 +100,29 @@ def partial_cross_entropy(pred: SoftPrediction, ann: PointAnnotation):
     but finite penalty. An empty annotation contributes 0 with a zero
     gradient: no supervision, not an error.
     """
-    probs = pred.probabilities
-    K, H, W = probs.shape
+    _check_points(pred, ann)
+    return _pce_value([pred], [ann]), _add_pce_grad(np.zeros_like(pred.probabilities), pred, ann)
+
+
+def _check_points(pred: SoftPrediction, ann: PointAnnotation):
+    """Raise unless `ann` has pred's class count and every point lies on its grid."""
+    K, H, W = pred.probabilities.shape
     if ann.num_classes != K:
         raise InvalidInputError(f"annotation has {ann.num_classes} classes, prediction has {K}")
-    grad = np.zeros_like(probs)
-    for r, c, k in ann.points:
+    for r, c, _ in ann.points:
         if not (0 <= r < H and 0 <= c < W):
             raise InvalidInputError(f"annotated pixel ({r}, {c}) outside {H}x{W} image")
-        p = probs[k, r, c]
+
+
+def _add_pce_grad(grad, pred: SoftPrediction, ann: PointAnnotation):
+    """Add partial_cross_entropy's gradient into `grad` in place and return it:
+    -1/p at each annotated probability p above the clamp, nothing elsewhere.
+    The points are checked (_check_points) beforehand."""
+    for r, c, k in ann.points:
+        p = pred.probabilities[k, r, c]
         if p > LOG_CLAMP:
-            grad[k, r, c] = -1.0 / p
-    return _pce_value([pred], [ann]), grad
+            grad[k, r, c] += -1.0 / p
+    return grad
 
 
 def _pce_value(preds, anns):
@@ -324,7 +339,7 @@ def _cv_scratch(rows: int, shape):
 
 
 def cv_loss(images, preds, present, plan: dict, tau: float,
-            lambda_cv: float, *, freeze_means: bool = False):
+            lambda_cv: float, *, freeze_means: bool = False, out=None):
     """Contrastive variance loss over a batch, returned as (contrastive, grads): the unweighted
     sum of the anchor terms and, per image, the (K, H, W) gradient of lambda_cv times that sum.
 
@@ -353,8 +368,10 @@ def cv_loss(images, preds, present, plan: dict, tau: float,
     step kept. Z, the deviations and dZ are views of this thread's
     _cv_scratch, which the next call overwrites: a call with fewer rows takes
     a prefix, and one with more rows or another grid allocates a new block.
-    The value and the gradients returned are new arrays, so nothing a caller
-    holds is overwritten.
+    The value is new, and so are the gradients unless `out` is given: one
+    (K, H, W) float64 array per image that the gradient is added into, in
+    place, and that the call returns as its list (classes not in `present` get
+    nothing added). Nothing else a caller holds is overwritten.
     """
     if tau <= 0:
         raise InvalidConfigError(f"temperature must be positive, got {tau}")
@@ -374,7 +391,7 @@ def cv_loss(images, preds, present, plan: dict, tau: float,
             raise InvalidInputError(f"pairing ({n}, {k}) -> {m} is out of range or self-paired")
         if k not in present[n] or k not in present[m]:
             raise InvalidInputError(f"pairing ({n}, {k}) -> {m} names a class not present")
-    grads = [np.zeros_like(pred.probabilities) for pred in preds]
+    grads = [np.zeros_like(pred.probabilities) for pred in preds] if out is None else out
     index = _cv_index(present, plan)
     if index is None:
         return 0.0, grads
@@ -480,47 +497,55 @@ def total_loss(images, logit_fields, annotations, plan: dict,
     preds = [softmax(lf) for lf in logit_fields]
     *values, grads_probs = _objective_grads(
         images, preds, annotations, [ann.classes for ann in annotations], plan, settings)
-    grad_logits = [softmax_backward(pred, g) for pred, g in zip(preds, grads_probs)]
-    return LossBreakdown(*values, grad_logits)
+    return LossBreakdown(*values, [softmax_backward(p, g, out=g) for p, g in zip(preds, grads_probs)])
 
 
 def _objective_grads(images, preds, annotations, present, plan: dict, settings: LossSettings):
     """total_loss's components, total and gradients w.r.t. each image's
     probabilities, cv taking the classes in `present`: the objective's one
-    composition, which the contrastive suite runs with no annotated points."""
+    composition, which the contrastive suite runs with no annotated points.
+
+    Each image's gradient is one array: zeros in "pce" mode, else mu times
+    tv_term's (+0.0 throughout at mu = 0), into which the mode's term adds its
+    own (cv through its `out`; the list cv_loss returns is the one kept). The
+    pce entries are added last, into the annotated entries alone. The
+    annotations are checked before any term runs."""
     pce_sum = 0.0
-    grads_probs = []
     for pred, ann in zip(preds, annotations):
-        value, grad = partial_cross_entropy(pred, ann)
-        pce_sum += value
-        grads_probs.append(grad)
+        _check_points(pred, ann)
+        pce_sum += _pce_value([pred], [ann])
 
     ms_sum = cv_sum = tv_sum = 0.0
     total = pce_sum
-    if settings.mode != "pce":
+    if settings.mode == "pce":
+        grads = [np.zeros_like(pred.probabilities) for pred in preds]
+    else:
+        # TV regularizes both modes: its gradient is the array the term's and then
+        # the pce gradient are added into. Checkpoint bytes depend on that order.
+        grads = []
+        for pred in preds:
+            tv_value, grad = tv_term(pred)
+            tv_sum += tv_value
+            if settings.mu:
+                grad *= settings.mu
+            else:
+                grad.fill(0.0)  # not 0 * grad, whose -0.0s would reach the logit gradient
+            grads.append(grad)
         if settings.mode == "pce+ms":
-            term_grads = []
-            for image, pred in zip(images, preds):
+            for image, pred, grad in zip(images, preds, grads):
                 ms_value, ms_grad = ms_data_term(image, pred, settings.freeze_means)
                 ms_sum += ms_value
                 ms_grad *= settings.lambda_ms
-                term_grads.append(ms_grad)
+                grad += ms_grad
             term = settings.lambda_ms * ms_sum
         else:
-            cv_sum, term_grads = cv_loss(images, preds, present, plan, settings.tau,
-                                         settings.lambda_cv, freeze_means=settings.freeze_means)
+            cv_sum, grads = cv_loss(images, preds, present, plan, settings.tau, settings.lambda_cv,
+                                    freeze_means=settings.freeze_means, out=grads)
             term = settings.lambda_cv * cv_sum
-        # TV regularizes both modes. Its gradient meets the term's before the
-        # pce gradient: checkpoint bytes depend on that order.
-        for n, (pred, term_grad) in enumerate(zip(preds, term_grads)):
-            tv_value, grad = tv_term(pred)
-            tv_sum += tv_value
-            grad *= settings.mu
-            grad += term_grad
-            grad += grads_probs[n]
-            grads_probs[n] = grad
         total = pce_sum + term + settings.mu * tv_sum
-    return pce_sum, ms_sum, cv_sum, tv_sum, total, grads_probs
+    for grad, pred, ann in zip(grads, preds, annotations):
+        _add_pce_grad(grad, pred, ann)
+    return pce_sum, ms_sum, cv_sum, tv_sum, total, grads
 
 
 def _objective_part(pred: SoftPrediction, image: Image, classes, settings: LossSettings):

@@ -75,6 +75,19 @@ def test_softmax_backward_matches_finite_differences(seed):
     assert np.abs(analytic - fd).max() <= 1e-6
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_softmax_backward_into_its_gradient_equals_the_allocating_call(seed):
+    # total_loss pulls each gradient back in place (out=g); the bits must be
+    # those of a new array, and out must be the array returned.
+    rng = np.random.default_rng(seed)
+    pred = softmax(LogitField(rng.normal(scale=3.0, size=(3, 5, 7))))
+    g = rng.normal(size=(3, 5, 7))
+    g[:, 0] = 0.0  # a row where <g, p> is zero
+    want = softmax_backward(pred, g)
+    got = softmax_backward(pred, g, out=g)
+    assert got is g and bit_equal(got, want)
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_finite_diff_grad_equals_a_copy_per_coordinate_bit_for_bit(seed):
     # Stacked probes, built a chunk at a time, must give the values a fresh

@@ -449,6 +449,25 @@ def test_cv_matches_per_anchor_oracle(seed, present, tau):
         assert _cv_batch(_stacked(parts), index, tau)[0].hex() == moved.hex()
 
 
+@pytest.mark.parametrize("batch", PARTIAL_CV_BATCHES + [dict(seed=3, present=[{0}, {1}, {2}], tau=0.07)],
+                         ids=["no-class", "no-negatives", "partial", "empty-plan"])
+def test_cv_loss_into_out_adds_what_a_zero_start_call_returns(batch):
+    # _objective_grads passes mu * TV's gradients as out; cv must add into them
+    # exactly its own gradients, leave absent classes as they were and return out.
+    _, images, preds, plan = _drawn_cv_batch(batch["seed"], batch["present"])
+    assert bool(plan) == (batch["seed"] != 3)
+    value, zero_start = cv_loss(images, preds, batch["present"], plan, batch["tau"], 0.3)
+    rng = np.random.default_rng(batch["seed"])
+    before = [rng.normal(size=p.probabilities.shape) for p in preds]
+    out = [b.copy() for b in before]
+    got_value, got = cv_loss(images, preds, batch["present"], plan, batch["tau"], 0.3, out=out)
+    assert got is out and got_value == value
+    for n, (b, g, z) in enumerate(zip(before, got, zero_start)):
+        assert bit_equal(g, b + z)
+        for k in set(range(3)) - set(batch["present"][n]):
+            assert bit_equal(g[k], b[k])
+
+
 @pytest.mark.parametrize("batch", PARTIAL_CV_BATCHES, ids=["no-class", "no-negatives", "partial"])
 def test_cv_gradient_matches_finite_differences_on_partial_batches(batch):
     seed, present, tau = batch["seed"], batch["present"], batch["tau"]
@@ -585,28 +604,27 @@ def test_cv_loss_in_threads_at_once_gives_each_its_serial_bits():
             _assert_cv_equals_reference(got, batch)
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
-                    reason="counts minor page faults under glibc's allocator")
-def test_field_cv_steps_take_no_page_faults_once_warm():
-    # A field-cv-like run (logit field, pce+cv, 32 images at 64x64, batch 16)
-    # in a fresh process, counting minor page faults per iteration between
-    # calls of assemble_batch. Batch-sized arrays made afresh in every step
-    # would be handed back to the OS by glibc and faulted in again in the next
-    # one, over a thousand faults an iteration: cv_loss holds its batch
-    # matrices so that they are not.
+_GLIBC_ONLY = pytest.mark.skipif(
+    not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+    reason="counts minor page faults under glibc's allocator")
+
+
+def _faults_per_iteration(model_kind, train_count, batch_size, iterations=8):
+    """Minor page faults of each of `iterations` pce+cv iterations on 64x64
+    synth images, in a fresh process, counted between calls of assemble_batch."""
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     script = (
         "import resource\n"
         "import pointseg.train as train\n"
         "from pointseg import SynthSpec, TrainConfig, generate_annotations, synth_generate, train_loop\n"
-        "samples = generate_annotations(synth_generate(SynthSpec(train_count=32, test_count=0))[0], 0)\n"
+        f"samples = generate_annotations(synth_generate(SynthSpec(train_count={train_count}, test_count=0))[0], 0)\n"
         "faults, assemble = [], train.assemble_batch\n"
         "def counting(*args):\n"
         "    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)\n"
         "    return assemble(*args)\n"
         "train.assemble_batch = counting\n"
-        "train_loop(samples, TrainConfig(model_kind='logit-field', mode='pce+cv', batch_size=16,\n"
-        "                                total_iterations=8))\n"
+        f"train_loop(samples, TrainConfig(model_kind={model_kind!r}, mode='pce+cv', batch_size={batch_size},\n"
+        f"                                total_iterations={iterations}))\n"
         "faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)\n"
         "print(*(b - a for a, b in zip(faults, faults[1:])))\n")
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": str(src)}
@@ -614,8 +632,28 @@ def test_field_cv_steps_take_no_page_faults_once_warm():
                          timeout=120)
     assert run.returncode == 0, run.stderr[-2000:]
     per_iteration = [int(n) for n in run.stdout.split()]
-    assert len(per_iteration) == 8
+    assert len(per_iteration) == iterations
+    return per_iteration
+
+
+@_GLIBC_ONLY
+def test_field_cv_steps_take_no_page_faults_once_warm():
+    # A field-cv-like run (logit field, pce+cv, 32 images at 64x64, batch 16).
+    # Batch-sized arrays made afresh in every step would be handed back to the
+    # OS by glibc and faulted in again in the next one, over a thousand faults
+    # an iteration: cv_loss holds its batch matrices so that they are not.
+    per_iteration = _faults_per_iteration("logit-field", 32, 16)
     assert np.median(per_iteration[2:]) <= 50, per_iteration
+
+
+@_GLIBC_ONLY
+def test_conv_cv_steps_take_no_page_faults_once_warm():
+    # The conv-ed twin (pce+cv, 16 images at 64x64, batch 8): the conv
+    # operands and each image's one loss gradient array stay mapped too.
+    # Its heap can still grow, a hundred-odd faults at a time, through the
+    # seventh iteration, so the steady state is read over iterations 6-11.
+    per_iteration = _faults_per_iteration("conv-ed", 16, 8, iterations=11)
+    assert np.median(per_iteration[5:]) <= 50, per_iteration
 
 
 def test_cv_loss_freeze_means_is_keyword_only():
@@ -675,6 +713,34 @@ def test_total_loss_mode_components():
         assert b.grad_wrt_logits[0].shape == fields[0].logits.shape
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_total_loss_logit_gradients_are_new_arrays(mode):
+    # Each image's gradient is written in place from the loss to the logits,
+    # so no two may share memory, nor any with a logit field.
+    images, fields, anns, plan = _random_batch(3)
+    grads = total_loss(images, fields, anns, plan, LossSettings(mode)).grad_wrt_logits
+    for n, g in enumerate(grads):
+        assert not any(np.shares_memory(g, f.logits) for f in fields)
+        assert not any(np.shares_memory(g, other) for other in grads[n + 1:])
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("bad, message", [
+    (PointAnnotation(((0, 0, 3),), 4), "annotation has 4 classes, prediction has 3"),
+    (PointAnnotation(((1, 1, 0), (5, 2, 1)), 3), "annotated pixel (5, 2) outside 5x4 image"),
+], ids=["class-count", "off-grid"])
+def test_total_loss_rejects_a_bad_annotation_before_any_term_runs(monkeypatch, mode, bad, message):
+    images, fields, anns, plan = _random_batch(4)
+
+    def never(*args, **kwargs):
+        raise AssertionError("a term ran before the annotations were checked")
+    monkeypatch.setattr(pointseg.losses, "tv_term", never)
+    monkeypatch.setattr(pointseg.losses, "cv_loss", never)
+    monkeypatch.setattr(pointseg.losses, "ms_data_term", never)
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+        total_loss(images, fields, [anns[0], bad], {}, LossSettings(mode))
+
+
 def test_total_loss_zero_weights_collapse_to_pce():
     images, fields, anns, plan = _random_batch(2)
     collapsed = total_loss(images, fields, anns, plan,
@@ -692,6 +758,22 @@ def test_total_loss_gradient_sums_terms_in_order(mode):
     settings = LossSettings(mode, mu=1e-2)
     for seed in range(4):
         images, fields, anns, plan = _random_batch(seed)
+        breakdown = total_loss(images, fields, anns, plan, settings)
+        want = total_loss_grads_oracle(images, [softmax(f) for f in fields],
+                                       anns, plan, settings)
+        for got, ref in zip(breakdown.grad_wrt_logits, want):
+            assert bit_equal(got, ref)
+
+
+@pytest.mark.parametrize("mode", ["pce+ms", "pce+cv"])
+def test_total_loss_gradient_at_zero_mu_has_the_oracles_signs_of_zero(mode):
+    # mu = 0 times a negative TV entry is -0.0. Added to zero grids, as the
+    # oracle adds the terms, it turns +0.0; an unannotated image's probability
+    # columns are all zero in pce+cv, so a -0.0 would reach its logit gradient.
+    settings = LossSettings(mode, mu=0.0)
+    for seed in range(4):
+        images, fields, anns, plan = _random_batch(seed, n=3)
+        anns[2] = PointAnnotation((), 3)
         breakdown = total_loss(images, fields, anns, plan, settings)
         want = total_loss_grads_oracle(images, [softmax(f) for f in fields],
                                        anns, plan, settings)
