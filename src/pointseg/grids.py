@@ -140,23 +140,29 @@ def finite_diff_grad(f, x: np.ndarray) -> np.ndarray:
     returns their m values. The probes come in pairs, in coordinate order:
     x with x_i moved to x_i + h, then that probe with x_i moved again by -2h,
     i.e. (x_i + h) - 2h. Each call gets as many whole pairs as fit in
-    PROBE_CHUNK_BYTES (one pair at least). `x` is not modified. This is the
+    PROBE_CHUNK_BYTES (one pair at least). A chunk's stack is one new array
+    filled from x, its moved coordinates then written through two strided
+    slices of its flat view. `x` is not modified. This is the
     reference oracle every analytic backward pass in the package is checked
     against; it deliberately knows nothing about the function. A non-finite
     value passes through.
     """
     x = np.asarray(x, dtype=np.float64)
     flat = x.reshape(-1)
-    grad = np.empty(x.size)
+    size = flat.size
+    grad = np.empty(size)
     pairs = max(1, PROBE_CHUNK_BYTES // (2 * max(x.nbytes, 1)))
-    for start in range(0, x.size, pairs):
-        coords = np.arange(start, min(start + pairs, x.size))
-        rows = np.arange(len(coords))
-        stack = np.tile(flat, (len(coords), 2, 1))
-        up = flat[coords] + FD_STEP
-        stack[rows, 0, coords] = up
-        stack[rows, 1, coords] = up - 2.0 * FD_STEP
+    for start in range(0, size, pairs):
+        stop = min(start + pairs, size)
+        stack = np.empty((stop - start, 2, size))
+        stack[...] = flat
+        # Probe (j, 0)'s coordinate start + j sits start + j * (2 size + 1) into
+        # the flat stack, probe (j, 1)'s one size further on.
+        moved = stack.reshape(-1)
+        up = flat[start:stop] + FD_STEP
+        moved[start :: 2 * size + 1] = up
+        moved[start + size :: 2 * size + 1] = up - 2.0 * FD_STEP
         values = np.asarray(f(stack.reshape(-1, *x.shape)), dtype=np.float64)
-        hi, lo = values.reshape(len(coords), 2).T
-        grad[coords] = (hi - lo) / (2.0 * FD_STEP)
+        hi, lo = values.reshape(stop - start, 2).T
+        grad[start:stop] = (hi - lo) / (2.0 * FD_STEP)
     return grad.reshape(x.shape)

@@ -214,18 +214,22 @@ def _ms_value(image: Image, pred: SoftPrediction):
     return value, mass, devs
 
 
+def _ms_class_grads(image: Image, pred: SoftPrediction, freeze_means: bool):
+    """ms_data_term's value and an iterator over its gradient w.r.t. each P_k,
+    one new (H, W) array per class in class order."""
+    value, mass, devs = _ms_value(image, pred)
+    return value, (_variance_map_backward(dev, P_k, mass[k], 1.0, freeze_means)
+                   for k, (P_k, dev) in enumerate(zip(pred.probabilities, devs)))
+
+
 def ms_data_term(image: Image, pred: SoftPrediction, freeze_means: bool = False):
     """Piecewise-constant data term: sum over classes and pixels of (I - c_k)^2 P_k.
 
     Returns (value, gradient w.r.t. probabilities). The gradient carries the
     full dependence of each c_k on the prediction.
     """
-    value, mass, devs = _ms_value(image, pred)
-    grad = np.stack([
-        _variance_map_backward(dev, P_k, mass[k], 1.0, freeze_means)
-        for k, (P_k, dev) in enumerate(zip(pred.probabilities, devs))
-    ])
-    return value, grad
+    value, grads = _ms_class_grads(image, pred, freeze_means)
+    return value, np.stack([*grads])
 
 
 def _smooth_tv(P):
@@ -507,7 +511,8 @@ def _objective_grads(images, preds, annotations, present, plan: dict, settings: 
 
     Each image's gradient is one array: zeros in "pce" mode, else mu times
     tv_term's (+0.0 throughout at mu = 0), into which the mode's term adds its
-    own (cv through its `out`; the list cv_loss returns is the one kept). The
+    own (ms lambda_ms times each class's gradient, class by class; cv through
+    its `out`, the list cv_loss returns being the one kept). The
     pce entries are added last, into the annotated entries alone. The
     annotations are checked before any term runs."""
     pce_sum = 0.0
@@ -533,10 +538,11 @@ def _objective_grads(images, preds, annotations, present, plan: dict, settings: 
             grads.append(grad)
         if settings.mode == "pce+ms":
             for image, pred, grad in zip(images, preds, grads):
-                ms_value, ms_grad = ms_data_term(image, pred, settings.freeze_means)
+                ms_value, class_grads = _ms_class_grads(image, pred, settings.freeze_means)
                 ms_sum += ms_value
-                ms_grad *= settings.lambda_ms
-                grad += ms_grad
+                for grad_k, ms_grad in zip(grad, class_grads):
+                    ms_grad *= settings.lambda_ms  # lambda * g rounds before the add
+                    grad_k += ms_grad
             term = settings.lambda_ms * ms_sum
         else:
             cv_sum, grads = cv_loss(images, preds, present, plan, settings.tau, settings.lambda_cv,

@@ -22,7 +22,10 @@ helpers with no layer table and no prefix cache, the reference a walk from
 cached activations must equal bit for bit.
 The copy-per-coordinate central difference is one too: a fresh copy of the
 input per coordinate, moved up by the step and then down by twice it, the
-values finite_diff_grad's stacked probes must equal bit for bit.
+values finite_diff_grad's stacked probes must equal bit for bit. So is the
+tiled central difference: finite_diff_grad's chunked loop with each stack
+tiled from the input and its moved coordinates written by fancy index, the
+stacks and gradient the library's slice-written chunks must equal byte for byte.
 The per-coordinate complex step is one too: it moves one parameter
 coordinate at a time and evaluates every image's part and the objective's
 value unstacked, through the library's own steps, the values the end-to-end
@@ -459,6 +462,28 @@ def finite_diff_copying(f, x):
         lo = float(f(probe.reshape(x.shape)))
         flat[i] = (hi - lo) / (2.0 * FD_STEP)
     return grad
+
+
+def finite_diff_tiled(f, x, chunk_bytes):
+    """finite_diff_grad's chunked loop with its stacks tiled: each chunk
+    tiles flat x into (pairs, 2, size) and writes the moved coordinates by
+    fancy index, with `chunk_bytes` for PROBE_CHUNK_BYTES. The stacks it hands
+    f, and the gradient, are the ones finite_diff_grad's must equal."""
+    x = np.asarray(x, dtype=np.float64)
+    flat = x.reshape(-1)
+    grad = np.empty(x.size)
+    pairs = max(1, chunk_bytes // (2 * max(x.nbytes, 1)))
+    for start in range(0, x.size, pairs):
+        coords = np.arange(start, min(start + pairs, x.size))
+        rows = np.arange(len(coords))
+        stack = np.tile(flat, (len(coords), 2, 1))
+        up = flat[coords] + FD_STEP
+        stack[rows, 0, coords] = up
+        stack[rows, 1, coords] = up - 2.0 * FD_STEP
+        values = np.asarray(f(stack.reshape(-1, *x.shape)), dtype=np.float64)
+        hi, lo = values.reshape(len(coords), 2).T
+        grad[coords] = (hi - lo) / (2.0 * FD_STEP)
+    return grad.reshape(x.shape)
 
 
 def cx_forward_uncached(values, image):

@@ -14,7 +14,7 @@ from pointseg import (
     softmax_backward,
 )
 
-from oracles import bit_equal, finite_diff_copying, per_probe
+from oracles import bit_equal, finite_diff_copying, finite_diff_tiled, per_probe
 
 fields = st.integers(0, 10_000).map(
     lambda s: np.random.default_rng(s).normal(scale=3.0, size=(3, 4, 5))
@@ -139,6 +139,28 @@ def test_finite_diff_grad_passes_probe_pairs_in_order_within_the_cap(monkeypatch
     assert bit_equal(x, before)
     pairs = max(1, cap // (2 * x.nbytes))
     assert calls == [2 * min(pairs, x.size - start) for start in range(0, x.size, pairs)]
+
+
+@pytest.mark.parametrize("shape, pairs", [((1,), 1), ((3, 4), 4), ((5,), 2), ((2, 3, 2, 2), 5)],
+                         ids=["one-coordinate", "whole-chunks", "ragged-last-chunk", "4-d"])
+def test_finite_diff_grad_equals_the_tiled_loop_byte_for_byte(monkeypatch, shape, pairs):
+    # The slice-written chunks hand f the tiled loop's stacks, byte for byte
+    # and in the same order, and give its gradient's bits.
+    x = np.random.default_rng(3).normal(scale=4.0, size=shape)
+    cap = pairs * 2 * x.nbytes
+    monkeypatch.setattr(pointseg.grids, "PROBE_CHUNK_BYTES", cap)
+
+    def recording(stacks):
+        def f(stack):
+            stacks.append(stack.tobytes())
+            return np.sin(stack).reshape(len(stack), -1).sum(axis=1) * (stack**3).sum()
+        return f
+
+    got_stacks, want_stacks = [], []
+    got = finite_diff_grad(recording(got_stacks), x)
+    assert bit_equal(got, finite_diff_tiled(recording(want_stacks), x, cap))
+    assert got_stacks == want_stacks
+    assert len(got_stacks) == -(-x.size // pairs)
 
 
 def test_finite_diff_grad_on_quadratic():

@@ -765,6 +765,26 @@ def test_total_loss_gradient_sums_terms_in_order(mode):
             assert bit_equal(got, ref)
 
 
+@pytest.mark.parametrize("freeze_means", [False, True])
+def test_pce_ms_gradient_adds_each_class_into_the_tv_array_without_a_stacked_term(
+        monkeypatch, freeze_means):
+    # pce+ms adds lambda_ms times each class's data-term gradient into the TV
+    # array class by class, never forming ms_data_term's (K, H, W) stack; the
+    # bits stay those of lambda_ms * stack + mu * TV.
+    def never(*args, **kwargs):
+        raise AssertionError("pce+ms formed the stacked data-term gradient")
+
+    monkeypatch.setattr(pointseg.losses, "ms_data_term", never)
+    settings = LossSettings("pce+ms", lambda_ms=0.7, mu=1e-2, freeze_means=freeze_means)
+    for seed in range(3):
+        images, fields, anns, plan = _random_batch(seed)
+        breakdown = total_loss(images, fields, anns, plan, settings)
+        want = total_loss_grads_oracle(images, [softmax(f) for f in fields],
+                                       anns, plan, settings)
+        for got, ref in zip(breakdown.grad_wrt_logits, want):
+            assert bit_equal(got, ref)
+
+
 @pytest.mark.parametrize("mode", ["pce+ms", "pce+cv"])
 def test_total_loss_gradient_at_zero_mu_has_the_oracles_signs_of_zero(mode):
     # mu = 0 times a negative TV entry is -0.0. Added to zero grids, as the

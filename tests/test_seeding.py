@@ -37,3 +37,37 @@ def test_mixed_parts_concatenate_in_order():
 def test_negative_integer_part_is_a_config_error(parts):
     with pytest.raises(InvalidConfigError, match="seed must be nonnegative"):
         seed_words(*parts)
+
+
+# Keys whose words all fit 32 bits, then keys with a word of 2**32 or more.
+NARROW_KEYS = [(0,), (1,), (2**31,), (2**32 - 1,), (np.int64(7), "augment"), (np.uint32(2**32 - 1),),
+               (True, 3), ("",), ("é", 0), (0, "gradcheck", "softmax", 12, "probe")]
+WIDE_KEYS = [(2**32,), (5, 2**64 + 5, "x")]
+
+
+@pytest.mark.parametrize("key", NARROW_KEYS + WIDE_KEYS, ids=repr)
+def test_stream_equals_default_rng_over_the_seed_words(key):
+    got, want = keyed_rng(*key), np.random.default_rng(seed_words(*key))
+    assert np.array_equal(got.integers(0, 2**62, size=6), want.integers(0, 2**62, size=6))
+    assert np.array_equal(got.normal(size=6), want.normal(size=6))
+    assert np.array_equal(got.permutation(11), want.permutation(11))
+
+
+@pytest.mark.parametrize("key", NARROW_KEYS, ids=repr)
+def test_a_key_of_32_bit_words_seeds_from_one_uint32_array(key):
+    entropy = keyed_rng(*key).bit_generator.seed_seq.entropy
+    assert isinstance(entropy, np.ndarray) and entropy.dtype == np.uint32
+    assert entropy.tolist() == seed_words(*key)
+
+
+@pytest.mark.parametrize("key", WIDE_KEYS, ids=repr)
+def test_a_key_with_a_wider_word_seeds_from_the_list(key):
+    assert keyed_rng(*key).bit_generator.seed_seq.entropy == seed_words(*key)
+
+
+def test_seed_words_returns_a_new_list_each_call():
+    first = seed_words(4, "annotate")
+    first[1] = -1
+    first.append(9)
+    assert seed_words(4, "annotate") == [4, *seed_words("annotate")]
+    assert -1 not in seed_words("annotate")
